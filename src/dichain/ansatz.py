@@ -7,13 +7,14 @@ numerically.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import amplitude as amp
 from .amplitude import MacroSystem, ansatz_carriers, second_order_amplitudes, tau_derivative
-from .model import ChainParams, LatticeState, linear_apply, nonlinear_apply, norm_m
+from .model import ChainParams, LatticeState, force, norm_m
 
 
 class IncommensurateCarrier(ValueError):
@@ -29,7 +30,9 @@ class _Snapshot:
 
     def __init__(self, spec: "AnsatzSpec", tau: float, fields=None):
         self.tau = tau
-        self._spec = spec
+        # weak: spec._cache holds its snapshots, and a strong back-reference
+        # would leave each spec (and its N x n matrix) to the cycle collector
+        self._spec = weakref.proxy(spec)
         b1, b2 = spec.solution.fields(tau) if fields is None else fields
         self.b_grid = (b1, b2)
         self.dy_grid = (amp.spectral_derivative(b1, spec.L),
@@ -198,5 +201,5 @@ def residual_norm(p: ChainParams, spec: AnsatzSpec, t: float, h0: float = 0.01) 
     um, u0, up = (_sample_improved_snap(spec, s, t + dt)
                   for s, dt in zip(snaps, (-h, 0.0, h)))
     udd = (up - 2.0 * u0 + um) / (h * h)
-    res = linear_apply(p, u0) + nonlinear_apply(p, u0) - udd
+    res = force(p, u0) - udd
     return norm_m(res, p)

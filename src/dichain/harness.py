@@ -8,8 +8,6 @@ deterministic for a fixed configuration.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,16 +210,6 @@ def _phase_times(spec: anz.AnsatzSpec, t0: float, n_phases: int = 8):
     return [t0 + f * period for f in np.linspace(0.0, 1.0, n_phases, endpoint=False)]
 
 
-def _map_eps(cfg, fn):
-    """Run fn over the eps sweep, optionally in threads (DICHAIN_THREADS);
-    results are assembled in eps order either way."""
-    n_threads = int(os.environ.get("DICHAIN_THREADS", "1"))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            return list(ex.map(fn, cfg.eps))
-    return [fn(e) for e in cfg.eps]
-
-
 def run_residual_scaling(cfg: ExperimentConfig) -> ScalingReport:
     """Defect of the improved ansatz: raw size should scale like
     eps^{5/2}; the normalized value stays bounded."""
@@ -234,7 +222,7 @@ def run_residual_scaling(cfg: ExperimentConfig) -> ScalingReport:
                   for t in _phase_times(spec, t0))
         return spec.eps, val
 
-    rows = _map_eps(cfg, one)
+    rows = [one(e) for e in cfg.eps]
     exponent, resid = fit_loglog(rows, cfg.noise_floor)
     normalized = [v / e ** 2.5 for e, v in rows]
     passed = exponent >= 2.4 and max(normalized) / min(normalized) < 4.0
@@ -295,7 +283,7 @@ def run_convergence(cfg: ExperimentConfig) -> ScalingReport:
         integrate(p, s0, SimConfig(dt=dt, T=T, stride=stride), observer)
         return spec.eps, max(errs)
 
-    rows = _map_eps(cfg, one)
+    rows = [one(e) for e in cfg.eps]
     exponent, resid = fit_loglog(rows, cfg.noise_floor)
     passed = exponent >= cfg.beta - 0.2
     return ScalingReport(rows, exponent, resid, passed, "sup_error",
@@ -418,7 +406,7 @@ def run_generation_control(cfg: ExperimentConfig) -> ScalingReport:
         integrate(p, s0, SimConfig(dt=dt, T=T, stride=stride), observer)
         return spec.eps, peak[0]
 
-    rows = _map_eps(cfg, one)
+    rows = [one(e) for e in cfg.eps]
     exponent, resid = fit_loglog(rows, cfg.noise_floor)
     normalized = [v / e ** 2 for e, v in rows]
     passed = exponent >= 1.7

@@ -157,18 +157,33 @@ def cell_unpack(u) -> np.ndarray:
 
 
 def _stretches(pos):
-    """Bond stretches around cell j.
+    """Bond stretches around cell j, by slices (periodic in j).
 
     s_a[j] = u_{j+1,2} - u_{j,1}   (bond to the right of atom (j,1))
     s_b[j] = u_{j,1}   - u_{j,2}   (bond inside cell j)
     s_c[j] = u_{j,2}   - u_{j-1,1} (bond to the left of atom (j,2)) = s_a[j-1]
     """
-    u1 = pos[:, 0]
-    u2 = pos[:, 1]
-    s_a = np.roll(u2, -1) - u1
-    s_b = u1 - u2
-    s_c = np.roll(s_a, 1)
-    return s_a, s_b, s_c
+    u1, u2 = pos[:, 0], pos[:, 1]
+    s_a = np.empty_like(u1)
+    np.subtract(u2[1:], u1[:-1], out=s_a[:-1])
+    s_a[-1:] = u2[:1] - u1[-1:]
+    return s_a, u1 - u2, np.concatenate((s_a[-1:], s_a[:-1]))
+
+
+def _linear_rows(p: ChainParams, pos, s_a, s_b, s_c):
+    """Rows of L(u) from precomputed stretches."""
+    return (p.V1.k1 * (s_a - s_b) - p.W1.k1 * pos[:, 0],
+            p.V2.k1 * (s_b - s_c) - p.W2.k1 * pos[:, 1])
+
+
+def _fnl(c: PotentialCoeffs, x):
+    return x * x * (c.k2 + c.k3 * x)
+
+
+def _nonlinear_rows(p: ChainParams, pos, s_a, s_b, s_c):
+    """Rows of M(u) from precomputed stretches."""
+    return (_fnl(p.V1, s_a) - _fnl(p.V1, s_b) - _fnl(p.W1, pos[:, 0]),
+            _fnl(p.V2, s_b) - _fnl(p.V2, s_c) - _fnl(p.W2, pos[:, 1]))
 
 
 def linear_apply(p: ChainParams, pos) -> np.ndarray:
@@ -182,31 +197,23 @@ def linear_apply(p: ChainParams, pos) -> np.ndarray:
     dispersion matrix encodes.
     """
     pos = np.asarray(pos, dtype=float)
-    s_a, s_b, s_c = _stretches(pos)
-    out = np.empty_like(pos)
-    out[:, 0] = p.V1.k1 * (s_a - s_b) - p.W1.k1 * pos[:, 0]
-    out[:, 1] = p.V2.k1 * (s_b - s_c) - p.W2.k1 * pos[:, 1]
-    return out
+    return np.stack(_linear_rows(p, pos, *_stretches(pos)), axis=1)
 
 
 def nonlinear_apply(p: ChainParams, pos) -> np.ndarray:
     """Apply the quadratic+cubic force remainder M(u)."""
     pos = np.asarray(pos, dtype=float)
-    s_a, s_b, s_c = _stretches(pos)
-
-    def fnl(c: PotentialCoeffs, x):
-        return x * x * (c.k2 + c.k3 * x)
-
-    out = np.empty_like(pos)
-    out[:, 0] = fnl(p.V1, s_a) - fnl(p.V1, s_b) - fnl(p.W1, pos[:, 0])
-    out[:, 1] = fnl(p.V2, s_b) - fnl(p.V2, s_c) - fnl(p.W2, pos[:, 1])
-    return out
+    return np.stack(_nonlinear_rows(p, pos, *_stretches(pos)), axis=1)
 
 
 def force(p: ChainParams, pos) -> np.ndarray:
-    """Full right-hand side L(u) + M(u): literally the sum of the two
-    operators, so integrator forces agree with them bit for bit."""
-    return linear_apply(p, pos) + nonlinear_apply(p, pos)
+    """Full right-hand side L(u) + M(u).  One stretch pass feeds the row
+    formulas of linear_apply and nonlinear_apply, so the result equals
+    linear_apply(p, pos) + nonlinear_apply(p, pos) bit for bit."""
+    pos = np.asarray(pos, dtype=float)
+    st = _stretches(pos)
+    (l1, l2), (m1, m2) = _linear_rows(p, pos, *st), _nonlinear_rows(p, pos, *st)
+    return np.stack((l1 + m1, l2 + m2), axis=1)
 
 
 def energy_norm(s: LatticeState, p: ChainParams) -> float:

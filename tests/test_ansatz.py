@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,20 @@ def constant_spec(p, eps, N, th1, a=1.0):
     f0 = (np.full(NG, a, dtype=complex), np.zeros(NG, complex))
     sol = amp.make_solution(macro, f0, eps * N, tau_max=5.0)
     return AnsatzSpec(p, eps, N, NG, macro, sol)
+
+
+def test_spec_freed_without_cycle_collector():
+    """Cached snapshots must not keep a dropped spec (and its N x n
+    interpolation matrix) alive until the cycle collector runs."""
+    spec = constant_spec(model.p0(), 0.1, 400, 0.0, a=0.5)
+    sample_improved(spec, 0.7)  # fills the cache and the lazy correctors
+    ref = weakref.ref(spec)
+    gc.disable()
+    try:
+        del spec
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_zero_amplitudes_sample_zero():

@@ -171,7 +171,9 @@ def test_cli_amplitudes_and_simulate(tmp_path, capsys):
     assert len(lines) == 1 + 3 * N
 
 
-def test_dichain_threads_env(monkeypatch):
-    monkeypatch.setenv("DICHAIN_THREADS", "2")
-    rep = harness.run_residual_scaling(small_cfg())
-    assert rep.passed
+def test_eps_sweep_deterministic():
+    a = harness.run_residual_scaling(small_cfg())
+    b = harness.run_residual_scaling(small_cfg())
+    assert a.rows == b.rows and a.exponent == b.exponent
+    assert [e for e, _ in a.rows] == sorted((e for e, _ in a.rows), reverse=True)
+    assert a.passed and b.passed

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -216,3 +218,71 @@ def test_hamiltonian_conserved_mass_consistent():
     for col in sol.y.T:
         s = LatticeState(col[:2 * N].reshape(N, 2), col[2 * N:].reshape(N, 2))
         assert abs(hamiltonian_energy(s, p) - h0) <= 1e-9 * abs(h0)
+
+
+P_NL = make_params(v1=(1.0, 0.4, -0.2), v2=(2.0, -0.3, 0.1),
+                   w1=(1.0, 0.2, 0.3), w2=(1.5, -0.1, 0.05))
+
+
+def roll_stencil(p, pos):
+    """Independent reference: L(u) and M(u) with stretches built by np.roll."""
+    pos = np.asarray(pos, dtype=float)
+    u1, u2 = pos[:, 0], pos[:, 1]
+    s_a = np.roll(u2, -1) - u1
+    s_b = u1 - u2
+    s_c = np.roll(s_a, 1)
+
+    def fnl(c, x):
+        return x * x * (c.k2 + c.k3 * x)
+
+    lin, nl = np.empty_like(pos), np.empty_like(pos)
+    lin[:, 0] = p.V1.k1 * (s_a - s_b) - p.W1.k1 * u1
+    lin[:, 1] = p.V2.k1 * (s_b - s_c) - p.W2.k1 * u2
+    nl[:, 0] = fnl(p.V1, s_a) - fnl(p.V1, s_b) - fnl(p.W1, u1)
+    nl[:, 1] = fnl(p.V2, s_b) - fnl(p.V2, s_c) - fnl(p.W2, u2)
+    return lin, nl
+
+
+def assert_matches_roll_stencil(p, pos):
+    lin, nl = roll_stencil(p, pos)
+    assert np.array_equal(linear_apply(p, pos), lin)
+    assert np.array_equal(nonlinear_apply(p, pos), nl)
+    assert np.array_equal(force(p, pos), lin + nl)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 400])
+def test_force_matches_roll_stencil(N):
+    pos = np.random.RandomState(10 + N).randn(N, 2)
+    assert_matches_roll_stencil(P_NL, pos)
+
+
+def test_force_matches_roll_stencil_odd_layouts():
+    rng = np.random.RandomState(11)
+    big = rng.randn(14, 2)
+    assert not big[::2].flags.contiguous
+    assert_matches_roll_stencil(P_NL, big[::2])
+    assert_matches_roll_stencil(P_NL, np.asfortranarray(big))
+    assert_matches_roll_stencil(P_NL, big.tolist())
+    assert_matches_roll_stencil(P_NL, rng.randint(-3, 4, (9, 2)))
+
+
+def test_force_is_negative_hamiltonian_gradient():
+    """With mass-consistent bonds (mu*V2' = V1', mu = v11/v21), force rows
+    are -dH/du_{j,1} and -(1/mu)*dH/du_{j,2}; checked by central differences."""
+    rng = np.random.RandomState(12)
+    h = 1e-6
+    for _ in range(10):
+        q = random_valid_params(rng, nonlinear=True)
+        mu = q.V1.k1 / q.V2.k1
+        p = replace(q, V2=PotentialCoeffs(q.V2.k1, q.V1.k2 / mu, q.V1.k3 / mu))
+        pos = 0.5 * rng.randn(6, 2)
+        grad = np.empty_like(pos)
+        for idx in np.ndindex(*pos.shape):
+            up, dn = pos.copy(), pos.copy()
+            up[idx] += h
+            dn[idx] -= h
+            grad[idx] = (hamiltonian_energy(LatticeState(up, np.zeros_like(up)), p)
+                         - hamiltonian_energy(LatticeState(dn, np.zeros_like(dn)), p)) / (2 * h)
+        f = force(p, pos)
+        np.testing.assert_allclose(f[:, 0], -grad[:, 0], rtol=0, atol=1e-7)
+        np.testing.assert_allclose(f[:, 1], -grad[:, 1] / mu, rtol=0, atol=1e-7)
