@@ -140,7 +140,7 @@ def cmd_simulate(args) -> int:
             rows.append((float(t), j, float(state.pos[j, 0]), float(state.pos[j, 1]),
                          float(state.vel[j, 0]), float(state.vel[j, 1])))
 
-    integrate(p, s0, SimConfig(dt=dt, T=T, stride=stride), observer)
+    integrate(p, s0, SimConfig(dt=dt, T=T, stride=stride, order=cfg.order), observer)
     out = args.out or cfg.out
     write_csv(out, "t,j,u1,u2,v1,v2", rows)
     print(f"PASS simulate: wrote snapshots to {out}")

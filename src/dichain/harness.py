@@ -14,7 +14,7 @@ import numpy as np
 
 from . import amplitude as amp
 from . import ansatz as anz
-from .microsim import SimConfig, default_dt, integrate, modal_mass
+from .microsim import SUBSTEPS, SimConfig, default_dt, integrate, modal_mass
 from .model import ChainParams, LatticeState, energy_norm, make_params, norm_l2_pair
 from .resonance import solve_family_ratio, wrap_theta
 from .spectrum import ACOUSTIC, OPTICAL, polarization
@@ -45,6 +45,7 @@ class ExperimentConfig:
     L_y: float = 40.0
     n_grid: int = 256
     dt: float = 0.002
+    order: int = 2                        # lattice scheme: 2 leapfrog, 4 triple jump
     n_samples: int = 50
     noise_floor: float = 0.0
     seed: int = 0
@@ -56,6 +57,12 @@ class ExperimentConfig:
     def validate(self):
         if self.kind not in EXPERIMENT_KINDS + AUX_KINDS:
             raise ConfigError(f"kind: unknown experiment {self.kind!r}")
+        if not _is_real(self.dt) or not self.dt > 0:
+            raise ConfigError("dt: must be a positive number")
+        if not _is_int(self.n_samples) or self.n_samples < 1:
+            raise ConfigError("n_samples: must be an integer >= 1")
+        if not _is_int(self.order) or self.order not in SUBSTEPS:
+            raise ConfigError("order: must be 2 (leapfrog) or 4 (Yoshida triple jump)")
         if self.kind in ("convergence", "generation", "residual_scaling",
                          "ansatz_scaling", "amplitudes", "simulate"):
             if not self.eps:
@@ -74,6 +81,14 @@ class ExperimentConfig:
             if n < 16 or (n & (n - 1)) != 0:
                 raise ConfigError("n_grid: must be a power of two >= 16")
         return self
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _coeffs_from_dict(d, key):
@@ -280,7 +295,7 @@ def run_convergence(cfg: ExperimentConfig) -> ScalingReport:
             dv = state.vel - anz.first_order_velocity(spec, t)
             errs.append(norm_l2_pair(du, dv))
 
-        integrate(p, s0, SimConfig(dt=dt, T=T, stride=stride), observer)
+        integrate(p, s0, SimConfig(dt=dt, T=T, stride=stride, order=cfg.order), observer)
         return spec.eps, max(errs)
 
     rows = [one(e) for e in cfg.eps]
@@ -362,7 +377,8 @@ def run_generation(cfg: ExperimentConfig) -> GenerationReport:
 
     s0 = anz.initial_state(spec, improved=False)
     stride = max(1, int(round(fine_target / dt)))
-    integrate(p, s0, SimConfig(dt=dt, T=T + window / 2.0, stride=stride), observer)
+    integrate(p, s0, SimConfig(dt=dt, T=T + window / 2.0, stride=stride, order=cfg.order),
+              observer)
 
     # per-site least squares on the carrier lines over the final window;
     # the e^{+i om2 t} coefficient is eps * A_{1,2} times the polarization
@@ -403,7 +419,7 @@ def run_generation_control(cfg: ExperimentConfig) -> ScalingReport:
             peak[0] = max(peak[0], m)
 
         s0 = anz.initial_state(spec, improved=True)
-        integrate(p, s0, SimConfig(dt=dt, T=T, stride=stride), observer)
+        integrate(p, s0, SimConfig(dt=dt, T=T, stride=stride, order=cfg.order), observer)
         return spec.eps, peak[0]
 
     rows = [one(e) for e in cfg.eps]

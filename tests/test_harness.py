@@ -177,3 +177,36 @@ def test_eps_sweep_deterministic():
     assert a.rows == b.rows and a.exponent == b.exponent
     assert [e for e, _ in a.rows] == sorted((e for e, _ in a.rows), reverse=True)
     assert a.passed and b.passed
+
+
+@pytest.mark.parametrize("key,value", [
+    ("dt", 0), ("dt", -1), ("dt", "x"),
+    ("n_samples", 0), ("n_samples", 2.5),
+    ("order", 3), ("order", "4"),
+])
+def test_cli_rejects_bad_integration_keys(tmp_path, capsys, key, value):
+    doc = dict(kind="convergence", resonant_family=FAM, eps=[0.1, 0.0707, 0.05],
+               out=str(tmp_path / "conv.csv"))
+    doc[key] = value
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(doc))
+    rc = cli.main(["validate", "--config", str(cfgf)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{key}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "conv.csv").exists()
+
+
+def test_fourth_order_convergence_matches_fine_leapfrog():
+    # order 4 at dt = 0.02 must sit at least as close to a dt = 0.0005
+    # leapfrog run as leapfrog at dt = 0.002 does (with 1.25x slack), row by
+    # row; half the shipped horizon keeps the fine runs short
+    base = dict(kind="convergence", resonant_family=FAM, eps=[0.1, 0.0707, 0.05], tau0=0.5)
+    rows = {}
+    for name, over in (("order4", dict(dt=0.02, order=4)), ("leapfrog", dict(dt=0.002)),
+                       ("fine", dict(dt=0.0005))):
+        rep = harness.run_convergence(config_from_dict(dict(base, **over)))
+        rows[name] = [v for _, v in rep.rows]
+    for x, s, f in zip(rows["order4"], rows["leapfrog"], rows["fine"]):
+        assert abs(x - f) <= 1.25 * abs(s - f)

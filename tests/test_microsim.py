@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dichain import model
-from dichain.microsim import (SimConfig, SimulationDiverged, integrate, modal_mass,
-                              modal_masses, omega_max)
+from dichain import microsim, model
+from dichain.microsim import (SUBSTEPS, SimConfig, SimulationDiverged, integrate,
+                              modal_mass, modal_masses, omega_max)
 from dichain.model import LatticeState, force, hamiltonian_energy, linear_apply, nonlinear_apply
 from dichain.spectrum import ACOUSTIC, polarization
 
@@ -35,6 +35,35 @@ def test_linear_plane_wave_second_order():
         errs.append(np.abs(s.pos - ref.pos).max())
     ratio = errs[0] / errs[1]
     assert 3.6 <= ratio <= 4.4
+
+
+def test_linear_plane_wave_fourth_order():
+    N, k, a = 64, 5, 0.01
+    errs = []
+    for dt in (0.04, 0.02):
+        w, s0 = plane_wave_state(P0, N, k, a)
+        s = integrate(P0, s0, SimConfig(dt=dt, T=10.0, order=4))
+        _, ref = plane_wave_state(P0, N, k, a, t=s.t)
+        errs.append(np.abs(s.pos - ref.pos).max())
+    ratio = errs[0] / errs[1]
+    assert 14.0 <= ratio <= 18.0
+
+
+def test_leapfrog_matches_reference_loop():
+    # order 2 must stay the plain kick-drift-kick loop, bit for bit
+    p = model.p0(v1=(1.0, 0.2, 0.1), w2=(1.0, 0.3, 0.0))
+    rng = np.random.RandomState(5)
+    s0 = LatticeState(0.05 * rng.randn(32, 2), 0.05 * rng.randn(32, 2))
+    dt, n = 0.013, 200
+    pos, vel = s0.pos.copy(), s0.vel.copy()
+    acc = force(p, pos)
+    for _ in range(n):
+        vel += 0.5 * dt * acc
+        pos += dt * vel
+        acc = force(p, pos)
+        vel += 0.5 * dt * acc
+    s = integrate(p, s0, SimConfig(dt=dt, T=n * dt))
+    assert np.array_equal(s.pos, pos) and np.array_equal(s.vel, vel)
 
 
 def test_time_reversal():
@@ -69,6 +98,36 @@ def test_energy_trend_conserved():
     assert trend < 1e-6
 
 
+def test_time_reversal_fourth_order():
+    rng = np.random.RandomState(0)
+    s0 = LatticeState(0.02 * rng.randn(64, 2), 0.02 * rng.randn(64, 2))
+    cfg = SimConfig(dt=0.02, T=50.0, order=4)
+    sf = integrate(P0, s0, cfg)
+    sb = integrate(P0, LatticeState(sf.pos, -sf.vel), cfg)
+    assert np.abs(sb.pos - s0.pos).max() <= 1e-8
+    assert np.abs(sb.vel + s0.vel).max() <= 1e-8
+
+
+def test_energy_trend_conserved_fourth_order():
+    # the mass-consistent setup of test_energy_trend_conserved; the
+    # shadow-energy oscillation shrinks to O(dt^4)
+    p = model.make_params(v1=(1.0, 0.15, 0.0), v2=(2.0, 0.30, 0.0),
+                          w1=(1.0, 0.25, 0.1), w2=(1.0, 0.2, 0.0))
+    rng = np.random.RandomState(1)
+    s0 = LatticeState(0.05 * rng.randn(64, 2), 0.05 * rng.randn(64, 2))
+    h0 = hamiltonian_energy(s0, p)
+    vals = []
+
+    def obs(t, st):
+        vals.append(hamiltonian_energy(st, p))
+
+    integrate(p, s0, SimConfig(dt=0.02, T=100.0, stride=10, order=4), obs)
+    vals = np.array(vals)
+    assert np.abs(vals - h0).max() / abs(h0) < 1e-5
+    half = len(vals) // 2
+    assert abs(vals[half:].mean() - vals[:half].mean()) / abs(h0) < 1e-8
+
+
 def test_force_path_agreement():
     rng = np.random.RandomState(2)
     p = model.p0(v1=(1.0, 0.2, 0.1), w2=(1.0, 0.3, 0.0))
@@ -97,6 +156,29 @@ def test_dt_stability_guard():
     with pytest.raises(ValueError):
         SimConfig(dt=0.5, T=1.0).validate(P0)
     SimConfig(dt=0.2 / omega_max(P0), T=1.0).validate(P0)
+
+
+def test_order_and_substep_stability_guard():
+    with pytest.raises(ValueError, match="order"):
+        SimConfig(dt=0.01, T=1.0, order=3).validate(P0)
+    # order 4's largest substep is |w0| dt ~ 1.70 dt, and that is what is capped
+    w_max = max(abs(w) for w in SUBSTEPS[4])
+    assert 1.70 < w_max < 1.71
+    with pytest.raises(ValueError, match="substep"):
+        SimConfig(dt=0.2 / omega_max(P0), T=1.0, order=4).validate(P0)
+    SimConfig(dt=0.2 / omega_max(P0) / w_max, T=1.0, order=4).validate(P0)
+
+
+def test_fourth_order_force_calls(monkeypatch):
+    calls = []
+
+    def counted(p, pos):
+        calls.append(1)
+        return force(p, pos)
+
+    monkeypatch.setattr(microsim, "force", counted)
+    integrate(P0, LatticeState.zeros(8), SimConfig(dt=0.05, T=1.0, order=4))
+    assert len(calls) == 1 + 3 * 20
 
 
 def test_divergence_detection():
