@@ -17,7 +17,7 @@ from . import amplitude as amp
 from . import ansatz as anz
 from . import harness
 from .harness import ConfigError, ExperimentConfig, config_from_dict, params_from_dict
-from .microsim import SimConfig, integrate
+from .microsim import integrate
 from .model import LatticeState
 from .resonance import (acoustic_acoustic_scan, family_params,
                         optical_closure_margin, solve_family_ratio, third_order_margin)
@@ -132,7 +132,6 @@ def cmd_simulate(args) -> int:
     else:
         s0 = anz.initial_state(spec, improved=True)
     T = cfg.tau0 / spec.eps
-    dt, stride = harness._experiment_dt(cfg, p, T)
     rows = []
 
     def observer(t, state):
@@ -140,7 +139,7 @@ def cmd_simulate(args) -> int:
             rows.append((float(t), j, float(state.pos[j, 0]), float(state.pos[j, 1]),
                          float(state.vel[j, 0]), float(state.vel[j, 1])))
 
-    integrate(p, s0, SimConfig(dt=dt, T=T, stride=stride, order=cfg.order), observer)
+    integrate(p, s0, harness._experiment_sim(cfg, p, T), observer)
     out = args.out or cfg.out
     write_csv(out, "t,j,u1,u2,v1,v2", rows)
     print(f"PASS simulate: wrote snapshots to {out}")

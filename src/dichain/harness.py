@@ -14,7 +14,7 @@ import numpy as np
 
 from . import amplitude as amp
 from . import ansatz as anz
-from .microsim import SUBSTEPS, SimConfig, default_dt, integrate, modal_mass
+from .microsim import SimConfig, default_dt, integrate, modal_mass
 from .model import ChainParams, LatticeState, energy_norm, make_params, norm_l2_pair
 from .resonance import solve_family_ratio, wrap_theta
 from .spectrum import ACOUSTIC, OPTICAL, polarization
@@ -27,6 +27,10 @@ class ConfigError(ValueError):
 EXPERIMENT_KINDS = ("convergence", "generation", "residual_scaling",
                     "ansatz_scaling", "dispersion_table", "resonance_scan")
 AUX_KINDS = ("amplitudes", "simulate")
+
+# every lattice run is Yoshida's order-4 triple jump; ``dt`` is the length
+# of its whole composed step (three force calls)
+LATTICE_ORDER = 4
 
 
 @dataclass
@@ -44,8 +48,7 @@ class ExperimentConfig:
     nu: float = 0.5
     L_y: float = 40.0
     n_grid: int = 256
-    dt: float = 0.002
-    order: int = 2                        # lattice scheme: 2 leapfrog, 4 triple jump
+    dt: float = 0.02
     n_samples: int = 50
     noise_floor: float = 0.0
     seed: int = 0
@@ -61,8 +64,6 @@ class ExperimentConfig:
             raise ConfigError("dt: must be a positive number")
         if not _is_int(self.n_samples) or self.n_samples < 1:
             raise ConfigError("n_samples: must be an integer >= 1")
-        if not _is_int(self.order) or self.order not in SUBSTEPS:
-            raise ConfigError("order: must be 2 (leapfrog) or 4 (Yoshida triple jump)")
         if self.kind in ("convergence", "generation", "residual_scaling",
                          "ansatz_scaling", "amplitudes", "simulate"):
             if not self.eps:
@@ -270,12 +271,19 @@ def run_ansatz_scaling(cfg: ExperimentConfig) -> ScalingReport:
                           "threshold_exponent": (1.4, 1.6)})
 
 
-def _experiment_dt(cfg: ExperimentConfig, p: ChainParams, T: float):
-    """Lattice step and stride aligned with the sampling times."""
-    dt_target = min(cfg.dt, default_dt(p))
+def _dt_target(cfg: ExperimentConfig, p: ChainParams) -> float:
+    return min(cfg.dt, default_dt(p, LATTICE_ORDER))
+
+
+def _experiment_sim(cfg: ExperimentConfig, p: ChainParams, T: float) -> SimConfig:
+    """Lattice run to T whose stride lands on the n_samples sampling times.
+
+    Rounding the stride can stretch the step to 1.5x the target; the
+    default_dt cap leaves room for that in the longest substep.
+    """
     sample_dt = T / cfg.n_samples
-    stride = max(1, int(round(sample_dt / dt_target)))
-    return sample_dt / stride, stride
+    stride = max(1, int(round(sample_dt / _dt_target(cfg, p))))
+    return SimConfig(dt=sample_dt / stride, T=T, stride=stride, order=LATTICE_ORDER)
 
 
 def run_convergence(cfg: ExperimentConfig) -> ScalingReport:
@@ -286,7 +294,6 @@ def run_convergence(cfg: ExperimentConfig) -> ScalingReport:
         setup = setup_run(cfg, eps_t)
         p, spec = setup.p, setup.spec
         T = cfg.tau0 / spec.eps
-        dt, stride = _experiment_dt(cfg, p, T)
         s0 = anz.initial_state(spec, improved=True)
         errs = []
 
@@ -295,7 +302,7 @@ def run_convergence(cfg: ExperimentConfig) -> ScalingReport:
             dv = state.vel - anz.first_order_velocity(spec, t)
             errs.append(norm_l2_pair(du, dv))
 
-        integrate(p, s0, SimConfig(dt=dt, T=T, stride=stride, order=cfg.order), observer)
+        integrate(p, s0, _experiment_sim(cfg, p, T), observer)
         return spec.eps, max(errs)
 
     rows = [one(e) for e in cfg.eps]
@@ -356,7 +363,9 @@ def run_generation(cfg: ExperimentConfig) -> GenerationReport:
     window = 2.0 * np.pi / om1
     sample_dt = T / cfg.n_samples
     fine_target = window / 96.0
-    dt = fine_target / max(1, int(round(fine_target / min(cfg.dt, default_dt(p)))))
+    stride = max(1, int(round(fine_target / _dt_target(cfg, p))))
+    # end on a sampling time, so the fit window holds the same times at any dt
+    T_end = fine_target * round((T + window / 2.0) / fine_target)
 
     series = []          # (t, theta2, modal_mass) at the coarse sample times
     masses = []          # (t, instantaneous optical-branch modal amplitude)
@@ -376,9 +385,8 @@ def run_generation(cfg: ExperimentConfig) -> GenerationReport:
             masses.append((t, abs(0.5 * (q - 1j * qd / om2))))
 
     s0 = anz.initial_state(spec, improved=False)
-    stride = max(1, int(round(fine_target / dt)))
-    integrate(p, s0, SimConfig(dt=dt, T=T + window / 2.0, stride=stride, order=cfg.order),
-              observer)
+    integrate(p, s0, SimConfig(dt=fine_target / stride, T=T_end, stride=stride,
+                               order=LATTICE_ORDER), observer)
 
     # per-site least squares on the carrier lines over the final window;
     # the e^{+i om2 t} coefficient is eps * A_{1,2} times the polarization
@@ -411,7 +419,6 @@ def run_generation_control(cfg: ExperimentConfig) -> ScalingReport:
         w1 = spec.macro.waves[0]
         theta2 = wrap_theta(2.0 * w1.theta)
         T = cfg.tau0 / spec.eps
-        dt, stride = _experiment_dt(cfg, p, T)
         peak = [0.0]
 
         def observer(t, state):
@@ -419,7 +426,7 @@ def run_generation_control(cfg: ExperimentConfig) -> ScalingReport:
             peak[0] = max(peak[0], m)
 
         s0 = anz.initial_state(spec, improved=True)
-        integrate(p, s0, SimConfig(dt=dt, T=T, stride=stride, order=cfg.order), observer)
+        integrate(p, s0, _experiment_sim(cfg, p, T), observer)
         return spec.eps, peak[0]
 
     rows = [one(e) for e in cfg.eps]

@@ -9,8 +9,10 @@ Both schemes are symmetric compositions of the kick-drift-kick leapfrog
   substeps of w1*dt, w0*dt, w1*dt with w1 = 1/(2 - 2^(1/3)) and
   w0 = 1 - 2*w1 < 0, three force calls per step.
 
-``dt`` is always the length of the whole composed step.  model.force
-shares one stretch pass between L and M and equals their sum bit for bit.
+``dt`` is always the length of the whole composed step.  The validation
+experiments run order 4; leapfrog stays as the second-order reference.
+model.force shares one stretch pass between L and M and equals their sum
+bit for bit.
 """
 from __future__ import annotations
 
@@ -36,8 +38,14 @@ def omega_max(p: ChainParams) -> float:
     return float(np.sqrt(p.c2))
 
 
-def default_dt(p: ChainParams) -> float:
-    return min(0.02, 0.1 / omega_max(p))
+def largest_substep(order: int) -> float:
+    """max |w_i|: the longest leapfrog substep of one step, in units of dt."""
+    return max(abs(w) for w in SUBSTEPS[order])
+
+
+def default_dt(p: ChainParams, order: int) -> float:
+    """Step cap: 0.02, and half the stability limit for the longest substep."""
+    return min(0.02, 0.1 / omega_max(p) / largest_substep(order))
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,7 @@ class SimConfig:
         if self.order not in SUBSTEPS:
             raise ValueError(f"order={self.order}: must be 2 or 4")
         # the largest leapfrog substep is what must stay stable
-        h = max(abs(w) for w in SUBSTEPS[self.order]) * self.dt
+        h = largest_substep(self.order) * self.dt
         if h > 0.2 / omega_max(p) * (1 + 1e-12):
             raise ValueError(
                 f"dt={self.dt} (largest substep {h:.4g}) exceeds the stability "
