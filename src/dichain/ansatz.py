@@ -99,58 +99,48 @@ class AnsatzSpec:
         return snap
 
 
-def _carrier(spec: AnsatzSpec, omega: float, theta: float, t: float) -> np.ndarray:
+def _carrier_sum(spec: AnsatzSpec, terms, t: float, scale: float) -> np.ndarray:
+    """2*scale*Re of the sum of a*exp(i(omega*t + theta*j)) over the
+    (omega, theta, a) terms, where a holds the amplitudes of both
+    components on the lattice."""
     j = np.arange(spec.N)
-    return np.exp(1j * (omega * t + j * theta))
+    u = np.zeros((spec.N, 2), dtype=complex)
+    for omega, theta, a in terms:
+        e = np.exp(1j * (omega * t + j * theta))
+        u[:, 0] += a[0] * e
+        u[:, 1] += a[1] * e
+    return 2.0 * scale * u.real
+
+
+def _first_order_sum(spec: AnsatzSpec, envelopes, t: float) -> np.ndarray:
+    return _carrier_sum(spec, [(w.omega, w.theta, w.amplitude_vector(b))
+                               for w, b in zip(spec.macro.waves, envelopes)], t, spec.eps)
 
 
 def sample_first_order(spec: AnsatzSpec, t: float) -> np.ndarray:
     """Positions of the leading approximation at lattice time t."""
-    snap = spec.at_tau(spec.eps * t)
-    u = np.zeros((spec.N, 2), dtype=complex)
-    for idx, wave in enumerate(spec.macro.waves):
-        av = wave.amplitude_vector(snap.b_lat[idx])
-        e = _carrier(spec, wave.omega, wave.theta, t)
-        u[:, 0] += av[0] * e
-        u[:, 1] += av[1] * e
-    return 2.0 * spec.eps * u.real
+    return _sample_first_order_snap(spec, spec.at_tau(spec.eps * t), t)
 
 
 def first_order_velocity(spec: AnsatzSpec, t: float) -> np.ndarray:
     """Exact time derivative of the leading approximation."""
     snap = spec.at_tau(spec.eps * t)
-    u = np.zeros((spec.N, 2), dtype=complex)
-    for idx, wave in enumerate(spec.macro.waves):
-        coef = 1j * wave.omega * snap.b_lat[idx] + spec.eps * snap.dtau_lat[idx]
-        av = wave.amplitude_vector(coef)
-        e = _carrier(spec, wave.omega, wave.theta, t)
-        u[:, 0] += av[0] * e
-        u[:, 1] += av[1] * e
-    return 2.0 * spec.eps * u.real
+    return _first_order_sum(spec, [1j * w.omega * b + spec.eps * d for w, b, d
+                                   in zip(spec.macro.waves, snap.b_lat, snap.dtau_lat)], t)
 
 
 def _second_order_sum(spec: AnsatzSpec, snap: _Snapshot, t: float, time_derivative: bool):
     w1, w2 = spec.macro.waves
-    u = np.zeros((spec.N, 2), dtype=complex)
+    terms = []
     for iota, om_v, th_v, weight in ansatz_carriers(spec.macro.mode, w1, w2):
-        a2 = snap.a2_lat[iota]
-        e = _carrier(spec, om_v, th_v, t)
         c = weight * (1j * om_v if time_derivative else 1.0)
-        if c == 0.0:
-            continue
-        u[:, 0] += c * a2[0] * e
-        u[:, 1] += c * a2[1] * e
-    return 2.0 * spec.eps ** 2 * u.real
+        if c != 0.0:
+            terms.append((om_v, th_v, c * snap.a2_lat[iota]))
+    return _carrier_sum(spec, terms, t, spec.eps ** 2)
 
 
 def _sample_first_order_snap(spec: AnsatzSpec, snap: _Snapshot, t: float) -> np.ndarray:
-    u = np.zeros((spec.N, 2), dtype=complex)
-    for idx, wave in enumerate(spec.macro.waves):
-        av = wave.amplitude_vector(snap.b_lat[idx])
-        e = _carrier(spec, wave.omega, wave.theta, t)
-        u[:, 0] += av[0] * e
-        u[:, 1] += av[1] * e
-    return 2.0 * spec.eps * u.real
+    return _first_order_sum(spec, snap.b_lat, t)
 
 
 def _sample_improved_snap(spec: AnsatzSpec, snap: _Snapshot, t: float) -> np.ndarray:
