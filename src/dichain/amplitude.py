@@ -58,12 +58,6 @@ def spectral_derivative(values: np.ndarray, L: float) -> np.ndarray:
     return np.fft.ifft(hat)
 
 
-def eval_matrix(L: float, n: int, y: np.ndarray) -> np.ndarray:
-    """Matrix V with V @ fft(values) = trig interpolant evaluated at y."""
-    kappa = wavenumbers(L, n)
-    return np.exp(1j * np.outer(np.asarray(y), kappa)) / n
-
-
 def sech_envelope(L: float, n: int, a0: float, nu: float, center: Optional[float] = None) -> np.ndarray:
     y = grid_points(L, n)
     if center is None:

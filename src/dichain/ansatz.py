@@ -31,7 +31,8 @@ class _Snapshot:
     def __init__(self, spec: "AnsatzSpec", tau: float, fields=None):
         self.tau = tau
         # weak: spec._cache holds its snapshots, and a strong back-reference
-        # would leave each spec (and its N x n matrix) to the cycle collector
+        # would leave each spec (and its cached N-length fields) to the
+        # cycle collector
         self._spec = weakref.proxy(spec)
         b1, b2 = spec.solution.fields(tau) if fields is None else fields
         self.b_grid = (b1, b2)
@@ -67,7 +68,7 @@ class AnsatzSpec:
     n: int
     macro: MacroSystem
     solution: object
-    _V: np.ndarray = field(init=False, repr=False)
+    _fold: np.ndarray = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -76,18 +77,25 @@ class AnsatzSpec:
             if abs(k - round(k)) > 1e-9:
                 raise IncommensurateCarrier(
                     f"theta={w.theta} incommensurate with N={self.N}")
-        self._V = amp.eval_matrix(self.L, self.n, self.lattice_y())
+        # lattice wavenumber index m mod N of each grid mode m (fftfreq order,
+        # Nyquist at m = -n/2); with N < n several modes alias to one index
+        self._fold = np.rint(np.fft.fftfreq(self.n) * self.n).astype(int) % self.N
 
     @property
     def L(self) -> float:
         return self.eps * self.N
 
-    def lattice_y(self) -> np.ndarray:
-        return self.eps * np.arange(self.N)
-
     def interp(self, grid_values: np.ndarray) -> np.ndarray:
-        """Spectral interpolation from the macro grid to y = eps*j."""
-        return self._V @ np.fft.fft(grid_values)
+        """Spectral interpolation from the macro grid to y = eps*j.
+
+        The lattice is a uniform N-point grid over the same period, so the
+        trigonometric interpolant there is the inverse FFT of the grid's
+        coefficients folded onto the N lattice wavenumbers (a zero pad when
+        N >= n).
+        """
+        pad = np.zeros(self.N, dtype=complex)
+        np.add.at(pad, self._fold, np.fft.fft(grid_values))
+        return np.fft.ifft(pad) * (self.N / self.n)
 
     def at_tau(self, tau: float) -> _Snapshot:
         snap = self._cache.get(tau)

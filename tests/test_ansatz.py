@@ -30,18 +30,52 @@ def build_spec(p, eps_target, th1_t, th2_t, a0=(1.0, 0.5), nu=0.5, L_y=L, n=NG):
     return AnsatzSpec(p, eps, N, n, macro, sol)
 
 
-def constant_spec(p, eps, N, th1, a=1.0):
+def constant_spec(p, eps, N, th1, a=1.0, n=NG):
     w1 = polarization(p, ACOUSTIC, th1)
     w2 = polarization(p, OPTICAL, 2 * np.pi * (N // 3) / N)
     macro = amp.build_macro_system(p, w1, w2)
-    f0 = (np.full(NG, a, dtype=complex), np.zeros(NG, complex))
+    f0 = (np.full(n, a, dtype=complex), np.zeros(n, complex))
     sol = amp.make_solution(macro, f0, eps * N, tau_max=5.0)
-    return AnsatzSpec(p, eps, N, NG, macro, sol)
+    return AnsatzSpec(p, eps, N, n, macro, sol)
+
+
+def dense_interp(spec, values):
+    """Reference interpolant: the N x n matrix exp(i y_j kappa_k) / n,
+    y_j = eps*j, applied to the grid's FFT coefficients."""
+    y = spec.eps * np.arange(spec.N)
+    kappa = amp.wavenumbers(spec.L, spec.n)
+    return np.exp(1j * np.outer(y, kappa)) / spec.n @ np.fft.fft(values)
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+# N > n (zero pad), N < n (modes fold onto one lattice wavenumber), n = 16
+@pytest.mark.parametrize("N,n", [(400, 256), (1600, 256), (200, 256),
+                                 (400, 512), (1600, 512), (404, 16)])
+def test_interp_matches_dense_matrix(N, n):
+    spec = constant_spec(model.p0(), L / N, N, 0.0, n=n)
+    rng = np.random.default_rng(N + n)
+    smooth = amp.sech_envelope(L, n, 1.0, 0.5) * np.exp(0.3j * amp.grid_points(L, n))
+    rough = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    nyquist = (-1.0) ** np.arange(n) + 0j    # only the m = -n/2 coefficient
+    for values in (smooth, rough, nyquist):
+        assert rel_err(spec.interp(values), dense_interp(spec, values)) <= 1e-12
+
+
+@pytest.mark.parametrize("N,n", [(256, 256), (512, 256), (1600, 16), (400, 16)])
+def test_interp_recovers_grid_values(N, n):
+    spec = constant_spec(model.p0(), L / N, N, 0.0, n=n)
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = spec.interp(values)[::N // n]
+    assert rel_err(got, values) <= 1e-12
 
 
 def test_spec_freed_without_cycle_collector():
-    """Cached snapshots must not keep a dropped spec (and its N x n
-    interpolation matrix) alive until the cycle collector runs."""
+    """Cached snapshots must not keep a dropped spec (and the N-length
+    fields they hold) alive until the cycle collector runs."""
     spec = constant_spec(model.p0(), 0.1, 400, 0.0, a=0.5)
     sample_improved(spec, 0.7)  # fills the cache and the lazy correctors
     ref = weakref.ref(spec)
