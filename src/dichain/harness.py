@@ -66,12 +66,19 @@ class ExperimentConfig:
             raise ConfigError("n_samples: must be an integer >= 1")
         if self.kind in ("convergence", "generation", "residual_scaling",
                          "ansatz_scaling", "amplitudes", "simulate"):
-            if not self.eps:
-                raise ConfigError("eps: at least one value required")
+            if not isinstance(self.eps, (list, tuple)) or not self.eps:
+                raise ConfigError("eps: a non-empty list of values required")
+            if not all(_is_real(e) and e > 0 for e in self.eps):
+                raise ConfigError("eps: every value must be a positive number")
             if any(e > 0.2 for e in self.eps):
                 raise ConfigError("eps: every value must be <= 0.2")
             if list(self.eps) != sorted(self.eps, reverse=True) or len(set(self.eps)) != len(self.eps):
                 raise ConfigError("eps: values must be strictly decreasing")
+            if not _is_real(self.L_y) or not self.L_y > 0:
+                raise ConfigError("L_y: must be a positive number")
+            if round(self.L_y / self.eps[0]) < 4:
+                raise ConfigError(f"L_y: L_y/eps gives fewer than 4 lattice sites "
+                                  f"at eps={self.eps[0]}")
             if self.tau0 <= 0:
                 raise ConfigError("tau0: must be positive")
             if not (1.0 < self.beta <= 1.5):

@@ -33,7 +33,7 @@ FAM = {"gamma": 2.0, "c": 1.0,
 WAVES = [{"branch": "acoustic", "theta": 0.3}, {"branch": "optical", "theta": 0.6}]
 EPS_SWEEP = [0.1, 0.0707, 0.05, 0.0354, 0.025]
 BASE = dict(eps=EPS_SWEEP, tau0=1.0, L_y=40.0, n_grid=256, nu=0.5,
-            a0=[1.0, 0.5], dt=0.002)
+            a0=[1.0, 0.5])
 
 
 def _report(n, name, t0, detail):
@@ -190,7 +190,7 @@ def test_criterion_7_wave_generation():
     t0 = time.time()
     cfg = harness.config_from_dict(dict(kind="generation", resonant_family=FAM,
                                         eps=[0.05], tau0=1.0, L_y=40.0, n_grid=256,
-                                        nu=0.5, a0=[1.0, 0.0], dt=0.002))
+                                        nu=0.5, a0=[1.0, 0.0]))
     rep = harness.run_generation(cfg)
     assert rep.discrepancy <= 0.20
     assert rep.initial_mass <= 1e-3 * rep.eps
@@ -201,7 +201,7 @@ def test_criterion_7_wave_generation():
     cfg = harness.config_from_dict(dict(kind="generation", params=ctl_params,
                                         waves=[{"branch": "acoustic", "theta": 0.3}],
                                         eps=EPS_SWEEP, tau0=1.0, L_y=40.0,
-                                        n_grid=256, nu=0.5, a0=[1.0, 0.0], dt=0.002))
+                                        n_grid=256, nu=0.5, a0=[1.0, 0.0]))
     ctl = harness.run_generation_control(cfg)
     assert ctl.exponent >= 1.7
     norm = ctl.extra["normalized"]

@@ -182,6 +182,8 @@ def test_eps_sweep_deterministic():
 @pytest.mark.parametrize("key,value", [
     ("dt", 0), ("dt", -1), ("dt", "x"),
     ("n_samples", 0), ("n_samples", 2.5),
+    ("L_y", 0), ("L_y", -40.0), ("L_y", "x"), ("L_y", 0.05),
+    ("eps", ["x"]), ("eps", [0.1, 0.05, 0]), ("eps", 0.1), ("eps", [True]),
 ])
 def test_cli_rejects_bad_integration_keys(tmp_path, capsys, key, value):
     doc = dict(kind="convergence", resonant_family=FAM, eps=[0.1, 0.0707, 0.05],
