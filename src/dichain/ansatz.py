@@ -127,7 +127,7 @@ def _first_order_sum(spec: AnsatzSpec, envelopes, t: float) -> np.ndarray:
 
 def sample_first_order(spec: AnsatzSpec, t: float) -> np.ndarray:
     """Positions of the leading approximation at lattice time t."""
-    return _sample_first_order_snap(spec, spec.at_tau(spec.eps * t), t)
+    return _first_order_sum(spec, spec.at_tau(spec.eps * t).b_lat, t)
 
 
 def first_order_velocity(spec: AnsatzSpec, t: float) -> np.ndarray:
@@ -147,12 +147,8 @@ def _second_order_sum(spec: AnsatzSpec, snap: _Snapshot, t: float, time_derivati
     return _carrier_sum(spec, terms, t, spec.eps ** 2)
 
 
-def _sample_first_order_snap(spec: AnsatzSpec, snap: _Snapshot, t: float) -> np.ndarray:
-    return _first_order_sum(spec, snap.b_lat, t)
-
-
 def _sample_improved_snap(spec: AnsatzSpec, snap: _Snapshot, t: float) -> np.ndarray:
-    return _sample_first_order_snap(spec, snap, t) + _second_order_sum(spec, snap, t, False)
+    return _first_order_sum(spec, snap.b_lat, t) + _second_order_sum(spec, snap, t, False)
 
 
 def sample_improved(spec: AnsatzSpec, t: float) -> np.ndarray:
