@@ -17,10 +17,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .model import ChainParams
-from .resonance import NotResonant, wrap_theta
-from .spectrum import ACOUSTIC, OPTICAL, Wave, dispersion_matrix, group_velocity
+from .resonance import NONRESONANT, NotResonant, _tol_res, resonant_pair_defect
+from .spectrum import ACOUSTIC, Wave, dispersion_matrix, group_velocity
 
-NONRESONANT = "NonResonant"
 RESONANT_GENERIC = "ResonantGeneric"
 RESONANT_HALF_PI = "ResonantHalfPi"
 RESONANT_PI = "ResonantPi"
@@ -105,15 +104,6 @@ class Coupling:
     k2: complex
 
 
-def _require_resonant_pair(w1: Wave, w2: Wave):
-    if w1.branch != ACOUSTIC or w2.branch != OPTICAL:
-        raise NotResonant("resonant pair must be acoustic (w1) and optical (w2)")
-    if abs(w2.omega - 2.0 * w1.omega) > 1e-10:
-        raise NotResonant(f"omega2={w2.omega} is not 2*omega1={2 * w1.omega}")
-    if abs(wrap_theta(w2.theta - 2.0 * w1.theta)) > 1e-10:
-        raise NotResonant(f"theta2={w2.theta} is not 2*theta1 mod 2pi")
-
-
 def coupling_coefficients(p: ChainParams, w1: Wave, w2: Wave) -> Coupling:
     """Quadratic coupling coefficients of the resonant envelope system.
 
@@ -121,7 +111,9 @@ def coupling_coefficients(p: ChainParams, w1: Wave, w2: Wave) -> Coupling:
     sits at the band edge theta2 = +-pi); theta1 = +-pi (the generated
     wave sits at theta2 = 0 and both group velocities vanish).
     """
-    _require_resonant_pair(w1, w2)
+    why = resonant_pair_defect(w1, w2)
+    if why:
+        raise NotResonant(why)
     v12, v22 = p.V1.k2, p.V2.k2
     w12, w22 = p.W1.k2, p.W2.k2
     om1, om2 = w1.omega, w2.omega
@@ -185,9 +177,7 @@ def build_macro_system(p: ChainParams, w1: Wave, w2: Wave) -> MacroSystem:
     """Classify the wave pair and assemble the envelope system."""
     vels = (float(group_velocity(p, w1.branch, w1.theta)),
             float(group_velocity(p, w2.branch, w2.theta)))
-    try:
-        _require_resonant_pair(w1, w2)
-    except NotResonant:
+    if resonant_pair_defect(w1, w2):
         return MacroSystem(NONRESONANT, (w1, w2), vels)
     if w1.degenerate:
         mode = RESONANT_PI
@@ -258,18 +248,6 @@ def tau_derivative(sys: MacroSystem, fields, L: float):
     return db1, db2
 
 
-@dataclass
-class MacroTrajectory:
-    taus: np.ndarray
-    fields: list
-
-    def at(self, tau: float):
-        i = int(np.argmin(np.abs(self.taus - tau)))
-        if abs(self.taus[i] - tau) > 1e-9:
-            raise KeyError(f"tau={tau} not stored (nearest {self.taus[i]})")
-        return self.fields[i]
-
-
 def _advect_pair(sys, fields, L, dt):
     b1, b2 = fields
     if sys.velocities[0] != 0.0:
@@ -301,32 +279,6 @@ def strang_step(sys: MacroSystem, fields, L: float, dtau: float):
         fields = _rk4_sources(sys, fields, dtau)
     fields = _advect_pair(sys, fields, L, 0.5 * dtau)
     return fields
-
-
-def evolve(sys: MacroSystem, fields0, L: float, tau_end: float, dtau: float,
-           store_stride: int = 1) -> MacroTrajectory:
-    """Advance the envelope system to tau_end with fixed step dtau.
-
-    Non-resonant systems are advected exactly (the step is the exact flow
-    regardless of dtau); resonant systems use Strang splitting.  Stores
-    every ``store_stride``-th state plus the final one.
-    """
-    if dtau <= 0:
-        raise ValueError("dtau must be positive")
-    n_steps = max(1, int(round(tau_end / dtau)))
-    dt = tau_end / n_steps
-    fields = (np.asarray(fields0[0], dtype=complex).copy(),
-              np.asarray(fields0[1], dtype=complex).copy())
-    taus = [0.0]
-    stored = [fields]
-    for k in range(1, n_steps + 1):
-        fields = strang_step(sys, fields, L, dt)
-        if not (np.all(np.isfinite(fields[0])) and np.all(np.isfinite(fields[1]))):
-            raise FloatingPointError(f"envelope evolution diverged at tau={k * dt}")
-        if k % store_stride == 0 or k == n_steps:
-            taus.append(k * dt)
-            stored.append(fields)
-    return MacroTrajectory(np.array(taus), stored)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +359,10 @@ class ODEReferenceSolution(_SolutionBase):
 
 class StrangSolution(_SolutionBase):
     """Fixed-step Strang trajectory with cached checkpoints; arbitrary tau
-    is reached by one partial step from the latest checkpoint before it."""
+    is reached by one partial step from the latest checkpoint before it.
+
+    Non-resonant systems are only advected, so each step is the exact flow.
+    """
 
     def __init__(self, sys: MacroSystem, fields0, L: float, dtau: float = 1e-3):
         self.sys = sys
@@ -417,8 +372,13 @@ class StrangSolution(_SolutionBase):
                          np.asarray(fields0[1], dtype=complex))]
 
     def _extend(self, k):
+        n0 = len(self._states)
         while len(self._states) <= k:
             self._states.append(strang_step(self.sys, self._states[-1], self.L, self.dtau))
+        # a non-finite state stays non-finite, so the last one tells
+        if len(self._states) > n0 and not all(np.isfinite(b).all() for b in self._states[-1]):
+            del self._states[n0:]
+            raise FloatingPointError(f"envelope evolution diverged before tau={k * self.dtau}")
 
     def fields(self, tau: float):
         if tau < 0:
@@ -477,10 +437,6 @@ class SecondOrderSet:
 
     def __getitem__(self, iota):
         return self.entries[iota]
-
-
-def _tol_res(omega_val: float) -> float:
-    return 1e-6 * (1.0 + omega_val ** 4)
 
 
 def _solve_product_corrector(p, om_v, th_v, K, weight):

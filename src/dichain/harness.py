@@ -16,17 +16,13 @@ from . import amplitude as amp
 from . import ansatz as anz
 from .microsim import SimConfig, default_dt, integrate, modal_mass
 from .model import ChainParams, LatticeState, energy_norm, make_params, norm_l2_pair
-from .resonance import solve_family_ratio, wrap_theta
-from .spectrum import ACOUSTIC, OPTICAL, polarization
+from .resonance import (acoustic_acoustic_scan, family_params, optical_closure_margin,
+                        solve_family_ratio, third_order_margin, wrap_theta)
+from .spectrum import ACOUSTIC, OPTICAL, group_velocity, omega, polarization
 
 
 class ConfigError(ValueError):
     """Malformed experiment configuration; the message names the key."""
-
-
-EXPERIMENT_KINDS = ("convergence", "generation", "residual_scaling",
-                    "ansatz_scaling", "dispersion_table", "resonance_scan")
-AUX_KINDS = ("amplitudes", "simulate")
 
 # every lattice run is Yoshida's order-4 triple jump; ``dt`` is the length
 # of its whole composed step (three force calls)
@@ -51,21 +47,19 @@ class ExperimentConfig:
     dt: float = 0.02
     n_samples: int = 50
     noise_floor: float = 0.0
-    seed: int = 0
     out: str = None
     scan: dict = None                     # resonance_scan: {"gamma": [...], "c": [...]}
     dtau: float = 1e-3
     n_snapshots: int = 11
 
     def validate(self):
-        if self.kind not in EXPERIMENT_KINDS + AUX_KINDS:
+        if self.kind not in KINDS:
             raise ConfigError(f"kind: unknown experiment {self.kind!r}")
         if not _is_real(self.dt) or not self.dt > 0:
             raise ConfigError("dt: must be a positive number")
         if not _is_int(self.n_samples) or self.n_samples < 1:
             raise ConfigError("n_samples: must be an integer >= 1")
-        if self.kind in ("convergence", "generation", "residual_scaling",
-                         "ansatz_scaling", "amplitudes", "simulate"):
+        if KINDS[self.kind].sweep:
             if not isinstance(self.eps, (list, tuple)) or not self.eps:
                 raise ConfigError("eps: a non-empty list of values required")
             if not all(_is_real(e) and e > 0 for e in self.eps):
@@ -88,6 +82,10 @@ class ExperimentConfig:
             n = self.n_grid
             if n < 16 or (n & (n - 1)) != 0:
                 raise ConfigError("n_grid: must be a power of two >= 16")
+        if self.kind == "dispersion_table":
+            if self.params is None:
+                raise ConfigError("params: required for dispersion_table")
+            self.out = self.out or "dispersion.csv"
         return self
 
 
@@ -118,14 +116,16 @@ def params_from_dict(d) -> ChainParams:
                        w2=_coeffs_from_dict(d["W2"], "params.W2"))
 
 
-def config_from_dict(doc) -> ExperimentConfig:
+def config_from_dict(doc, **override) -> ExperimentConfig:
+    """The validated config of a JSON document, with ``override`` keys
+    (a subcommand's fixed kind or its --out) in place of the document's."""
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
     known = {f for f in ExperimentConfig.__dataclass_fields__}
     for key in doc:
         if key not in known:
             raise ConfigError(f"{key}: unknown configuration key")
-    kw = dict(doc)
+    kw = dict(doc, **override)
     if "kind" not in kw:
         raise ConfigError("kind: missing")
     if kw.get("params") is not None:
@@ -213,6 +213,12 @@ class ScalingReport:
     passed: bool
     label: str = ""
     extra: dict = field(default_factory=dict)
+    header = "eps,error"
+
+    @property
+    def summary(self) -> str:
+        return (f"{self.label} exponent={self.exponent:.3f} "
+                f"fit_residual={self.fit_residual:.3f}")
 
 
 def fit_loglog(rows, noise_floor: float = 0.0):
@@ -333,6 +339,17 @@ class GenerationReport:
     passed: bool
     series: list = field(default_factory=list)   # (t, theta, modal_mass)
     extra: dict = field(default_factory=dict)
+    header = "t,theta,modal_mass"
+
+    @property
+    def rows(self) -> list:
+        return self.series
+
+    @property
+    def summary(self) -> str:
+        return (f"eps={self.eps:.4g} discrepancy={self.discrepancy:.3f} "
+                f"initial_mass={self.initial_mass:.3e} final_mass={self.final_mass:.3e} "
+                f"predicted={self.predicted_mass:.3e}")
 
 
 def _optical_left_vector(p: ChainParams, w1, w2):
@@ -442,3 +459,92 @@ def run_generation_control(cfg: ExperimentConfig) -> ScalingReport:
     passed = exponent >= 1.7
     return ScalingReport(rows, exponent, resid, passed, "second_harmonic_mass",
                          {"normalized": normalized, "threshold_exponent": 1.7})
+
+
+# ---------------------------------------------------------------------------
+# tables: the dispersion relation and the resonant-family scan
+
+
+@dataclass
+class TableReport:
+    """CSV rows of a table experiment with its verdict and a summary."""
+
+    header: str
+    rows: list
+    passed: bool
+    summary: str
+
+
+DISPERSION_ROWS = 1024
+SCAN_DEFAULT = {"gamma": [2.0], "c": [1.0]}
+
+
+def dispersion_table(p: ChainParams, n: int = DISPERSION_ROWS) -> TableReport:
+    """Branch frequencies and group velocities at n wavenumbers in (-pi, pi]."""
+    thetas = np.linspace(-np.pi, np.pi, n + 1)[1:]
+    rows = [(float(t), float(omega(p, ACOUSTIC, t)), float(omega(p, OPTICAL, t)),
+             float(group_velocity(p, ACOUSTIC, t)), float(group_velocity(p, OPTICAL, t)))
+            for t in thetas]
+    return TableReport("theta,omega_acoustic,omega_optical,vg_acoustic,vg_optical",
+                       rows, True, f"{len(rows)} rows")
+
+
+def resonance_scan(scan: dict = None) -> TableReport:
+    """Family ratio b/a and resonance residual at every (gamma, c) of
+    ``scan`` (a missing list taken from SCAN_DEFAULT); fails when an
+    impossibility invariant is violated at any point."""
+    scan = {**SCAN_DEFAULT, **(scan or {})}
+    rows, ok = [], True
+    for g in scan["gamma"]:
+        c_e, max_g = acoustic_acoustic_scan(g)
+        if max_g > 1e-12:
+            ok = False
+        for c in scan["c"]:
+            ratio = solve_family_ratio(g, c)
+            if ratio is None:
+                rows.append((float(g), float(c), float("nan"), float("nan"), float("nan")))
+                continue
+            p = family_params(g, ratio)
+            if optical_closure_margin(p) <= 0.0 or third_order_margin(p) <= 0.0:
+                ok = False
+            theta = float(np.arccos(2.0 * c - 1.0))
+            resid = abs(2.0 * omega(p, ACOUSTIC, theta) - omega(p, OPTICAL, 2.0 * theta))
+            rows.append((float(g), float(c), float(ratio), theta, float(resid)))
+    n_res = sum(1 for r in rows if np.isfinite(r[2]))
+    return TableReport("gamma,c,b_over_a,theta_star,residual", rows, ok,
+                       f"{n_res}/{len(rows)} family points resonant; "
+                       f"impossibility invariants {'hold' if ok else 'VIOLATED'}")
+
+
+# ---------------------------------------------------------------------------
+# dispatch
+
+
+@dataclass(frozen=True)
+class Kind:
+    """How ``run_experiment`` runs a kind (``run`` is None for the kinds
+    only their own subcommand runs) and whether the kind sweeps eps."""
+
+    run: object
+    sweep: bool
+
+
+KINDS = {
+    "convergence": Kind(run_convergence, True),
+    "generation": Kind(lambda cfg: (run_generation if cfg.resonant_family is not None
+                                    else run_generation_control)(cfg), True),
+    "residual_scaling": Kind(run_residual_scaling, True),
+    "ansatz_scaling": Kind(run_ansatz_scaling, True),
+    "dispersion_table": Kind(lambda cfg: dispersion_table(cfg.params), False),
+    "resonance_scan": Kind(lambda cfg: resonance_scan(cfg.scan), False),
+    "amplitudes": Kind(None, True),
+    "simulate": Kind(None, True),
+}
+
+
+def run_experiment(cfg: ExperimentConfig):
+    """The report of the experiment ``cfg.kind`` names."""
+    run = KINDS[cfg.kind].run
+    if run is None:
+        raise ConfigError(f"kind: {cfg.kind} is not runnable via validate")
+    return run(cfg)

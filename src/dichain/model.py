@@ -12,7 +12,7 @@ with periodic boundary conditions in the cell index.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class ChainParams:
     V2: PotentialCoeffs
     W1: PotentialCoeffs
     W2: PotentialCoeffs
-    N: int = 0
 
     @property
     def c1(self) -> float:
@@ -78,10 +77,10 @@ class ChainParams:
 
 
 def make_params(v1=(1.0, 0.0, 0.0), v2=(2.0, 0.0, 0.0), w1=(1.0, 0.0, 0.0),
-                w2=(1.0, 0.0, 0.0), N=0, validate=True) -> ChainParams:
+                w2=(1.0, 0.0, 0.0), validate=True) -> ChainParams:
     """Convenience constructor from (k1, k2, k3) triples."""
     p = ChainParams(PotentialCoeffs(*v1), PotentialCoeffs(*v2),
-                    PotentialCoeffs(*w1), PotentialCoeffs(*w2), N=N)
+                    PotentialCoeffs(*w1), PotentialCoeffs(*w2))
     if validate:
         validate_params(p)
     return p
@@ -312,10 +311,10 @@ def norm_equivalence_interval(p: ChainParams, n_theta: int = 720):
 
 # Reference parameter set used throughout the tests: v11=1, v21=2,
 # w11=w21=1, purely harmonic.
-def p0(N: int = 0, **nl) -> ChainParams:
+def p0(**nl) -> ChainParams:
     """The harmonic reference chain (c1=3, c2=5), optionally with
     nonlinear coefficients passed as v1=(k1,k2,k3) style overrides."""
     kw = dict(v1=(1.0, 0.0, 0.0), v2=(2.0, 0.0, 0.0),
               w1=(1.0, 0.0, 0.0), w2=(1.0, 0.0, 0.0))
     kw.update(nl)
-    return make_params(N=N, **kw)
+    return make_params(**kw)

@@ -92,10 +92,10 @@ def find_acoustic_optical_resonance(p: ChainParams, n_grid: int = GRID_SIZE):
     return dedup
 
 
-def family_params(gamma: float, b: float, a: float = 1.0, N: int = 0) -> ChainParams:
+def family_params(gamma: float, b: float, a: float = 1.0) -> ChainParams:
     """The explicit parameter family v11=a, v21=gamma*a, w11=w21=b."""
     p = make_params(v1=(a, 0.0, 0.0), v2=(gamma * a, 0.0, 0.0),
-                    w1=(b, 0.0, 0.0), w2=(b, 0.0, 0.0), N=N, validate=False)
+                    w1=(b, 0.0, 0.0), w2=(b, 0.0, 0.0), validate=False)
     validate_params(p)
     return p
 
@@ -218,15 +218,27 @@ def wrap_theta(theta: float) -> float:
     return float(t)
 
 
-NON_RESONANT = "NonResonant"
+NONRESONANT = "NonResonant"
 RESONANT = "Resonant"
+
+
+def resonant_pair_defect(w1: Wave, w2: Wave) -> str:
+    """Why (w1, w2) is not an acoustic->optical pair with omega2 = 2 omega1
+    and theta2 = 2 theta1 mod 2pi; the empty string when it is one."""
+    if w1.branch != ACOUSTIC or w2.branch != OPTICAL:
+        return "resonant pair must be acoustic (w1) and optical (w2)"
+    if abs(w2.omega - 2.0 * w1.omega) > 1e-10:
+        return f"omega2={w2.omega} is not 2*omega1={2 * w1.omega}"
+    if abs(wrap_theta(w2.theta - 2.0 * w1.theta)) > 1e-10:
+        return f"theta2={w2.theta} is not 2*theta1 mod 2pi"
+    return ""
 
 
 def check_nonresonance(p: ChainParams, w1: Wave, w2: Wave, mode: str) -> NonResonanceReport:
     """Verify the determinant conditions backing the claimed regime.
 
     NonResonant: |det H| away from zero at (2w1), (2w2), (w1+-w2).
-    Resonant: (omega2, theta2) = (2 omega1, 2 theta1 mod 2pi) exactly and
+    Resonant: (w1, w2) an exact acoustic->optical resonant pair and
     |det H(k omega1, k theta1)| away from zero for k = 3, 4.
     Raises ModeMismatch when the claimed mode's conditions fail.
     """
@@ -234,18 +246,15 @@ def check_nonresonance(p: ChainParams, w1: Wave, w2: Wave, mode: str) -> NonReso
         if abs(det_h(p, w.omega, w.theta)) > 1e-10 * (1.0 + w.omega ** 4):
             raise ValueError(f"wave {w} does not satisfy the dispersion relation")
     checks = []
-    if mode == NON_RESONANT:
+    if mode == NONRESONANT:
         pts = [("2*w1", 2 * w1.omega, 2 * w1.theta),
                ("2*w2", 2 * w2.omega, 2 * w2.theta),
                ("w1+w2", w1.omega + w2.omega, w1.theta + w2.theta),
                ("w1-w2", w1.omega - w2.omega, w1.theta - w2.theta)]
     elif mode == RESONANT:
-        if abs(w2.omega - 2.0 * w1.omega) > 1e-10:
-            raise ModeMismatch(
-                f"not a resonant pair: omega2={w2.omega} vs 2*omega1={2 * w1.omega}")
-        if abs(wrap_theta(w2.theta - 2.0 * w1.theta)) > 1e-10:
-            raise ModeMismatch(
-                f"not a resonant pair: theta2={w2.theta} vs 2*theta1 mod 2pi")
+        why = resonant_pair_defect(w1, w2)
+        if why:
+            raise ModeMismatch(f"not a resonant pair: {why}")
         pts = [("3*w1", 3 * w1.omega, 3 * w1.theta),
                ("4*w1", 4 * w1.omega, 4 * w1.theta)]
     else:

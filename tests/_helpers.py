@@ -1,7 +1,16 @@
 """Shared test utilities."""
 import numpy as np
 
+from dichain.amplitude import StrangSolution
 from dichain.model import make_params
+
+
+def strang_states(sys, fields0, L, tau_end, dtau):
+    """Every state of a fixed-step Strang run to tau_end, its step dtau
+    adjusted to tau_end/n with n = round(tau_end/dtau)."""
+    n = max(1, round(tau_end / dtau))
+    sol = StrangSolution(sys, fields0, L, tau_end / n)
+    return [sol.fields(k * sol.dtau) for k in range(n + 1)]
 
 
 def random_valid_params(rng, nonlinear=False):

@@ -12,7 +12,7 @@ from dichain.model import (LatticeState, PotentialCoeffs, StabilityError, cell_p
                            nonlinear_apply, norm_equivalence_interval, norm_m,
                            validate_params)
 
-P0 = model.p0(N=8)
+P0 = model.p0()
 
 
 def test_validate_p0():
