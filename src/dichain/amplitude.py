@@ -57,11 +57,8 @@ def spectral_derivative(values: np.ndarray, L: float) -> np.ndarray:
     return np.fft.ifft(hat)
 
 
-def sech_envelope(L: float, n: int, a0: float, nu: float, center: Optional[float] = None) -> np.ndarray:
-    y = grid_points(L, n)
-    if center is None:
-        center = L / 2.0
-    return (a0 / np.cosh(nu * (y - center))).astype(complex)
+def sech_envelope(L: float, n: int, a0: float, nu: float) -> np.ndarray:
+    return (a0 / np.cosh(nu * (grid_points(L, n) - L / 2.0))).astype(complex)
 
 
 @dataclass
@@ -166,7 +163,6 @@ class MacroSystem:
     velocities: tuple
     k1: complex = 0.0
     k2: complex = 0.0
-    coupling: Optional[Coupling] = None
 
     @property
     def resonant(self) -> bool:
@@ -186,7 +182,7 @@ def build_macro_system(p: ChainParams, w1: Wave, w2: Wave) -> MacroSystem:
     else:
         mode = RESONANT_GENERIC
     cpl = coupling_coefficients(p, w1, w2)
-    return MacroSystem(mode, (w1, w2), vels, cpl.k1, cpl.k2, cpl)
+    return MacroSystem(mode, (w1, w2), vels, cpl.k1, cpl.k2)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +416,8 @@ def corrector_carriers(mode: str, w1: Wave, w2: Wave):
             ((1, -1), 0.0, 0.0, 0.5)]
 
 
-def ansatz_carriers(set_or_mode, w1: Wave, w2: Wave):
+def ansatz_carriers(mode: str, w1: Wave, w2: Wave):
     """All improved-ansatz carriers including the wave carriers themselves."""
-    mode = set_or_mode if isinstance(set_or_mode, str) else set_or_mode.mode
     table = [(1, w1.omega, w1.theta, 1.0), (2, w2.omega, w2.theta, 1.0)]
     table.extend(corrector_carriers(mode, w1, w2))
     return table
@@ -477,7 +472,7 @@ def _wave_corrector(p, wave: Wave, b, dy_b, dtau_b, k_extra):
 
 
 def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_fields,
-                            L: float = None) -> SecondOrderSet:
+                            L: float) -> SecondOrderSet:
     """All corrector fields for the given first-order envelopes.
 
     ``fields`` and ``dy_fields`` hold the scalar envelopes and their
@@ -487,8 +482,6 @@ def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_field
     w1, w2 = macro.waves
     b1 = np.asarray(fields[0], dtype=complex)
     b2 = np.asarray(fields[1], dtype=complex)
-    if L is None:
-        raise ValueError("grid length L is required")
     dtau_b1, dtau_b2 = tau_derivative(macro, (b1, b2), L)
     a1 = w1.amplitude_vector(b1)
     a2 = w2.amplitude_vector(b2)

@@ -21,15 +21,11 @@ from .microsim import integrate
 from .model import LatticeState
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
-
-
 def write_csv(path: str, header: str, rows) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
+            fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row))
             fh.write("\n")
 
 
@@ -80,10 +76,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_amplitudes(args) -> int:
-    cfg = _config(args)
+    cfg = _config(args, "amplitudes")
     spec = harness.setup_run(cfg, cfg.eps[0]).spec
     n_steps = max(1, int(round(cfg.tau0 / cfg.dtau)))
-    stride = max(1, n_steps // max(1, cfg.n_snapshots - 1))
+    stride = max(1, n_steps // (cfg.n_snapshots - 1))
     sol = amp.StrangSolution(spec.macro, spec.solution.fields(0.0), cfg.L_y, cfg.tau0 / n_steps)
     snapshots = sorted(set(range(0, n_steps + 1, stride)) | {n_steps})
     y = amp.grid_points(cfg.L_y, cfg.n_grid)
@@ -99,7 +95,7 @@ def cmd_amplitudes(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _config(args)
+    cfg = _config(args, "simulate")
     setup = harness.setup_run(cfg, cfg.eps[0])
     p, spec = setup.p, setup.spec
     if args.init_file:

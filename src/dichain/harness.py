@@ -53,35 +53,23 @@ class ExperimentConfig:
     n_snapshots: int = 11
 
     def validate(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind: unknown experiment {self.kind!r}")
-        if not _is_real(self.dt) or not self.dt > 0:
-            raise ConfigError("dt: must be a positive number")
-        if not _is_int(self.n_samples) or self.n_samples < 1:
-            raise ConfigError("n_samples: must be an integer >= 1")
+        for keys, ok, need in _CHECKS:
+            for key in keys.split():
+                if not ok(getattr(self, key)):
+                    raise ConfigError(f"{key}: must be {need}, got {getattr(self, key)!r}")
         if KINDS[self.kind].sweep:
-            if not isinstance(self.eps, (list, tuple)) or not self.eps:
-                raise ConfigError("eps: a non-empty list of values required")
-            if not all(_is_real(e) and e > 0 for e in self.eps):
-                raise ConfigError("eps: every value must be a positive number")
-            if any(e > 0.2 for e in self.eps):
-                raise ConfigError("eps: every value must be <= 0.2")
-            if list(self.eps) != sorted(self.eps, reverse=True) or len(set(self.eps)) != len(self.eps):
-                raise ConfigError("eps: values must be strictly decreasing")
-            if not _is_real(self.L_y) or not self.L_y > 0:
-                raise ConfigError("L_y: must be a positive number")
             if round(self.L_y / self.eps[0]) < 4:
                 raise ConfigError(f"L_y: L_y/eps gives fewer than 4 lattice sites "
                                   f"at eps={self.eps[0]}")
-            if self.tau0 <= 0:
-                raise ConfigError("tau0: must be positive")
-            if not (1.0 < self.beta <= 1.5):
-                raise ConfigError("beta: must lie in (1, 1.5]")
-            if self.params is None and self.resonant_family is None:
-                raise ConfigError("params: chain parameters or resonant_family required")
-            n = self.n_grid
-            if n < 16 or (n & (n - 1)) != 0:
-                raise ConfigError("n_grid: must be a power of two >= 16")
+            if self.resonant_family is None:
+                if self.params is None:
+                    raise ConfigError("params: chain parameters or resonant_family required")
+                if not self.waves:
+                    raise ConfigError("waves: one or two waves required with params")
+            if len(self.a0) < (2 if self.resonant_family is not None else len(self.waves)):
+                raise ConfigError(f"a0: one amplitude per wave required, got {self.a0!r}")
+        if KINDS[self.kind].run is None and self.out is None:
+            raise ConfigError(f"out: {self.kind} writes a CSV, in the config or as --out")
         if self.kind == "dispersion_table":
             if self.params is None:
                 raise ConfigError("params: required for dispersion_table")
@@ -95,6 +83,61 @@ def _is_int(x) -> bool:
 
 def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _positive(x) -> bool:
+    return _is_real(x) and x > 0
+
+
+def _reals(xs, ok=_is_real) -> bool:
+    return isinstance(xs, (list, tuple)) and len(xs) > 0 and all(map(ok, xs))
+
+
+def _wave_ok(w) -> bool:
+    return (isinstance(w, dict) and set(w) <= {"branch", "theta"}
+            and w.get("branch") in (ACOUSTIC, OPTICAL) and _is_real(w.get("theta")))
+
+
+NL_KEYS = {"v12", "v13", "v22", "v23", "w12", "w13", "w22", "w23"}
+# the resonant family's range, for resonant_family and for every scan point
+FAMILY_RANGE = {"gamma": lambda g: _is_real(g) and g > 1.0,
+                "c": lambda c: _is_real(c) and 0.0 <= c <= 1.0}
+
+
+def _family_ok(f) -> bool:
+    nl = f.get("nl", {}) if isinstance(f, dict) else None
+    return (isinstance(nl, dict) and set(nl) <= NL_KEYS and all(map(_is_real, nl.values()))
+            and set(f) <= {"gamma", "c", "nl"}
+            and all(ok(f.get(k)) for k, ok in FAMILY_RANGE.items()))
+
+
+def _scan_ok(s) -> bool:
+    return (isinstance(s, dict) and set(s) <= set(FAMILY_RANGE)
+            and all(_reals(v, FAMILY_RANGE[k]) for k, v in s.items()))
+
+
+# (keys, test of each key's value, what the value must be): every config
+# is held to every row, so a bad value fails even where its kind ignores it
+_CHECKS = (
+    ("kind", lambda k: isinstance(k, str) and k in KINDS, "an experiment kind"),
+    ("dt L_y tau0 nu dtau", _positive, "a positive number"),
+    ("n_samples", lambda n: _is_int(n) and n >= 1, "an integer >= 1"),
+    ("eps", lambda e: _reals(e, lambda x: _is_real(x) and 0 < x <= 0.2)
+     and all(a > b for a, b in zip(e, e[1:])),
+     "a strictly decreasing, non-empty list of numbers in (0, 0.2]"),
+    ("beta", lambda b: _is_real(b) and 1.0 < b <= 1.5, "a number in (1, 1.5]"),
+    ("n_grid", lambda n: _is_int(n) and n >= 16 and n & (n - 1) == 0, "a power of two >= 16"),
+    ("a0", _reals, "a non-empty list of numbers"),
+    ("noise_floor", lambda x: _is_real(x) and x >= 0, "a number >= 0"),
+    ("n_snapshots", lambda n: _is_int(n) and n >= 2, "an integer >= 2"),
+    ("waves", lambda ws: isinstance(ws, list) and len(ws) <= 2 and all(map(_wave_ok, ws)),
+     'a list of at most two {"branch": "acoustic" or "optical", "theta": number}'),
+    ("resonant_family", lambda f: f is None or _family_ok(f),
+     '{"gamma": number > 1, "c": number in [0, 1], "nl": {"v12": number, ...}}'),
+    ("scan", lambda s: s is None or _scan_ok(s),
+     '{"gamma": [numbers > 1], "c": [numbers in [0, 1]]}'),
+    ("out", lambda o: o is None or isinstance(o, str), "a file path"),
+)
 
 
 def _coeffs_from_dict(d, key):
@@ -147,16 +190,6 @@ class RunSetup:
     spec: anz.AnsatzSpec
 
 
-def _family_params(fam: dict, ratio: float) -> ChainParams:
-    gamma = float(fam["gamma"])
-    nl = fam.get("nl", {})
-    return make_params(
-        v1=(1.0, float(nl.get("v12", 0.0)), float(nl.get("v13", 0.0))),
-        v2=(gamma, float(nl.get("v22", 0.0)), float(nl.get("v23", 0.0))),
-        w1=(ratio, float(nl.get("w12", 0.0)), float(nl.get("w13", 0.0))),
-        w2=(ratio, float(nl.get("w22", 0.0)), float(nl.get("w23", 0.0))))
-
-
 def setup_run(cfg: ExperimentConfig, eps_target: float, a0=None) -> RunSetup:
     """Assemble the per-epsilon spec: lattice size, snapped carriers,
     re-solved resonant parameters, envelope fields, and the macroscopic
@@ -173,27 +206,20 @@ def setup_run(cfg: ExperimentConfig, eps_target: float, a0=None) -> RunSetup:
         ratio = solve_family_ratio(float(fam["gamma"]), float(c_snap))
         if ratio is None:
             raise ConfigError(f"resonant_family: no positive ratio at c={c_snap}")
-        p = _family_params(fam, ratio)
+        p = family_params(float(fam["gamma"]), ratio, nl=fam.get("nl"))
         w1 = polarization(p, ACOUSTIC, theta1)
         w2 = polarization(p, OPTICAL, wrap_theta(2.0 * theta1))
     else:
         p = cfg.params
-        if len(cfg.waves) not in (1, 2):
-            raise ConfigError("waves: one or two waves required")
         wspecs = list(cfg.waves) + ([{"branch": OPTICAL, "theta": 0.6}]
                                     if len(cfg.waves) == 1 else [])
         if len(cfg.waves) == 1:
             a0 = [a0[0], 0.0]
-        ws = []
-        for i, wd in enumerate(wspecs):
-            if wd.get("branch") not in (ACOUSTIC, OPTICAL):
-                raise ConfigError(f"waves[{i}].branch: must be acoustic or optical")
-            ws.append(polarization(p, wd["branch"], snap_theta(float(wd["theta"]), N)))
-        w1, w2 = ws
+        w1, w2 = (polarization(p, wd["branch"], snap_theta(float(wd["theta"]), N))
+                  for wd in wspecs)
 
     macro = amp.build_macro_system(p, w1, w2)
-    f0 = tuple(amp.AmplitudeField(amp.sech_envelope(cfg.L_y, cfg.n_grid, a, cfg.nu),
-                                  cfg.L_y).values for a in a0[:2])
+    f0 = tuple(amp.sech_envelope(cfg.L_y, cfg.n_grid, a, cfg.nu) for a in a0[:2])
     sol = amp.make_solution(macro, f0, cfg.L_y, tau_max=cfg.tau0 + 0.5)
     spec = anz.AnsatzSpec(p, eps, N, cfg.n_grid, macro, sol)
     return RunSetup(p, spec)
@@ -234,7 +260,9 @@ def fit_loglog(rows, noise_floor: float = 0.0):
     return float(slope), resid
 
 
-def _phase_times(spec: anz.AnsatzSpec, t0: float, n_phases: int = 8):
+def _phase_times(cfg: ExperimentConfig, spec: anz.AnsatzSpec, n_phases: int = 8):
+    """Times over one acoustic period from half the horizon, t0 = tau0/(2 eps)."""
+    t0 = 0.5 * cfg.tau0 / spec.eps
     period = 2.0 * np.pi / spec.macro.waves[0].omega
     return [t0 + f * period for f in np.linspace(0.0, 1.0, n_phases, endpoint=False)]
 
@@ -246,9 +274,7 @@ def run_residual_scaling(cfg: ExperimentConfig) -> ScalingReport:
         setup = setup_run(cfg, eps_t)
         spec = setup.spec
         h0 = max(0.01, 5e-5 / spec.eps ** 2)
-        t0 = 0.5 * cfg.tau0 / spec.eps
-        val = max(anz.residual_norm(setup.p, spec, t, h0=h0)
-                  for t in _phase_times(spec, t0))
+        val = max(anz.residual_norm(setup.p, spec, t, h0=h0) for t in _phase_times(cfg, spec))
         return spec.eps, val
 
     rows = [one(e) for e in cfg.eps]
@@ -266,9 +292,8 @@ def run_ansatz_scaling(cfg: ExperimentConfig) -> ScalingReport:
     for eps_t in cfg.eps:
         setup = setup_run(cfg, eps_t)
         spec = setup.spec
-        t0 = 0.5 * cfg.tau0 / spec.eps
         gap, sup = 0.0, 0.0
-        for t in _phase_times(spec, t0):
+        for t in _phase_times(cfg, spec):
             dpos = anz.sample_improved(spec, t) - anz.sample_first_order(spec, t)
             dvel = anz.improved_velocity(spec, t) - anz.first_order_velocity(spec, t)
             gap = max(gap, energy_norm(LatticeState(dpos, dvel, t), setup.p))
@@ -299,26 +324,31 @@ def _experiment_sim(cfg: ExperimentConfig, p: ChainParams, T: float) -> SimConfi
     return SimConfig(dt=sample_dt / stride, T=T, stride=stride, order=LATTICE_ORDER)
 
 
+def _lattice_peak(cfg: ExperimentConfig, eps_t: float, observable):
+    """(eps, largest observable(spec, t, state) at the sampling times) of a
+    lattice run from improved initial data to t = tau0/eps."""
+    setup = setup_run(cfg, eps_t)
+    p, spec = setup.p, setup.spec
+    s0 = anz.initial_state(spec, improved=True)
+    peak = 0.0
+
+    def observer(t, state):
+        nonlocal peak
+        peak = max(peak, observable(spec, t, state))
+
+    integrate(p, s0, _experiment_sim(cfg, p, cfg.tau0 / spec.eps), observer)
+    return spec.eps, peak
+
+
 def run_convergence(cfg: ExperimentConfig) -> ScalingReport:
     """Central claim at desk scale: with improved initial data, the full
     lattice stays eps^{3/2}-close to the leading approximation in the
     (l2)^4 norm up to t = tau0/eps."""
-    def one(eps_t):
-        setup = setup_run(cfg, eps_t)
-        p, spec = setup.p, setup.spec
-        T = cfg.tau0 / spec.eps
-        s0 = anz.initial_state(spec, improved=True)
-        errs = []
+    def error(spec, t, state):
+        return norm_l2_pair(state.pos - anz.sample_first_order(spec, t),
+                            state.vel - anz.first_order_velocity(spec, t))
 
-        def observer(t, state):
-            du = state.pos - anz.sample_first_order(spec, t)
-            dv = state.vel - anz.first_order_velocity(spec, t)
-            errs.append(norm_l2_pair(du, dv))
-
-        integrate(p, s0, _experiment_sim(cfg, p, T), observer)
-        return spec.eps, max(errs)
-
-    rows = [one(e) for e in cfg.eps]
+    rows = [_lattice_peak(cfg, e, error) for e in cfg.eps]
     exponent, resid = fit_loglog(rows, cfg.noise_floor)
     passed = exponent >= cfg.beta - 0.2
     return ScalingReport(rows, exponent, resid, passed, "sup_error",
@@ -337,13 +367,9 @@ class GenerationReport:
     final_mass: float
     predicted_mass: float
     passed: bool
-    series: list = field(default_factory=list)   # (t, theta, modal_mass)
+    rows: list = field(default_factory=list)   # (t, theta, modal_mass)
     extra: dict = field(default_factory=dict)
     header = "t,theta,modal_mass"
-
-    @property
-    def rows(self) -> list:
-        return self.series
 
     @property
     def summary(self) -> str:
@@ -437,23 +463,11 @@ def run_generation(cfg: ExperimentConfig) -> GenerationReport:
 
 def run_generation_control(cfg: ExperimentConfig) -> ScalingReport:
     """Non-resonant control: second-harmonic modal mass stays O(eps^2)."""
-    def one(eps_t):
-        setup = setup_run(cfg, eps_t)
-        p, spec = setup.p, setup.spec
-        w1 = spec.macro.waves[0]
-        theta2 = wrap_theta(2.0 * w1.theta)
-        T = cfg.tau0 / spec.eps
-        peak = [0.0]
+    def second_harmonic(spec, t, state):
+        theta2 = wrap_theta(2.0 * spec.macro.waves[0].theta)
+        return max(modal_mass(state, theta2, 1), modal_mass(state, theta2, 2))
 
-        def observer(t, state):
-            m = max(modal_mass(state, theta2, 1), modal_mass(state, theta2, 2))
-            peak[0] = max(peak[0], m)
-
-        s0 = anz.initial_state(spec, improved=True)
-        integrate(p, s0, _experiment_sim(cfg, p, T), observer)
-        return spec.eps, peak[0]
-
-    rows = [one(e) for e in cfg.eps]
+    rows = [_lattice_peak(cfg, e, second_harmonic) for e in cfg.eps]
     exponent, resid = fit_loglog(rows, cfg.noise_floor)
     normalized = [v / e ** 2 for e, v in rows]
     passed = exponent >= 1.7
@@ -522,8 +536,11 @@ def resonance_scan(scan: dict = None) -> TableReport:
 
 @dataclass(frozen=True)
 class Kind:
-    """How ``run_experiment`` runs a kind (``run`` is None for the kinds
-    only their own subcommand runs) and whether the kind sweeps eps."""
+    """How ``run_experiment`` runs a kind and whether the kind sweeps eps.
+
+    ``run`` is None for amplitudes and simulate: only their own
+    subcommands run them, and these always write the ``out`` CSV.
+    """
 
     run: object
     sweep: bool

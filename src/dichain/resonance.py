@@ -92,10 +92,14 @@ def find_acoustic_optical_resonance(p: ChainParams, n_grid: int = GRID_SIZE):
     return dedup
 
 
-def family_params(gamma: float, b: float, a: float = 1.0) -> ChainParams:
-    """The explicit parameter family v11=a, v21=gamma*a, w11=w21=b."""
-    p = make_params(v1=(a, 0.0, 0.0), v2=(gamma * a, 0.0, 0.0),
-                    w1=(b, 0.0, 0.0), w2=(b, 0.0, 0.0), validate=False)
+def family_params(gamma: float, b: float, a: float = 1.0, nl: dict = None) -> ChainParams:
+    """The explicit parameter family v11=a, v21=gamma*a, w11=w21=b, with
+    the nonlinear coefficients ``nl`` ({"v12": ..., "w23": ...}, zero if absent)."""
+    q = {k: float(v) for k, v in (nl or {}).items()}
+    p = make_params(v1=(a, q.get("v12", 0.0), q.get("v13", 0.0)),
+                    v2=(gamma * a, q.get("v22", 0.0), q.get("v23", 0.0)),
+                    w1=(b, q.get("w12", 0.0), q.get("w13", 0.0)),
+                    w2=(b, q.get("w22", 0.0), q.get("w23", 0.0)), validate=False)
     validate_params(p)
     return p
 

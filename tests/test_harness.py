@@ -184,8 +184,14 @@ def test_eps_sweep_deterministic():
     ("n_samples", 0), ("n_samples", 2.5),
     ("L_y", 0), ("L_y", -40.0), ("L_y", "x"), ("L_y", 0.05),
     ("eps", ["x"]), ("eps", [0.1, 0.05, 0]), ("eps", 0.1), ("eps", [True]),
+    ("a0", [1.0]), ("dtau", 0), ("tau0", "1"), ("beta", "x"), ("n_grid", "x"),
+    ("noise_floor", "x"), ("nu", 0), ("n_snapshots", 0), ("out", 5),
+    ("resonant_family", {"c": 1.0}), ("resonant_family", {"gamma": 2.0}),
+    ("resonant_family", dict(FAM, nl={"v21": 0.3})), ("waves", [{"branch": "acoustic"}]),
+    ("scan", {"gamma": "x"}),
 ])
-def test_cli_rejects_bad_integration_keys(tmp_path, capsys, key, value):
+def test_cli_rejects_bad_integration_keys(tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.setattr(harness, "setup_run", _no_compute)
     doc = dict(kind="convergence", resonant_family=FAM, eps=[0.1, 0.0707, 0.05],
                out=str(tmp_path / "conv.csv"))
     doc[key] = value
@@ -197,6 +203,45 @@ def test_cli_rejects_bad_integration_keys(tmp_path, capsys, key, value):
     assert f"{key}:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "conv.csv").exists()
+
+
+def _no_compute(*args, **kw):
+    raise AssertionError("a malformed config reached the computation")
+
+
+@pytest.mark.parametrize("command", ["amplitudes", "simulate"])
+def test_cli_output_commands_require_out(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(harness, "setup_run", _no_compute)
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(dict(kind=command, resonant_family=FAM, eps=[0.05])))
+    rc = cli.main([command, "--config", str(cfgf)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "out:" in err
+    assert "Traceback" not in err
+
+
+def test_validate_dispersion_table_matches_dispersion(tmp_path):
+    params = {"V1": {"k1": 1.0}, "V2": {"k1": 2.0}, "W1": {"k1": 1.0}, "W2": {"k1": 1.0}}
+    (tmp_path / "p.json").write_text(json.dumps(params))
+    rc = cli.main(["dispersion", "--params", str(tmp_path / "p.json"), "--n", "1024",
+                   "--out", str(tmp_path / "a.csv")])
+    assert rc == 0
+    doc = dict(kind="dispersion_table", params=params, out=str(tmp_path / "b.csv"))
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert cli.main(["validate", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_validate_resonance_scan_matches_resonance(tmp_path):
+    doc = dict(kind="resonance_scan", scan={"gamma": [1.5, 2.0], "c": [0.2, 0.72, 1.0]},
+               out=str(tmp_path / "a.csv"))
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--config", str(cfgf)]) == 0
+    rc = cli.main(["resonance", "--config", str(cfgf), "--out", str(tmp_path / "b.csv")])
+    assert rc == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_fourth_order_convergence_matches_fine_leapfrog(monkeypatch):
