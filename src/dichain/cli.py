@@ -132,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("resonance", help="family resonance scan + impossibility checks")
     r.add_argument("--config", help="JSON config with a scan section")
-    r.add_argument("--gamma", help="comma-separated gamma values (default 2.0)")
-    r.add_argument("--c", help="comma-separated c values (default 1.0)")
+    r.add_argument("--gamma", help="comma-separated gamma values")
+    r.add_argument("--c", help="comma-separated c values")
     r.add_argument("--out")
     r.set_defaults(run=cmd_resonance)
 

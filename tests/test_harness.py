@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from _helpers import strang_states
 from dichain import cli, harness
 from dichain.harness import ConfigError, config_from_dict, fit_loglog
 
@@ -169,6 +170,24 @@ def test_cli_amplitudes_and_simulate(tmp_path, capsys):
     assert lines[0] == "t,j,u1,u2,v1,v2"
     N = 128 - 128 % 4
     assert len(lines) == 1 + 3 * N
+
+
+def test_cli_amplitudes_writes_strang_states(tmp_path):
+    # 23 steps of 0.3/23 and 4 snapshots: every 7th step plus the last one
+    doc = dict(kind="amplitudes", resonant_family=dict(FAM, c=0.5), eps=[0.05], tau0=0.3,
+               L_y=25.6, n_grid=32, dtau=0.013, n_snapshots=4, out=str(tmp_path / "a.csv"))
+    (tmp_path / "amp.json").write_text(json.dumps(doc))
+    assert cli.main(["amplitudes", "--config", str(tmp_path / "amp.json")]) == 0
+    data = np.loadtxt(tmp_path / "a.csv", delimiter=",", skiprows=1)
+    spec = harness.setup_run(config_from_dict(doc), 0.05).spec
+    assert spec.macro.resonant and spec.macro.velocities[0] != 0.0
+    states = strang_states(spec.macro, spec.solution.fields(0.0), 25.6, 0.3, 0.013)
+    steps = [0, 7, 14, 21, 23]
+    assert list(np.unique(data[:, 0])) == [k * (0.3 / 23) for k in steps]
+    for i, k in enumerate(steps):
+        rows = data[32 * i:32 * (i + 1)]
+        assert np.array_equal(rows[:, 2] + 1j * rows[:, 3], states[k][0])
+        assert np.array_equal(rows[:, 4] + 1j * rows[:, 5], states[k][1])
 
 
 def test_eps_sweep_deterministic():
