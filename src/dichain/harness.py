@@ -16,8 +16,9 @@ from . import amplitude as amp
 from . import ansatz as anz
 from .microsim import SimConfig, default_dt, integrate, modal_mass
 from .model import ChainParams, LatticeState, energy_norm, make_params, norm_l2_pair
-from .resonance import (acoustic_acoustic_scan, family_params, optical_closure_margin,
-                        solve_family_ratio, third_order_margin, wrap_theta)
+from .resonance import (NL_KEYS, acoustic_acoustic_scan, family_params,
+                        optical_closure_margin, solve_family_ratio, third_order_margin,
+                        wrap_theta)
 from .spectrum import ACOUSTIC, OPTICAL, group_velocity, omega, polarization
 
 
@@ -98,22 +99,21 @@ def _wave_ok(w) -> bool:
             and w.get("branch") in (ACOUSTIC, OPTICAL) and _is_real(w.get("theta")))
 
 
-NL_KEYS = {"v12", "v13", "v22", "v23", "w12", "w13", "w22", "w23"}
 # the resonant family's range, for resonant_family and for every scan point
-FAMILY_RANGE = {"gamma": lambda g: _is_real(g) and g > 1.0,
-                "c": lambda c: _is_real(c) and 0.0 <= c <= 1.0}
+_FAMILY_RANGE = {"gamma": lambda g: _is_real(g) and g > 1.0,
+                 "c": lambda c: _is_real(c) and 0.0 <= c <= 1.0}
 
 
 def _family_ok(f) -> bool:
     nl = f.get("nl", {}) if isinstance(f, dict) else None
-    return (isinstance(nl, dict) and set(nl) <= NL_KEYS and all(map(_is_real, nl.values()))
+    return (isinstance(nl, dict) and set(nl) <= set(NL_KEYS) and all(map(_is_real, nl.values()))
             and set(f) <= {"gamma", "c", "nl"}
-            and all(ok(f.get(k)) for k, ok in FAMILY_RANGE.items()))
+            and all(ok(f.get(k)) for k, ok in _FAMILY_RANGE.items()))
 
 
 def _scan_ok(s) -> bool:
-    return (isinstance(s, dict) and set(s) <= set(FAMILY_RANGE)
-            and all(_reals(v, FAMILY_RANGE[k]) for k, v in s.items()))
+    return (isinstance(s, dict) and set(s) <= set(_FAMILY_RANGE)
+            and all(_reals(v, _FAMILY_RANGE[k]) for k, v in s.items()))
 
 
 # (keys, test of each key's value, what the value must be): every config

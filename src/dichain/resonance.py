@@ -20,6 +20,8 @@ from .spectrum import ACOUSTIC, OPTICAL, Wave, det_h, omega
 
 ROOT_TOL = 1e-12
 GRID_SIZE = 2048
+# the family's nonlinear coefficients: k2 and k3 of V1, V2, W1 and W2
+NL_KEYS = ("v12", "v13", "v22", "v23", "w12", "w13", "w22", "w23")
 
 
 class DomainError(ValueError):
