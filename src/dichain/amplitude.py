@@ -92,6 +92,8 @@ class Coupling:
 
         dB1/dtau - v1 dB1/dy = k1 * conj(B1) * B2
         dB2/dtau - v2 dB2/dy = k2 * B1^2
+
+    in the resonant regime ``mode`` whose formulas produced them.
     """
 
     d1: complex
@@ -99,6 +101,7 @@ class Coupling:
     d: Optional[complex]
     k1: complex
     k2: complex
+    mode: str
 
 
 def coupling_coefficients(p: ChainParams, w1: Wave, w2: Wave) -> Coupling:
@@ -126,7 +129,7 @@ def coupling_coefficients(p: ChainParams, w1: Wave, w2: Wave) -> Coupling:
 
     if w1.degenerate:  # theta1 = +-pi, omega1 = sqrt(c1)
         d1 = d2 = complex(-w12)
-        return Coupling(d1, d2, None, pref1(d1), pref2(d2))
+        return Coupling(d1, d2, None, pref1(d1), pref2(d2), RESONANT_PI)
 
     e1 = np.exp(1j * th1)
     if abs(e1 * e1 + 1.0) < 1e-8:  # theta1 = +-pi/2, theta2 = +-pi
@@ -135,7 +138,8 @@ def coupling_coefficients(p: ChainParams, w1: Wave, w2: Wave) -> Coupling:
         d1 = ((v22 / p.V2.k1 - sg * 1j * w22 / s1[1]) * s1[0]
               + v12 * (rho1 * (1.0 + sg * 1j) + 2.0))
         k2 = (2.0 * v22 * (1.0 + rho1 * (1.0 + sg * 1j)) - w22 * rho1 ** 2) / (2j * om2)
-        return Coupling(complex(d1), complex(k2 * 2j * om2), None, pref1(d1), complex(k2))
+        return Coupling(complex(d1), complex(k2 * 2j * om2), None, pref1(d1), complex(k2),
+                        RESONANT_HALF_PI)
 
     rho1, rho2 = w1.rho, w2.rho
     cr1 = np.conj(rho1)
@@ -150,7 +154,8 @@ def coupling_coefficients(p: ChainParams, w1: Wave, w2: Wave) -> Coupling:
     d2 = (d * v22 * ((np.conj(e2) - 1.0) / rho1 ** 2 + 2.0 * (np.conj(e1) - 1.0) / rho1)
           + v12 * (rho1 ** 2 * (e2 - 1.0) + 2.0 * rho1 * (e1 - 1.0))
           + d * w22 - w12)
-    return Coupling(complex(d1), complex(d2), complex(d), pref1(d1), pref2(d2))
+    return Coupling(complex(d1), complex(d2), complex(d), pref1(d1), pref2(d2),
+                    RESONANT_GENERIC)
 
 
 @dataclass(frozen=True)
@@ -175,14 +180,8 @@ def build_macro_system(p: ChainParams, w1: Wave, w2: Wave) -> MacroSystem:
             float(group_velocity(p, w2.branch, w2.theta)))
     if resonant_pair_defect(w1, w2):
         return MacroSystem(NONRESONANT, (w1, w2), vels)
-    if w1.degenerate:
-        mode = RESONANT_PI
-    elif abs(np.exp(2j * w1.theta) + 1.0) < 1e-8:
-        mode = RESONANT_HALF_PI
-    else:
-        mode = RESONANT_GENERIC
     cpl = coupling_coefficients(p, w1, w2)
-    return MacroSystem(mode, (w1, w2), vels, cpl.k1, cpl.k2)
+    return MacroSystem(cpl.mode, (w1, w2), vels, cpl.k1, cpl.k2)
 
 
 # ---------------------------------------------------------------------------
