@@ -61,26 +61,6 @@ def sech_envelope(L: float, n: int, a0: float, nu: float) -> np.ndarray:
     return (a0 / np.cosh(nu * (grid_points(L, n) - L / 2.0))).astype(complex)
 
 
-@dataclass
-class AmplitudeField:
-    """One complex envelope component on a uniform periodic grid."""
-
-    values: np.ndarray
-    L: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        n = len(self.values)
-        if n < 16 or (n & (n - 1)) != 0:
-            raise ValueError(f"grid size must be a power of two >= 16, got {n}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
 # ---------------------------------------------------------------------------
 # coupling coefficients
 
@@ -232,14 +212,18 @@ def compute_K(iota, a1, a2, p: ChainParams, theta1: float, theta2: float):
 # envelope evolution
 
 
+def _source_rhs(sys, b1, b2):
+    return sys.k1 * np.conj(b1) * b2, sys.k2 * b1 * b1
+
+
 def tau_derivative(sys: MacroSystem, fields, L: float):
     """Governing right-hand side: dB/dtau = v dB/dy + source."""
     b1, b2 = fields
     db1 = sys.velocities[0] * spectral_derivative(b1, L)
     db2 = sys.velocities[1] * spectral_derivative(b2, L)
     if sys.resonant:
-        db1 = db1 + sys.k1 * np.conj(b1) * b2
-        db2 = db2 + sys.k2 * b1 * b1
+        s1, s2 = _source_rhs(sys, b1, b2)
+        db1, db2 = db1 + s1, db2 + s2
     return db1, db2
 
 
@@ -250,10 +234,6 @@ def _advect_pair(sys, fields, L, dt):
     if sys.velocities[1] != 0.0:
         b2 = spectral_shift(b2, L, sys.velocities[1] * dt)
     return b1, b2
-
-
-def _source_rhs(sys, b1, b2):
-    return sys.k1 * np.conj(b1) * b2, sys.k2 * b1 * b1
 
 
 def _rk4_sources(sys, fields, dt):
@@ -322,8 +302,7 @@ class ODEReferenceSolution(_SolutionBase):
     """Dense high-accuracy reference for resonant systems with vanishing
     group velocities (the envelope equations reduce to a pointwise ODE)."""
 
-    def __init__(self, sys: MacroSystem, fields0, L: float, tau_max: float,
-                 rtol: float = 1e-12, atol: float = 1e-12):
+    def __init__(self, sys: MacroSystem, fields0, L: float, tau_max: float):
         if not sys.resonant:
             raise ValueError("reference ODE applies to resonant systems")
         if max(abs(v) for v in sys.velocities) > 1e-12:
@@ -342,7 +321,7 @@ class ODEReferenceSolution(_SolutionBase):
 
         z0 = np.concatenate([f0[0].real, f0[0].imag, f0[1].real, f0[1].imag])
         self._sol = solve_ivp(rhs, (0.0, tau_max * 1.000001 + 1e-9), z0,
-                              method="DOP853", dense_output=True, rtol=rtol, atol=atol)
+                              method="DOP853", dense_output=True, rtol=1e-12, atol=1e-12)
         if not self._sol.success:
             raise FloatingPointError(f"reference integration failed: {self._sol.message}")
 
@@ -353,8 +332,10 @@ class ODEReferenceSolution(_SolutionBase):
 
 
 class StrangSolution(_SolutionBase):
-    """Fixed-step Strang trajectory with cached checkpoints; arbitrary tau
-    is reached by one partial step from the latest checkpoint before it.
+    """Fixed-step Strang trajectory held as a cursor: the initial state
+    and the state at the last step reached.  A later tau steps on from the
+    cursor, an earlier one restarts from the initial state; a tau between
+    step times takes one partial step from the step before it.
 
     Non-resonant systems are only advected, so each step is the exact flow.
     """
@@ -363,25 +344,33 @@ class StrangSolution(_SolutionBase):
         self.sys = sys
         self.L = L
         self.dtau = dtau
-        self._states = [(np.asarray(fields0[0], dtype=complex),
-                         np.asarray(fields0[1], dtype=complex))]
+        self._f0 = (np.asarray(fields0[0], dtype=complex),
+                    np.asarray(fields0[1], dtype=complex))
+        # the cursor: step _k and its state, kept as a one-element list
+        # (perfbench/tracing.py reads its length)
+        self._k, self._states = 0, [self._f0]
 
     def _extend(self, k):
-        n0 = len(self._states)
-        while len(self._states) <= k:
-            self._states.append(strang_step(self.sys, self._states[-1], self.L, self.dtau))
+        """Move the cursor to step k."""
+        k0, state = self._k, self._states[0]
+        if k < k0:
+            k0, state = 0, self._f0
+        for _ in range(k - k0):
+            state = strang_step(self.sys, state, self.L, self.dtau)
         # a non-finite state stays non-finite, so the last one tells
-        if len(self._states) > n0 and not all(np.isfinite(b).all() for b in self._states[-1]):
-            del self._states[n0:]
+        if k > k0 and not all(np.isfinite(b).all() for b in state):
             raise FloatingPointError(f"envelope evolution diverged before tau={k * self.dtau}")
+        self._k, self._states = k, [state]
 
     def fields(self, tau: float):
         if tau < 0:
             raise ValueError("tau must be nonnegative")
-        k = int(np.floor(tau / self.dtau + 1e-12))
+        k = int(np.floor(tau / self.dtau))
+        if (k + 1) * self.dtau <= tau:  # tau/dtau rounded down past an exact step time
+            k += 1
         self._extend(k)
+        state = self._states[0]
         rem = tau - k * self.dtau
-        state = self._states[k]
         if rem > 1e-14:
             state = strang_step(self.sys, state, self.L, rem)
         return state
@@ -422,17 +411,6 @@ def ansatz_carriers(mode: str, w1: Wave, w2: Wave):
     return table
 
 
-@dataclass
-class SecondOrderSet:
-    """Corrector fields A_{2,iota}, each stored as a (2, n) complex array."""
-
-    mode: str
-    entries: dict
-
-    def __getitem__(self, iota):
-        return self.entries[iota]
-
-
 def _solve_product_corrector(p, om_v, th_v, K, weight):
     H = dispersion_matrix(p, om_v, th_v)
     det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
@@ -471,8 +449,9 @@ def _wave_corrector(p, wave: Wave, b, dy_b, dtau_b, k_extra):
 
 
 def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_fields,
-                            L: float) -> SecondOrderSet:
-    """All corrector fields for the given first-order envelopes.
+                            L: float) -> dict:
+    """All corrector fields A_{2,iota} for the given first-order envelopes,
+    keyed by iota, each a (2, n) complex array.
 
     ``fields`` and ``dy_fields`` hold the scalar envelopes and their
     spectral y-derivatives; the tau-derivatives are taken from the
@@ -497,4 +476,4 @@ def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_field
         kx1 = kx2 = None
     entries[1] = _wave_corrector(p, w1, b1, dy_fields[0], dtau_b1, kx1)
     entries[2] = _wave_corrector(p, w2, b2, dy_fields[1], dtau_b2, kx2)
-    return SecondOrderSet(macro.mode, entries)
+    return entries

@@ -7,7 +7,6 @@ numerically.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,16 +23,11 @@ class IncommensurateCarrier(ValueError):
 class _Snapshot:
     """Envelope data at one macroscopic time, interpolated to the lattice.
 
-    Second-order correctors are built lazily; convergence sampling only
-    needs the first-order fields at most times.
+    Second-order correctors are built lazily, by ``_correctors``;
+    convergence sampling only needs the first-order fields at most times.
     """
 
     def __init__(self, spec: "AnsatzSpec", tau: float, fields=None):
-        self.tau = tau
-        # weak: spec._cache holds its snapshots, and a strong back-reference
-        # would leave each spec (and its cached N-length fields) to the
-        # cycle collector
-        self._spec = weakref.proxy(spec)
         b1, b2 = spec.solution.fields(tau) if fields is None else fields
         self.b_grid = (b1, b2)
         self.dy_grid = (amp.spectral_derivative(b1, spec.L),
@@ -41,17 +35,17 @@ class _Snapshot:
         self.dtau_grid = tau_derivative(spec.macro, self.b_grid, spec.L)
         self.b_lat = (spec.interp(b1), spec.interp(b2))
         self.dtau_lat = (spec.interp(self.dtau_grid[0]), spec.interp(self.dtau_grid[1]))
-        self._a2_lat = None
+        self.a2_lat = None
 
-    @property
-    def a2_lat(self):
-        if self._a2_lat is None:
-            spec = self._spec
-            a2 = second_order_amplitudes(spec.p, spec.macro, self.b_grid,
-                                         self.dy_grid, L=spec.L)
-            self._a2_lat = {iota: np.stack([spec.interp(v[0]), spec.interp(v[1])])
-                            for iota, v in a2.entries.items()}
-        return self._a2_lat
+
+def _correctors(spec: "AnsatzSpec", snap: _Snapshot) -> dict:
+    """The snapshot's second-order correctors on the lattice, built on
+    first use."""
+    if snap.a2_lat is None:
+        a2 = second_order_amplitudes(spec.p, spec.macro, snap.b_grid, snap.dy_grid, L=spec.L)
+        snap.a2_lat = {iota: np.stack([spec.interp(v[0]), spec.interp(v[1])])
+                       for iota, v in a2.items()}
+    return snap.a2_lat
 
 
 @dataclass
@@ -139,11 +133,12 @@ def first_order_velocity(spec: AnsatzSpec, t: float) -> np.ndarray:
 
 def _second_order_sum(spec: AnsatzSpec, snap: _Snapshot, t: float, time_derivative: bool):
     w1, w2 = spec.macro.waves
+    a2_lat = _correctors(spec, snap)
     terms = []
     for iota, om_v, th_v, weight in ansatz_carriers(spec.macro.mode, w1, w2):
         c = weight * (1j * om_v if time_derivative else 1.0)
         if c != 0.0:
-            terms.append((om_v, th_v, c * snap.a2_lat[iota]))
+            terms.append((om_v, th_v, c * a2_lat[iota]))
     return _carrier_sum(spec, terms, t, spec.eps ** 2)
 
 

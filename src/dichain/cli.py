@@ -54,6 +54,8 @@ def _report(cfg: ExperimentConfig, rep) -> int:
 
 
 def cmd_dispersion(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n: need at least 1 row, got {args.n}")
     rep = harness.dispersion_table(params_from_dict(_load_json(args.params)), args.n)
     write_csv(args.out, rep.header, rep.rows)
     print(f"PASS dispersion: wrote {len(rep.rows)} rows to {args.out}")
@@ -99,7 +101,10 @@ def cmd_simulate(args) -> int:
     setup = harness.setup_run(cfg, cfg.eps[0])
     p, spec = setup.p, setup.spec
     if args.init_file:
-        data = np.loadtxt(args.init_file, delimiter=",", skiprows=1)
+        data = np.loadtxt(args.init_file, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape != (spec.N, 5):
+            raise ConfigError(f"--init-file: expected N = {spec.N} rows of j,u1,u2,v1,v2, "
+                              f"got {data.shape[0]} rows of {data.shape[1]} columns")
         pos = data[:, 1:3].copy()
         vel = data[:, 3:5].copy()
         s0 = LatticeState(pos, vel, 0.0)

@@ -124,7 +124,3 @@ def modal_mass(s: LatticeState, theta: float, component: int) -> float:
     j = np.arange(N)
     return float(np.abs(np.sum(s.pos[:, component - 1] * np.exp(-1j * j * theta)) / N))
 
-
-def modal_masses(s: LatticeState, component: int) -> np.ndarray:
-    """All N commensurate modal amplitudes at once (FFT)."""
-    return np.abs(np.fft.fft(s.pos[:, component - 1]) / s.N)

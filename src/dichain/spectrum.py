@@ -39,12 +39,6 @@ class Wave:
             return (b, zero) if self.branch == ACOUSTIC else (zero, b)
         return (b, -self.rho * b)
 
-    @property
-    def scalar_component(self) -> int:
-        """Index (0-based) of the amplitude component that carries the
-        scalar envelope."""
-        return 1 if (self.degenerate and self.branch == OPTICAL) else 0
-
 
 def dispersion_matrix(p: ChainParams, omega_val: float, theta: float) -> np.ndarray:
     """2x2 matrix H(omega, theta); plane waves live on det H = 0."""

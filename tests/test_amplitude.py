@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from _helpers import random_valid_params, strang_states
 from dichain import amplitude as amp
 from dichain import model
 from dichain.amplitude import (NONRESONANT, RESONANT_GENERIC, RESONANT_HALF_PI,
-                               RESONANT_PI, AmplitudeField, NearResonance,
+                               RESONANT_PI, NearResonance,
                                ODEReferenceSolution, StrangSolution, build_macro_system,
                                compute_K, corrector_carriers, coupling_coefficients,
                                second_order_amplitudes, sech_envelope,
@@ -253,15 +255,39 @@ def test_evolve_nan_detection():
             sol.fields(50.0)
 
 
-def test_amplitude_field_invariants():
-    with pytest.raises(ValueError):
-        AmplitudeField(np.zeros(12, complex), L)     # too small
-    with pytest.raises(ValueError):
-        AmplitudeField(np.zeros(48, complex), L)     # not a power of two
-    with pytest.raises(ValueError):
-        AmplitudeField(np.full(32, np.nan, complex), L)
-    f = AmplitudeField(np.zeros(32, complex), L)
-    assert f.n == 32
+def test_strang_solution_holds_one_state(monkeypatch):
+    """Stepping far along keeps the initial state and the cursor only;
+    an earlier time restarts from the initial state."""
+    monkeypatch.setattr(amp, "strang_step", lambda sys, f, L, dt: (f[0] + dt, f[1] + dt))
+    z = np.zeros(64, complex)
+    sys = build_macro_system(P0, polarization(P0, ACOUSTIC, 0.3), polarization(P0, OPTICAL, 0.9))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sol = StrangSolution(sys, (z, z), L, 1e-4)
+        b1, _ = sol.fields(5000 * sol.dtau)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(b1, 5000 * sol.dtau)
+    assert held < 1e6   # 5,001 kept states would take 10 MB
+    assert np.array_equal(sol.fields(2 * sol.dtau)[0], z + sol.dtau + sol.dtau)  # restarts
+
+
+def test_strang_solution_exact_step_times(monkeypatch):
+    """k*dtau resolves to step k, not to k - 1 plus a partial step, even
+    where tau/dtau rounds below k."""
+    dtaus = []
+    monkeypatch.setattr(amp, "strang_step", lambda sys, f, L, dt: dtaus.append(dt) or f)
+    z = np.zeros(16, complex)
+    sys = build_macro_system(P0, polarization(P0, ACOUSTIC, 0.3), polarization(P0, OPTICAL, 0.9))
+    sol = StrangSolution(sys, (z, z), L, 1 / 33333)
+    tau = 16669 * sol.dtau
+    assert np.floor(tau / sol.dtau) == 16668
+    sol.fields(tau)
+    assert dtaus == [sol.dtau] * 16669
+    sol.fields(tau)
+    assert len(dtaus) == 16669
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +307,7 @@ def test_second_order_zero():
                              polarization(p, OPTICAL, 0.9))
     z = np.zeros(NG, complex)
     s = second_order_amplitudes(p, sys, (z, z), (z, z), L=L)
-    for v in s.entries.values():
+    for v in s.values():
         assert np.all(v == 0.0)
 
 

@@ -207,7 +207,7 @@ def test_eps_sweep_deterministic():
     ("noise_floor", "x"), ("nu", 0), ("n_snapshots", 0), ("out", 5),
     ("resonant_family", {"c": 1.0}), ("resonant_family", {"gamma": 2.0}),
     ("resonant_family", dict(FAM, nl={"v21": 0.3})), ("waves", [{"branch": "acoustic"}]),
-    ("scan", {"gamma": "x"}),
+    ("scan", {"gamma": "x"}), ("n_grid", 12), ("n_grid", 48),
 ])
 def test_cli_rejects_bad_integration_keys(tmp_path, capsys, monkeypatch, key, value):
     monkeypatch.setattr(harness, "setup_run", _no_compute)
@@ -238,6 +238,46 @@ def test_cli_output_commands_require_out(tmp_path, capsys, monkeypatch, command)
     assert rc == 1
     assert "out:" in err
     assert "Traceback" not in err
+
+
+SIM_N40 = dict(kind="simulate", params=P_NL, waves=[{"branch": "acoustic", "theta": 0.3}],
+               eps=[0.1], tau0=0.05, L_y=4.0, n_grid=16, a0=[0.5], n_samples=2)
+
+
+def _init_rows(n):
+    return "j,u1,u2,v1,v2\n" + "".join(f"{j},0.01,0.02,0,0\n" for j in range(n))
+
+
+@pytest.mark.parametrize("argv,init,flag", [
+    (["dispersion", "--n", "0"], None, "--n"),
+    (["dispersion", "--n", "-5"], None, "--n"),
+    (["simulate", "--init-file", "{init}"], _init_rows(1), "--init-file: expected N = 40"),
+    (["simulate", "--init-file", "{init}"], _init_rows(3), "--init-file: expected N = 40"),
+], ids=["n-zero", "n-negative", "init-one-row", "init-wrong-N"])
+def test_cli_rejects_bad_options(tmp_path, capsys, argv, init, flag):
+    (tmp_path / "p.json").write_text(json.dumps(P_NL))
+    (tmp_path / "sim.json").write_text(json.dumps(dict(SIM_N40, out=str(tmp_path / "o.csv"))))
+    (tmp_path / "init.csv").write_text(init or "")
+    common = {"dispersion": ["--params", str(tmp_path / "p.json")],
+              "simulate": ["--config", str(tmp_path / "sim.json")]}[argv[0]]
+    argv = [a.format(init=tmp_path / "init.csv") for a in argv]
+    rc = cli.main(argv + common + ["--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert flag in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_cli_simulate_starts_from_init_file(tmp_path):
+    (tmp_path / "init.csv").write_text(_init_rows(40))
+    (tmp_path / "sim.json").write_text(json.dumps(dict(SIM_N40, out=str(tmp_path / "o.csv"))))
+    rc = cli.main(["simulate", "--config", str(tmp_path / "sim.json"),
+                   "--init-file", str(tmp_path / "init.csv")])
+    assert rc == 0
+    first = np.loadtxt(tmp_path / "o.csv", delimiter=",", skiprows=1)[:40]
+    assert np.array_equal(first[:, :2], np.c_[np.zeros(40), np.arange(40)])
+    assert np.all(first[:, 2:] == [0.01, 0.02, 0.0, 0.0])
 
 
 def test_validate_dispersion_table_matches_dispersion(tmp_path):

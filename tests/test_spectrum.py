@@ -64,7 +64,6 @@ def test_polarization_values():
     wpo = polarization(P0, OPTICAL, np.pi)
     a = wpo.amplitude_vector(1.0)
     assert a[0] == 0.0 and a[1] == 1.0
-    assert wpo.scalar_component == 1
 
 
 def test_polarization_quotients_agree():
