@@ -248,20 +248,20 @@ def _init_rows(n):
     return "j,u1,u2,v1,v2\n" + "".join(f"{j},0.01,0.02,0,0\n" for j in range(n))
 
 
-@pytest.mark.parametrize("argv,init,flag", [
-    (["dispersion", "--n", "0"], None, "--n"),
-    (["dispersion", "--n", "-5"], None, "--n"),
-    (["simulate", "--init-file", "{init}"], _init_rows(1), "--init-file: expected N = 40"),
-    (["simulate", "--init-file", "{init}"], _init_rows(3), "--init-file: expected N = 40"),
+@pytest.mark.parametrize("argv,rows,flag", [
+    (["dispersion", "--params", "p.json", "--n", "0"], 0, "--n"),
+    (["dispersion", "--params", "p.json", "--n", "-5"], 0, "--n"),
+    (["simulate", "--config", "sim.json", "--init-file", "init.csv"], 1,
+     "--init-file: expected N = 40"),
+    (["simulate", "--config", "sim.json", "--init-file", "init.csv"], 3,
+     "--init-file: expected N = 40"),
 ], ids=["n-zero", "n-negative", "init-one-row", "init-wrong-N"])
-def test_cli_rejects_bad_options(tmp_path, capsys, argv, init, flag):
+def test_cli_rejects_bad_options(tmp_path, capsys, monkeypatch, argv, rows, flag):
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "p.json").write_text(json.dumps(P_NL))
-    (tmp_path / "sim.json").write_text(json.dumps(dict(SIM_N40, out=str(tmp_path / "o.csv"))))
-    (tmp_path / "init.csv").write_text(init or "")
-    common = {"dispersion": ["--params", str(tmp_path / "p.json")],
-              "simulate": ["--config", str(tmp_path / "sim.json")]}[argv[0]]
-    argv = [a.format(init=tmp_path / "init.csv") for a in argv]
-    rc = cli.main(argv + common + ["--out", str(tmp_path / "o.csv")])
+    (tmp_path / "sim.json").write_text(json.dumps(SIM_N40))
+    (tmp_path / "init.csv").write_text(_init_rows(rows))
+    rc = cli.main(argv + ["--out", "o.csv"])
     err = capsys.readouterr().err
     assert rc == 1
     assert flag in err
@@ -269,11 +269,11 @@ def test_cli_rejects_bad_options(tmp_path, capsys, argv, init, flag):
     assert not (tmp_path / "o.csv").exists()
 
 
-def test_cli_simulate_starts_from_init_file(tmp_path):
+def test_cli_simulate_starts_from_init_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sim.json").write_text(json.dumps(SIM_N40))
     (tmp_path / "init.csv").write_text(_init_rows(40))
-    (tmp_path / "sim.json").write_text(json.dumps(dict(SIM_N40, out=str(tmp_path / "o.csv"))))
-    rc = cli.main(["simulate", "--config", str(tmp_path / "sim.json"),
-                   "--init-file", str(tmp_path / "init.csv")])
+    rc = cli.main(["simulate", "--config", "sim.json", "--init-file", "init.csv", "--out", "o.csv"])
     assert rc == 0
     first = np.loadtxt(tmp_path / "o.csv", delimiter=",", skiprows=1)[:40]
     assert np.array_equal(first[:, :2], np.c_[np.zeros(40), np.arange(40)])
