@@ -17,9 +17,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .model import ChainParams
-from .resonance import NONRESONANT, NotResonant, _tol_res, resonant_pair_defect
+from .resonance import NotResonant, resonant_pair_defect
 from .spectrum import ACOUSTIC, Wave, dispersion_matrix, group_velocity
 
+NONRESONANT = "NonResonant"
 RESONANT_GENERIC = "ResonantGeneric"
 RESONANT_HALF_PI = "ResonantHalfPi"
 RESONANT_PI = "ResonantPi"
@@ -216,11 +217,12 @@ def _source_rhs(sys, b1, b2):
     return sys.k1 * np.conj(b1) * b2, sys.k2 * b1 * b1
 
 
-def tau_derivative(sys: MacroSystem, fields, L: float):
-    """Governing right-hand side: dB/dtau = v dB/dy + source."""
+def tau_derivative(sys: MacroSystem, fields, dy_fields):
+    """Governing right-hand side: dB/dtau = v dB/dy + source, from the
+    envelopes and their y-derivatives."""
     b1, b2 = fields
-    db1 = sys.velocities[0] * spectral_derivative(b1, L)
-    db2 = sys.velocities[1] * spectral_derivative(b2, L)
+    db1 = sys.velocities[0] * dy_fields[0]
+    db2 = sys.velocities[1] * dy_fields[1]
     if sys.resonant:
         s1, s2 = _source_rhs(sys, b1, b2)
         db1, db2 = db1 + s1, db2 + s2
@@ -260,27 +262,7 @@ def strang_step(sys: MacroSystem, fields, L: float, dtau: float):
 # time-continuous solution providers (evaluable at arbitrary tau)
 
 
-class _SolutionBase:
-    """Common local-evaluation hook.
-
-    ``fields_local(tau0, offset)`` must be smooth in the offset: the
-    residual measurement divides second differences by offset^2, which
-    would amplify any interpolation noise of a dense global solution.
-    The default takes one exact-advection + quadratic-source step from a
-    cached base state.
-    """
-
-    def fields_local(self, tau0: float, offset: float):
-        base = getattr(self, "_local_base", None)
-        if base is None or base[0] != tau0:
-            base = (tau0, self.fields(tau0))
-            self._local_base = base
-        if offset == 0.0:
-            return base[1]
-        return strang_step(self.sys, base[1], self.L, offset)
-
-
-class TransportSolution(_SolutionBase):
+class TransportSolution:
     """Exact solution of the uncoupled transport regime."""
 
     def __init__(self, sys: MacroSystem, fields0, L: float):
@@ -294,21 +276,16 @@ class TransportSolution(_SolutionBase):
     def fields(self, tau: float):
         return _advect_pair(self.sys, self._f0, self.L, tau)
 
-    def fields_local(self, tau0: float, offset: float):
-        return self.fields(tau0 + offset)
 
-
-class ODEReferenceSolution(_SolutionBase):
+class ODEReferenceSolution:
     """Dense high-accuracy reference for resonant systems with vanishing
     group velocities (the envelope equations reduce to a pointwise ODE)."""
 
-    def __init__(self, sys: MacroSystem, fields0, L: float, tau_max: float):
+    def __init__(self, sys: MacroSystem, fields0, tau_max: float):
         if not sys.resonant:
             raise ValueError("reference ODE applies to resonant systems")
         if max(abs(v) for v in sys.velocities) > 1e-12:
             raise ValueError("reference ODE requires zero group velocities")
-        self.sys = sys
-        self.L = L
         f0 = (np.asarray(fields0[0], dtype=complex), np.asarray(fields0[1], dtype=complex))
         n = len(f0[0])
         self._n = n
@@ -331,7 +308,7 @@ class ODEReferenceSolution(_SolutionBase):
         return z[:n] + 1j * z[n:2 * n], z[2 * n:3 * n] + 1j * z[3 * n:]
 
 
-class StrangSolution(_SolutionBase):
+class StrangSolution:
     """Fixed-step Strang trajectory held as a cursor: the initial state
     and the state at the last step reached.  A later tau steps on from the
     cursor, an earlier one restarts from the initial state; a tau between
@@ -381,7 +358,7 @@ def make_solution(sys: MacroSystem, fields0, L: float, tau_max: float, dtau: flo
     if not sys.resonant:
         return TransportSolution(sys, fields0, L)
     if max(abs(v) for v in sys.velocities) <= 1e-12:
-        return ODEReferenceSolution(sys, fields0, L, tau_max)
+        return ODEReferenceSolution(sys, fields0, tau_max)
     return StrangSolution(sys, fields0, L, dtau)
 
 
@@ -409,6 +386,11 @@ def ansatz_carriers(mode: str, w1: Wave, w2: Wave):
     table = [(1, w1.omega, w1.theta, 1.0), (2, w2.omega, w2.theta, 1.0)]
     table.extend(corrector_carriers(mode, w1, w2))
     return table
+
+
+def _tol_res(omega_val: float) -> float:
+    """Smallest |det H(omega, theta)| a corrector may divide by."""
+    return 1e-6 * (1.0 + omega_val ** 4)
 
 
 def _solve_product_corrector(p, om_v, th_v, K, weight):
@@ -449,18 +431,19 @@ def _wave_corrector(p, wave: Wave, b, dy_b, dtau_b, k_extra):
 
 
 def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_fields,
-                            L: float) -> dict:
+                            dtau_fields) -> dict:
     """All corrector fields A_{2,iota} for the given first-order envelopes,
     keyed by iota, each a (2, n) complex array.
 
-    ``fields`` and ``dy_fields`` hold the scalar envelopes and their
-    spectral y-derivatives; the tau-derivatives are taken from the
-    governing macroscopic equations, never from time differencing.
+    ``fields``, ``dy_fields`` and ``dtau_fields`` hold the scalar envelopes,
+    their spectral y-derivatives and their tau-derivatives; the latter come
+    from the governing macroscopic equations (``tau_derivative``), never
+    from time differencing.
     """
     w1, w2 = macro.waves
     b1 = np.asarray(fields[0], dtype=complex)
     b2 = np.asarray(fields[1], dtype=complex)
-    dtau_b1, dtau_b2 = tau_derivative(macro, (b1, b2), L)
+    dtau_b1, dtau_b2 = dtau_fields
     a1 = w1.amplitude_vector(b1)
     a2 = w2.amplitude_vector(b2)
 

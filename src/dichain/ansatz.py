@@ -27,12 +27,12 @@ class _Snapshot:
     convergence sampling only needs the first-order fields at most times.
     """
 
-    def __init__(self, spec: "AnsatzSpec", tau: float, fields=None):
-        b1, b2 = spec.solution.fields(tau) if fields is None else fields
+    def __init__(self, spec: "AnsatzSpec", fields):
+        b1, b2 = fields
         self.b_grid = (b1, b2)
         self.dy_grid = (amp.spectral_derivative(b1, spec.L),
                         amp.spectral_derivative(b2, spec.L))
-        self.dtau_grid = tau_derivative(spec.macro, self.b_grid, spec.L)
+        self.dtau_grid = tau_derivative(spec.macro, self.b_grid, self.dy_grid)
         self.b_lat = (spec.interp(b1), spec.interp(b2))
         self.dtau_lat = (spec.interp(self.dtau_grid[0]), spec.interp(self.dtau_grid[1]))
         self.a2_lat = None
@@ -42,7 +42,8 @@ def _correctors(spec: "AnsatzSpec", snap: _Snapshot) -> dict:
     """The snapshot's second-order correctors on the lattice, built on
     first use."""
     if snap.a2_lat is None:
-        a2 = second_order_amplitudes(spec.p, spec.macro, snap.b_grid, snap.dy_grid, L=spec.L)
+        a2 = second_order_amplitudes(spec.p, spec.macro, snap.b_grid, snap.dy_grid,
+                                     snap.dtau_grid)
         snap.a2_lat = {iota: np.stack([spec.interp(v[0]), spec.interp(v[1])])
                        for iota, v in a2.items()}
     return snap.a2_lat
@@ -94,7 +95,7 @@ class AnsatzSpec:
     def at_tau(self, tau: float) -> _Snapshot:
         snap = self._cache.get(tau)
         if snap is None:
-            snap = _Snapshot(self, tau)
+            snap = _Snapshot(self, self.solution.fields(tau))
             if len(self._cache) >= 8:
                 self._cache.pop(next(iter(self._cache)))
             self._cache[tau] = snap
@@ -183,10 +184,13 @@ def residual_norm(p: ChainParams, spec: AnsatzSpec, t: float, h0: float = 0.01) 
     h = spec.eps ** 2 * h0
     if spec.eps * (t - h) < -1e-12:
         raise ValueError("amplitude trajectory unavailable at t-h < 0")
-    tau0 = spec.eps * t
-    snaps = [_Snapshot(spec, tau0 + spec.eps * dt,
-                       fields=spec.solution.fields_local(tau0, spec.eps * dt))
-             for dt in (-h, 0.0, h)]
+    base = spec.solution.fields(spec.eps * t)
+    # the neighbours are one envelope step of +-eps*h from the state at t,
+    # not dense evaluations: the second difference divides by h^2 and would
+    # amplify any interpolation noise of a dense solution (the step is the
+    # exact flow when non-resonant)
+    snaps = [_Snapshot(spec, amp.strang_step(spec.macro, base, spec.L, spec.eps * dt)
+                       if dt else base) for dt in (-h, 0.0, h)]
     um, u0, up = (_sample_improved_snap(spec, s, t + dt)
                   for s, dt in zip(snaps, (-h, 0.0, h)))
     udd = (up - 2.0 * u0 + um) / (h * h)

@@ -105,9 +105,11 @@ def cmd_simulate(args) -> int:
         if data.shape != (spec.N, 5):
             raise ConfigError(f"--init-file: expected N = {spec.N} rows of j,u1,u2,v1,v2, "
                               f"got {data.shape[0]} rows of {data.shape[1]} columns")
-        pos = data[:, 1:3].copy()
-        vel = data[:, 3:5].copy()
-        s0 = LatticeState(pos, vel, 0.0)
+        order = np.argsort(data[:, 0])
+        if not np.array_equal(data[order, 0], np.arange(spec.N)):
+            raise ConfigError(f"--init-file: the j column must list each site 0 .. {spec.N - 1} "
+                              "exactly once")
+        s0 = LatticeState(data[order, 1:3], data[order, 3:5], 0.0)
     else:
         s0 = anz.initial_state(spec, improved=True)
     T = cfg.tau0 / spec.eps

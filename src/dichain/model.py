@@ -77,12 +77,12 @@ class ChainParams:
 
 
 def make_params(v1=(1.0, 0.0, 0.0), v2=(2.0, 0.0, 0.0), w1=(1.0, 0.0, 0.0),
-                w2=(1.0, 0.0, 0.0), validate=True) -> ChainParams:
-    """Convenience constructor from (k1, k2, k3) triples."""
+                w2=(1.0, 0.0, 0.0)) -> ChainParams:
+    """Convenience constructor from (k1, k2, k3) triples, checked by
+    ``validate_params``."""
     p = ChainParams(PotentialCoeffs(*v1), PotentialCoeffs(*v2),
                     PotentialCoeffs(*w1), PotentialCoeffs(*w2))
-    if validate:
-        validate_params(p)
+    validate_params(p)
     return p
 
 

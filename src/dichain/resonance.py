@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .model import ChainParams, make_params, validate_params
-from .spectrum import ACOUSTIC, OPTICAL, Wave, det_h, omega
+from .model import ChainParams, make_params
+from .spectrum import ACOUSTIC, OPTICAL, Wave, omega
 
 ROOT_TOL = 1e-12
 GRID_SIZE = 2048
@@ -30,10 +30,6 @@ class DomainError(ValueError):
 
 class NotResonant(ValueError):
     """Raised when a wave pair does not form an exact resonant pair."""
-
-
-class ModeMismatch(ValueError):
-    """Raised when a wave pair fails the claimed resonance-mode conditions."""
 
 
 @dataclass(frozen=True)
@@ -98,12 +94,10 @@ def family_params(gamma: float, b: float, a: float = 1.0, nl: dict = None) -> Ch
     """The explicit parameter family v11=a, v21=gamma*a, w11=w21=b, with
     the nonlinear coefficients ``nl`` ({"v12": ..., "w23": ...}, zero if absent)."""
     q = {k: float(v) for k, v in (nl or {}).items()}
-    p = make_params(v1=(a, q.get("v12", 0.0), q.get("v13", 0.0)),
-                    v2=(gamma * a, q.get("v22", 0.0), q.get("v23", 0.0)),
-                    w1=(b, q.get("w12", 0.0), q.get("w13", 0.0)),
-                    w2=(b, q.get("w22", 0.0), q.get("w23", 0.0)), validate=False)
-    validate_params(p)
-    return p
+    return make_params(v1=(a, q.get("v12", 0.0), q.get("v13", 0.0)),
+                       v2=(gamma * a, q.get("v22", 0.0), q.get("v23", 0.0)),
+                       w1=(b, q.get("w12", 0.0), q.get("w13", 0.0)),
+                       w2=(b, q.get("w22", 0.0), q.get("w23", 0.0)))
 
 
 def solve_family_ratio(gamma: float, c: float):
@@ -189,43 +183,12 @@ def acoustic_acoustic_scan(gamma: float, n_grid: int = 1024):
     return float(c_e), float(best)
 
 
-@dataclass(frozen=True)
-class ResonanceCheck:
-    label: str
-    omega: float
-    theta: float
-    det: complex
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return abs(self.det) >= self.tol
-
-
-@dataclass(frozen=True)
-class NonResonanceReport:
-    mode: str
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def _tol_res(omega_val: float) -> float:
-    return 1e-6 * (1.0 + omega_val ** 4)
-
-
 def wrap_theta(theta: float) -> float:
     """Wrap a wavenumber to (-pi, pi]."""
     t = (theta + np.pi) % (2.0 * np.pi) - np.pi
     if t <= -np.pi + 1e-15:
         t = np.pi
     return float(t)
-
-
-NONRESONANT = "NonResonant"
-RESONANT = "Resonant"
 
 
 def resonant_pair_defect(w1: Wave, w2: Wave) -> str:
@@ -238,38 +201,3 @@ def resonant_pair_defect(w1: Wave, w2: Wave) -> str:
     if abs(wrap_theta(w2.theta - 2.0 * w1.theta)) > 1e-10:
         return f"theta2={w2.theta} is not 2*theta1 mod 2pi"
     return ""
-
-
-def check_nonresonance(p: ChainParams, w1: Wave, w2: Wave, mode: str) -> NonResonanceReport:
-    """Verify the determinant conditions backing the claimed regime.
-
-    NonResonant: |det H| away from zero at (2w1), (2w2), (w1+-w2).
-    Resonant: (w1, w2) an exact acoustic->optical resonant pair and
-    |det H(k omega1, k theta1)| away from zero for k = 3, 4.
-    Raises ModeMismatch when the claimed mode's conditions fail.
-    """
-    for w in (w1, w2):
-        if abs(det_h(p, w.omega, w.theta)) > 1e-10 * (1.0 + w.omega ** 4):
-            raise ValueError(f"wave {w} does not satisfy the dispersion relation")
-    checks = []
-    if mode == NONRESONANT:
-        pts = [("2*w1", 2 * w1.omega, 2 * w1.theta),
-               ("2*w2", 2 * w2.omega, 2 * w2.theta),
-               ("w1+w2", w1.omega + w2.omega, w1.theta + w2.theta),
-               ("w1-w2", w1.omega - w2.omega, w1.theta - w2.theta)]
-    elif mode == RESONANT:
-        why = resonant_pair_defect(w1, w2)
-        if why:
-            raise ModeMismatch(f"not a resonant pair: {why}")
-        pts = [("3*w1", 3 * w1.omega, 3 * w1.theta),
-               ("4*w1", 4 * w1.omega, 4 * w1.theta)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    for label, om_v, th_v in pts:
-        checks.append(ResonanceCheck(label, float(om_v), float(th_v),
-                                     complex(det_h(p, om_v, th_v)), _tol_res(om_v)))
-    report = NonResonanceReport(mode, tuple(checks))
-    if not report.passed:
-        bad = [c.label for c in checks if not c.ok]
-        raise ModeMismatch(f"{mode} determinant condition fails at {', '.join(bad)}")
-    return report

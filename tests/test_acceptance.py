@@ -240,7 +240,7 @@ def test_criterion_8_amplitude_solver():
     pg = model.make_params(v1=(1.0, 0.3), v2=(2.0, 0.2), w1=(2.0, 0.4), w2=(2.0, 1.0))
     sys_g = build_macro_system(pg, polarization(pg, ACOUSTIC, 0.0),
                                polarization(pg, OPTICAL, 0.0))
-    ref = ODEReferenceSolution(sys_g, f0h, L, 1.0)
+    ref = ODEReferenceSolution(sys_g, f0h, 1.0)
     got = strang_states(sys_g, f0h, L, 1.0, 0.002)[-1]
     want = ref.fields(1.0)
     ode_err = max(np.abs(got[i] - want[i]).max() for i in (0, 1))

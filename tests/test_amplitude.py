@@ -12,8 +12,9 @@ from dichain.amplitude import (NONRESONANT, RESONANT_GENERIC, RESONANT_HALF_PI,
                                compute_K, corrector_carriers, coupling_coefficients,
                                second_order_amplitudes, sech_envelope,
                                spectral_derivative, tau_derivative)
-from dichain.resonance import family_params, solve_family_ratio, wrap_theta
-from dichain.spectrum import ACOUSTIC, OPTICAL, dispersion_matrix, polarization
+from dichain.resonance import (NotResonant, family_params, find_acoustic_optical_resonance,
+                               solve_family_ratio, wrap_theta)
+from dichain.spectrum import ACOUSTIC, OPTICAL, det_h, dispersion_matrix, polarization
 
 P0 = model.p0()
 L, NG = 40.0, 128
@@ -214,7 +215,7 @@ def test_evolve_matches_reference_ode():
     p = family_nl()
     sys = build_macro_system(p, *resonant_pair(p, 0.0))
     f0 = (sech_envelope(L, NG, 1.0, 0.5), sech_envelope(L, NG, 0.3, 0.5) * np.exp(0.4j))
-    ref = ODEReferenceSolution(sys, f0, L, 1.0)
+    ref = ODEReferenceSolution(sys, f0, 1.0)
     b = strang_states(sys, f0, L, 1.0, 0.002)[-1]
     bref = ref.fields(1.0)
     err = max(np.abs(b[0] - bref[0]).max(), np.abs(b[1] - bref[1]).max())
@@ -306,7 +307,7 @@ def test_second_order_zero():
     sys = build_macro_system(p, polarization(p, ACOUSTIC, 0.3),
                              polarization(p, OPTICAL, 0.9))
     z = np.zeros(NG, complex)
-    s = second_order_amplitudes(p, sys, (z, z), (z, z), L=L)
+    s = second_order_amplitudes(p, sys, (z, z), (z, z), (z, z))
     for v in s.values():
         assert np.all(v == 0.0)
 
@@ -321,7 +322,7 @@ def test_second_order_defect():
     sys = build_macro_system(p, w1, w2)
     fields = _smooth_fields(rng)
     dy = tuple(spectral_derivative(f, L) for f in fields)
-    s = second_order_amplitudes(p, sys, fields, dy, L=L)
+    s = second_order_amplitudes(p, sys, fields, dy, tau_derivative(sys, fields, dy))
     a1 = w1.amplitude_vector(fields[0])
     a2 = w2.amplitude_vector(fields[1])
     for iota, om_v, th_v, weight in corrector_carriers(NONRESONANT, w1, w2):
@@ -343,7 +344,7 @@ def test_second_order_gauge_and_pi_formula():
     b1 = np.sin(2 * np.pi * y / L).astype(complex)
     b2 = np.zeros(n, complex)
     dy = tuple(spectral_derivative(f, L) for f in (b1, b2))
-    s = second_order_amplitudes(p, sys, (b1, b2), dy, L=L)
+    s = second_order_amplitudes(p, sys, (b1, b2), dy, tau_derivative(sys, (b1, b2), dy))
     # gauge: free component vanishes
     assert np.all(s[1][0] == 0.0)
     # A^{(2)}_{2,n} = v21/(c2-c1) * dy A^{(1)}; amplitude (2/2)*(2pi/L)
@@ -359,7 +360,39 @@ def test_second_order_near_resonance_raises():
     fields = _smooth_fields(rng)
     dy = tuple(spectral_derivative(f, L) for f in fields)
     with pytest.raises(NearResonance):
-        second_order_amplitudes(p, sys_bad, fields, dy, L=L)
+        second_order_amplitudes(p, sys_bad, fields, dy, tau_derivative(sys_bad, fields, dy))
+
+
+def test_corrector_solve_checks_nonresonance():
+    """The corrector rows are the non-resonance conditions: 3w1 = w1+w2
+    and 4w1 = 2w2 for an exact resonant pair, 2w1, 2w2 and w1 +- w2 for a
+    non-resonant one, so a pair near a resonance fails in the solve."""
+    p = family_params(2.0, 2.0)
+    w1, w2 = resonant_pair(p, 0.0)
+    rows = {iota: (om, th) for iota, om, th, _ in
+            corrector_carriers(build_macro_system(p, w1, w2).mode, w1, w2)}
+    for k, iota in ((3, (1, 2)), (4, (2, 2))):
+        assert abs(rows[iota][0] - k * w1.omega) < 1e-10
+        assert abs(wrap_theta(rows[iota][1] - k * w1.theta)) < 1e-10
+        assert abs(det_h(p, k * w1.omega, k * w1.theta)) > 1e-6
+
+    # an acoustic carrier with an optical wave that is not its partner: the
+    # correctors solve at theta1 = 0.3, but at the reference chain's
+    # resonance root (2w1, 2th1) lies on the optical branch
+    p = model.p0(v1=(1.0, 0.3, 0.0), w2=(1.0, 0.35, 0.0))
+    fields = _smooth_fields(None)
+    dy = tuple(spectral_derivative(f, L) for f in fields)
+    w2 = polarization(p, OPTICAL, 0.6)
+    sys = build_macro_system(p, polarization(p, ACOUSTIC, 0.3), w2)
+    second_order_amplitudes(p, sys, fields, dy, tau_derivative(sys, fields, dy))
+    (root,) = find_acoustic_optical_resonance(p)
+    w1 = polarization(p, ACOUSTIC, root)
+    sys = build_macro_system(p, w1, w2)
+    assert sys.mode == NONRESONANT
+    with pytest.raises(NotResonant):
+        coupling_coefficients(p, w1, w2)
+    with pytest.raises(NearResonance, match=r"det H\(2\.366, 2\.229\)"):
+        second_order_amplitudes(p, sys, fields, dy, tau_derivative(sys, fields, dy))
 
 
 def test_relations_two_quotient_forms_agree():
@@ -397,8 +430,8 @@ def test_resonant_corrector_row_defects():
         rng = np.random.RandomState(8)
         fields = _smooth_fields(rng)
         dy = tuple(spectral_derivative(f, L) for f in fields)
-        dtau = tau_derivative(sys, fields, L)
-        s = second_order_amplitudes(p, sys, fields, dy, L=L)
+        dtau = tau_derivative(sys, fields, dy)
+        s = second_order_amplitudes(p, sys, fields, dy, dtau)
         a1v, a2v = w1.amplitude_vector(fields[0]), w2.amplitude_vector(fields[1])
         kx = {1: tuple(np.conj(c) for c in compute_K((1, -2), a1v, a2v, p, w1.theta, w2.theta)),
               2: compute_K((1, 1), a1v, a2v, p, w1.theta, w2.theta)}

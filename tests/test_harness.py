@@ -244,23 +244,29 @@ SIM_N40 = dict(kind="simulate", params=P_NL, waves=[{"branch": "acoustic", "thet
                eps=[0.1], tau0=0.05, L_y=4.0, n_grid=16, a0=[0.5], n_samples=2)
 
 
-def _init_rows(n):
-    return "j,u1,u2,v1,v2\n" + "".join(f"{j},0.01,0.02,0,0\n" for j in range(n))
+def _init_rows(sites):
+    """An init file with one row per site in ``sites``, u1 = j/1000 at site j."""
+    return "j,u1,u2,v1,v2\n" + "".join(f"{j},{j / 1000},0.02,0,0\n" for j in sites)
 
 
-@pytest.mark.parametrize("argv,rows,flag", [
-    (["dispersion", "--params", "p.json", "--n", "0"], 0, "--n"),
-    (["dispersion", "--params", "p.json", "--n", "-5"], 0, "--n"),
-    (["simulate", "--config", "sim.json", "--init-file", "init.csv"], 1,
+@pytest.mark.parametrize("argv,sites,flag", [
+    (["dispersion", "--params", "p.json", "--n", "0"], [], "--n"),
+    (["dispersion", "--params", "p.json", "--n", "-5"], [], "--n"),
+    (["simulate", "--config", "sim.json", "--init-file", "init.csv"], range(1),
      "--init-file: expected N = 40"),
-    (["simulate", "--config", "sim.json", "--init-file", "init.csv"], 3,
+    (["simulate", "--config", "sim.json", "--init-file", "init.csv"], range(3),
      "--init-file: expected N = 40"),
-], ids=["n-zero", "n-negative", "init-one-row", "init-wrong-N"])
-def test_cli_rejects_bad_options(tmp_path, capsys, monkeypatch, argv, rows, flag):
+    (["simulate", "--config", "sim.json", "--init-file", "init.csv"], [0, 0, *range(2, 40)],
+     "--init-file: the j column"),
+    (["simulate", "--config", "sim.json", "--init-file", "init.csv"], [0.5, *range(1, 40)],
+     "--init-file: the j column"),
+], ids=["n-zero", "n-negative", "init-one-row", "init-wrong-N", "init-duplicate-j",
+        "init-fractional-j"])
+def test_cli_rejects_bad_options(tmp_path, capsys, monkeypatch, argv, sites, flag):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p.json").write_text(json.dumps(P_NL))
     (tmp_path / "sim.json").write_text(json.dumps(SIM_N40))
-    (tmp_path / "init.csv").write_text(_init_rows(rows))
+    (tmp_path / "init.csv").write_text(_init_rows(sites))
     rc = cli.main(argv + ["--out", "o.csv"])
     err = capsys.readouterr().err
     assert rc == 1
@@ -272,12 +278,15 @@ def test_cli_rejects_bad_options(tmp_path, capsys, monkeypatch, argv, rows, flag
 def test_cli_simulate_starts_from_init_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sim.json").write_text(json.dumps(SIM_N40))
-    (tmp_path / "init.csv").write_text(_init_rows(40))
-    rc = cli.main(["simulate", "--config", "sim.json", "--init-file", "init.csv", "--out", "o.csv"])
-    assert rc == 0
-    first = np.loadtxt(tmp_path / "o.csv", delimiter=",", skiprows=1)[:40]
-    assert np.array_equal(first[:, :2], np.c_[np.zeros(40), np.arange(40)])
-    assert np.all(first[:, 2:] == [0.01, 0.02, 0.0, 0.0])
+    for sites in (range(40), range(39, -1, -1)):  # each row lands on its site j
+        (tmp_path / "init.csv").write_text(_init_rows(sites))
+        rc = cli.main(["simulate", "--config", "sim.json", "--init-file", "init.csv",
+                       "--out", "o.csv"])
+        assert rc == 0
+        first = np.loadtxt(tmp_path / "o.csv", delimiter=",", skiprows=1)[:40]
+        assert np.array_equal(first[:, :3],
+                              np.c_[np.zeros(40), np.arange(40), np.arange(40) / 1000])
+        assert np.all(first[:, 3:] == [0.02, 0.0, 0.0])
 
 
 def test_validate_dispersion_table_matches_dispersion(tmp_path):

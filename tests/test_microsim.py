@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from _helpers import random_valid_params
 from dichain import microsim, model
-from dichain.microsim import (SUBSTEPS, SimConfig, SimulationDiverged, integrate,
+from dichain.microsim import (SUBSTEPS, SimConfig, SimulationDiverged, default_dt, integrate,
                               modal_mass, omega_max)
 from dichain.model import LatticeState, force, hamiltonian_energy, linear_apply, nonlinear_apply
 from dichain.spectrum import ACOUSTIC, polarization
@@ -108,6 +109,22 @@ def test_time_reversal_fourth_order():
     assert np.abs(sb.vel + s0.vel).max() <= 1e-8
 
 
+def test_time_reversal_fourth_order_random_chains():
+    # leapfrog maps of one linear chain commute, so only the nonlinear
+    # forces of data this large show a composition that is not symmetric
+    # (e.g. substep weights w1 +- 1e-3 miss by about 1e-9)
+    prng, rng = np.random.RandomState(11), np.random.RandomState(12)
+    for _ in range(10):
+        p = random_valid_params(prng, nonlinear=True)
+        dt = default_dt(p, 4)
+        cfg = SimConfig(dt=dt, T=200 * dt, order=4)
+        s0 = LatticeState(0.1 * rng.randn(32, 2), 0.1 * rng.randn(32, 2))
+        sf = integrate(p, s0, cfg)
+        sb = integrate(p, LatticeState(sf.pos, -sf.vel), cfg)
+        assert np.abs(sb.pos - s0.pos).max() <= 1e-12
+        assert np.abs(sb.vel + s0.vel).max() <= 1e-12
+
+
 def test_energy_trend_conserved_fourth_order():
     # the mass-consistent setup of test_energy_trend_conserved; the
     # shadow-energy oscillation shrinks to O(dt^4)
@@ -183,8 +200,7 @@ def test_fourth_order_force_calls(monkeypatch):
 
 def test_divergence_detection():
     # softening cubic on-site force blows up from large data
-    p = model.make_params(v1=(1.0,), v2=(2.0,), w1=(1.0, 0.0, -40.0), w2=(1.0,),
-                          validate=True)
+    p = model.make_params(v1=(1.0,), v2=(2.0,), w1=(1.0, 0.0, -40.0), w2=(1.0,))
     rng = np.random.RandomState(3)
     s0 = LatticeState(2.0 + rng.randn(16, 2), np.zeros((16, 2)))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -4,11 +4,11 @@ from scipy.optimize import brentq
 
 from _helpers import random_valid_params
 from dichain import model
-from dichain.resonance import (ModeMismatch, acoustic_acoustic_scan, check_nonresonance,
-                               family_params, find_acoustic_optical_resonance,
-                               optical_closure_margin, reduced_coords, solve_family_ratio,
-                               third_order_margin, wrap_theta)
-from dichain.spectrum import ACOUSTIC, OPTICAL, det_h, omega, polarization
+from dichain.resonance import (acoustic_acoustic_scan, family_params,
+                               find_acoustic_optical_resonance, optical_closure_margin,
+                               reduced_coords, solve_family_ratio, third_order_margin,
+                               wrap_theta)
+from dichain.spectrum import ACOUSTIC, OPTICAL, det_h, omega
 
 P0 = model.p0()
 
@@ -135,26 +135,6 @@ def test_third_order_margin():
     p = family_params(2.0, 2.0)
     assert abs(omega(p, ACOUSTIC, 0.0) - np.sqrt(2.0)) < 1e-14
     assert third_order_margin(p) > 0.0
-
-
-def test_check_nonresonance_modes():
-    w1 = polarization(P0, ACOUSTIC, 0.3)
-    w2 = polarization(P0, OPTICAL, 0.6)
-    rep = check_nonresonance(P0, w1, w2, "NonResonant")
-    assert rep.passed and len(rep.checks) == 4
-
-    p = family_params(2.0, 2.0)
-    r1 = polarization(p, ACOUSTIC, 0.0)
-    r2 = polarization(p, OPTICAL, 0.0)
-    rep = check_nonresonance(p, r1, r2, "Resonant")
-    assert rep.passed
-    for k in (3, 4):
-        assert abs(det_h(p, k * r1.omega, k * r1.theta)) > 1e-6
-
-    with pytest.raises(ModeMismatch):
-        check_nonresonance(p, r1, r2, "NonResonant")
-    with pytest.raises(ModeMismatch):
-        check_nonresonance(P0, w1, w2, "Resonant")
 
 
 def test_det_h_at_origin_positive():
