@@ -181,9 +181,9 @@ def residual_norm(p: ChainParams, spec: AnsatzSpec, t: float, h0: float = 0.01) 
     The step keeps the finite-difference error below the eps^{5/2}
     signal being measured.
     """
+    if t < 0:
+        raise ValueError(f"amplitude trajectory unavailable at t={t} < 0")
     h = spec.eps ** 2 * h0
-    if spec.eps * (t - h) < -1e-12:
-        raise ValueError("amplitude trajectory unavailable at t-h < 0")
     base = spec.solution.fields(spec.eps * t)
     # the neighbours are one envelope step of +-eps*h from the state at t,
     # not dense evaluations: the second difference divides by h^2 and would

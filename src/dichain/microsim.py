@@ -11,8 +11,10 @@ Both schemes are symmetric compositions of the kick-drift-kick leapfrog
 
 ``dt`` is always the length of the whole composed step.  The validation
 experiments run order 4; leapfrog stays as the second-order reference.
-model.force shares one stretch pass between L and M and equals their sum
-bit for bit.
+The integrator keeps positions, velocities and accelerations as flat
+atom-order arrays of length 2N (see dichain.model), so every kick and
+drift is one ufunc over 2N values; force, the returned state and the
+observer get ``(N, 2)`` views of them (``cell_pack``), not copies.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainParams, LatticeState, force
+from .model import ChainParams, LatticeState, cell_pack, cell_unpack, force
 
 
 class SimulationDiverged(FloatingPointError):
@@ -77,30 +79,34 @@ def integrate(p: ChainParams, s0: LatticeState, cfg: SimConfig, observer=None) -
 
     The observer, if given, is called as observer(t, state) at t=0, every
     ``stride`` steps, and at the final step.  The state passed to the
-    observer is a live view; observers must not mutate it.
+    observer, and the one returned, hold live (N, 2) views of the
+    integrator's atom-order arrays; observers must not mutate them.
     """
     cfg.validate(p)
-    pos = s0.pos.copy()
-    vel = s0.vel.copy()
+    # flat atom-order copies; force, the state and the observer see them
+    # as (N, 2) cell_pack views, while kick and drift run on 2N values
+    x = cell_unpack(s0.pos).copy()
+    v = cell_unpack(s0.vel).copy()
+    pos = cell_pack(x)
     t = s0.t
-    state = LatticeState(pos, vel, t)
+    state = LatticeState(pos, cell_pack(v), t)
     if observer is not None:
         observer(t, state)
-    acc = force(p, pos)
+    acc = cell_unpack(force(p, pos))
     dt = cfg.dt
     n_steps = cfg.n_steps
     # (half kick, drift) per substep; w = 1 gives leapfrog's 0.5*dt and dt
     substeps = [(0.5 * h, h) for h in (w * dt for w in SUBSTEPS[cfg.order])]
-    kick = np.empty_like(vel)
+    kick = np.empty_like(v)
     for k in range(1, n_steps + 1):
         for half, h in substeps:
-            vel += np.multiply(half, acc, out=kick)
-            pos += np.multiply(h, vel, out=kick)
-            acc = force(p, pos)
-            vel += np.multiply(half, acc, out=kick)
+            v += np.multiply(half, acc, out=kick)
+            x += np.multiply(h, v, out=kick)
+            acc = cell_unpack(force(p, pos))
+            v += np.multiply(half, acc, out=kick)
         t = s0.t + k * dt
         if k % cfg.stride == 0 or k == n_steps:
-            if not np.all(np.isfinite(pos)):
+            if not np.all(np.isfinite(x)):
                 raise SimulationDiverged(f"non-finite positions at t={t}")
             state.t = t
             if observer is not None:

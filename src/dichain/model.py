@@ -9,10 +9,19 @@ stencil ``L`` and the quadratic/cubic remainder ``M``:
     udotdot = L(u) + M(u)
 
 with periodic boundary conditions in the cell index.
+
+The forces are computed in atom order, the flat array of length 2N
+``x = [u_{0,2}, u_{0,1}, u_{1,2}, u_{1,1}, ...]`` (``cell_unpack``): every
+bond is ``x[k+1] - x[k]``, with one wrap-around bond closing the ring, and
+every atom's force is one ufunc chain over the 2N atoms with coefficients
+V2/W2 on even and V1/W1 on odd atoms.  The public functions take and
+return ``(N, 2)`` cells; ``cell_pack`` and ``cell_unpack`` convert between
+the two layouts without copying where they can.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,56 +142,66 @@ class LatticeState:
 
 
 def cell_pack(x) -> np.ndarray:
-    """Pack a flat atom array of length 2N into cells: u_{j,1}=x_{2j+1},
-    u_{j,2}=x_{2j}."""
+    """View a flat atom array of length 2N as N cells, without copying:
+    u_{j,1}=x_{2j+1}, u_{j,2}=x_{2j}."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size % 2 != 0:
         raise ValueError(f"expected a flat array of even length, got shape {x.shape}")
-    u = np.empty((x.size // 2, 2))
-    u[:, 0] = x[1::2]
-    u[:, 1] = x[0::2]
-    return u
+    return x.reshape(-1, 2)[:, ::-1]
 
 
 def cell_unpack(u) -> np.ndarray:
-    """Inverse of cell_pack."""
+    """Inverse of cell_pack: the atom order [u_{0,2}, u_{0,1}, u_{1,2}, ...].
+    A view when u is a cell_pack view, a copy otherwise."""
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[1] != 2:
         raise ValueError(f"expected shape (N, 2), got {u.shape}")
-    x = np.empty(2 * u.shape[0])
-    x[1::2] = u[:, 0]
-    x[0::2] = u[:, 1]
-    return x
+    return u[:, ::-1].reshape(-1)
 
 
-def _stretches(pos):
-    """Bond stretches around cell j, by slices (periodic in j).
+@lru_cache(maxsize=8)
+def _atom_coeffs(p: ChainParams, n: int):
+    """Bond and on-site coefficients (V, W) of n atoms in atom order, as
+    arrays: V2/W2 on even atoms (u_{j,2}), V1/W1 on odd ones (u_{j,1})."""
+    def alternate(even: PotentialCoeffs, odd: PotentialCoeffs) -> PotentialCoeffs:
+        k = np.empty((3, n))
+        k[:, 0::2] = [[even.k1], [even.k2], [even.k3]]
+        k[:, 1::2] = [[odd.k1], [odd.k2], [odd.k3]]
+        k.flags.writeable = False
+        return PotentialCoeffs(*k)
+    return alternate(p.V2, p.V1), alternate(p.W2, p.W1)
 
-    s_a[j] = u_{j+1,2} - u_{j,1}   (bond to the right of atom (j,1))
-    s_b[j] = u_{j,1}   - u_{j,2}   (bond inside cell j)
-    s_c[j] = u_{j,2}   - u_{j-1,1} (bond to the left of atom (j,2)) = s_a[j-1]
+
+def _bonds(x):
+    """Bond stretches right and left of each atom of the ring x.
+
+    The bond right of atom k is x_{k+1} - x_k and the one left of it is
+    the previous bond; the wrap-around bond x_0 - x_{n-1} closes the ring.
+    Both are views of one array of n + 1 stretches.
     """
-    u1, u2 = pos[:, 0], pos[:, 1]
-    s_a = np.empty_like(u1)
-    np.subtract(u2[1:], u1[:-1], out=s_a[:-1])
-    s_a[-1:] = u2[:1] - u1[-1:]
-    return s_a, u1 - u2, np.concatenate((s_a[-1:], s_a[:-1]))
-
-
-def _linear_rows(p: ChainParams, pos, s_a, s_b, s_c):
-    """Rows of L(u) from precomputed stretches."""
-    return (p.V1.k1 * (s_a - s_b) - p.W1.k1 * pos[:, 0],
-            p.V2.k1 * (s_b - s_c) - p.W2.k1 * pos[:, 1])
+    b = np.empty(x.size + 1)
+    np.subtract(x[1:], x[:-1], out=b[1:-1])
+    if x.size:
+        b[0] = b[-1] = x[0] - x[-1]
+    return b[1:], b[:-1]
 
 
 def _fnl(c: PotentialCoeffs, x):
     return x * x * (c.k2 + c.k3 * x)
 
 
-def _nonlinear_rows(p: ChainParams, pos, s_a, s_b, s_c):
-    """Rows of M(u) from precomputed stretches."""
-    return (_fnl(p.V1, s_a) - _fnl(p.V1, s_b) - _fnl(p.W1, pos[:, 0]),
-            _fnl(p.V2, s_b) - _fnl(p.V2, s_c) - _fnl(p.W2, pos[:, 1]))
+def _linear(V, W, x, right, left):
+    return V.k1 * (right - left) - W.k1 * x
+
+
+def _nonlinear(V, W, x, right, left):
+    return _fnl(V, right) - _fnl(V, left) - _fnl(W, x)
+
+
+def _atom_pass(p: ChainParams, pos):
+    """Coefficients, atoms and bonds of the cells pos, in atom order."""
+    x = cell_unpack(pos)
+    return (*_atom_coeffs(p, x.size), x, *_bonds(x))
 
 
 def linear_apply(p: ChainParams, pos) -> np.ndarray:
@@ -195,24 +214,28 @@ def linear_apply(p: ChainParams, pos) -> np.ndarray:
     from the two-atom displacement equations produces, and what the
     dispersion matrix encodes.
     """
-    pos = np.asarray(pos, dtype=float)
-    return np.stack(_linear_rows(p, pos, *_stretches(pos)), axis=1)
+    return cell_pack(_linear(*_atom_pass(p, pos)))
 
 
 def nonlinear_apply(p: ChainParams, pos) -> np.ndarray:
     """Apply the quadratic+cubic force remainder M(u)."""
-    pos = np.asarray(pos, dtype=float)
-    return np.stack(_nonlinear_rows(p, pos, *_stretches(pos)), axis=1)
+    return cell_pack(_nonlinear(*_atom_pass(p, pos)))
 
 
 def force(p: ChainParams, pos) -> np.ndarray:
-    """Full right-hand side L(u) + M(u).  One stretch pass feeds the row
-    formulas of linear_apply and nonlinear_apply, so the result equals
-    linear_apply(p, pos) + nonlinear_apply(p, pos) bit for bit."""
-    pos = np.asarray(pos, dtype=float)
-    st = _stretches(pos)
-    (l1, l2), (m1, m2) = _linear_rows(p, pos, *st), _nonlinear_rows(p, pos, *st)
-    return np.stack((l1 + m1, l2 + m2), axis=1)
+    """Full right-hand side L(u) + M(u), from one bond pass over the 2N
+    atoms; equals linear_apply(p, pos) + nonlinear_apply(p, pos) bit for
+    bit.  Takes and returns (N, 2) cells; the result is a cell_pack view."""
+    a = _atom_pass(p, pos)
+    return cell_pack(_linear(*a) + _nonlinear(*a))
+
+
+def _cell_bonds(pos):
+    """(s_a, s_b) per cell: the bond u_{j+1,2} - u_{j,1} and the one
+    inside the cell, u_{j,1} - u_{j,2}."""
+    right, _ = _bonds(cell_unpack(pos))
+    s_b, s_a = right.reshape(-1, 2).T
+    return s_a, s_b
 
 
 def energy_norm(s: LatticeState, p: ChainParams) -> float:
@@ -227,7 +250,7 @@ def energy_norm(s: LatticeState, p: ChainParams) -> float:
 
 def energy_norm_sq_pos(pos, p: ChainParams) -> float:
     pos = np.asarray(pos)
-    s_a, s_b, _ = _stretches(pos)
+    s_a, s_b = _cell_bonds(pos)
     e = p.v_ref * (np.abs(s_a) ** 2 + np.abs(s_b) ** 2)
     e = e + p.M_w * p.W1.k1 * np.abs(pos[:, 0]) ** 2
     e = e + p.m_w * p.W2.k1 * np.abs(pos[:, 1]) ** 2
@@ -264,7 +287,7 @@ def hamiltonian_energy(s: LatticeState, p: ChainParams) -> float:
     harmonic part); on-site nonlinearities never break conservation.
     """
     mu = p.V1.k1 / p.V2.k1
-    s_a, s_b, _ = _stretches(s.pos)
+    s_a, s_b = _cell_bonds(s.pos)
     kin = 0.5 * np.sum(s.vel[:, 0] ** 2) + 0.5 * mu * np.sum(s.vel[:, 1] ** 2)
     pot = np.sum(p.V1.potential(s_a)) + np.sum(p.V1.potential(s_b))
     pot += np.sum(p.W1.potential(s.pos[:, 0])) + mu * np.sum(p.W2.potential(s.pos[:, 1]))

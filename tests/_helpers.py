@@ -32,3 +32,28 @@ def random_valid_params(rng, nonlinear=False):
     q = [nl() for _ in range(4)]
     return make_params(v1=(v11, q[0][1], q[0][2]), v2=(v21, q[1][1], q[1][2]),
                        w1=(w11, q[2][1], q[2][2]), w2=(w21, q[3][1], q[3][2]))
+
+
+def roll_stencil(p, pos):
+    """Independent reference: L(u) and M(u) with stretches built by np.roll."""
+    pos = np.asarray(pos, dtype=float)
+    u1, u2 = pos[:, 0], pos[:, 1]
+    s_a = np.roll(u2, -1) - u1
+    s_b = u1 - u2
+    s_c = np.roll(s_a, 1)
+
+    def fnl(c, x):
+        return x * x * (c.k2 + c.k3 * x)
+
+    lin, nl = np.empty_like(pos), np.empty_like(pos)
+    lin[:, 0] = p.V1.k1 * (s_a - s_b) - p.W1.k1 * u1
+    lin[:, 1] = p.V2.k1 * (s_b - s_c) - p.W2.k1 * u2
+    nl[:, 0] = fnl(p.V1, s_a) - fnl(p.V1, s_b) - fnl(p.W1, u1)
+    nl[:, 1] = fnl(p.V2, s_b) - fnl(p.V2, s_c) - fnl(p.W2, u2)
+    return lin, nl
+
+
+def roll_force(p, pos):
+    """L(u) + M(u) from roll_stencil, bit-equal to model.force."""
+    lin, nl = roll_stencil(p, pos)
+    return lin + nl

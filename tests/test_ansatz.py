@@ -223,6 +223,31 @@ def test_residual_requires_available_trajectory():
         residual_norm(p, spec, -5.0, h0=0.01)
 
 
+NL = {"v12": 0.3, "v22": 0.2, "w12": 0.4, "w22": 1.0}
+
+
+@pytest.mark.parametrize("source", [
+    # exact transport, Strang (theta1 = pi/2) and DOP853 (c = 1) envelopes
+    {"params": {"V1": {"k1": 1.0, "k2": 0.3, "k3": 0.1}, "V2": {"k1": 2.0, "k2": 0.4},
+                "W1": {"k1": 1.0, "k2": 0.25, "k3": 0.05}, "W2": {"k1": 1.0, "k2": 0.35}},
+     "waves": [{"branch": "acoustic", "theta": 0.3}, {"branch": "optical", "theta": 0.6}]},
+    {"resonant_family": {"gamma": 2.0, "c": 0.5, "nl": NL}},
+    {"resonant_family": {"gamma": 2.0, "c": 1.0, "nl": NL}},
+], ids=["transport", "strang", "dop853"])
+def test_residual_at_start_of_trajectory(source):
+    # the neighbours of t are envelope steps from the state at t, so every
+    # provider gives the residual at t = 0, next to its value just after
+    from dichain import harness
+    cfg = harness.config_from_dict(dict(kind="residual_scaling", eps=[0.05], tau0=1.0,
+                                        L_y=40.0, n_grid=256, nu=0.5, a0=[1.0, 0.5],
+                                        **source))
+    setup = harness.setup_run(cfg, 0.05)
+    r0 = residual_norm(setup.p, setup.spec, 0.0, h0=0.02)
+    r1 = residual_norm(setup.p, setup.spec, 1e-5, h0=0.02)
+    assert np.isfinite(r0) and r0 > 0
+    assert abs(r0 - r1) <= 1e-3 * r1
+
+
 def test_theta_snapping_keeps_resonance_exact():
     """Snapping theta to the lattice re-solves the family ratio so the
     resonance stays exact at the snapped wavenumber."""

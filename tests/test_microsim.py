@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from _helpers import random_valid_params
+from _helpers import random_valid_params, roll_force
 from dichain import microsim, model
 from dichain.microsim import (SUBSTEPS, SimConfig, SimulationDiverged, default_dt, integrate,
                               modal_mass, omega_max)
-from dichain.model import LatticeState, force, hamiltonian_energy, linear_apply, nonlinear_apply
+from dichain.model import (LatticeState, cell_pack, cell_unpack, force, hamiltonian_energy,
+                           linear_apply, nonlinear_apply)
 from dichain.spectrum import ACOUSTIC, polarization
 
 P0 = model.p0()
@@ -65,6 +66,57 @@ def test_leapfrog_matches_reference_loop():
         vel += 0.5 * dt * acc
     s = integrate(p, s0, SimConfig(dt=dt, T=n * dt))
     assert np.array_equal(s.pos, pos) and np.array_equal(s.vel, vel)
+
+
+def _triple_jump_loop(accel, pos, vel, dt, n):
+    """n order-4 steps of (pos, vel) in place, the kick-drift-kick loop of
+    integrate with acceleration accel(pos); yields after each step."""
+    acc = accel(pos)
+    kick = np.empty_like(vel)
+    for _ in range(n):
+        for half, h in [(0.5 * h, h) for h in (w * dt for w in SUBSTEPS[4])]:
+            vel += np.multiply(half, acc, out=kick)
+            pos += np.multiply(h, vel, out=kick)
+            acc = accel(pos)
+            vel += np.multiply(half, acc, out=kick)
+        yield
+
+
+def test_fourth_order_matches_cell_layout_loop():
+    # the loop on (N, 2) cells that integrate ran before it kept atom-order
+    # arrays; a wrong wrap bond or swapped even/odd coefficients break it
+    prng, rng = np.random.RandomState(13), np.random.RandomState(14)
+    for N in (1, 5, 32):
+        p = random_valid_params(prng, nonlinear=True)
+        dt, n = default_dt(p, 4), 50
+        s0 = LatticeState(0.1 * rng.randn(N, 2), 0.1 * rng.randn(N, 2))
+        pos, vel = s0.pos.copy(), s0.vel.copy()
+        for _ in _triple_jump_loop(lambda u: roll_force(p, u), pos, vel, dt, n):
+            pass
+        s = integrate(p, s0, SimConfig(dt=dt, T=n * dt, order=4))
+        assert np.array_equal(s.pos, pos) and np.array_equal(s.vel, vel)
+
+
+def test_observer_sees_cells_of_flat_state():
+    p = random_valid_params(np.random.RandomState(15), nonlinear=True)
+    rng = np.random.RandomState(16)
+    s0 = LatticeState(0.1 * rng.randn(16, 2), 0.1 * rng.randn(16, 2))
+    dt, n, stride = default_dt(p, 4), 30, 7
+    x, v = cell_unpack(s0.pos).copy(), cell_unpack(s0.vel).copy()
+    expected = [(x.copy(), v.copy())]
+
+    def accel(x):
+        return cell_unpack(roll_force(p, cell_pack(x)))
+
+    for k, _ in enumerate(_triple_jump_loop(accel, x, v, dt, n), 1):
+        if k % stride == 0 or k == n:
+            expected.append((x.copy(), v.copy()))
+    seen = []
+    integrate(p, s0, SimConfig(dt=dt, T=n * dt, stride=stride, order=4),
+              lambda t, st: seen.append((st.pos.copy(), st.vel.copy())))
+    assert len(seen) == len(expected) == 6
+    for (pos, vel), (x, v) in zip(seen, expected):
+        assert np.array_equal(pos, cell_pack(x)) and np.array_equal(vel, cell_pack(v))
 
 
 def test_time_reversal():

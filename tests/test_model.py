@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from dichain import model
-from _helpers import random_valid_params
+from _helpers import random_valid_params, roll_stencil
 from dichain.model import (LatticeState, PotentialCoeffs, StabilityError, cell_pack,
                            cell_unpack, energy_norm, force, hamiltonian_energy,
                            linear_apply, lipschitz_constant, make_params,
@@ -224,25 +224,6 @@ P_NL = make_params(v1=(1.0, 0.4, -0.2), v2=(2.0, -0.3, 0.1),
                    w1=(1.0, 0.2, 0.3), w2=(1.5, -0.1, 0.05))
 
 
-def roll_stencil(p, pos):
-    """Independent reference: L(u) and M(u) with stretches built by np.roll."""
-    pos = np.asarray(pos, dtype=float)
-    u1, u2 = pos[:, 0], pos[:, 1]
-    s_a = np.roll(u2, -1) - u1
-    s_b = u1 - u2
-    s_c = np.roll(s_a, 1)
-
-    def fnl(c, x):
-        return x * x * (c.k2 + c.k3 * x)
-
-    lin, nl = np.empty_like(pos), np.empty_like(pos)
-    lin[:, 0] = p.V1.k1 * (s_a - s_b) - p.W1.k1 * u1
-    lin[:, 1] = p.V2.k1 * (s_b - s_c) - p.W2.k1 * u2
-    nl[:, 0] = fnl(p.V1, s_a) - fnl(p.V1, s_b) - fnl(p.W1, u1)
-    nl[:, 1] = fnl(p.V2, s_b) - fnl(p.V2, s_c) - fnl(p.W2, u2)
-    return lin, nl
-
-
 def assert_matches_roll_stencil(p, pos):
     lin, nl = roll_stencil(p, pos)
     assert np.array_equal(linear_apply(p, pos), lin)
@@ -264,6 +245,11 @@ def test_force_matches_roll_stencil_odd_layouts():
     assert_matches_roll_stencil(P_NL, np.asfortranarray(big))
     assert_matches_roll_stencil(P_NL, big.tolist())
     assert_matches_roll_stencil(P_NL, rng.randint(-3, 4, (9, 2)))
+    # the (N, 2) view integrate hands to force: negative column stride
+    for N in (7, 1600):
+        cells = cell_pack(rng.randn(2 * N))
+        assert cells.strides[1] < 0
+        assert_matches_roll_stencil(P_NL, cells)
 
 
 def test_force_is_negative_hamiltonian_gradient():
