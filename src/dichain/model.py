@@ -159,10 +159,11 @@ def cell_unpack(u) -> np.ndarray:
     return u[:, ::-1].reshape(-1)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _atom_coeffs(p: ChainParams, n: int):
     """Bond and on-site coefficients (V, W) of n atoms in atom order, as
-    arrays: V2/W2 on even atoms (u_{j,2}), V1/W1 on odd ones (u_{j,1})."""
+    arrays: V2/W2 on even atoms (u_{j,2}), V1/W1 on odd ones (u_{j,1}).
+    One entry: every run integrates or samples one chain at a time."""
     def alternate(even: PotentialCoeffs, odd: PotentialCoeffs) -> PotentialCoeffs:
         k = np.empty((3, n))
         k[:, 0::2] = [[even.k1], [even.k2], [even.k3]]
