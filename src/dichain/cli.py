@@ -13,11 +13,8 @@ import sys
 
 import numpy as np
 
-from . import amplitude as amp
-from . import ansatz as anz
 from . import harness
-from .harness import ConfigError, ExperimentConfig, config_from_dict, params_from_dict
-from .microsim import integrate
+from .harness import ConfigError, ExperimentConfig, config_from_dict
 from .model import LatticeState
 
 
@@ -53,77 +50,54 @@ def _report(cfg: ExperimentConfig, rep) -> int:
     return 0 if rep.passed else 2
 
 
+def cmd_validate(args) -> int:
+    cfg = _config(args, args.kind)
+    return _report(cfg, harness.run_experiment(cfg))
+
+
 def cmd_dispersion(args) -> int:
-    if args.n < 1:
-        raise ConfigError(f"--n: need at least 1 row, got {args.n}")
-    rep = harness.dispersion_table(params_from_dict(_load_json(args.params)), args.n)
-    write_csv(args.out, rep.header, rep.rows)
-    print(f"PASS dispersion: wrote {len(rep.rows)} rows to {args.out}")
-    return 0
+    cfg = config_from_dict({"kind": "dispersion_table", "out": args.out,
+                            "params": _load_json(args.params)})
+    return _report(cfg, harness.run_experiment(cfg))
+
+
+def _numbers(flag: str, text: str) -> list:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--{flag}: expected comma-separated numbers, got {text!r}")
 
 
 def cmd_resonance(args) -> int:
     if args.config:
         cfg = _config(args, "resonance_scan")
     else:
-        scan = {k: [float(x) for x in v.split(",")]
-                for k, v in (("gamma", args.gamma), ("c", args.c)) if v is not None}
+        scan = {k: _numbers(k, v) for k, v in (("gamma", args.gamma), ("c", args.c))
+                if v is not None}
         cfg = config_from_dict({"kind": "resonance_scan", "scan": scan, "out": args.out})
     return _report(cfg, harness.run_experiment(cfg))
 
 
-def cmd_validate(args) -> int:
-    cfg = _config(args, args.kind)
-    return _report(cfg, harness.run_experiment(cfg))
+def _init_file(path: str):
+    """The state the --init-file CSV ``path`` lists, as a function of the run's N."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
-
-def cmd_amplitudes(args) -> int:
-    cfg = _config(args, "amplitudes")
-    spec = harness.setup_run(cfg, cfg.eps[0]).spec
-    n_steps = max(1, int(round(cfg.tau0 / cfg.dtau)))
-    stride = max(1, n_steps // (cfg.n_snapshots - 1))
-    sol = amp.StrangSolution(spec.macro, spec.solution.fields(0.0), cfg.L_y, cfg.tau0 / n_steps)
-    snapshots = sorted(set(range(0, n_steps + 1, stride)) | {n_steps})
-    y = amp.grid_points(cfg.L_y, cfg.n_grid)
-    rows = []
-    for k in snapshots:
-        tau = k * sol.dtau
-        b1, b2 = sol.fields(tau)
-        rows.extend((tau, float(y[m]), float(b1[m].real), float(b1[m].imag),
-                     float(b2[m].real), float(b2[m].imag)) for m in range(len(y)))
-    write_csv(cfg.out, "tau,y,reA1_1,imA1_1,reA1_2,imA1_2", rows)
-    print(f"PASS amplitudes: wrote {len(snapshots)} snapshots to {cfg.out}")
-    return 0
+    def initial(N: int) -> LatticeState:
+        if data.shape != (N, 5):
+            raise ConfigError(f"--init-file: expected N = {N} rows of j,u1,u2,v1,v2, "
+                              f"got {data.shape[0]} rows of {data.shape[1]} columns")
+        order = np.argsort(data[:, 0])
+        if not np.array_equal(data[order, 0], np.arange(N)):
+            raise ConfigError(f"--init-file: the j column must list each site 0 .. {N - 1} "
+                              "exactly once")
+        return LatticeState(data[order, 1:3], data[order, 3:5], 0.0)
+    return initial
 
 
 def cmd_simulate(args) -> int:
     cfg = _config(args, "simulate")
-    setup = harness.setup_run(cfg, cfg.eps[0])
-    p, spec = setup.p, setup.spec
-    if args.init_file:
-        data = np.loadtxt(args.init_file, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape != (spec.N, 5):
-            raise ConfigError(f"--init-file: expected N = {spec.N} rows of j,u1,u2,v1,v2, "
-                              f"got {data.shape[0]} rows of {data.shape[1]} columns")
-        order = np.argsort(data[:, 0])
-        if not np.array_equal(data[order, 0], np.arange(spec.N)):
-            raise ConfigError(f"--init-file: the j column must list each site 0 .. {spec.N - 1} "
-                              "exactly once")
-        s0 = LatticeState(data[order, 1:3], data[order, 3:5], 0.0)
-    else:
-        s0 = anz.initial_state(spec, improved=True)
-    T = cfg.tau0 / spec.eps
-    rows = []
-
-    def observer(t, state):
-        for j in range(state.N):
-            rows.append((float(t), j, float(state.pos[j, 0]), float(state.pos[j, 1]),
-                         float(state.vel[j, 0]), float(state.vel[j, 1])))
-
-    integrate(p, s0, harness._experiment_sim(cfg, p, T), observer)
-    write_csv(cfg.out, "t,j,u1,u2,v1,v2", rows)
-    print(f"PASS simulate: wrote snapshots to {cfg.out}")
-    return 0
+    initial = _init_file(args.init_file) if args.init_file else None
+    return _report(cfg, harness.run_experiment(cfg, initial=initial))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dispersion", help="branch frequencies and group velocities")
     d.add_argument("--params", required=True, help="JSON file with V1,V2,W1,W2")
     d.add_argument("--out", required=True)
-    d.add_argument("--n", type=int, default=harness.DISPERSION_ROWS)
     d.set_defaults(run=cmd_dispersion)
 
     r = sub.add_parser("resonance", help="family resonance scan + impossibility checks")
@@ -147,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("amplitudes", help="envelope trajectory snapshots")
     a.add_argument("--config", required=True)
     a.add_argument("--out")
-    a.set_defaults(run=cmd_amplitudes)
+    a.set_defaults(run=cmd_validate, kind="amplitudes")
 
     s = sub.add_parser("simulate", help="full lattice simulation snapshots")
     s.add_argument("--config", required=True)

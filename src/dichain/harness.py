@@ -2,12 +2,12 @@
 supporting configuration/report plumbing.
 
 Each experiment turns one of the asymptotic claims about the two-scale
-approximation into a measured exponent or discrepancy with a pass/fail
-threshold.  All defaults are recorded in the reports; runs are
-deterministic for a fixed configuration.
+approximation into a measured exponent or discrepancy with a fixed
+pass/fail gate; runs are deterministic for a fixed configuration.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +17,8 @@ from . import ansatz as anz
 from .microsim import SimConfig, default_dt, integrate, modal_mass
 from .model import ChainParams, LatticeState, energy_norm, make_params, norm_l2_pair
 from .resonance import (NL_KEYS, acoustic_acoustic_scan, family_params,
-                        optical_closure_margin, solve_family_ratio, third_order_margin,
-                        wrap_theta)
+                        optical_closure_margin, resonance_defect, solve_family_ratio,
+                        third_order_margin, wrap_theta)
 from .spectrum import ACOUSTIC, OPTICAL, group_velocity, omega, polarization
 
 
@@ -39,7 +39,6 @@ class ExperimentConfig:
     resonant_family: dict = None          # {"gamma": g, "c": c, "nl": {...}}
     waves: list = field(default_factory=list)   # [{"branch", "theta"}, ...]
     eps: list = field(default_factory=lambda: [0.1, 0.0707, 0.05, 0.0354, 0.025])
-    beta: float = 1.5
     tau0: float = 1.0
     a0: list = field(default_factory=lambda: [1.0, 0.5])
     nu: float = 0.5
@@ -47,7 +46,6 @@ class ExperimentConfig:
     n_grid: int = 256
     dt: float = 0.02
     n_samples: int = 50
-    noise_floor: float = 0.0
     out: str = None
     scan: dict = None                     # resonance_scan: {"gamma": [...], "c": [...]}
     dtau: float = 1e-3
@@ -69,7 +67,7 @@ class ExperimentConfig:
                     raise ConfigError("waves: one or two waves required with params")
             if len(self.a0) < (2 if self.resonant_family is not None else len(self.waves)):
                 raise ConfigError(f"a0: one amplitude per wave required, got {self.a0!r}")
-        if KINDS[self.kind].run is None and self.out is None:
+        if KINDS[self.kind].writes and self.out is None:
             raise ConfigError(f"out: {self.kind} writes a CSV, in the config or as --out")
         if self.kind == "dispersion_table":
             if self.params is None:
@@ -78,12 +76,14 @@ class ExperimentConfig:
         return self
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # finite: json.load reads NaN and Infinity as floats; huge ints are refused too
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and _is_real(x)
 
 
 def _positive(x) -> bool:
@@ -125,10 +125,8 @@ _CHECKS = (
     ("eps", lambda e: _reals(e, lambda x: _is_real(x) and 0 < x <= 0.2)
      and all(a > b for a, b in zip(e, e[1:])),
      "a strictly decreasing, non-empty list of numbers in (0, 0.2]"),
-    ("beta", lambda b: _is_real(b) and 1.0 < b <= 1.5, "a number in (1, 1.5]"),
     ("n_grid", lambda n: _is_int(n) and n >= 16 and n & (n - 1) == 0, "a power of two >= 16"),
     ("a0", _reals, "a non-empty list of numbers"),
-    ("noise_floor", lambda x: _is_real(x) and x >= 0, "a number >= 0"),
     ("n_snapshots", lambda n: _is_int(n) and n >= 2, "an integer >= 2"),
     ("waves", lambda ws: isinstance(ws, list) and len(ws) <= 2 and all(map(_wave_ok, ws)),
      'a list of at most two {"branch": "acoustic" or "optical", "theta": number}'),
@@ -140,23 +138,25 @@ _CHECKS = (
 )
 
 
-def _coeffs_from_dict(d, key):
-    try:
-        return (float(d["k1"]), float(d.get("k2", 0.0)), float(d.get("k3", 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: expected an object with numeric k1[,k2,k3]") from exc
+_POTENTIALS = ("V1", "V2", "W1", "W2")
 
 
 def params_from_dict(d) -> ChainParams:
+    """The chain of a ``params`` object, each potential checked like a config key."""
     if not isinstance(d, dict):
         raise ConfigError("params: expected an object with V1,V2,W1,W2")
-    for key in ("V1", "V2", "W1", "W2"):
+    for key in sorted(set(d) | set(_POTENTIALS)):
+        if key not in _POTENTIALS:
+            raise ConfigError(f"params.{key}: unknown potential, expected V1, V2, W1 or W2")
         if key not in d:
             raise ConfigError(f"params.{key}: missing")
-    return make_params(v1=_coeffs_from_dict(d["V1"], "params.V1"),
-                       v2=_coeffs_from_dict(d["V2"], "params.V2"),
-                       w1=_coeffs_from_dict(d["W1"], "params.W1"),
-                       w2=_coeffs_from_dict(d["W2"], "params.W2"))
+        co = d[key]
+        if not (isinstance(co, dict) and "k1" in co and set(co) <= {"k1", "k2", "k3"}
+                and all(map(_is_real, co.values()))):
+            raise ConfigError(f'params.{key}: must be {{"k1": number, "k2": number, '
+                              f'"k3": number}} with k2 and k3 optional, got {co!r}')
+    return make_params(*(tuple(float(d[k].get(c, 0.0)) for c in ("k1", "k2", "k3"))
+                         for k in _POTENTIALS))
 
 
 def config_from_dict(doc, **override) -> ExperimentConfig:
@@ -164,9 +164,8 @@ def config_from_dict(doc, **override) -> ExperimentConfig:
     (a subcommand's fixed kind or its --out) in place of the document's."""
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
     for key in doc:
-        if key not in known:
+        if key not in ExperimentConfig.__dataclass_fields__:
             raise ConfigError(f"{key}: unknown configuration key")
     kw = dict(doc, **override)
     if "kind" not in kw:
@@ -231,14 +230,15 @@ def setup_run(cfg: ExperimentConfig, eps_target: float, a0=None) -> RunSetup:
 
 @dataclass
 class ScalingReport:
-    """(eps, value) rows with a fitted log-log exponent."""
+    """(eps, value) rows with a fitted log-log exponent, and the max/min
+    ratio of the series the experiment holds bounded."""
 
     rows: list
     exponent: float
     fit_residual: float
+    ratio: float
     passed: bool
     label: str = ""
-    extra: dict = field(default_factory=dict)
     header = "eps,error"
 
     @property
@@ -247,10 +247,10 @@ class ScalingReport:
                 f"fit_residual={self.fit_residual:.3f}")
 
 
-def fit_loglog(rows, noise_floor: float = 0.0):
-    """Least-squares slope of log(value) vs log(eps); rows below ten times
-    the noise floor are excluded to protect the estimate."""
-    kept = [(e, v) for e, v in rows if v > 10.0 * noise_floor and v > 0.0]
+def fit_loglog(rows):
+    """Least-squares slope of log(value) vs log(eps) over the rows with a
+    positive value, and the rms residual of the fit."""
+    kept = [(e, v) for e, v in rows if v > 0.0]
     if len(kept) < 3:
         raise ValueError(f"need >= 3 usable rows for a fit, have {len(kept)}")
     x = np.log([e for e, _ in kept])
@@ -258,6 +258,22 @@ def fit_loglog(rows, noise_floor: float = 0.0):
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return float(slope), resid
+
+
+def _sweep(cfg: ExperimentConfig, label: str, measure, gate) -> ScalingReport:
+    """The eps sweep of a scaling experiment: at each eps, ``measure(setup)``
+    gives the value whose log-log slope is fitted and the value of the
+    series held bounded; ``gate(report)`` decides the verdict."""
+    rows, bounded = [], []
+    for eps_t in cfg.eps:
+        setup = setup_run(cfg, eps_t)
+        value, b = measure(setup)
+        rows.append((setup.spec.eps, value))
+        bounded.append(b)
+    exponent, resid = fit_loglog(rows)
+    rep = ScalingReport(rows, exponent, resid, max(bounded) / min(bounded), False, label)
+    rep.passed = bool(gate(rep))
+    return rep
 
 
 def _phase_times(cfg: ExperimentConfig, spec: anz.AnsatzSpec, n_phases: int = 8):
@@ -270,27 +286,20 @@ def _phase_times(cfg: ExperimentConfig, spec: anz.AnsatzSpec, n_phases: int = 8)
 def run_residual_scaling(cfg: ExperimentConfig) -> ScalingReport:
     """Defect of the improved ansatz: raw size should scale like
     eps^{5/2}; the normalized value stays bounded."""
-    def one(eps_t):
-        setup = setup_run(cfg, eps_t)
+    def measure(setup):
         spec = setup.spec
         h0 = max(0.01, 5e-5 / spec.eps ** 2)
         val = max(anz.residual_norm(setup.p, spec, t, h0=h0) for t in _phase_times(cfg, spec))
-        return spec.eps, val
+        return val, val / spec.eps ** 2.5
 
-    rows = [one(e) for e in cfg.eps]
-    exponent, resid = fit_loglog(rows, cfg.noise_floor)
-    normalized = [v / e ** 2.5 for e, v in rows]
-    passed = exponent >= 2.4 and max(normalized) / min(normalized) < 4.0
-    return ScalingReport(rows, exponent, resid, passed, "residual_norm",
-                         {"normalized": normalized, "threshold_exponent": 2.4})
+    return _sweep(cfg, "residual_norm", measure,
+                  lambda r: r.exponent >= 2.4 and r.ratio < 4.0)
 
 
 def run_ansatz_scaling(cfg: ExperimentConfig) -> ScalingReport:
     """Gap between improved and leading approximations in the energy norm
     (eps^{3/2} law) plus the sup-norm boundedness check."""
-    gap_rows, inf_rows = [], []
-    for eps_t in cfg.eps:
-        setup = setup_run(cfg, eps_t)
+    def measure(setup):
         spec = setup.spec
         gap, sup = 0.0, 0.0
         for t in _phase_times(cfg, spec):
@@ -298,15 +307,10 @@ def run_ansatz_scaling(cfg: ExperimentConfig) -> ScalingReport:
             dvel = anz.improved_velocity(spec, t) - anz.first_order_velocity(spec, t)
             gap = max(gap, energy_norm(LatticeState(dpos, dvel, t), setup.p))
             sup = max(sup, float(np.abs(anz.sample_improved(spec, t)).max()))
-        gap_rows.append((spec.eps, gap))
-        inf_rows.append((spec.eps, sup / spec.eps))
-    exponent, resid = fit_loglog(gap_rows, cfg.noise_floor)
-    infs = [v for _, v in inf_rows]
-    inf_ok = max(infs) / min(infs) <= 2.0
-    passed = abs(exponent - 1.5) <= 0.1 and inf_ok
-    return ScalingReport(gap_rows, exponent, resid, passed, "ansatz_gap",
-                         {"sup_over_eps": inf_rows, "sup_ratio": max(infs) / min(infs),
-                          "threshold_exponent": (1.4, 1.6)})
+        return gap, sup / spec.eps
+
+    return _sweep(cfg, "ansatz_gap", measure,
+                  lambda r: abs(r.exponent - 1.5) <= 0.1 and r.ratio <= 2.0)
 
 
 def _dt_target(cfg: ExperimentConfig, p: ChainParams) -> float:
@@ -324,20 +328,22 @@ def _experiment_sim(cfg: ExperimentConfig, p: ChainParams, T: float) -> SimConfi
     return SimConfig(dt=sample_dt / stride, T=T, stride=stride, order=LATTICE_ORDER)
 
 
-def _lattice_peak(cfg: ExperimentConfig, eps_t: float, observable):
-    """(eps, largest observable(spec, t, state) at the sampling times) of a
-    lattice run from improved initial data to t = tau0/eps."""
-    setup = setup_run(cfg, eps_t)
-    p, spec = setup.p, setup.spec
-    s0 = anz.initial_state(spec, improved=True)
-    peak = 0.0
+def _lattice_peak(cfg: ExperimentConfig, observable, law: float):
+    """The measurement of a lattice run from improved initial data to
+    t = tau0/eps: the largest observable(spec, t, state) at the sampling
+    times, and that peak over eps^law."""
+    def measure(setup):
+        p, spec = setup.p, setup.spec
+        s0 = anz.initial_state(spec, improved=True)
+        peak = 0.0
 
-    def observer(t, state):
-        nonlocal peak
-        peak = max(peak, observable(spec, t, state))
+        def observer(t, state):
+            nonlocal peak
+            peak = max(peak, observable(spec, t, state))
 
-    integrate(p, s0, _experiment_sim(cfg, p, cfg.tau0 / spec.eps), observer)
-    return spec.eps, peak
+        integrate(p, s0, _experiment_sim(cfg, p, cfg.tau0 / spec.eps), observer)
+        return peak, peak / spec.eps ** law
+    return measure
 
 
 def run_convergence(cfg: ExperimentConfig) -> ScalingReport:
@@ -348,11 +354,8 @@ def run_convergence(cfg: ExperimentConfig) -> ScalingReport:
         return norm_l2_pair(state.pos - anz.sample_first_order(spec, t),
                             state.vel - anz.first_order_velocity(spec, t))
 
-    rows = [_lattice_peak(cfg, e, error) for e in cfg.eps]
-    exponent, resid = fit_loglog(rows, cfg.noise_floor)
-    passed = exponent >= cfg.beta - 0.2
-    return ScalingReport(rows, exponent, resid, passed, "sup_error",
-                         {"threshold_exponent": cfg.beta - 0.2, "fit_residual_max": 0.1})
+    return _sweep(cfg, "sup_error", _lattice_peak(cfg, error, 1.5),
+                  lambda r: r.exponent >= 1.3 and r.fit_residual <= 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +371,6 @@ class GenerationReport:
     predicted_mass: float
     passed: bool
     rows: list = field(default_factory=list)   # (t, theta, modal_mass)
-    extra: dict = field(default_factory=dict)
     header = "t,theta,modal_mass"
 
     @property
@@ -397,8 +399,7 @@ def run_generation(cfg: ExperimentConfig) -> GenerationReport:
     """
     if cfg.resonant_family is None:
         raise ConfigError("resonant_family: generation requires the resonant family")
-    eps_t = cfg.eps[0]
-    setup = setup_run(cfg, eps_t, a0=[cfg.a0[0], 0.0])
+    setup = setup_run(cfg, cfg.eps[0], a0=[cfg.a0[0], 0.0])
     p, spec = setup.p, setup.spec
     if not spec.macro.resonant:
         raise ConfigError("resonant_family: configured pair is not resonant")
@@ -406,8 +407,7 @@ def run_generation(cfg: ExperimentConfig) -> GenerationReport:
     om1, om2 = w1.omega, w2.omega
     theta2 = w2.theta
     ell = _optical_left_vector(p, w1, w2)
-    j = np.arange(spec.N)
-    demod = np.exp(-1j * j * theta2)
+    demod = np.exp(-1j * np.arange(spec.N) * theta2)
 
     T = cfg.tau0 / spec.eps
     window = 2.0 * np.pi / om1
@@ -418,7 +418,6 @@ def run_generation(cfg: ExperimentConfig) -> GenerationReport:
     T_end = fine_target * round((T + window / 2.0) / fine_target)
 
     series = []          # (t, theta2, modal_mass) at the coarse sample times
-    masses = []          # (t, instantaneous optical-branch modal amplitude)
     win_t, win_u = [], []
     next_sample = [0.0]
 
@@ -429,12 +428,11 @@ def run_generation(cfg: ExperimentConfig) -> GenerationReport:
         if t >= next_sample[0] - 1e-9:
             next_sample[0] += sample_dt
             series.append((t, theta2, modal_mass(state, theta2, 1)))
-            ub = (state.pos * demod[:, None]).mean(axis=0)
-            vb = (state.vel * demod[:, None]).mean(axis=0)
-            q, qd = ell @ ub, ell @ vb
-            masses.append((t, abs(0.5 * (q - 1j * qd / om2))))
 
     s0 = anz.initial_state(spec, improved=False)
+    # the optical-branch modal amplitude of the initial state
+    q, qd = (ell @ (x * demod[:, None]).mean(axis=0) for x in (s0.pos, s0.vel))
+    initial_mass = float(abs(0.5 * (q - 1j * qd / om2)))
     integrate(p, s0, SimConfig(dt=fine_target / stride, T=T_end, stride=stride,
                                order=LATTICE_ORDER), observer)
 
@@ -452,13 +450,10 @@ def run_generation(cfg: ExperimentConfig) -> GenerationReport:
     discrepancy = float(np.linalg.norm(a2_lat - pred) / np.linalg.norm(pred))
     final_mass = float(np.sqrt(np.mean(np.abs(a2_lat) ** 2)))
     predicted_mass = float(np.sqrt(np.mean(np.abs(pred) ** 2)))
-    initial_mass = float(masses[0][1])
     grew = initial_mass <= 1e-3 * spec.eps and final_mass >= 0.1 * predicted_mass
     passed = discrepancy <= 0.20 and grew
     return GenerationReport(spec.eps, discrepancy, initial_mass, final_mass,
-                            predicted_mass, passed, series,
-                            {"k1": spec.macro.k1, "k2": spec.macro.k2,
-                             "branch_mass_series": masses})
+                            predicted_mass, passed, series)
 
 
 def run_generation_control(cfg: ExperimentConfig) -> ScalingReport:
@@ -467,16 +462,13 @@ def run_generation_control(cfg: ExperimentConfig) -> ScalingReport:
         theta2 = wrap_theta(2.0 * spec.macro.waves[0].theta)
         return max(modal_mass(state, theta2, 1), modal_mass(state, theta2, 2))
 
-    rows = [_lattice_peak(cfg, e, second_harmonic) for e in cfg.eps]
-    exponent, resid = fit_loglog(rows, cfg.noise_floor)
-    normalized = [v / e ** 2 for e, v in rows]
-    passed = exponent >= 1.7
-    return ScalingReport(rows, exponent, resid, passed, "second_harmonic_mass",
-                         {"normalized": normalized, "threshold_exponent": 1.7})
+    return _sweep(cfg, "second_harmonic_mass", _lattice_peak(cfg, second_harmonic, 2),
+                  lambda r: r.exponent >= 1.7 and r.ratio <= 2.0)
 
 
 # ---------------------------------------------------------------------------
-# tables: the dispersion relation and the resonant-family scan
+# tables: the dispersion relation, the resonant-family scan, and the
+# envelope and lattice trajectories
 
 
 @dataclass
@@ -493,14 +485,16 @@ DISPERSION_ROWS = 1024
 SCAN_DEFAULT = {"gamma": [2.0], "c": [1.0]}
 
 
-def dispersion_table(p: ChainParams, n: int = DISPERSION_ROWS) -> TableReport:
-    """Branch frequencies and group velocities at n wavenumbers in (-pi, pi]."""
-    thetas = np.linspace(-np.pi, np.pi, n + 1)[1:]
+def dispersion_table(cfg: ExperimentConfig) -> TableReport:
+    """Branch frequencies and group velocities of ``cfg.params`` at
+    DISPERSION_ROWS wavenumbers in (-pi, pi]."""
+    p = cfg.params
+    thetas = np.linspace(-np.pi, np.pi, DISPERSION_ROWS + 1)[1:]
     rows = [(float(t), float(omega(p, ACOUSTIC, t)), float(omega(p, OPTICAL, t)),
              float(group_velocity(p, ACOUSTIC, t)), float(group_velocity(p, OPTICAL, t)))
             for t in thetas]
     return TableReport("theta,omega_acoustic,omega_optical,vg_acoustic,vg_optical",
-                       rows, True, f"{len(rows)} rows")
+                       rows, True, f"wrote {len(rows)} rows to {cfg.out}")
 
 
 def resonance_scan(scan: dict = None) -> TableReport:
@@ -510,7 +504,7 @@ def resonance_scan(scan: dict = None) -> TableReport:
     scan = {**SCAN_DEFAULT, **(scan or {})}
     rows, ok = [], True
     for g in scan["gamma"]:
-        c_e, max_g = acoustic_acoustic_scan(g)
+        _, max_g = acoustic_acoustic_scan(g)
         if max_g > 1e-12:
             ok = False
         for c in scan["c"]:
@@ -522,12 +516,48 @@ def resonance_scan(scan: dict = None) -> TableReport:
             if optical_closure_margin(p) <= 0.0 or third_order_margin(p) <= 0.0:
                 ok = False
             theta = float(np.arccos(2.0 * c - 1.0))
-            resid = abs(2.0 * omega(p, ACOUSTIC, theta) - omega(p, OPTICAL, 2.0 * theta))
-            rows.append((float(g), float(c), float(ratio), theta, float(resid)))
+            rows.append((float(g), float(c), float(ratio), theta,
+                         float(abs(resonance_defect(p, theta)))))
     n_res = sum(1 for r in rows if np.isfinite(r[2]))
     return TableReport("gamma,c,b_over_a,theta_star,residual", rows, ok,
                        f"{n_res}/{len(rows)} family points resonant; "
                        f"impossibility invariants {'hold' if ok else 'VIOLATED'}")
+
+
+def run_amplitudes(cfg: ExperimentConfig) -> TableReport:
+    """Envelope snapshots of the Strang trajectory at the first eps: the
+    first and last step and every n_steps//(n_snapshots - 1)-th."""
+    spec = setup_run(cfg, cfg.eps[0]).spec
+    n_steps = max(1, int(round(cfg.tau0 / cfg.dtau)))
+    stride = max(1, n_steps // (cfg.n_snapshots - 1))
+    sol = amp.StrangSolution(spec.macro, spec.solution.fields(0.0), cfg.L_y, cfg.tau0 / n_steps)
+    snapshots = sorted(set(range(0, n_steps + 1, stride)) | {n_steps})
+    y = amp.grid_points(cfg.L_y, cfg.n_grid)
+    rows = []
+    for k in snapshots:
+        tau = k * sol.dtau
+        b1, b2 = sol.fields(tau)
+        rows.extend((tau, float(y[m]), float(b1[m].real), float(b1[m].imag),
+                     float(b2[m].real), float(b2[m].imag)) for m in range(len(y)))
+    return TableReport("tau,y,reA1_1,imA1_1,reA1_2,imA1_2", rows, True,
+                       f"wrote {len(snapshots)} snapshots to {cfg.out}")
+
+
+def run_simulate(cfg: ExperimentConfig, initial=None) -> TableReport:
+    """Every atom at the sampling times of a lattice run at the first eps
+    to t = tau0/eps, from improved initial data or from ``initial(N)``."""
+    setup = setup_run(cfg, cfg.eps[0])
+    p, spec = setup.p, setup.spec
+    s0 = anz.initial_state(spec, improved=True) if initial is None else initial(spec.N)
+    rows = []
+
+    def observer(t, state):
+        for j in range(state.N):
+            rows.append((float(t), j, float(state.pos[j, 0]), float(state.pos[j, 1]),
+                         float(state.vel[j, 0]), float(state.vel[j, 1])))
+
+    integrate(p, s0, _experiment_sim(cfg, p, cfg.tau0 / spec.eps), observer)
+    return TableReport("t,j,u1,u2,v1,v2", rows, True, f"wrote snapshots to {cfg.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +566,12 @@ def resonance_scan(scan: dict = None) -> TableReport:
 
 @dataclass(frozen=True)
 class Kind:
-    """How ``run_experiment`` runs a kind and whether the kind sweeps eps.
-
-    ``run`` is None for amplitudes and simulate: only their own
-    subcommands run them, and these always write the ``out`` CSV.
-    """
+    """How ``run_experiment`` runs a kind, whether the kind sweeps eps, and
+    whether its output is only the CSV, so that a config must name ``out``."""
 
     run: object
     sweep: bool
+    writes: bool = False
 
 
 KINDS = {
@@ -552,16 +580,13 @@ KINDS = {
                                     else run_generation_control)(cfg), True),
     "residual_scaling": Kind(run_residual_scaling, True),
     "ansatz_scaling": Kind(run_ansatz_scaling, True),
-    "dispersion_table": Kind(lambda cfg: dispersion_table(cfg.params), False),
+    "dispersion_table": Kind(dispersion_table, False),
     "resonance_scan": Kind(lambda cfg: resonance_scan(cfg.scan), False),
-    "amplitudes": Kind(None, True),
-    "simulate": Kind(None, True),
+    "amplitudes": Kind(run_amplitudes, True, writes=True),
+    "simulate": Kind(run_simulate, True, writes=True),
 }
 
 
-def run_experiment(cfg: ExperimentConfig):
-    """The report of the experiment ``cfg.kind`` names."""
-    run = KINDS[cfg.kind].run
-    if run is None:
-        raise ConfigError(f"kind: {cfg.kind} is not runnable via validate")
-    return run(cfg)
+def run_experiment(cfg: ExperimentConfig, **kw):
+    """The report of the experiment ``cfg.kind`` names (``kw``: simulate's ``initial``)."""
+    return KINDS[cfg.kind].run(cfg, **kw)

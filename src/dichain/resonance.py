@@ -58,7 +58,7 @@ def reduced_coords(p: ChainParams, theta: float) -> ReducedCoords:
     )
 
 
-def _resonance_defect(p: ChainParams, theta):
+def resonance_defect(p: ChainParams, theta):
     """h(theta) = 2 omega_-(theta) - omega_+(2 theta)."""
     return 2.0 * omega(p, ACOUSTIC, theta) - omega(p, OPTICAL, 2.0 * np.asarray(theta))
 
@@ -72,15 +72,15 @@ def find_acoustic_optical_resonance(p: ChainParams, n_grid: int = GRID_SIZE):
     Negative roots are the mirror images and are not returned.
     """
     thetas = np.linspace(0.0, np.pi, n_grid)
-    h = _resonance_defect(p, thetas)
+    h = resonance_defect(p, thetas)
     roots = [float(t) for t, hv in zip(thetas, h) if abs(hv) <= ROOT_TOL]
     for i in range(n_grid - 1):
         if abs(h[i]) <= ROOT_TOL or abs(h[i + 1]) <= ROOT_TOL:
             continue
         if h[i] * h[i + 1] < 0.0:
-            root = brentq(lambda t: _resonance_defect(p, t), thetas[i], thetas[i + 1],
+            root = brentq(lambda t: resonance_defect(p, t), thetas[i], thetas[i + 1],
                           xtol=1e-15, rtol=8.9e-16)
-            if abs(_resonance_defect(p, root)) <= ROOT_TOL:
+            if abs(resonance_defect(p, root)) <= ROOT_TOL:
                 roots.append(float(root))
     roots.sort()
     dedup = []
@@ -125,7 +125,7 @@ def solve_family_ratio(gamma: float, c: float):
         return None
     theta = float(np.arccos(2.0 * c - 1.0))
     p = family_params(gamma, r)
-    defect = abs(_resonance_defect(p, theta))
+    defect = abs(resonance_defect(p, theta))
     if defect > 1e-9:
         raise DomainError(
             f"family ratio {r} fails the dispersion oracle: |2w_-(th)-w_+(2th)|={defect:.3e}")

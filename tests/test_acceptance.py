@@ -160,12 +160,12 @@ def test_criterion_5_lemma_scalings():
         cfg = harness.config_from_dict(dict(kind="ansatz_scaling", **BASE, **extra))
         gap = harness.run_ansatz_scaling(cfg)
         assert abs(gap.exponent - 1.5) <= 0.1, (label, gap.exponent)
-        assert gap.extra["sup_ratio"] <= 2.0, label
+        assert gap.ratio <= 2.0, label
         cfg = harness.config_from_dict(dict(kind="residual_scaling", **BASE, **extra))
         res = harness.run_residual_scaling(cfg)
         assert res.exponent >= 2.4, (label, res.exponent)
         details.append(f"{label}: gap={gap.exponent:.3f} res={res.exponent:.3f} "
-                       f"sup_ratio={gap.extra['sup_ratio']:.2f}")
+                       f"sup_ratio={gap.ratio:.2f}")
     assert time.time() - t0 < 120.0
     _report(5, "lemma scalings", t0, "; ".join(details))
 
@@ -203,8 +203,7 @@ def test_criterion_7_wave_generation():
                                         n_grid=256, nu=0.5, a0=[1.0, 0.0]))
     ctl = harness.run_generation_control(cfg)
     assert ctl.exponent >= 1.7
-    norm = ctl.extra["normalized"]
-    assert max(norm) / min(norm) <= 2.0
+    assert ctl.ratio <= 2.0
     assert time.time() - t0 < 300.0
     _report(7, "wave generation", t0,
             f"discrepancy={rep.discrepancy:.3f}, initial={rep.initial_mass:.1e}, "

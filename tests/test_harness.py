@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,9 +48,29 @@ def test_config_rejects_bad_params():
                           "params": {"V1": {"k1": 1}, "V2": {"k1": 2}, "W1": {"k1": 1}}})
 
 
+@pytest.mark.parametrize("params,key", [
+    (dict(P_NL, V1={"k1": 1, "K2": 0.3}), "params.V1"),
+    (dict(P_NL, V3={"k1": 1.0}), "params.V3"),
+    (dict(P_NL, W1={"k1": "1.0"}), "params.W1"),
+    (dict(P_NL, W2={"k1": True}), "params.W2"),
+    (dict(P_NL, V2={"k1": float("nan")}), "params.V2"),
+], ids=["key-typo", "extra-potential", "string-k1", "bool-k1", "nan-k1"])
+def test_params_checked_as_strictly_as_config_keys(tmp_path, capsys, params, key):
+    # the config key and dispersion --params share one check
+    with pytest.raises(ConfigError, match=key):
+        small_cfg(params=params)
+    (tmp_path / "p.json").write_text(json.dumps(params))
+    rc = cli.main(["dispersion", "--params", str(tmp_path / "p.json"),
+                   "--out", str(tmp_path / "d.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1 and f"{key}:" in err and "Traceback" not in err
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_config_rejects_bad_beta_tau0():
-    with pytest.raises(ConfigError, match="beta"):
-        small_cfg(beta=0.8)
+    # beta is no longer a key: even its one value in use is refused
+    with pytest.raises(ConfigError, match="beta: unknown"):
+        small_cfg(beta=1.5)
     with pytest.raises(ConfigError, match="tau0"):
         small_cfg(tau0=-1.0)
 
@@ -58,12 +79,37 @@ def test_fit_loglog_and_floor():
     rows = [(0.1, 0.1 ** 2.5), (0.05, 0.05 ** 2.5), (0.025, 0.025 ** 2.5)]
     slope, resid = fit_loglog(rows)
     assert abs(slope - 2.5) < 1e-12 and resid < 1e-12
-    # a floored point is excluded
-    rows_floor = rows + [(0.0125, 5e-9)]
-    slope2, _ = fit_loglog(rows_floor, noise_floor=1e-9)
-    assert abs(slope2 - 2.5) < 1e-12
+    # a row without a logarithm is excluded
+    slope2, _ = fit_loglog(rows + [(0.0125, 0.0)])
+    assert slope2 == slope
     with pytest.raises(ValueError):
-        fit_loglog(rows[:2])
+        fit_loglog(rows[:2] + [(0.0125, 0.0)])
+
+
+@pytest.mark.parametrize("run,wobble,passed", [
+    (harness.run_convergence, [1, 1, 1, 1, 1], True),
+    # exponent 1.500 with fit residual 0.199
+    (harness.run_convergence, [1, 1.5, 1, 1.5, 1], False),
+    (harness.run_generation_control, [1, 1, 1, 1, 1], True),
+    # exponent 2.000 with max/min of mass/eps^2 at 2.5
+    (harness.run_generation_control, [1, 1, 2.5, 1, 1], False),
+], ids=["convergence-pass", "convergence-rough-fit", "control-pass", "control-unbounded"])
+def test_lattice_gates(monkeypatch, run, wobble, passed):
+    # each gate holds the criterion its acceptance test asserts; the lattice
+    # peak at the i-th eps is replaced by eps^law * wobble[i]
+    cfg = small_cfg(eps=[0.1, 0.0707, 0.05, 0.0354, 0.025])
+    monkeypatch.setattr(harness, "setup_run",
+                        lambda cfg, eps: harness.RunSetup(None, SimpleNamespace(eps=eps)))
+    wobbles = iter(wobble)
+
+    def lattice_peak(cfg, observable, law):
+        def measure(setup):
+            w = next(wobbles)
+            return setup.spec.eps ** law * w, w
+        return measure
+
+    monkeypatch.setattr(harness, "_lattice_peak", lattice_peak)
+    assert run(cfg).passed is passed
 
 
 def test_scaling_report_regime_stability():
@@ -208,6 +254,11 @@ def test_eps_sweep_deterministic():
     ("resonant_family", {"c": 1.0}), ("resonant_family", {"gamma": 2.0}),
     ("resonant_family", dict(FAM, nl={"v21": 0.3})), ("waves", [{"branch": "acoustic"}]),
     ("scan", {"gamma": "x"}), ("n_grid", 12), ("n_grid", 48),
+    # json.dumps writes these as Infinity and NaN, which json.load reads back
+    ("L_y", float("inf")), ("tau0", float("inf")), ("a0", [float("nan"), 0.5]),
+    ("nu", float("inf")), ("dt", float("inf")),
+    ("resonant_family", dict(FAM, gamma=float("inf"))),
+    pytest.param("n_samples", 10 ** 400, id="n_samples-past-float-range"),
 ])
 def test_cli_rejects_bad_integration_keys(tmp_path, capsys, monkeypatch, key, value):
     monkeypatch.setattr(harness, "setup_run", _no_compute)
@@ -250,6 +301,7 @@ def _init_rows(sites):
 
 
 @pytest.mark.parametrize("argv,sites,flag", [
+    # dispersion has no --n: every table has DISPERSION_ROWS rows
     (["dispersion", "--params", "p.json", "--n", "0"], [], "--n"),
     (["dispersion", "--params", "p.json", "--n", "-5"], [], "--n"),
     (["simulate", "--config", "sim.json", "--init-file", "init.csv"], range(1),
@@ -260,8 +312,10 @@ def _init_rows(sites):
      "--init-file: the j column"),
     (["simulate", "--config", "sim.json", "--init-file", "init.csv"], [0.5, *range(1, 40)],
      "--init-file: the j column"),
+    (["resonance", "--gamma", "abc"], [], "--gamma:"),
+    (["resonance", "--gamma", "2", "--c", "0.5,x"], [], "--c:"),
 ], ids=["n-zero", "n-negative", "init-one-row", "init-wrong-N", "init-duplicate-j",
-        "init-fractional-j"])
+        "init-fractional-j", "gamma-not-a-number", "c-not-a-number"])
 def test_cli_rejects_bad_options(tmp_path, capsys, monkeypatch, argv, sites, flag):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p.json").write_text(json.dumps(P_NL))
@@ -292,12 +346,23 @@ def test_cli_simulate_starts_from_init_file(tmp_path, monkeypatch):
 def test_validate_dispersion_table_matches_dispersion(tmp_path):
     params = {"V1": {"k1": 1.0}, "V2": {"k1": 2.0}, "W1": {"k1": 1.0}, "W2": {"k1": 1.0}}
     (tmp_path / "p.json").write_text(json.dumps(params))
-    rc = cli.main(["dispersion", "--params", str(tmp_path / "p.json"), "--n", "1024",
+    rc = cli.main(["dispersion", "--params", str(tmp_path / "p.json"),
                    "--out", str(tmp_path / "a.csv")])
     assert rc == 0
     doc = dict(kind="dispersion_table", params=params, out=str(tmp_path / "b.csv"))
     (tmp_path / "cfg.json").write_text(json.dumps(doc))
     assert cli.main(["validate", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_validate_amplitudes_matches_amplitudes(tmp_path):
+    doc = dict(kind="amplitudes", resonant_family=FAM, eps=[0.05], tau0=0.1, L_y=25.6,
+               n_grid=16, dtau=0.02, n_snapshots=3, out=str(tmp_path / "a.csv"))
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--config", str(cfgf)]) == 0
+    rc = cli.main(["amplitudes", "--config", str(cfgf), "--out", str(tmp_path / "b.csv")])
+    assert rc == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
