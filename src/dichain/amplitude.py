@@ -7,10 +7,16 @@ resonance the two envelopes couple through quadratic source terms.  The
 second-order correctors cancel the quadratic defect of the leading
 ansatz and are obtained pointwise by inverting the dispersion matrix on
 the product carriers.
+
+A Strang step advects the envelopes as one stack: the rows whose group
+velocity is nonzero share one FFT round trip per half step, with their
+phases exp(i kappa v dt) cached per (velocities, L, n, dt), and the
+RK4 source stage updates both rows at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -44,10 +50,16 @@ def wavenumbers(L: float, n: int) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
 
 
-def spectral_shift(values: np.ndarray, L: float, dist: float) -> np.ndarray:
-    """Evaluate the trigonometric interpolant at y + dist (exact advection)."""
-    kappa = wavenumbers(L, len(values))
-    return np.fft.ifft(np.fft.fft(values) * np.exp(1j * kappa * dist))
+@lru_cache(maxsize=16)
+def _shift_phases(velocities: tuple, L: float, n: int, dt: float) -> np.ndarray:
+    """exp(i kappa v dt), one row per nonzero velocity: multiplying the
+    Fourier coefficients by it evaluates the trigonometric interpolant at
+    y + v dt (exact advection).  Read-only; a step reuses it every call."""
+    kappa = wavenumbers(L, n)
+    phase = np.array([np.exp(1j * kappa * (v * dt)) for v in velocities if v != 0.0])
+    phase.flags.writeable = False
+    return phase
+
 
 def spectral_derivative(values: np.ndarray, L: float) -> np.ndarray:
     n = len(values)
@@ -213,39 +225,47 @@ def compute_K(iota, a1, a2, p: ChainParams, theta1: float, theta2: float):
 # envelope evolution
 
 
-def _source_rhs(sys, b1, b2):
-    return sys.k1 * np.conj(b1) * b2, sys.k2 * b1 * b1
+def _source_rhs(sys, fields):
+    """The quadratic sources (k1 conj(B1) B2, k2 B1^2) as one (2, ...) array."""
+    b1, b2 = fields
+    out = np.empty((2,) + np.shape(b1), dtype=complex)
+    np.multiply(sys.k1 * np.conj(b1), b2, out=out[0])
+    np.multiply(sys.k2 * b1, b1, out=out[1])
+    return out
 
 
 def tau_derivative(sys: MacroSystem, fields, dy_fields):
     """Governing right-hand side: dB/dtau = v dB/dy + source, from the
     envelopes and their y-derivatives."""
-    b1, b2 = fields
     db1 = sys.velocities[0] * dy_fields[0]
     db2 = sys.velocities[1] * dy_fields[1]
     if sys.resonant:
-        s1, s2 = _source_rhs(sys, b1, b2)
+        s1, s2 = _source_rhs(sys, fields)
         db1, db2 = db1 + s1, db2 + s2
     return db1, db2
 
 
 def _advect_pair(sys, fields, L, dt):
-    b1, b2 = fields
-    if sys.velocities[0] != 0.0:
-        b1 = spectral_shift(b1, L, sys.velocities[0] * dt)
-    if sys.velocities[1] != 0.0:
-        b2 = spectral_shift(b2, L, sys.velocities[1] * dt)
-    return b1, b2
+    """Exact advection of each envelope by v*dt: one FFT round trip over
+    the stack of the rows whose group velocity is nonzero; a row with
+    zero velocity comes back untouched."""
+    b = list(fields)
+    moving = [i for i, v in enumerate(sys.velocities) if v != 0.0]
+    if moving:
+        phase = _shift_phases(sys.velocities, L, len(b[0]), dt)
+        shifted = np.fft.ifft(np.fft.fft([b[i] for i in moving]) * phase)
+        for i, row in zip(moving, shifted):
+            b[i] = row
+    return tuple(b)
 
 
 def _rk4_sources(sys, fields, dt):
-    b1, b2 = fields
-    k1a, k2a = _source_rhs(sys, b1, b2)
-    k1b, k2b = _source_rhs(sys, b1 + 0.5 * dt * k1a, b2 + 0.5 * dt * k2a)
-    k1c, k2c = _source_rhs(sys, b1 + 0.5 * dt * k1b, b2 + 0.5 * dt * k2b)
-    k1d, k2d = _source_rhs(sys, b1 + dt * k1c, b2 + dt * k2c)
-    return (b1 + dt / 6.0 * (k1a + 2 * k1b + 2 * k1c + k1d),
-            b2 + dt / 6.0 * (k2a + 2 * k2b + 2 * k2c + k2d))
+    b = np.array(fields)
+    ka = _source_rhs(sys, b)
+    kb = _source_rhs(sys, b + 0.5 * dt * ka)
+    kc = _source_rhs(sys, b + 0.5 * dt * kb)
+    kd = _source_rhs(sys, b + dt * kc)
+    return b + dt / 6.0 * (ka + 2 * kb + 2 * kc + kd)
 
 
 def strang_step(sys: MacroSystem, fields, L: float, dtau: float):
@@ -293,7 +313,7 @@ class ODEReferenceSolution:
         def rhs(_t, z):
             b1 = z[:n] + 1j * z[n:2 * n]
             b2 = z[2 * n:3 * n] + 1j * z[3 * n:]
-            d1, d2 = _source_rhs(sys, b1, b2)
+            d1, d2 = _source_rhs(sys, (b1, b2))
             return np.concatenate([d1.real, d1.imag, d2.real, d2.imag])
 
         z0 = np.concatenate([f0[0].real, f0[0].imag, f0[1].real, f0[1].imag])

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -254,6 +256,79 @@ def test_evolve_nan_detection():
             sol.fields(50.0)
         with pytest.raises(FloatingPointError):  # the diverged states are not kept
             sol.fields(50.0)
+
+
+def _family_system(c):
+    """The resonant family at gamma = 2 and c, with theta1 = arccos(2c - 1)."""
+    p = family_nl(b=solve_family_ratio(2.0, c))
+    return build_macro_system(p, *resonant_pair(p, np.arccos(2 * c - 1)))
+
+
+def _per_field_strang_step(sys, fields, L, dtau):
+    """The Strang step as it was before the envelopes were stacked: one
+    spectral shift per moving envelope, each with its own wavenumbers and
+    phase, and the classical 4-stage step on the two fields apart."""
+    def advect(f, dt):
+        out = []
+        for b, v in zip(f, sys.velocities):
+            if v != 0.0:
+                kappa = 2.0 * np.pi * np.fft.fftfreq(len(b), d=L / len(b))
+                b = np.fft.ifft(np.fft.fft(b) * np.exp(1j * kappa * (v * dt)))
+            out.append(b)
+        return out
+
+    def rhs(b1, b2):
+        return sys.k1 * np.conj(b1) * b2, sys.k2 * b1 * b1
+
+    b1, b2 = advect(fields, 0.5 * dtau)
+    k1a, k2a = rhs(b1, b2)
+    k1b, k2b = rhs(b1 + 0.5 * dtau * k1a, b2 + 0.5 * dtau * k2a)
+    k1c, k2c = rhs(b1 + 0.5 * dtau * k1b, b2 + 0.5 * dtau * k2b)
+    k1d, k2d = rhs(b1 + dtau * k1c, b2 + dtau * k2c)
+    return advect((b1 + dtau / 6.0 * (k1a + 2 * k1b + 2 * k1c + k1d),
+                   b2 + dtau / 6.0 * (k2a + 2 * k2b + 2 * k2c + k2d)), 0.5 * dtau)
+
+
+@pytest.mark.parametrize("c,zero_row", [(0.5, None), (0.72, None), (0.72, 1)],
+                         ids=["half-pi", "generic-moving", "one-row-at-rest"])
+def test_strang_step_bit_equal_to_per_field_step(c, zero_row):
+    """Stacking the envelopes into one FFT pass and one RK4 stage, with
+    cached phases, changes no bit: 50 full steps and one partial step."""
+    sys = _family_system(c)
+    if zero_row is not None:
+        vels = list(sys.velocities)
+        vels[zero_row] = 0.0
+        sys = dataclasses.replace(sys, velocities=tuple(vels))
+    n, dtau = 256, 1e-3
+    f0 = (sech_envelope(L, n, 1.0, 0.5), sech_envelope(L, n, 0.5, 0.5) * np.exp(0.4j))
+    new, old = f0, f0
+    for dt in [dtau] * 50 + [0.37 * dtau]:
+        new = amp.strang_step(sys, new, L, dt)
+        old = _per_field_strang_step(sys, old, L, dt)
+        assert all(np.array_equal(a, b) for a, b in zip(new, old))
+    assert all(np.shape(b) == (n,) for b in new)
+
+
+def test_advection_leaves_a_zero_velocity_row_untouched():
+    sys = dataclasses.replace(_family_system(0.72), velocities=(0.29, 0.0))
+    f0 = (sech_envelope(L, NG, 1.0, 0.5), sech_envelope(L, NG, 0.5, 0.5))
+    b1, b2 = amp._advect_pair(sys, f0, L, 0.3)
+    assert b2 is f0[1]
+    assert not np.array_equal(b1, f0[0])
+
+
+def test_strang_step_makes_four_ffts_and_no_phase_on_a_cache_hit(monkeypatch):
+    sys = _family_system(0.72)
+    f0 = (sech_envelope(L, NG, 1.0, 0.5), sech_envelope(L, NG, 0.5, 0.5))
+    amp.strang_step(sys, f0, L, 1e-3)  # fills the phase cache
+    calls = collections.Counter()
+    for mod, name in ((np.fft, "fft"), (np.fft, "ifft"), (np.fft, "fftfreq"), (np, "exp")):
+        def counted(*a, _fn=getattr(mod, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*a, **kw)
+        monkeypatch.setattr(mod, name, counted)
+    amp.strang_step(sys, f0, L, 1e-3)
+    assert calls == {"fft": 2, "ifft": 2}
 
 
 def test_strang_solution_holds_one_state(monkeypatch):
