@@ -175,6 +175,8 @@ def test_macro_system_modes():
     ph = family_nl(b=rh)
     sysh = build_macro_system(ph, *resonant_pair(ph, np.pi / 2))
     assert sysh.mode == RESONANT_HALF_PI
+    # the band-edge optical velocity (-5.9e-17 in floating point) is zero
+    assert sysh.velocities[0] > 0.1 and sysh.velocities[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
