@@ -40,7 +40,12 @@ def _config(args, kind: str = None) -> ExperimentConfig:
     """The config file of ``args``, with ``kind`` and a given --out in
     place of its own."""
     over = {"kind": kind, "out": getattr(args, "out", None)}
-    return config_from_dict(_load_json(args.config), **{k: v for k, v in over.items() if v})
+    try:
+        return config_from_dict(_load_json(args.config), **{k: v for k, v in over.items() if v})
+    except harness.NoOutputPath as exc:
+        if "out" not in args:  # only the subcommands that write a CSV take --out
+            raise
+        raise ConfigError(f"{exc} or pass --out") from None
 
 
 def _report(cfg: ExperimentConfig, rep) -> int:
@@ -62,10 +67,15 @@ def cmd_dispersion(args) -> int:
 
 
 def _numbers(flag: str, text: str) -> list:
+    """The values of --gamma or --c, each in the resonant family's range."""
+    ok, need = harness.FAMILY_RANGE[flag]
     try:
-        return [float(x) for x in text.split(",")]
+        values = [float(x) for x in text.split(",")]
     except ValueError:
         raise ConfigError(f"--{flag}: expected comma-separated numbers, got {text!r}")
+    if not all(map(ok, values)):
+        raise ConfigError(f"--{flag}: expected comma-separated {need}, got {text!r}")
+    return values
 
 
 def cmd_resonance(args) -> int:

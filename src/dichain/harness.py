@@ -25,6 +25,10 @@ from .spectrum import ACOUSTIC, OPTICAL, group_velocity, omega, polarization
 class ConfigError(ValueError):
     """Malformed experiment configuration; the message names the key."""
 
+
+class NoOutputPath(ConfigError):
+    """A kind that writes a CSV was given no ``out``."""
+
 # every lattice run is Yoshida's order-4 triple jump; ``dt`` is the length
 # of its whole composed step (three force calls)
 LATTICE_ORDER = 4
@@ -68,7 +72,7 @@ class ExperimentConfig:
             if len(self.a0) < (2 if self.resonant_family is not None else len(self.waves)):
                 raise ConfigError(f"a0: one amplitude per wave required, got {self.a0!r}")
         if KINDS[self.kind].writes and self.out is None:
-            raise ConfigError(f"out: {self.kind} writes a CSV, in the config or as --out")
+            raise NoOutputPath(f"out: {self.kind} writes a CSV; set its path in the config")
         if self.kind == "dispersion_table":
             if self.params is None:
                 raise ConfigError("params: required for dispersion_table")
@@ -99,21 +103,22 @@ def _wave_ok(w) -> bool:
             and w.get("branch") in (ACOUSTIC, OPTICAL) and _is_real(w.get("theta")))
 
 
-# the resonant family's range, for resonant_family and for every scan point
-_FAMILY_RANGE = {"gamma": lambda g: _is_real(g) and g > 1.0,
-                 "c": lambda c: _is_real(c) and 0.0 <= c <= 1.0}
+# the resonant family's range, for resonant_family, for every scan point
+# and for the resonance command's flags: key -> (test, what it must be)
+FAMILY_RANGE = {"gamma": (lambda g: _is_real(g) and g > 1.0, "numbers > 1"),
+                "c": (lambda c: _is_real(c) and 0.0 <= c <= 1.0, "numbers in [0, 1]")}
 
 
 def _family_ok(f) -> bool:
     nl = f.get("nl", {}) if isinstance(f, dict) else None
     return (isinstance(nl, dict) and set(nl) <= set(NL_KEYS) and all(map(_is_real, nl.values()))
             and set(f) <= {"gamma", "c", "nl"}
-            and all(ok(f.get(k)) for k, ok in _FAMILY_RANGE.items()))
+            and all(ok(f.get(k)) for k, (ok, _) in FAMILY_RANGE.items()))
 
 
 def _scan_ok(s) -> bool:
-    return (isinstance(s, dict) and set(s) <= set(_FAMILY_RANGE)
-            and all(_reals(v, _FAMILY_RANGE[k]) for k, v in s.items()))
+    return (isinstance(s, dict) and set(s) <= set(FAMILY_RANGE)
+            and all(_reals(v, FAMILY_RANGE[k][0]) for k, v in s.items()))
 
 
 # (keys, test of each key's value, what the value must be): every config

@@ -1,4 +1,8 @@
+import ast
+import dataclasses
 import json
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +10,7 @@ import pytest
 
 from _helpers import strang_states
 from dichain import cli, harness
-from dichain.harness import ConfigError, config_from_dict, fit_loglog
+from dichain.harness import ConfigError, ExperimentConfig, config_from_dict, fit_loglog
 
 P_NL = {
     "V1": {"k1": 1.0, "k2": 0.3, "k3": 0.1},
@@ -65,6 +69,35 @@ def test_params_checked_as_strictly_as_config_keys(tmp_path, capsys, params, key
     err = capsys.readouterr().err
     assert rc == 1 and f"{key}:" in err and "Traceback" not in err
     assert not (tmp_path / "d.csv").exists()
+
+
+def _readme_config_table():
+    """key -> default cell of the README's configuration table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration schema", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        keys = re.findall(r"`([^`]+)`", cells[0]) if len(cells) == 3 else []
+        defaults = re.findall(r"`([^`]+)`", cells[2]) if keys else []
+        for i, key in enumerate(keys):
+            table[key] = ast.literal_eval(defaults[i]) if defaults else cells[2]
+    return table
+
+
+def test_readme_defaults_match_experiment_config():
+    table = _readme_config_table()
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    assert set(table) == set(fields)
+    for key, documented in table.items():
+        f = fields[key]
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        if documented == "required":
+            assert default is dataclasses.MISSING, key
+        elif documented in ("—", "none"):
+            assert default is None or default == [], key
+        else:
+            assert default == documented and type(default) is type(documented), key
 
 
 def test_config_rejects_bad_beta_tau0():
@@ -279,15 +312,21 @@ def _no_compute(*args, **kw):
     raise AssertionError("a malformed config reached the computation")
 
 
-@pytest.mark.parametrize("command", ["amplitudes", "simulate"])
-def test_cli_output_commands_require_out(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize("command,kind", [("amplitudes", "amplitudes"),
+                                          ("simulate", "simulate"),
+                                          ("validate", "amplitudes"),
+                                          ("validate", "simulate")])
+def test_cli_output_commands_require_out(tmp_path, capsys, monkeypatch, command, kind):
+    """The missing path is named; --out is offered only where the
+    subcommand has it."""
     monkeypatch.setattr(harness, "setup_run", _no_compute)
     cfgf = tmp_path / "cfg.json"
-    cfgf.write_text(json.dumps(dict(kind=command, resonant_family=FAM, eps=[0.05])))
+    cfgf.write_text(json.dumps(dict(kind=kind, resonant_family=FAM, eps=[0.05])))
     rc = cli.main([command, "--config", str(cfgf)])
     err = capsys.readouterr().err
     assert rc == 1
     assert "out:" in err
+    assert ("--out" in err) == (command != "validate")
     assert "Traceback" not in err
 
 
@@ -314,8 +353,13 @@ def _init_rows(sites):
      "--init-file: the j column"),
     (["resonance", "--gamma", "abc"], [], "--gamma:"),
     (["resonance", "--gamma", "2", "--c", "0.5,x"], [], "--c:"),
+    (["resonance", "--gamma", "0.5"], [], "--gamma:"),
+    (["resonance", "--gamma", "2,nan"], [], "--gamma:"),
+    (["resonance", "--gamma", "2", "--c", "0.5,1.5"], [], "--c:"),
+    (["resonance", "--c", "inf"], [], "--c:"),
 ], ids=["n-zero", "n-negative", "init-one-row", "init-wrong-N", "init-duplicate-j",
-        "init-fractional-j", "gamma-not-a-number", "c-not-a-number"])
+        "init-fractional-j", "gamma-not-a-number", "c-not-a-number", "gamma-out-of-range",
+        "gamma-nan", "c-out-of-range", "c-infinite"])
 def test_cli_rejects_bad_options(tmp_path, capsys, monkeypatch, argv, sites, flag):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p.json").write_text(json.dumps(P_NL))
