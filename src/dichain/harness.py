@@ -29,6 +29,7 @@ class ConfigError(ValueError):
 class NoOutputPath(ConfigError):
     """A kind that writes a CSV was given no ``out``."""
 
+
 # every lattice run is Yoshida's order-4 triple jump; ``dt`` is the length
 # of its whole composed step (three force calls)
 LATTICE_ORDER = 4

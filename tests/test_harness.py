@@ -315,7 +315,9 @@ def _no_compute(*args, **kw):
 @pytest.mark.parametrize("command,kind", [("amplitudes", "amplitudes"),
                                           ("simulate", "simulate"),
                                           ("validate", "amplitudes"),
-                                          ("validate", "simulate")])
+                                          ("validate", "simulate")],
+                         ids=["amplitudes", "simulate", "validate-amplitudes",
+                              "validate-simulate"])
 def test_cli_output_commands_require_out(tmp_path, capsys, monkeypatch, command, kind):
     """The missing path is named; --out is offered only where the
     subcommand has it."""
