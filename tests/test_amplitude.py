@@ -291,8 +291,9 @@ def _per_field_strang_step(sys, fields, L, dtau):
                    b2 + dtau / 6.0 * (k2a + 2 * k2b + 2 * k2c + k2d)), 0.5 * dtau)
 
 
-@pytest.mark.parametrize("c,zero_row", [(0.5, None), (0.72, None), (0.72, 1)],
-                         ids=["half-pi", "generic-moving", "one-row-at-rest"])
+# at c = 0.5 the optical envelope is at rest; the acoustic one is stopped by hand
+@pytest.mark.parametrize("c,zero_row", [(0.5, None), (0.72, None), (0.72, 0)],
+                         ids=["half-pi", "generic-moving", "acoustic-at-rest"])
 def test_strang_step_bit_equal_to_per_field_step(c, zero_row):
     """Stacking the envelopes into one FFT pass and one RK4 stage, with
     cached phases, changes no bit: 50 full steps and one partial step."""
