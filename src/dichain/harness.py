@@ -56,6 +56,12 @@ class ExperimentConfig:
     dtau: float = 1e-3
     n_snapshots: int = 11
 
+    @property
+    def amplitude_steps(self) -> int:
+        """The steps of the ``amplitudes`` trajectory: tau0/dtau rounded,
+        at least one."""
+        return max(1, int(round(self.tau0 / self.dtau)))
+
     def validate(self):
         for keys, ok, need in _CHECKS:
             for key in keys.split():
@@ -72,6 +78,10 @@ class ExperimentConfig:
                     raise ConfigError("waves: one or two waves required with params")
             if len(self.a0) < (2 if self.resonant_family is not None else len(self.waves)):
                 raise ConfigError(f"a0: one amplitude per wave required, got {self.a0!r}")
+        if self.kind == "amplitudes" and self.n_snapshots - 1 > self.amplitude_steps:
+            raise ConfigError(f"n_snapshots: {self.n_snapshots} snapshots need at least "
+                              f"{self.n_snapshots - 1} steps, but tau0/dtau gives "
+                              f"{self.amplitude_steps}")
         if KINDS[self.kind].writes and self.out is None:
             raise NoOutputPath(f"out: {self.kind} writes a CSV; set its path in the config")
         if self.kind == "dispersion_table":
@@ -534,7 +544,7 @@ def run_amplitudes(cfg: ExperimentConfig) -> TableReport:
     """Envelope snapshots of the Strang trajectory at the first eps: the
     first and last step and every n_steps//(n_snapshots - 1)-th."""
     spec = setup_run(cfg, cfg.eps[0]).spec
-    n_steps = max(1, int(round(cfg.tau0 / cfg.dtau)))
+    n_steps = cfg.amplitude_steps
     stride = max(1, n_steps // (cfg.n_snapshots - 1))
     sol = amp.StrangSolution(spec.macro, spec.solution.fields(0.0), cfg.L_y, cfg.tau0 / n_steps)
     snapshots = sorted(set(range(0, n_steps + 1, stride)) | {n_steps})

@@ -14,6 +14,7 @@ from dichain.amplitude import (NONRESONANT, RESONANT_GENERIC, RESONANT_HALF_PI,
                                compute_K, corrector_carriers, coupling_coefficients,
                                second_order_amplitudes, sech_envelope,
                                spectral_derivative, tau_derivative)
+from dichain.microsim import SUBSTEPS
 from dichain.resonance import (NotResonant, family_params, find_acoustic_optical_resonance,
                                solve_family_ratio, wrap_theta)
 from dichain.spectrum import ACOUSTIC, OPTICAL, det_h, dispersion_matrix, polarization
@@ -234,18 +235,34 @@ def test_evolve_generates_second_wave():
     assert np.linalg.norm(strang_states(sys, f0, L, 0.1, 0.002)[-1][1]) > 1e-4
 
 
-def test_evolve_self_convergence_order_two():
+def _self_convergence_order(solve):
+    """log2 of the ratio of successive differences of the state at
+    tau = 1 that ``solve(sys, f0, dtau)`` returns for dtau = 0.04, 0.02,
+    0.01, on the theta1 = pi/2 system of criterion 8."""
     rh = solve_family_ratio(2.0, 0.5)
     p = family_nl(b=rh)
     sys = build_macro_system(p, *resonant_pair(p, np.pi / 2))
     assert abs(sys.velocities[0]) > 0.1  # advection active: splitting error visible
     f0 = (sech_envelope(L, NG, 1.0, 0.5), sech_envelope(L, NG, 0.3, 0.5) * np.exp(0.4j))
-    sols = {}
-    for dtau in (0.04, 0.02, 0.01):
-        sols[dtau] = strang_states(sys, f0, L, 1.0, dtau)[-1]
+    sols = {dtau: solve(sys, f0, dtau) for dtau in (0.04, 0.02, 0.01)}
     d1 = max(np.abs(sols[0.04][i] - sols[0.02][i]).max() for i in (0, 1))
     d2 = max(np.abs(sols[0.02][i] - sols[0.01][i]).max() for i in (0, 1))
-    assert np.log2(d1 / d2) >= 2.0 - 0.1
+    return np.log2(d1 / d2)
+
+
+def test_evolve_self_convergence_order_two():
+    """The bare Strang step is second order."""
+    def strang_steps(sys, f0, dtau):
+        for _ in range(round(1.0 / dtau)):
+            f0 = amp.strang_step(sys, f0, L, dtau)
+        return f0
+    assert _self_convergence_order(strang_steps) >= 2.0 - 0.1
+
+
+def test_strang_solution_self_convergence_order_four():
+    """StrangSolution's triple jump of Strang steps is fourth order."""
+    order = _self_convergence_order(lambda sys, f0, dtau: strang_states(sys, f0, L, 1.0, dtau)[-1])
+    assert order >= 3.9
 
 
 def test_evolve_nan_detection():
@@ -337,7 +354,8 @@ def test_strang_step_makes_four_ffts_and_no_phase_on_a_cache_hit(monkeypatch):
 def test_strang_solution_holds_one_state(monkeypatch):
     """Stepping far along keeps the initial state and the cursor only;
     an earlier time restarts from the initial state."""
-    monkeypatch.setattr(amp, "strang_step", lambda sys, f, L, dt: (f[0] + dt, f[1] + dt))
+    # one count per Strang step: exact under composition, unlike a sum of substeps
+    monkeypatch.setattr(amp, "strang_step", lambda sys, f, L, dt: (f[0] + 1, f[1] + 1))
     z = np.zeros(64, complex)
     sys = build_macro_system(P0, polarization(P0, ACOUSTIC, 0.3), polarization(P0, OPTICAL, 0.9))
     tracemalloc.start()
@@ -348,9 +366,9 @@ def test_strang_solution_holds_one_state(monkeypatch):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert np.allclose(b1, 5000 * sol.dtau)
+    assert np.array_equal(b1, z + 3 * 5000)  # three Strang steps per composed step
     assert held < 1e6   # 5,001 kept states would take 10 MB
-    assert np.array_equal(sol.fields(2 * sol.dtau)[0], z + sol.dtau + sol.dtau)  # restarts
+    assert np.array_equal(sol.fields(2 * sol.dtau)[0], z + 3 * 2)  # restarts
 
 
 def test_strang_solution_exact_step_times(monkeypatch):
@@ -364,9 +382,9 @@ def test_strang_solution_exact_step_times(monkeypatch):
     tau = 16669 * sol.dtau
     assert np.floor(tau / sol.dtau) == 16668
     sol.fields(tau)
-    assert dtaus == [sol.dtau] * 16669
+    assert dtaus == [w * sol.dtau for w in SUBSTEPS[4]] * 16669
     sol.fields(tau)
-    assert len(dtaus) == 16669
+    assert len(dtaus) == 3 * 16669
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,8 @@ def test_cli_output_commands_require_out(tmp_path, capsys, monkeypatch, command,
 
 SIM_N40 = dict(kind="simulate", params=P_NL, waves=[{"branch": "acoustic", "theta": 0.3}],
                eps=[0.1], tau0=0.05, L_y=4.0, n_grid=16, a0=[0.5], n_samples=2)
+# 40 snapshots of a two-step trajectory
+AMP_TWO_STEPS = dict(resonant_family=FAM, eps=[0.05], tau0=1, dtau=0.5, n_snapshots=40)
 
 
 def _init_rows(sites):
@@ -359,13 +361,15 @@ def _init_rows(sites):
     (["resonance", "--gamma", "2,nan"], [], "--gamma:"),
     (["resonance", "--gamma", "2", "--c", "0.5,1.5"], [], "--c:"),
     (["resonance", "--c", "inf"], [], "--c:"),
+    (["amplitudes", "--config", "amp.json"], [], "n_snapshots:"),
 ], ids=["n-zero", "n-negative", "init-one-row", "init-wrong-N", "init-duplicate-j",
         "init-fractional-j", "gamma-not-a-number", "c-not-a-number", "gamma-out-of-range",
-        "gamma-nan", "c-out-of-range", "c-infinite"])
+        "gamma-nan", "c-out-of-range", "c-infinite", "snapshots-past-steps"])
 def test_cli_rejects_bad_options(tmp_path, capsys, monkeypatch, argv, sites, flag):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p.json").write_text(json.dumps(P_NL))
     (tmp_path / "sim.json").write_text(json.dumps(SIM_N40))
+    (tmp_path / "amp.json").write_text(json.dumps(AMP_TWO_STEPS))
     (tmp_path / "init.csv").write_text(_init_rows(sites))
     rc = cli.main(argv + ["--out", "o.csv"])
     err = capsys.readouterr().err
