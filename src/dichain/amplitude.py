@@ -399,13 +399,15 @@ class StrangSolution:
         return state
 
 
-def make_solution(sys: MacroSystem, fields0, L: float, tau_max: float):
-    """Pick the best evaluable-at-any-tau solution for the regime."""
+def make_solution(sys: MacroSystem, fields0, L: float, tau_max: float,
+                  dtau: float = STRANG_DTAU):
+    """Pick the best evaluable-at-any-tau solution for the regime; a
+    StrangSolution steps by ``dtau``."""
     if not sys.resonant:
         return TransportSolution(sys, fields0, L)
     if not any(sys.velocities):
         return ODEReferenceSolution(sys, fields0, tau_max)
-    return StrangSolution(sys, fields0, L, STRANG_DTAU)
+    return StrangSolution(sys, fields0, L, dtau)
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,17 @@ def test_strang_solution_exact_step_times(monkeypatch):
     assert len(dtaus) == 3 * 16669
 
 
+def test_make_solution_steps_strang_by_its_dtau():
+    """A moving resonant pair gets a StrangSolution stepping by STRANG_DTAU
+    unless a dtau is given (a finer reference passes one)."""
+    p = family_nl(b=solve_family_ratio(2.0, 0.5))
+    sys = build_macro_system(p, *resonant_pair(p, np.pi / 2))
+    z = np.zeros(16, complex)
+    assert isinstance(amp.make_solution(sys, (z, z), L, 1.0), StrangSolution)
+    assert amp.make_solution(sys, (z, z), L, 1.0).dtau == amp.STRANG_DTAU
+    assert amp.make_solution(sys, (z, z), L, 1.0, dtau=2.5e-4).dtau == 2.5e-4
+
+
 # ---------------------------------------------------------------------------
 # second-order correctors
 
