@@ -359,8 +359,6 @@ class StrangSolution:
     later tau steps on from the cursor, an earlier one restarts from the
     initial state; a tau between step times takes one partial composed
     step from the step before it.
-
-    Non-resonant systems are only advected, so each step is the exact flow.
     """
 
     def __init__(self, sys: MacroSystem, fields0, L: float, dtau: float):

@@ -163,14 +163,10 @@ def improved_velocity(spec: AnsatzSpec, t: float) -> np.ndarray:
     return first_order_velocity(spec, t) + _second_order_sum(spec, snap, t, True)
 
 
-def initial_velocity(spec: AnsatzSpec) -> np.ndarray:
-    return improved_velocity(spec, 0.0)
-
-
 def initial_state(spec: AnsatzSpec, improved: bool = True) -> LatticeState:
     """Consistent initial data for the microscopic simulation."""
     if improved:
-        return LatticeState(sample_improved(spec, 0.0), initial_velocity(spec), 0.0)
+        return LatticeState(sample_improved(spec, 0.0), improved_velocity(spec, 0.0), 0.0)
     return LatticeState(sample_first_order(spec, 0.0), first_order_velocity(spec, 0.0), 0.0)
 
 

@@ -80,6 +80,10 @@ def _numbers(flag: str, text: str) -> list:
 
 def cmd_resonance(args) -> int:
     if args.config:
+        for flag in ("gamma", "c"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag}: cannot be combined with --config; "
+                                  "set the config's scan instead")
         cfg = _config(args, "resonance_scan")
     else:
         scan = {k: _numbers(k, v) for k, v in (("gamma", args.gamma), ("c", args.c))

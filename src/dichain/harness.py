@@ -53,14 +53,7 @@ class ExperimentConfig:
     n_samples: int = 50
     out: str = None
     scan: dict = None                     # resonance_scan: {"gamma": [...], "c": [...]}
-    dtau: float = 1e-3
     n_snapshots: int = 11
-
-    @property
-    def amplitude_steps(self) -> int:
-        """The steps of the ``amplitudes`` trajectory: tau0/dtau rounded,
-        at least one."""
-        return max(1, int(round(self.tau0 / self.dtau)))
 
     def validate(self):
         for keys, ok, need in _CHECKS:
@@ -78,10 +71,6 @@ class ExperimentConfig:
                     raise ConfigError("waves: one or two waves required with params")
             if len(self.a0) < (2 if self.resonant_family is not None else len(self.waves)):
                 raise ConfigError(f"a0: one amplitude per wave required, got {self.a0!r}")
-        if self.kind == "amplitudes" and self.n_snapshots - 1 > self.amplitude_steps:
-            raise ConfigError(f"n_snapshots: {self.n_snapshots} snapshots need at least "
-                              f"{self.n_snapshots - 1} steps, but tau0/dtau gives "
-                              f"{self.amplitude_steps}")
         if KINDS[self.kind].writes and self.out is None:
             raise NoOutputPath(f"out: {self.kind} writes a CSV; set its path in the config")
         if self.kind == "dispersion_table":
@@ -136,7 +125,7 @@ def _scan_ok(s) -> bool:
 # is held to every row, so a bad value fails even where its kind ignores it
 _CHECKS = (
     ("kind", lambda k: isinstance(k, str) and k in KINDS, "an experiment kind"),
-    ("dt L_y tau0 nu dtau", _positive, "a positive number"),
+    ("dt L_y tau0 nu", _positive, "a positive number"),
     ("n_samples", lambda n: _is_int(n) and n >= 1, "an integer >= 1"),
     ("eps", lambda e: _reals(e, lambda x: _is_real(x) and 0 < x <= 0.2)
      and all(a > b for a, b in zip(e, e[1:])),
@@ -541,22 +530,17 @@ def resonance_scan(scan: dict = None) -> TableReport:
 
 
 def run_amplitudes(cfg: ExperimentConfig) -> TableReport:
-    """Envelope snapshots of the Strang trajectory at the first eps: the
-    first and last step and every n_steps//(n_snapshots - 1)-th."""
-    spec = setup_run(cfg, cfg.eps[0]).spec
-    n_steps = cfg.amplitude_steps
-    stride = max(1, n_steps // (cfg.n_snapshots - 1))
-    sol = amp.StrangSolution(spec.macro, spec.solution.fields(0.0), cfg.L_y, cfg.tau0 / n_steps)
-    snapshots = sorted(set(range(0, n_steps + 1, stride)) | {n_steps})
+    """The envelopes of the first eps's own solution at n_snapshots evenly
+    spaced tau over [0, tau0]."""
+    sol = setup_run(cfg, cfg.eps[0]).spec.solution
     y = amp.grid_points(cfg.L_y, cfg.n_grid)
     rows = []
-    for k in snapshots:
-        tau = k * sol.dtau
+    for tau in np.linspace(0.0, cfg.tau0, cfg.n_snapshots):
         b1, b2 = sol.fields(tau)
-        rows.extend((tau, float(y[m]), float(b1[m].real), float(b1[m].imag),
+        rows.extend((float(tau), float(y[m]), float(b1[m].real), float(b1[m].imag),
                      float(b2[m].real), float(b2[m].imag)) for m in range(len(y)))
     return TableReport("tau,y,reA1_1,imA1_1,reA1_2,imA1_2", rows, True,
-                       f"wrote {len(snapshots)} snapshots to {cfg.out}")
+                       f"wrote {cfg.n_snapshots} snapshots to {cfg.out}")
 
 
 def run_simulate(cfg: ExperimentConfig, initial=None) -> TableReport:

@@ -8,7 +8,7 @@ from dichain import amplitude as amp
 from dichain import ansatz as anz
 from dichain import microsim, model
 from dichain.ansatz import (AnsatzSpec, IncommensurateCarrier, first_order_velocity,
-                            initial_state, initial_velocity, residual_norm,
+                            initial_state, residual_norm,
                             sample_first_order, sample_improved)
 from dichain.resonance import wrap_theta
 from dichain.spectrum import ACOUSTIC, OPTICAL, polarization
@@ -93,7 +93,7 @@ def test_zero_amplitudes_sample_zero():
     spec = constant_spec(p, 0.1, N, 0.0, a=0.0)
     assert np.all(sample_first_order(spec, 1.3) == 0.0)
     assert np.all(sample_improved(spec, 1.3) == 0.0)
-    assert np.all(initial_velocity(spec) == 0.0)
+    assert np.all(anz.improved_velocity(spec, 0.0) == 0.0)
 
 
 def test_constant_amplitude_uniform_wave():

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _helpers import strang_states
+from dichain import amplitude as amp
 from dichain import cli, harness
 from dichain.harness import ConfigError, ExperimentConfig, config_from_dict, fit_loglog
 
@@ -231,7 +231,7 @@ def test_cli_resonance_scan(tmp_path):
 
 def test_cli_amplitudes_and_simulate(tmp_path, capsys):
     doc = dict(kind="amplitudes", resonant_family=FAM, eps=[0.05], tau0=0.2,
-               L_y=25.6, n_grid=32, a0=[1.0, 0.3], dtau=0.01, n_snapshots=3,
+               L_y=25.6, n_grid=32, a0=[1.0, 0.3], n_snapshots=3,
                out=str(tmp_path / "traj.csv"))
     f = tmp_path / "amp.json"
     f.write_text(json.dumps(doc))
@@ -251,22 +251,33 @@ def test_cli_amplitudes_and_simulate(tmp_path, capsys):
     assert len(lines) == 1 + 3 * N
 
 
-def test_cli_amplitudes_writes_strang_states(tmp_path):
-    # 23 steps of 0.3/23 and 4 snapshots: every 7th step plus the last one
-    doc = dict(kind="amplitudes", resonant_family=dict(FAM, c=0.5), eps=[0.05], tau0=0.3,
-               L_y=25.6, n_grid=32, dtau=0.013, n_snapshots=4, out=str(tmp_path / "a.csv"))
+# the three envelope regimes and the solution make_solution gives each
+AMP_REGIMES = {
+    "nonresonant": (dict(params=P_NL, waves=WAVES), amp.TransportSolution),
+    "resonant-c1": (dict(resonant_family=FAM), amp.ODEReferenceSolution),
+    "resonant-c05": (dict(resonant_family=dict(FAM, c=0.5)), amp.StrangSolution),
+}
+
+
+@pytest.mark.parametrize("regime", AMP_REGIMES)
+def test_cli_amplitudes_writes_regime_solution(tmp_path, regime):
+    """amplitudes writes the first eps's own envelope solution at evenly
+    spaced tau, whatever the regime."""
+    keys, solution_type = AMP_REGIMES[regime]
+    doc = dict(kind="amplitudes", eps=[0.05], tau0=0.3, L_y=25.6, n_grid=32, n_snapshots=4,
+               out=str(tmp_path / "a.csv"), **keys)
     (tmp_path / "amp.json").write_text(json.dumps(doc))
     assert cli.main(["amplitudes", "--config", str(tmp_path / "amp.json")]) == 0
     data = np.loadtxt(tmp_path / "a.csv", delimiter=",", skiprows=1)
-    spec = harness.setup_run(config_from_dict(doc), 0.05).spec
-    assert spec.macro.resonant and spec.macro.velocities[0] != 0.0
-    states = strang_states(spec.macro, spec.solution.fields(0.0), 25.6, 0.3, 0.013)
-    steps = [0, 7, 14, 21, 23]
-    assert list(np.unique(data[:, 0])) == [k * (0.3 / 23) for k in steps]
-    for i, k in enumerate(steps):
+    sol = harness.setup_run(config_from_dict(doc), 0.05).spec.solution
+    assert type(sol) is solution_type
+    taus = np.linspace(0, 0.3, 4)
+    assert np.array_equal(data[:, 0], np.repeat(taus, 32))
+    for i, tau in enumerate(taus):
         rows = data[32 * i:32 * (i + 1)]
-        assert np.array_equal(rows[:, 2] + 1j * rows[:, 3], states[k][0])
-        assert np.array_equal(rows[:, 4] + 1j * rows[:, 5], states[k][1])
+        b1, b2 = sol.fields(tau)
+        assert np.array_equal(rows[:, 2] + 1j * rows[:, 3], b1)
+        assert np.array_equal(rows[:, 4] + 1j * rows[:, 5], b2)
 
 
 def test_eps_sweep_deterministic():
@@ -334,8 +345,7 @@ def test_cli_output_commands_require_out(tmp_path, capsys, monkeypatch, command,
 
 SIM_N40 = dict(kind="simulate", params=P_NL, waves=[{"branch": "acoustic", "theta": 0.3}],
                eps=[0.1], tau0=0.05, L_y=4.0, n_grid=16, a0=[0.5], n_samples=2)
-# 40 snapshots of a two-step trajectory
-AMP_TWO_STEPS = dict(resonant_family=FAM, eps=[0.05], tau0=1, dtau=0.5, n_snapshots=40)
+SCAN = dict(kind="resonance_scan", scan={"gamma": [2.0], "c": [1.0]})
 
 
 def _init_rows(sites):
@@ -361,15 +371,17 @@ def _init_rows(sites):
     (["resonance", "--gamma", "2,nan"], [], "--gamma:"),
     (["resonance", "--gamma", "2", "--c", "0.5,1.5"], [], "--c:"),
     (["resonance", "--c", "inf"], [], "--c:"),
-    (["amplitudes", "--config", "amp.json"], [], "n_snapshots:"),
+    # the scan comes from the config or from the flags, never both
+    (["resonance", "--config", "scan.json", "--gamma", "3", "--c", "0.5"], [], "--gamma:"),
+    (["resonance", "--config", "scan.json", "--c", "0.5"], [], "--c:"),
 ], ids=["n-zero", "n-negative", "init-one-row", "init-wrong-N", "init-duplicate-j",
         "init-fractional-j", "gamma-not-a-number", "c-not-a-number", "gamma-out-of-range",
-        "gamma-nan", "c-out-of-range", "c-infinite", "snapshots-past-steps"])
+        "gamma-nan", "c-out-of-range", "c-infinite", "config-and-flags", "config-and-c"])
 def test_cli_rejects_bad_options(tmp_path, capsys, monkeypatch, argv, sites, flag):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p.json").write_text(json.dumps(P_NL))
     (tmp_path / "sim.json").write_text(json.dumps(SIM_N40))
-    (tmp_path / "amp.json").write_text(json.dumps(AMP_TWO_STEPS))
+    (tmp_path / "scan.json").write_text(json.dumps(SCAN))
     (tmp_path / "init.csv").write_text(_init_rows(sites))
     rc = cli.main(argv + ["--out", "o.csv"])
     err = capsys.readouterr().err
@@ -407,7 +419,7 @@ def test_validate_dispersion_table_matches_dispersion(tmp_path):
 
 def test_validate_amplitudes_matches_amplitudes(tmp_path):
     doc = dict(kind="amplitudes", resonant_family=FAM, eps=[0.05], tau0=0.1, L_y=25.6,
-               n_grid=16, dtau=0.02, n_snapshots=3, out=str(tmp_path / "a.csv"))
+               n_grid=16, n_snapshots=3, out=str(tmp_path / "a.csv"))
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text(json.dumps(doc))
     assert cli.main(["validate", "--config", str(cfgf)]) == 0
