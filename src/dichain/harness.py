@@ -125,7 +125,9 @@ def _scan_ok(s) -> bool:
 # is held to every row, so a bad value fails even where its kind ignores it
 _CHECKS = (
     ("kind", lambda k: isinstance(k, str) and k in KINDS, "an experiment kind"),
-    ("dt L_y tau0 nu", _positive, "a positive number"),
+    ("dt L_y nu", _positive, "a positive number"),
+    # bounded: the envelopes are solved over [0, tau0] before any lattice step
+    ("tau0", lambda t: _positive(t) and t <= 100, "a positive number <= 100"),
     ("n_samples", lambda n: _is_int(n) and n >= 1, "an integer >= 1"),
     ("eps", lambda e: _reals(e, lambda x: _is_real(x) and 0 < x <= 0.2)
      and all(a > b for a, b in zip(e, e[1:])),

@@ -7,7 +7,11 @@ Both schemes are symmetric compositions of the kick-drift-kick leapfrog
 * order 4 is Yoshida's triple jump (Yoshida 1990; Hairer, Lubich and
   Wanner, Geometric Numerical Integration, II.4): three leapfrog
   substeps of w1*dt, w0*dt, w1*dt with w1 = 1/(2 - 2^(1/3)) and
-  w0 = 1 - 2*w1 < 0, three force calls per step.
+  w0 = 1 - 2*w1 < 0, three force calls per step.  Within a step the
+  closing half kick of each substep h_i and the opening one of the next
+  are one kick of 0.5*(h_i + h_{i+1}), so a step makes four kicks, not
+  six; every step still ends with its closing half kick, so the state
+  at each step end is synchronized.
 
 ``dt`` is always the length of the whole composed step.  The validation
 experiments run order 4; leapfrog stays as the second-order reference.
@@ -95,15 +99,18 @@ def integrate(p: ChainParams, s0: LatticeState, cfg: SimConfig, observer=None) -
     acc = cell_unpack(force(p, pos))
     dt = cfg.dt
     n_steps = cfg.n_steps
-    # (half kick, drift) per substep; w = 1 gives leapfrog's 0.5*dt and dt
-    substeps = [(0.5 * h, h) for h in (w * dt for w in SUBSTEPS[cfg.order])]
+    # drifts h_i and the kicks around them, a substep's closing half kick
+    # and the next one's opening half folded into 0.5*(h_i + h_{i+1});
+    # w = 1 gives leapfrog's dt and its two kicks of 0.5*dt
+    drifts = [w * dt for w in SUBSTEPS[cfg.order]]
+    kicks = [0.5 * (a + b) for a, b in zip([0.0, *drifts], [*drifts, 0.0])]
     kick = np.empty_like(v)
     for k in range(1, n_steps + 1):
-        for half, h in substeps:
-            v += np.multiply(half, acc, out=kick)
+        v += np.multiply(kicks[0], acc, out=kick)
+        for h, after in zip(drifts, kicks[1:]):
             x += np.multiply(h, v, out=kick)
             acc = cell_unpack(force(p, pos))
-            v += np.multiply(half, acc, out=kick)
+            v += np.multiply(after, acc, out=kick)
         t = s0.t + k * dt
         if k % cfg.stride == 0 or k == n_steps:
             if not np.all(np.isfinite(x)):

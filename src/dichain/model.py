@@ -12,11 +12,13 @@ with periodic boundary conditions in the cell index.
 
 The forces are computed in atom order, the flat array of length 2N
 ``x = [u_{0,2}, u_{0,1}, u_{1,2}, u_{1,1}, ...]`` (``cell_unpack``): every
-bond is ``x[k+1] - x[k]``, with one wrap-around bond closing the ring, and
-every atom's force is one ufunc chain over the 2N atoms with coefficients
-V2/W2 on even and V1/W1 on odd atoms.  The public functions take and
-return ``(N, 2)`` cells; ``cell_pack`` and ``cell_unpack`` convert between
-the two layouts without copying where they can.
+bond is ``x[k+1] - x[k]``, with one wrap-around bond closing the ring.  One
+bond pass takes the 2N + 1 stretches, their squares and, only when a bond
+has k3 != 0, their cubes, each once; every atom's bond force is then
+``k*(s_right - s_left)`` of those powers, with coefficients V2/W2 on even
+and V1/W1 on odd atoms, less its on-site force.  The public functions take
+and return ``(N, 2)`` cells; ``cell_pack`` and ``cell_unpack`` convert
+between the two layouts without copying where they can.
 """
 from __future__ import annotations
 
@@ -160,49 +162,49 @@ def cell_unpack(u) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _atom_coeffs(p: ChainParams, n: int):
-    """Bond and on-site coefficients (V, W) of n atoms in atom order, as
-    arrays: V2/W2 on even atoms (u_{j,2}), V1/W1 on odd ones (u_{j,1}).
-    One entry: every run integrates or samples one chain at a time."""
-    def alternate(even: PotentialCoeffs, odd: PotentialCoeffs) -> PotentialCoeffs:
+def _bond_pass(p: ChainParams, n: int):
+    """The force kernel of n atoms of p: a function of the atoms x, in atom
+    order, returning L and M in reused buffers.  The n + 1 stretches s are
+    squared, and cubed only when a bond has k3 != 0, once each; one subtract
+    and one multiply give every atom's k*(s_right - s_left) of each power.
+    Coefficients (V2/W2 on even atoms, V1/W1 on odd) and buffers are bound
+    once; one entry, as every run integrates or samples one chain at a time.
+    """
+    def alternate(even: PotentialCoeffs, odd: PotentialCoeffs) -> np.ndarray:
         k = np.empty((3, n))
         k[:, 0::2] = [[even.k1], [even.k2], [even.k3]]
         k[:, 1::2] = [[odd.k1], [odd.k2], [odd.k3]]
         k.flags.writeable = False
-        return PotentialCoeffs(*k)
-    return alternate(p.V2, p.V1), alternate(p.W2, p.W1)
+        return k
+    rows = 3 if p.V1.k3 or p.V2.k3 else 2
+    V, W = alternate(p.V2, p.V1)[:rows], PotentialCoeffs(*alternate(p.W2, p.W1))
+    powers, terms = np.empty((rows, n + 1)), np.empty((rows, n))
+    s, inner, right, left = powers[0], powers[0, 1:-1], powers[:, 1:], powers[:, :-1]
+    lin, nl = np.empty(n), np.empty(n)
 
-
-def _bonds(x):
-    """Bond stretches right and left of each atom of the ring x.
-
-    The bond right of atom k is x_{k+1} - x_k and the one left of it is
-    the previous bond; the wrap-around bond x_0 - x_{n-1} closes the ring.
-    Both are views of one array of n + 1 stretches.
-    """
-    b = np.empty(x.size + 1)
-    np.subtract(x[1:], x[:-1], out=b[1:-1])
-    if x.size:
-        b[0] = b[-1] = x[0] - x[-1]
-    return b[1:], b[:-1]
+    def apply(x):
+        np.subtract(x[1:], x[:-1], out=inner)
+        if n:
+            s[0] = s[-1] = x[0] - x[-1]
+        for k in range(1, rows):
+            np.multiply(powers[k - 1], s, out=powers[k])
+        np.multiply(V, np.subtract(right, left, out=terms), out=terms)
+        np.subtract(terms[0], np.multiply(W.k1, x, out=lin), out=lin)
+        np.subtract(terms[1], _fnl(W, x), out=nl)
+        if rows == 3:
+            np.add(nl, terms[2], out=nl)
+        return lin, nl
+    return apply
 
 
 def _fnl(c: PotentialCoeffs, x):
     return x * x * (c.k2 + c.k3 * x)
 
 
-def _linear(V, W, x, right, left):
-    return V.k1 * (right - left) - W.k1 * x
-
-
-def _nonlinear(V, W, x, right, left):
-    return _fnl(V, right) - _fnl(V, left) - _fnl(W, x)
-
-
-def _atom_pass(p: ChainParams, pos):
-    """Coefficients, atoms and bonds of the cells pos, in atom order."""
+def _bond_forces(p: ChainParams, pos):
+    """(L, M) of the cells pos, in atom order, as reused buffers."""
     x = cell_unpack(pos)
-    return (*_atom_coeffs(p, x.size), x, *_bonds(x))
+    return _bond_pass(p, x.size)(x)
 
 
 def linear_apply(p: ChainParams, pos) -> np.ndarray:
@@ -215,27 +217,28 @@ def linear_apply(p: ChainParams, pos) -> np.ndarray:
     from the two-atom displacement equations produces, and what the
     dispersion matrix encodes.
     """
-    return cell_pack(_linear(*_atom_pass(p, pos)))
+    return cell_pack(_bond_forces(p, pos)[0].copy())
 
 
 def nonlinear_apply(p: ChainParams, pos) -> np.ndarray:
     """Apply the quadratic+cubic force remainder M(u)."""
-    return cell_pack(_nonlinear(*_atom_pass(p, pos)))
+    return cell_pack(_bond_forces(p, pos)[1].copy())
 
 
 def force(p: ChainParams, pos) -> np.ndarray:
-    """Full right-hand side L(u) + M(u), from one bond pass over the 2N
-    atoms; equals linear_apply(p, pos) + nonlinear_apply(p, pos) bit for
-    bit.  Takes and returns (N, 2) cells; the result is a cell_pack view."""
-    a = _atom_pass(p, pos)
-    return cell_pack(_linear(*a) + _nonlinear(*a))
+    """Full right-hand side L(u) + M(u) from one bond pass over the 2N
+    atoms: the stretches, their squares and (when a bond has k3 != 0) cubes
+    are taken once each, and an atom's bond force is k*(s_right - s_left)
+    of them.  Equals linear_apply(p, pos) + nonlinear_apply(p, pos) bit for
+    bit.  Takes and returns (N, 2) cells, a cell_pack view of a fresh array."""
+    return cell_pack(np.add(*_bond_forces(p, pos)))
 
 
 def _cell_bonds(pos):
     """(s_a, s_b) per cell: the bond u_{j+1,2} - u_{j,1} and the one
     inside the cell, u_{j,1} - u_{j,2}."""
-    right, _ = _bonds(cell_unpack(pos))
-    s_b, s_a = right.reshape(-1, 2).T
+    x = cell_unpack(pos)
+    s_b, s_a = (np.roll(x, -1) - x).reshape(-1, 2).T
     return s_a, s_b
 
 

@@ -54,6 +54,21 @@ def roll_stencil(p, pos):
 
 
 def roll_force(p, pos):
-    """L(u) + M(u) from roll_stencil, bit-equal to model.force."""
-    lin, nl = roll_stencil(p, pos)
-    return lin + nl
+    """L(u) + M(u) with np.roll stretches in the arithmetic of model.force,
+    bit-equal to it: L from roll_stencil, and each atom's bond terms
+    k2*(r*r - l*l) (plus k3*(r*r*r - l*l*l) when a bond has k3 != 0) of
+    its right and left stretches r and l, less the on-site terms."""
+    pos = np.asarray(pos, dtype=float)
+    lin, _ = roll_stencil(p, pos)
+    u1, u2 = pos[:, 0], pos[:, 1]
+    s_a = np.roll(u2, -1) - u1
+    s_b = u1 - u2
+    s_c = np.roll(s_a, 1)
+    cubic = p.V1.k3 != 0 or p.V2.k3 != 0
+
+    def nl(v, w, r, l, u):
+        r2, l2 = r * r, l * l
+        out = v.k2 * (r2 - l2) - u * u * (w.k2 + w.k3 * u)
+        return out + v.k3 * (r2 * r - l2 * l) if cubic else out
+
+    return lin + np.stack([nl(p.V1, p.W1, s_a, s_b, u1), nl(p.V2, p.W2, s_b, s_c, u2)], axis=1)

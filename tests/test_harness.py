@@ -346,6 +346,8 @@ def test_cli_output_commands_require_out(tmp_path, capsys, monkeypatch, command,
 SIM_N40 = dict(kind="simulate", params=P_NL, waves=[{"branch": "acoustic", "theta": 0.3}],
                eps=[0.1], tau0=0.05, L_y=4.0, n_grid=16, a0=[0.5], n_samples=2)
 SCAN = dict(kind="resonance_scan", scan={"gamma": [2.0], "c": [1.0]})
+# c = 1: the envelopes would be solved by DOP853 over [0, tau0 + 0.5]
+HUGE_TAU0 = dict(kind="amplitudes", resonant_family=FAM, eps=[0.05], tau0=1e300)
 
 
 def _init_rows(sites):
@@ -374,14 +376,17 @@ def _init_rows(sites):
     # the scan comes from the config or from the flags, never both
     (["resonance", "--config", "scan.json", "--gamma", "3", "--c", "0.5"], [], "--gamma:"),
     (["resonance", "--config", "scan.json", "--c", "0.5"], [], "--c:"),
+    (["amplitudes", "--config", "tau0.json"], [], "config error: tau0: "),
 ], ids=["n-zero", "n-negative", "init-one-row", "init-wrong-N", "init-duplicate-j",
         "init-fractional-j", "gamma-not-a-number", "c-not-a-number", "gamma-out-of-range",
-        "gamma-nan", "c-out-of-range", "c-infinite", "config-and-flags", "config-and-c"])
+        "gamma-nan", "c-out-of-range", "c-infinite", "config-and-flags", "config-and-c",
+        "tau0-huge"])
 def test_cli_rejects_bad_options(tmp_path, capsys, monkeypatch, argv, sites, flag):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p.json").write_text(json.dumps(P_NL))
     (tmp_path / "sim.json").write_text(json.dumps(SIM_N40))
     (tmp_path / "scan.json").write_text(json.dumps(SCAN))
+    (tmp_path / "tau0.json").write_text(json.dumps(HUGE_TAU0))
     (tmp_path / "init.csv").write_text(_init_rows(sites))
     rc = cli.main(argv + ["--out", "o.csv"])
     err = capsys.readouterr().err

@@ -69,16 +69,20 @@ def test_leapfrog_matches_reference_loop():
 
 
 def _triple_jump_loop(accel, pos, vel, dt, n):
-    """n order-4 steps of (pos, vel) in place, the kick-drift-kick loop of
-    integrate with acceleration accel(pos); yields after each step."""
+    """n order-4 steps of (pos, vel) in place, the loop of integrate with
+    acceleration accel(pos); yields after each step.  The closing half kick
+    of each substep h_i is folded into the opening one of the next,
+    0.5*(h_i + h_{i+1}), so a step makes four kicks."""
+    h = [w * dt for w in SUBSTEPS[4]]
+    kicks = [0.5 * h[0], 0.5 * (h[0] + h[1]), 0.5 * (h[1] + h[2]), 0.5 * h[2]]
     acc = accel(pos)
     kick = np.empty_like(vel)
     for _ in range(n):
-        for half, h in [(0.5 * h, h) for h in (w * dt for w in SUBSTEPS[4])]:
-            vel += np.multiply(half, acc, out=kick)
-            pos += np.multiply(h, vel, out=kick)
+        vel += np.multiply(kicks[0], acc, out=kick)
+        for i in range(3):
+            pos += np.multiply(h[i], vel, out=kick)
             acc = accel(pos)
-            vel += np.multiply(half, acc, out=kick)
+            vel += np.multiply(kicks[i + 1], acc, out=kick)
         yield
 
 

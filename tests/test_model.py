@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from dichain import model
-from _helpers import random_valid_params, roll_stencil
-from dichain.model import (LatticeState, PotentialCoeffs, StabilityError, cell_pack,
-                           cell_unpack, energy_norm, force, hamiltonian_energy,
+from _helpers import random_valid_params, roll_force, roll_stencil
+from dichain.model import (ChainParams, LatticeState, PotentialCoeffs, StabilityError,
+                           cell_pack, cell_unpack, energy_norm, force, hamiltonian_energy,
                            linear_apply, lipschitz_constant, make_params,
                            nonlinear_apply, norm_equivalence_interval, norm_m,
                            validate_params)
@@ -81,9 +81,10 @@ def test_force_matches_unpacked_oracle():
     p = make_params(v1=(1.0, 0.4, -0.2), v2=(2.0, -0.3, 0.1),
                     w1=(1.0, 0.2, 0.3), w2=(1.5, -0.1, 0.05))
     x = rng.randn(16)
-    # the nonlinear remainder uses the identical arithmetic: bit-exact
-    assert np.array_equal(nonlinear_apply(p, cell_pack(x)),
-                          cell_pack(dichain_rhs_unpacked(x, p, "nonlinear")))
+    # the nonlinear remainder takes powers of the bonds, not the oracle's
+    # x*x*(k2 + k3*x) per bond: equal up to round-off
+    assert_close_to(nonlinear_apply(p, cell_pack(x)),
+                    cell_pack(dichain_rhs_unpacked(x, p, "nonlinear")))
     assert np.array_equal(linear_apply(p, cell_pack(x)),
                           cell_pack(dichain_rhs_unpacked(x, p, "linear")))
     # the combined force differs from the physical-form evaluation only in
@@ -224,11 +225,19 @@ P_NL = make_params(v1=(1.0, 0.4, -0.2), v2=(2.0, -0.3, 0.1),
                    w1=(1.0, 0.2, 0.3), w2=(1.5, -0.1, 0.05))
 
 
+def assert_close_to(actual, expected, bound=1e-15):
+    """|actual - expected| <= bound*max|expected| everywhere."""
+    expected = np.asarray(expected)
+    scale = np.abs(expected).max(initial=0.0)
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=bound * scale)
+
+
 def assert_matches_roll_stencil(p, pos):
     lin, nl = roll_stencil(p, pos)
     assert np.array_equal(linear_apply(p, pos), lin)
-    assert np.array_equal(nonlinear_apply(p, pos), nl)
-    assert np.array_equal(force(p, pos), lin + nl)
+    assert_close_to(nonlinear_apply(p, pos), nl)
+    assert_close_to(force(p, pos), lin + nl)
+    assert np.array_equal(force(p, pos), roll_force(p, pos))
 
 
 @pytest.mark.parametrize("N", [0, 1, 2, 3, 400])
@@ -250,6 +259,29 @@ def test_force_matches_roll_stencil_odd_layouts():
         cells = cell_pack(rng.randn(2 * N))
         assert cells.strides[1] < 0
         assert_matches_roll_stencil(P_NL, cells)
+
+
+def _layouts(rng, N):
+    """(N, 2) cells of random data in the layouts force meets."""
+    big = rng.randn(2 * N, 2)
+    yield rng.randn(N, 2)
+    yield big[::2]
+    yield np.asfortranarray(big[:N])
+    yield cell_pack(rng.randn(2 * N))  # integrate's view: negative column stride
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 400])
+@pytest.mark.parametrize("cubic", [True, False])
+def test_force_matches_roll_stencil_random_chains(N, cubic):
+    # roll_stencil keeps the previous kernel's x*x*(k2 + k3*x) per bond, bit
+    # for bit; the bond powers k*(s_r^m - s_l^m) stay within 1e-15*max|F|
+    rng = np.random.RandomState(20 + N)
+    for _ in range(10):
+        p = random_valid_params(rng, nonlinear=True)
+        if not cubic:
+            p = ChainParams(*(PotentialCoeffs(c.k1, c.k2) for c in (p.V1, p.V2, p.W1, p.W2)))
+        for pos in _layouts(rng, N):
+            assert_matches_roll_stencil(p, pos)
 
 
 def test_force_is_negative_hamiltonian_gradient():

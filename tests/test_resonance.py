@@ -6,8 +6,8 @@ from _helpers import random_valid_params
 from dichain import model
 from dichain.resonance import (acoustic_acoustic_scan, family_params,
                                find_acoustic_optical_resonance, optical_closure_margin,
-                               reduced_coords, solve_family_ratio, third_order_margin,
-                               wrap_theta)
+                               reduced_coords, resonance_defect, solve_family_ratio,
+                               third_order_margin, wrap_theta)
 from dichain.spectrum import ACOUSTIC, OPTICAL, det_h, omega
 
 P0 = model.p0()
@@ -98,6 +98,24 @@ def test_family_ratio_always_passes_dispersion_oracle():
         r = solve_family_ratio(gamma, c)  # raises DomainError on oracle failure
         if r is not None:
             assert r > 0.0
+
+
+def test_family_ratio_zeroes_the_defect_on_a_grid():
+    # property: every ratio solve_family_ratio returns over a (gamma, c)
+    # grid makes 2 omega_-(theta) - omega_+(2 theta) vanish at theta(c),
+    # and the same check refuses the ratio perturbed by 1e-6 (defect >= 6e-8)
+    tol = 1e-12
+    solved = 0
+    for gamma in (1.2, 1.5, 2.0, 3.0, 5.0, 10.0):
+        for c in np.linspace(0.0, 1.0, 11):
+            r = solve_family_ratio(gamma, float(c))
+            if r is None:
+                continue
+            th = np.arccos(2.0 * c - 1.0)
+            assert abs(resonance_defect(family_params(gamma, r), th)) <= tol
+            assert abs(resonance_defect(family_params(gamma, r * (1 + 1e-6)), th)) > tol
+            solved += 1
+    assert solved == 50  # of 66 points; the rest lie below the threshold in c
 
 
 def test_optical_closure_margin():
