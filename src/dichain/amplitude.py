@@ -67,11 +67,13 @@ def _shift_phases(velocities: tuple, L: float, n: int, dt: float) -> np.ndarray:
 
 
 def spectral_derivative(values: np.ndarray, L: float) -> np.ndarray:
-    n = len(values)
+    """d/dy of each row of ``values`` along its last axis (a single grid
+    or a stack of them), one FFT round trip for the whole stack."""
+    n = np.shape(values)[-1]
     kappa = wavenumbers(L, n)
     hat = np.fft.fft(values) * (1j * kappa)
     if n % 2 == 0:
-        hat[n // 2] = 0.0  # unpaired Nyquist mode carries no derivative
+        hat[..., n // 2] = 0.0  # unpaired Nyquist mode carries no derivative
     return np.fft.ifft(hat)
 
 

@@ -23,29 +23,29 @@ class IncommensurateCarrier(ValueError):
 class _Snapshot:
     """Envelope data at one macroscopic time, interpolated to the lattice.
 
-    Second-order correctors are built lazily, by ``_correctors``;
-    convergence sampling only needs the first-order fields at most times.
+    Four FFT calls: one spectral derivative of the (2, n) envelope stack
+    and one interpolation of the (4, n) stack of the envelopes and their
+    tau-derivatives.  Second-order correctors are built lazily, by
+    ``_correctors``; convergence sampling only needs the first-order fields
+    at most times.
     """
 
     def __init__(self, spec: "AnsatzSpec", fields):
-        b1, b2 = fields
-        self.b_grid = (b1, b2)
-        self.dy_grid = (amp.spectral_derivative(b1, spec.L),
-                        amp.spectral_derivative(b2, spec.L))
+        self.b_grid = np.asarray(fields, dtype=complex)
+        self.dy_grid = amp.spectral_derivative(self.b_grid, spec.L)
         self.dtau_grid = tau_derivative(spec.macro, self.b_grid, self.dy_grid)
-        self.b_lat = (spec.interp(b1), spec.interp(b2))
-        self.dtau_lat = (spec.interp(self.dtau_grid[0]), spec.interp(self.dtau_grid[1]))
+        lat = spec.interp(np.stack((*self.b_grid, *self.dtau_grid)))
+        self.b_lat, self.dtau_lat = lat[:2], lat[2:]
         self.a2_lat = None
 
 
 def _correctors(spec: "AnsatzSpec", snap: _Snapshot) -> dict:
     """The snapshot's second-order correctors on the lattice, built on
-    first use."""
+    first use by one interpolation of every carrier's rows."""
     if snap.a2_lat is None:
         a2 = second_order_amplitudes(spec.p, spec.macro, snap.b_grid, snap.dy_grid,
                                      snap.dtau_grid)
-        snap.a2_lat = {iota: np.stack([spec.interp(v[0]), spec.interp(v[1])])
-                       for iota, v in a2.items()}
+        snap.a2_lat = dict(zip(a2, spec.interp(np.stack(list(a2.values())))))
     return snap.a2_lat
 
 
@@ -81,15 +81,22 @@ class AnsatzSpec:
         return self.eps * self.N
 
     def interp(self, grid_values: np.ndarray) -> np.ndarray:
-        """Spectral interpolation from the macro grid to y = eps*j.
+        """Spectral interpolation from the macro grid to y = eps*j, along
+        the last axis of one grid or of a stack of them.
 
         The lattice is a uniform N-point grid over the same period, so the
         trigonometric interpolant there is the inverse FFT of the grid's
         coefficients folded onto the N lattice wavenumbers (a zero pad when
-        N >= n).
+        N >= n).  A stack takes one forward and one inverse FFT, and one
+        fold through a flat index: each row gets the sums a single grid
+        gets, in the same order, and ufunc.at takes its fast path for a
+        1-D index (an ``(..., fold)`` index takes the generic one, two to
+        three times slower).
         """
-        pad = np.zeros(self.N, dtype=complex)
-        np.add.at(pad, self._fold, np.fft.fft(grid_values))
+        hat = np.fft.fft(grid_values)
+        pad = np.zeros(hat.shape[:-1] + (self.N,), dtype=complex)
+        starts = self.N * np.arange(pad.size // self.N)
+        np.add.at(pad.reshape(-1), (starts[:, None] + self._fold).ravel(), hat.reshape(-1))
         return np.fft.ifft(pad) * (self.N / self.n)
 
     def at_tau(self, tau: float) -> _Snapshot:
@@ -153,14 +160,21 @@ def sample_improved(spec: AnsatzSpec, t: float) -> np.ndarray:
     return _sample_improved_snap(spec, snap, t)
 
 
+def corrector_sum(spec: AnsatzSpec, t: float, time_derivative: bool = False) -> np.ndarray:
+    """The eps^2 corrector term of the improved approximation at lattice
+    time t, or with ``time_derivative`` its velocity term: adding it to
+    sample_first_order (first_order_velocity) gives sample_improved
+    (improved_velocity) bit for bit."""
+    return _second_order_sum(spec, spec.at_tau(spec.eps * t), t, time_derivative)
+
+
 def improved_velocity(spec: AnsatzSpec, t: float) -> np.ndarray:
     """Time derivative of the improved approximation.
 
     The eps^3 term from the tau-dependence of the correctors is dropped;
     it sits below the eps^{3/2} initial-error budget.
     """
-    snap = spec.at_tau(spec.eps * t)
-    return first_order_velocity(spec, t) + _second_order_sum(spec, snap, t, True)
+    return first_order_velocity(spec, t) + corrector_sum(spec, t, True)
 
 
 def initial_state(spec: AnsatzSpec, improved: bool = True) -> LatticeState:

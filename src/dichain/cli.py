@@ -104,6 +104,10 @@ def _init_file(path: str):
         if not np.array_equal(data[order, 0], np.arange(N)):
             raise ConfigError(f"--init-file: the j column must list each site 0 .. {N - 1} "
                               "exactly once")
+        bad = np.flatnonzero(~np.isfinite(data[order, 1:]).all(axis=1))
+        if bad.size:
+            raise ConfigError(f"--init-file: u1,u2,v1,v2 must be finite numbers, "
+                              f"got a non-finite value at site j = {bad[0]}")
         return LatticeState(data[order, 1:3], data[order, 3:5], 0.0)
     return initial
 

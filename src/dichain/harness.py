@@ -310,10 +310,13 @@ def run_ansatz_scaling(cfg: ExperimentConfig) -> ScalingReport:
         spec = setup.spec
         gap, sup = 0.0, 0.0
         for t in _phase_times(cfg, spec):
-            dpos = anz.sample_improved(spec, t) - anz.sample_first_order(spec, t)
-            dvel = anz.improved_velocity(spec, t) - anz.first_order_velocity(spec, t)
-            gap = max(gap, energy_norm(LatticeState(dpos, dvel, t), setup.p))
-            sup = max(sup, float(np.abs(anz.sample_improved(spec, t)).max()))
+            # each carrier sum once: leading positions and velocities, then
+            # the improved ones as those plus the corrector terms
+            pos, vel = anz.sample_first_order(spec, t), anz.first_order_velocity(spec, t)
+            pos2 = pos + anz.corrector_sum(spec, t)
+            vel2 = vel + anz.corrector_sum(spec, t, time_derivative=True)
+            gap = max(gap, energy_norm(LatticeState(pos2 - pos, vel2 - vel, t), setup.p))
+            sup = max(sup, float(np.abs(pos2).max()))
         return gap, sup / spec.eps
 
     return _sweep(cfg, "ansatz_gap", measure,

@@ -1,6 +1,7 @@
 """Shared test utilities."""
 import numpy as np
 
+from dichain import amplitude as amp
 from dichain.amplitude import StrangSolution
 from dichain.model import make_params
 
@@ -72,3 +73,31 @@ def roll_force(p, pos):
         return out + v.k3 * (r2 * r - l2 * l) if cubic else out
 
     return lin + np.stack([nl(p.V1, p.W1, s_a, s_b, u1), nl(p.V2, p.W2, s_b, s_c, u2)], axis=1)
+
+
+def per_row_snapshot(spec, fields):
+    """Independent reference for an ansatz snapshot: the grids and lattice
+    rows of ``fields`` with one FFT round trip per envelope row and per
+    corrector row.  Returns b_lat, dtau_lat, dy_grid, dtau_grid and the
+    correctors a2_lat keyed by carrier."""
+    fold = np.rint(np.fft.fftfreq(spec.n) * spec.n).astype(int) % spec.N
+
+    def deriv(values):
+        n = len(values)
+        hat = np.fft.fft(values) * (1j * amp.wavenumbers(spec.L, n))
+        if n % 2 == 0:
+            hat[n // 2] = 0.0
+        return np.fft.ifft(hat)
+
+    def interp(values):
+        pad = np.zeros(spec.N, dtype=complex)
+        np.add.at(pad, fold, np.fft.fft(values))
+        return np.fft.ifft(pad) * (spec.N / spec.n)
+
+    b = tuple(np.asarray(f, dtype=complex) for f in fields)
+    dy = tuple(deriv(f) for f in b)
+    dtau = amp.tau_derivative(spec.macro, b, dy)
+    a2 = amp.second_order_amplitudes(spec.p, spec.macro, b, dy, dtau)
+    return dict(b_lat=[interp(f) for f in b], dtau_lat=[interp(f) for f in dtau],
+                dy_grid=dy, dtau_grid=dtau,
+                a2_lat={iota: np.stack([interp(v[0]), interp(v[1])]) for iota, v in a2.items()})

@@ -1,3 +1,4 @@
+import collections
 import gc
 import weakref
 
@@ -6,12 +7,14 @@ import pytest
 
 from dichain import amplitude as amp
 from dichain import ansatz as anz
-from dichain import microsim, model
+from dichain import harness, microsim, model
 from dichain.ansatz import (AnsatzSpec, IncommensurateCarrier, first_order_velocity,
                             initial_state, residual_norm,
                             sample_first_order, sample_improved)
 from dichain.resonance import wrap_theta
 from dichain.spectrum import ACOUSTIC, OPTICAL, polarization
+
+from _helpers import per_row_snapshot
 
 L, NG = 40.0, 128
 
@@ -226,22 +229,29 @@ def test_residual_requires_available_trajectory():
 NL = {"v12": 0.3, "v22": 0.2, "w12": 0.4, "w22": 1.0}
 
 
-@pytest.mark.parametrize("source", [
-    # exact transport, Strang (theta1 = pi/2) and DOP853 (c = 1) envelopes
+# exact transport, Strang (theta1 = pi/2) and DOP853 (c = 1) envelopes
+SOURCES = [
     {"params": {"V1": {"k1": 1.0, "k2": 0.3, "k3": 0.1}, "V2": {"k1": 2.0, "k2": 0.4},
                 "W1": {"k1": 1.0, "k2": 0.25, "k3": 0.05}, "W2": {"k1": 1.0, "k2": 0.35}},
      "waves": [{"branch": "acoustic", "theta": 0.3}, {"branch": "optical", "theta": 0.6}]},
     {"resonant_family": {"gamma": 2.0, "c": 0.5, "nl": NL}},
     {"resonant_family": {"gamma": 2.0, "c": 1.0, "nl": NL}},
-], ids=["transport", "strang", "dop853"])
+]
+SOURCE_IDS = ["transport", "strang", "dop853"]
+
+
+def _setup(source, eps=0.05, n_grid=256):
+    cfg = harness.config_from_dict(dict(kind="residual_scaling", eps=[eps], tau0=1.0,
+                                        L_y=40.0, n_grid=n_grid, nu=0.5, a0=[1.0, 0.5],
+                                        **source))
+    return harness.setup_run(cfg, eps)
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
 def test_residual_at_start_of_trajectory(source):
     # the neighbours of t are envelope steps from the state at t, so every
     # provider gives the residual at t = 0, next to its value just after
-    from dichain import harness
-    cfg = harness.config_from_dict(dict(kind="residual_scaling", eps=[0.05], tau0=1.0,
-                                        L_y=40.0, n_grid=256, nu=0.5, a0=[1.0, 0.5],
-                                        **source))
-    setup = harness.setup_run(cfg, 0.05)
+    setup = _setup(source)
     r0 = residual_norm(setup.p, setup.spec, 0.0, h0=0.02)
     r1 = residual_norm(setup.p, setup.spec, 1e-5, h0=0.02)
     assert np.isfinite(r0) and r0 > 0
@@ -251,7 +261,6 @@ def test_residual_at_start_of_trajectory(source):
 def test_theta_snapping_keeps_resonance_exact():
     """Snapping theta to the lattice re-solves the family ratio so the
     resonance stays exact at the snapped wavenumber."""
-    from dichain import harness
     cfg = harness.config_from_dict({
         "kind": "residual_scaling",
         "resonant_family": {"gamma": 2.0, "c": 0.9,
@@ -265,3 +274,55 @@ def test_theta_snapping_keeps_resonance_exact():
     assert defect <= 1e-12
     k = w1.theta * setup.spec.N / (2 * np.pi)
     assert abs(k - round(k)) < 1e-9
+
+
+# N = 800 lattice sites over n = 256 grid points (a zero pad), and N = 400
+# over n = 1024, where up to three grid modes fold onto one lattice
+# wavenumber, so the order of the fold's sums shows in the bits
+@pytest.mark.parametrize("eps,n_grid", [(0.05, 256), (0.1, 1024)], ids=["N-above-n", "N-below-n"])
+@pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
+def test_snapshot_matches_per_row_reference(source, eps, n_grid):
+    """The stacked FFT passes give every row bit for bit."""
+    spec = _setup(source, eps, n_grid).spec
+    assert (spec.N > spec.n) == (n_grid == 256)
+    fields = spec.solution.fields(0.3)
+    snap = anz._Snapshot(spec, fields)
+    a2 = anz._correctors(spec, snap)
+    ref = per_row_snapshot(spec, fields)
+    for name in ("b_lat", "dtau_lat", "dy_grid", "dtau_grid"):
+        assert np.array_equal(getattr(snap, name), ref[name]), name
+    assert a2.keys() == ref["a2_lat"].keys()
+    for iota, rows in a2.items():
+        assert np.array_equal(rows, ref["a2_lat"][iota]), iota
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
+def test_snapshot_makes_four_ffts_and_correctors_two(monkeypatch, source):
+    spec = _setup(source).spec
+    fields = spec.solution.fields(0.3)
+    calls = collections.Counter()
+    for name in ("fft", "ifft"):
+        def counted(*a, _fn=getattr(np.fft, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*a, **kw)
+        monkeypatch.setattr(np.fft, name, counted)
+    snap = anz._Snapshot(spec, fields)
+    assert calls == {"fft": 2, "ifft": 2}
+    calls.clear()
+    anz._correctors(spec, snap)
+    assert calls == {"fft": 1, "ifft": 1}
+    calls.clear()
+    anz._correctors(spec, snap)  # built once
+    assert not calls
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
+def test_improved_is_first_order_plus_corrector_sum(source):
+    """The ansatz-gap sweep builds the improved approximation this way."""
+    spec = _setup(source).spec
+    t = 0.3 / spec.eps
+    assert np.array_equal(sample_improved(spec, t),
+                          sample_first_order(spec, t) + anz.corrector_sum(spec, t))
+    assert np.array_equal(anz.improved_velocity(spec, t),
+                          first_order_velocity(spec, t) + anz.corrector_sum(spec, t, True))
+    assert np.any(anz.corrector_sum(spec, t) != 0.0)

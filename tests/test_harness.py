@@ -351,8 +351,10 @@ HUGE_TAU0 = dict(kind="amplitudes", resonant_family=FAM, eps=[0.05], tau0=1e300)
 
 
 def _init_rows(sites):
-    """An init file with one row per site in ``sites``, u1 = j/1000 at site j."""
-    return "j,u1,u2,v1,v2\n" + "".join(f"{j},{j / 1000},0.02,0,0\n" for j in sites)
+    """An init file with one row per site in ``sites``, u1 = j/1000 at site j;
+    a string in ``sites`` is a row as it stands."""
+    return "j,u1,u2,v1,v2\n" + "".join(j + "\n" if isinstance(j, str) else
+                                       f"{j},{j / 1000},0.02,0,0\n" for j in sites)
 
 
 @pytest.mark.parametrize("argv,sites,flag", [
@@ -367,6 +369,10 @@ def _init_rows(sites):
      "--init-file: the j column"),
     (["simulate", "--config", "sim.json", "--init-file", "init.csv"], [0.5, *range(1, 40)],
      "--init-file: the j column"),
+    # integrating NaN would fail one sample later, naming neither the flag nor t = 0
+    (["simulate", "--config", "sim.json", "--init-file", "init.csv"],
+     [*range(7), "7,0.007,0.02,nan,0", *range(8, 40)],
+     "config error: --init-file: u1,u2,v1,v2 must be finite"),
     (["resonance", "--gamma", "abc"], [], "--gamma:"),
     (["resonance", "--gamma", "2", "--c", "0.5,x"], [], "--c:"),
     (["resonance", "--gamma", "0.5"], [], "--gamma:"),
@@ -378,9 +384,9 @@ def _init_rows(sites):
     (["resonance", "--config", "scan.json", "--c", "0.5"], [], "--c:"),
     (["amplitudes", "--config", "tau0.json"], [], "config error: tau0: "),
 ], ids=["n-zero", "n-negative", "init-one-row", "init-wrong-N", "init-duplicate-j",
-        "init-fractional-j", "gamma-not-a-number", "c-not-a-number", "gamma-out-of-range",
-        "gamma-nan", "c-out-of-range", "c-infinite", "config-and-flags", "config-and-c",
-        "tau0-huge"])
+        "init-fractional-j", "init-nonfinite", "gamma-not-a-number", "c-not-a-number",
+        "gamma-out-of-range", "gamma-nan", "c-out-of-range", "c-infinite", "config-and-flags",
+        "config-and-c", "tau0-huge"])
 def test_cli_rejects_bad_options(tmp_path, capsys, monkeypatch, argv, sites, flag):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p.json").write_text(json.dumps(P_NL))
