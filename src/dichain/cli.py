@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -94,7 +95,13 @@ def cmd_resonance(args) -> int:
 
 def _init_file(path: str):
     """The state the --init-file CSV ``path`` lists, as a function of the run's N."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            # an empty file: the row-count check below names it
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--init-file: {exc}") from None
 
     def initial(N: int) -> LatticeState:
         if data.shape != (N, 5):

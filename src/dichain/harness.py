@@ -7,8 +7,11 @@ pass/fail gate; runs are deterministic for a fixed configuration.
 """
 from __future__ import annotations
 
+import copy
+import os
 import sys
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,51 +36,6 @@ class NoOutputPath(ConfigError):
 # every lattice run is Yoshida's order-4 triple jump; ``dt`` is the length
 # of its whole composed step (three force calls)
 LATTICE_ORDER = 4
-
-
-@dataclass
-class ExperimentConfig:
-    """One experiment, deserializable from a flat JSON document."""
-
-    kind: str
-    params: ChainParams = None
-    resonant_family: dict = None          # {"gamma": g, "c": c, "nl": {...}}
-    waves: list = field(default_factory=list)   # [{"branch", "theta"}, ...]
-    eps: list = field(default_factory=lambda: [0.1, 0.0707, 0.05, 0.0354, 0.025])
-    tau0: float = 1.0
-    a0: list = field(default_factory=lambda: [1.0, 0.5])
-    nu: float = 0.5
-    L_y: float = 40.0
-    n_grid: int = 256
-    dt: float = 0.02
-    n_samples: int = 50
-    out: str = None
-    scan: dict = None                     # resonance_scan: {"gamma": [...], "c": [...]}
-    n_snapshots: int = 11
-
-    def validate(self):
-        for keys, ok, need in _CHECKS:
-            for key in keys.split():
-                if not ok(getattr(self, key)):
-                    raise ConfigError(f"{key}: must be {need}, got {getattr(self, key)!r}")
-        if KINDS[self.kind].sweep:
-            if round(self.L_y / self.eps[0]) < 4:
-                raise ConfigError(f"L_y: L_y/eps gives fewer than 4 lattice sites "
-                                  f"at eps={self.eps[0]}")
-            if self.resonant_family is None:
-                if self.params is None:
-                    raise ConfigError("params: chain parameters or resonant_family required")
-                if not self.waves:
-                    raise ConfigError("waves: one or two waves required with params")
-            if len(self.a0) < (2 if self.resonant_family is not None else len(self.waves)):
-                raise ConfigError(f"a0: one amplitude per wave required, got {self.a0!r}")
-        if KINDS[self.kind].writes and self.out is None:
-            raise NoOutputPath(f"out: {self.kind} writes a CSV; set its path in the config")
-        if self.kind == "dispersion_table":
-            if self.params is None:
-                raise ConfigError("params: required for dispersion_table")
-            self.out = self.out or "dispersion.csv"
-        return self
 
 
 def _is_real(x) -> bool:
@@ -111,38 +69,76 @@ FAMILY_RANGE = {"gamma": (lambda g: _is_real(g) and g > 1.0, "numbers > 1"),
 
 def _family_ok(f) -> bool:
     nl = f.get("nl", {}) if isinstance(f, dict) else None
-    return (isinstance(nl, dict) and set(nl) <= set(NL_KEYS) and all(map(_is_real, nl.values()))
-            and set(f) <= {"gamma", "c", "nl"}
-            and all(ok(f.get(k)) for k, (ok, _) in FAMILY_RANGE.items()))
+    return f is None or (isinstance(nl, dict) and set(nl) <= set(NL_KEYS)
+                         and all(map(_is_real, nl.values())) and set(f) <= {"gamma", "c", "nl"}
+                         and all(ok(f.get(k)) for k, (ok, _) in FAMILY_RANGE.items()))
 
 
 def _scan_ok(s) -> bool:
-    return (isinstance(s, dict) and set(s) <= set(FAMILY_RANGE)
-            and all(_reals(v, FAMILY_RANGE[k][0]) for k, v in s.items()))
+    return s is None or (isinstance(s, dict) and set(s) <= set(FAMILY_RANGE)
+                         and all(_reals(v, FAMILY_RANGE[k][0]) for k, v in s.items()))
 
 
-# (keys, test of each key's value, what the value must be): every config
-# is held to every row, so a bad value fails even where its kind ignores it
-_CHECKS = (
-    ("kind", lambda k: isinstance(k, str) and k in KINDS, "an experiment kind"),
-    ("dt L_y nu", _positive, "a positive number"),
+# key -> (default, test of its value, what the value must be): every config
+# is held to every row, so a bad value fails even where its kind ignores it;
+# a required key's default fails its own test
+SCHEMA = {
+    "kind": (None, lambda k: isinstance(k, str) and k in KINDS, "an experiment kind"),
+    # parsed by params_from_dict before the check
+    "params": (None, lambda p: p is None or isinstance(p, ChainParams), "chain parameters"),
+    "resonant_family": (None, _family_ok, '{"gamma": number > 1, "c": number in [0, 1], '
+                        '"nl": {"v12": number, ...}}'),
+    "waves": (None, lambda ws: ws is None or (isinstance(ws, list) and len(ws) <= 2
+                                              and all(map(_wave_ok, ws))),
+              'a list of at most two {"branch": "acoustic" or "optical", "theta": number}'),
+    "eps": ([0.1, 0.0707, 0.05, 0.0354, 0.025],
+            lambda e: _reals(e, lambda x: _is_real(x) and 0 < x <= 0.2)
+            and all(a > b for a, b in zip(e, e[1:])),
+            "a strictly decreasing, non-empty list of numbers in (0, 0.2]"),
     # bounded: the envelopes are solved over [0, tau0] before any lattice step
-    ("tau0", lambda t: _positive(t) and t <= 100, "a positive number <= 100"),
-    ("n_samples", lambda n: _is_int(n) and n >= 1, "an integer >= 1"),
-    ("eps", lambda e: _reals(e, lambda x: _is_real(x) and 0 < x <= 0.2)
-     and all(a > b for a, b in zip(e, e[1:])),
-     "a strictly decreasing, non-empty list of numbers in (0, 0.2]"),
-    ("n_grid", lambda n: _is_int(n) and n >= 16 and n & (n - 1) == 0, "a power of two >= 16"),
-    ("a0", _reals, "a non-empty list of numbers"),
-    ("n_snapshots", lambda n: _is_int(n) and n >= 2, "an integer >= 2"),
-    ("waves", lambda ws: isinstance(ws, list) and len(ws) <= 2 and all(map(_wave_ok, ws)),
-     'a list of at most two {"branch": "acoustic" or "optical", "theta": number}'),
-    ("resonant_family", lambda f: f is None or _family_ok(f),
-     '{"gamma": number > 1, "c": number in [0, 1], "nl": {"v12": number, ...}}'),
-    ("scan", lambda s: s is None or _scan_ok(s),
-     '{"gamma": [numbers > 1], "c": [numbers in [0, 1]]}'),
-    ("out", lambda o: o is None or isinstance(o, str), "a file path"),
-)
+    "tau0": (1.0, lambda t: _positive(t) and t <= 100, "a positive number <= 100"),
+    "a0": ([1.0, 0.5], _reals, "a non-empty list of numbers"),
+    "nu": (0.5, _positive, "a positive number"),
+    "L_y": (40.0, _positive, "a positive number"),
+    "n_grid": (256, lambda n: _is_int(n) and n >= 16 and n & (n - 1) == 0,
+               "a power of two >= 16"),
+    "dt": (0.02, _positive, "a positive number"),
+    "n_samples": (50, lambda n: _is_int(n) and n >= 1, "an integer >= 1"),
+    # checked here, so that a bad path fails before the run, not after it
+    "out": (None, lambda o: o is None or (isinstance(o, str) and os.path.basename(o) != ""
+                                          and os.path.isdir(os.path.dirname(o) or ".")),
+            "a file path in an existing directory"),
+    "scan": (None, _scan_ok, '{"gamma": [numbers > 1], "c": [numbers in [0, 1]]}'),
+    "n_snapshots": (11, lambda n: _is_int(n) and n >= 2, "an integer >= 2"),
+}
+
+
+class ExperimentConfig(SimpleNamespace):
+    """One experiment: an attribute per SCHEMA key, as config_from_dict builds it."""
+
+    def validate(self):
+        for key, (_, ok, need) in SCHEMA.items():
+            if not ok(getattr(self, key)):
+                raise ConfigError(f"{key}: must be {need}, got {getattr(self, key)!r}")
+        for key in ("params", "waves"):
+            if self.resonant_family is not None and getattr(self, key) is not None:
+                raise ConfigError(f"{key}: cannot be combined with resonant_family")
+        if KINDS[self.kind].sweep:
+            if round(self.L_y / self.eps[0]) < 4:
+                raise ConfigError(f"L_y: L_y/eps gives fewer than 4 lattice sites "
+                                  f"at eps={self.eps[0]}")
+            if self.resonant_family is None:
+                if self.params is None:
+                    raise ConfigError("params: chain parameters or resonant_family required")
+                if not self.waves:
+                    raise ConfigError("waves: one or two waves required with params")
+            if len(self.a0) < (2 if self.resonant_family is not None else len(self.waves)):
+                raise ConfigError(f"a0: one amplitude per wave required, got {self.a0!r}")
+        if KINDS[self.kind].writes and self.out is None:
+            raise NoOutputPath(f"out: {self.kind} writes a CSV; set its path in the config")
+        if self.kind == "dispersion_table" and self.params is None:
+            raise ConfigError("params: required for dispersion_table")
+        return self
 
 
 _POTENTIALS = ("V1", "V2", "W1", "W2")
@@ -172,12 +168,10 @@ def config_from_dict(doc, **override) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
     for key in doc:
-        if key not in ExperimentConfig.__dataclass_fields__:
+        if key not in SCHEMA:
             raise ConfigError(f"{key}: unknown configuration key")
-    kw = dict(doc, **override)
-    if "kind" not in kw:
-        raise ConfigError("kind: missing")
-    if kw.get("params") is not None:
+    kw = {key: copy.deepcopy(default) for key, (default, _, _) in SCHEMA.items()} | doc | override
+    if kw["params"] is not None:
         kw["params"] = params_from_dict(kw["params"])
     return ExperimentConfig(**kw).validate()
 
@@ -407,8 +401,6 @@ def run_generation(cfg: ExperimentConfig) -> GenerationReport:
     least-squares fit of the carrier lines over one acoustic period,
     then projected on the dual basis of the generated branch.
     """
-    if cfg.resonant_family is None:
-        raise ConfigError("resonant_family: generation requires the resonant family")
     setup = setup_run(cfg, cfg.eps[0], a0=[cfg.a0[0], 0.0])
     p, spec = setup.p, setup.spec
     if not spec.macro.resonant:
@@ -585,7 +577,7 @@ KINDS = {
                                     else run_generation_control)(cfg), True),
     "residual_scaling": Kind(run_residual_scaling, True),
     "ansatz_scaling": Kind(run_ansatz_scaling, True),
-    "dispersion_table": Kind(dispersion_table, False),
+    "dispersion_table": Kind(dispersion_table, False, writes=True),
     "resonance_scan": Kind(lambda cfg: resonance_scan(cfg.scan), False),
     "amplitudes": Kind(run_amplitudes, True, writes=True),
     "simulate": Kind(run_simulate, True, writes=True),

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -10,7 +9,9 @@ import pytest
 
 from dichain import amplitude as amp
 from dichain import cli, harness
-from dichain.harness import ConfigError, ExperimentConfig, config_from_dict, fit_loglog
+from dichain.harness import SCHEMA, ConfigError, config_from_dict, fit_loglog
+
+ROOT = Path(__file__).resolve().parents[1]
 
 P_NL = {
     "V1": {"k1": 1.0, "k2": 0.3, "k3": 0.1},
@@ -73,7 +74,7 @@ def test_params_checked_as_strictly_as_config_keys(tmp_path, capsys, params, key
 
 def _readme_config_table():
     """key -> default cell of the README's configuration table."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("## Configuration schema", 1)[1].split("\n## ", 1)[0]
     table = {}
     for line in section.splitlines():
@@ -87,17 +88,25 @@ def _readme_config_table():
 
 def test_readme_defaults_match_experiment_config():
     table = _readme_config_table()
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-    assert set(table) == set(fields)
+    assert set(table) == set(SCHEMA)
     for key, documented in table.items():
-        f = fields[key]
-        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-        if documented == "required":
-            assert default is dataclasses.MISSING, key
-        elif documented in ("—", "none"):
-            assert default is None or default == [], key
+        default, ok, _ = SCHEMA[key]
+        # a required key's default is refused by its own check
+        assert ok(default) == (documented != "required"), key
+        if documented in ("required", "—", "none"):
+            assert default is None, key
         else:
             assert default == documented and type(default) is type(documented), key
+
+
+CONFIGS = [*sorted(set(ROOT.glob("configs/*.json")) - {ROOT / "configs/p0.json"}),
+           *sorted(ROOT.glob("perfbench/configs/*.json"))]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_shipped_config_loads(path):
+    # the schema is checked in seconds against every config a run or the benchmark reads
+    config_from_dict(json.loads(path.read_text()))
 
 
 def test_config_rejects_bad_beta_tau0():
@@ -288,7 +297,8 @@ def test_eps_sweep_deterministic():
     assert a.passed and b.passed
 
 
-@pytest.mark.parametrize("key,value", [
+# (key, a value its check refuses), each in a config that sets resonant_family
+BAD_KEYS = [
     ("dt", 0), ("dt", -1), ("dt", "x"),
     ("n_samples", 0), ("n_samples", 2.5),
     ("L_y", 0), ("L_y", -40.0), ("L_y", "x"), ("L_y", 0.05),
@@ -303,7 +313,16 @@ def test_eps_sweep_deterministic():
     ("nu", float("inf")), ("dt", float("inf")),
     ("resonant_family", dict(FAM, gamma=float("inf"))),
     pytest.param("n_samples", 10 ** 400, id="n_samples-past-float-range"),
-])
+    # resonant_family sets the chain and both waves
+    pytest.param("params", P_NL, id="params-with-resonant_family"),
+    pytest.param("waves", WAVES, id="waves-with-resonant_family"),
+    # refused before the run, not after it
+    pytest.param("out", "no_such_dir/conv.csv", id="out-in-missing-dir"),
+    pytest.param("out", "", id="out-empty"),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_KEYS)
 def test_cli_rejects_bad_integration_keys(tmp_path, capsys, monkeypatch, key, value):
     monkeypatch.setattr(harness, "setup_run", _no_compute)
     doc = dict(kind="convergence", resonant_family=FAM, eps=[0.1, 0.0707, 0.05],
@@ -321,6 +340,13 @@ def test_cli_rejects_bad_integration_keys(tmp_path, capsys, monkeypatch, key, va
 
 def _no_compute(*args, **kw):
     raise AssertionError("a malformed config reached the computation")
+
+
+def test_rejection_tests_cover_every_schema_key():
+    # kind and params also have tests of their own: test_config_rejects_unknown_kind
+    # and test_config_rejects_bad_params
+    tested = {getattr(case, "values", case)[0] for case in BAD_KEYS} | {"kind", "params"}
+    assert set(SCHEMA) <= tested
 
 
 @pytest.mark.parametrize("command,kind", [("amplitudes", "amplitudes"),
@@ -383,10 +409,18 @@ def _init_rows(sites):
     (["resonance", "--config", "scan.json", "--gamma", "3", "--c", "0.5"], [], "--gamma:"),
     (["resonance", "--config", "scan.json", "--c", "0.5"], [], "--c:"),
     (["amplitudes", "--config", "tau0.json"], [], "config error: tau0: "),
+    (["simulate", "--config", "sim.json", "--init-file", "nope.csv"], [],
+     "config error: --init-file: nope.csv not found"),
+    (["simulate", "--config", "sim.json", "--init-file", "init.csv"], ["0,a,0,0,0"],
+     "config error: --init-file: could not convert"),
+    # no rows at all: numpy's own warning is not shown
+    (["simulate", "--config", "sim.json", "--init-file", "init.csv"], [],
+     "--init-file: expected N = 40"),
 ], ids=["n-zero", "n-negative", "init-one-row", "init-wrong-N", "init-duplicate-j",
         "init-fractional-j", "init-nonfinite", "gamma-not-a-number", "c-not-a-number",
         "gamma-out-of-range", "gamma-nan", "c-out-of-range", "c-infinite", "config-and-flags",
-        "config-and-c", "tau0-huge"])
+        "config-and-c", "tau0-huge", "init-missing", "init-not-a-number", "init-empty"])
+@pytest.mark.filterwarnings("error")
 def test_cli_rejects_bad_options(tmp_path, capsys, monkeypatch, argv, sites, flag):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p.json").write_text(json.dumps(P_NL))
@@ -426,6 +460,16 @@ def test_validate_dispersion_table_matches_dispersion(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps(doc))
     assert cli.main(["validate", "--config", str(tmp_path / "cfg.json")]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_validate_dispersion_table_requires_out(tmp_path, capsys, monkeypatch):
+    # like every kind whose only output is a CSV: no path, no run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(dict(kind="dispersion_table", params=P_NL)))
+    rc = cli.main(["validate", "--config", "cfg.json"])
+    err = capsys.readouterr().err
+    assert rc == 1 and "config error: out: dispersion_table" in err and "Traceback" not in err
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_validate_amplitudes_matches_amplitudes(tmp_path):
