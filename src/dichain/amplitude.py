@@ -11,11 +11,12 @@ the product carriers.
 A Strang step advects the envelopes as one stack: the rows whose group
 velocity is nonzero share one FFT round trip per half step, with their
 phases exp(i kappa v dt) cached per (velocities, L, n, dt), and the
-RK4 source stage updates both rows at once.  A moving resonant pair is
+RK4 source stage updates both rows at once.  Every resonant pair is
 stepped by Yoshida's triple jump of three Strang steps (the lattice's
 order-4 weights ``microsim.SUBSTEPS[4]``): its fixed step
 ``STRANG_DTAU`` = 0.025 errs less than single Strang steps 25 times
-shorter.
+shorter.  A pair at rest (the c = 1 family) takes the same steps with no
+advection: three Yoshida-weighted RK4 source steps each.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .microsim import SUBSTEPS
 from .model import ChainParams
@@ -176,7 +176,8 @@ class MacroSystem:
 
 # a group velocity this small is zero: at the band edge theta2 = pi the
 # optical one is -5.9e-17 in floating point.  Such an envelope is not
-# advected, and a resonant pair with both at rest is a pointwise ODE.
+# advected, so a Strang step of a resonant pair with both at rest only
+# integrates its sources.
 VELOCITY_ZERO = 1e-12
 
 
@@ -319,10 +320,14 @@ class TransportSolution:
 
 
 class ODEReferenceSolution:
-    """Dense high-accuracy reference for resonant systems with vanishing
-    group velocities (the envelope equations reduce to a pointwise ODE)."""
+    """Dense DOP853 solution of a resonant system with vanishing group
+    velocities (the envelope equations reduce to a pointwise ODE), solved
+    over [0, tau_max] at once.  The tests' reference for StrangSolution: no
+    experiment builds it.  It lives here, not under tests/, because the
+    benchmark's tracer (perfbench/tracing.py) patches its ``fields``."""
 
     def __init__(self, sys: MacroSystem, fields0, tau_max: float):
+        from scipy.integrate import solve_ivp
         if not sys.resonant:
             raise ValueError("reference ODE applies to resonant systems")
         if any(sys.velocities):
@@ -349,9 +354,10 @@ class ODEReferenceSolution:
         return z[:n] + 1j * z[n:2 * n], z[2 * n:3 * n] + 1j * z[3 * n:]
 
 
-# the composed step of a moving resonant pair's StrangSolution: on the
+# the composed step of a resonant pair's StrangSolution: on the
 # c = 0.5 family (n = 256, to tau = 1.5) it errs by 1e-10 relative, where
-# single Strang steps of 1e-3 err by 2e-9
+# single Strang steps of 1e-3 err by 2e-9; at rest (c = 1, n = 128, to
+# tau = 1) it is within 2e-12 of DOP853
 STRANG_DTAU = 0.025
 
 
@@ -399,14 +405,11 @@ class StrangSolution:
         return state
 
 
-def make_solution(sys: MacroSystem, fields0, L: float, tau_max: float,
-                  dtau: float = STRANG_DTAU):
-    """Pick the best evaluable-at-any-tau solution for the regime; a
-    StrangSolution steps by ``dtau``."""
+def make_solution(sys: MacroSystem, fields0, L: float, dtau: float = STRANG_DTAU):
+    """The evaluable-at-any-tau solution of the regime: exact transport
+    when non-resonant, else a StrangSolution stepping by ``dtau``."""
     if not sys.resonant:
         return TransportSolution(sys, fields0, L)
-    if not any(sys.velocities):
-        return ODEReferenceSolution(sys, fields0, tau_max)
     return StrangSolution(sys, fields0, L, dtau)
 
 

@@ -95,7 +95,8 @@ SCHEMA = {
             lambda e: _reals(e, lambda x: _is_real(x) and 0 < x <= 0.2)
             and all(a > b for a, b in zip(e, e[1:])),
             "a strictly decreasing, non-empty list of numbers in (0, 0.2]"),
-    # bounded: the envelopes are solved over [0, tau0] before any lattice step
+    # bounded: it sets how far the envelopes are stepped, lazily, and how
+    # long a lattice run lasts (t = tau0/eps)
     "tau0": (1.0, lambda t: _positive(t) and t <= 100, "a positive number <= 100"),
     "a0": ([1.0, 0.5], _reals, "a non-empty list of numbers"),
     "nu": (0.5, _positive, "a positive number"),
@@ -106,8 +107,9 @@ SCHEMA = {
     "n_samples": (50, lambda n: _is_int(n) and n >= 1, "an integer >= 1"),
     # checked here, so that a bad path fails before the run, not after it
     "out": (None, lambda o: o is None or (isinstance(o, str) and os.path.basename(o) != ""
+                                          and not os.path.isdir(o)
                                           and os.path.isdir(os.path.dirname(o) or ".")),
-            "a file path in an existing directory"),
+            "a file path in an existing directory, not a directory"),
     "scan": (None, _scan_ok, '{"gamma": [numbers > 1], "c": [numbers in [0, 1]]}'),
     "n_snapshots": (11, lambda n: _is_int(n) and n >= 2, "an integer >= 2"),
 }
@@ -220,7 +222,7 @@ def setup_run(cfg: ExperimentConfig, eps_target: float, a0=None) -> RunSetup:
 
     macro = amp.build_macro_system(p, w1, w2)
     f0 = tuple(amp.sech_envelope(cfg.L_y, cfg.n_grid, a, cfg.nu) for a in a0[:2])
-    sol = amp.make_solution(macro, f0, cfg.L_y, tau_max=cfg.tau0 + 0.5)
+    sol = amp.make_solution(macro, f0, cfg.L_y)
     spec = anz.AnsatzSpec(p, eps, N, cfg.n_grid, macro, sol)
     return RunSetup(p, spec)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .model import ChainParams, make_params
 from .spectrum import ACOUSTIC, OPTICAL, Wave, omega
@@ -71,6 +70,7 @@ def find_acoustic_optical_resonance(p: ChainParams, n_grid: int = GRID_SIZE):
     roots such as theta=0 in the exactly-resonant family) are kept as is.
     Negative roots are the mirror images and are not returned.
     """
+    from scipy.optimize import brentq
     thetas = np.linspace(0.0, np.pi, n_grid)
     h = resonance_defect(p, thetas)
     roots = [float(t) for t, hv in zip(thetas, h) if abs(hv) <= ROOT_TOL]
@@ -161,6 +161,7 @@ def acoustic_acoustic_scan(gamma: float, n_grid: int = 1024):
     acoustic->acoustic resonance exists in the family; the maximum sits
     at c=1 where g~ vanishes identically.
     """
+    from scipy.optimize import minimize_scalar
     if gamma <= 1.0:
         raise ValueError("family requires gamma > 1")
     delta = (gamma - 1.0) ** 2 / (4.0 * gamma)

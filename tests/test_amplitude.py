@@ -388,14 +388,28 @@ def test_strang_solution_exact_step_times(monkeypatch):
 
 
 def test_make_solution_steps_strang_by_its_dtau():
-    """A moving resonant pair gets a StrangSolution stepping by STRANG_DTAU
-    unless a dtau is given (a finer reference passes one)."""
+    """Every resonant pair, moving (c = 0.5) or at rest (c = 1), gets a
+    StrangSolution stepping by STRANG_DTAU unless a dtau is given (a finer
+    reference passes one); at rest it matches the DOP853 reference."""
     p = family_nl(b=solve_family_ratio(2.0, 0.5))
     sys = build_macro_system(p, *resonant_pair(p, np.pi / 2))
     z = np.zeros(16, complex)
-    assert isinstance(amp.make_solution(sys, (z, z), L, 1.0), StrangSolution)
-    assert amp.make_solution(sys, (z, z), L, 1.0).dtau == amp.STRANG_DTAU
-    assert amp.make_solution(sys, (z, z), L, 1.0, dtau=2.5e-4).dtau == 2.5e-4
+    assert isinstance(amp.make_solution(sys, (z, z), L), StrangSolution)
+    assert amp.make_solution(sys, (z, z), L).dtau == amp.STRANG_DTAU
+    assert amp.make_solution(sys, (z, z), L, dtau=2.5e-4).dtau == 2.5e-4
+
+    p = family_nl(b=solve_family_ratio(2.0, 1.0))
+    sys = build_macro_system(p, *resonant_pair(p, 0.0))
+    assert sys.velocities == (0.0, 0.0)
+    f0 = (sech_envelope(L, NG, 1.0, 0.5), sech_envelope(L, NG, 0.3, 0.5))
+    sol = amp.make_solution(sys, f0, L)
+    assert type(sol) is StrangSolution and sol.dtau == amp.STRANG_DTAU
+    ref = ODEReferenceSolution(sys, f0, 1.0)
+    # a step time, a tau between steps, then an earlier tau (the cursor restarts)
+    for tau in (0.5, 0.5 + 0.4 * amp.STRANG_DTAU, 0.3):
+        b, bref = sol.fields(tau), ref.fields(tau)
+        for row, row_ref in zip(b, bref):
+            assert np.abs(row - row_ref).max() <= 1e-9 * np.abs(row_ref).max()
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ def build_spec(p, eps_target, th1_t, th2_t, a0=(1.0, 0.5), nu=0.5, L_y=L, n=NG):
     w2 = polarization(p, OPTICAL, th2)
     macro = amp.build_macro_system(p, w1, w2)
     f0 = (amp.sech_envelope(L_y, n, a0[0], nu), amp.sech_envelope(L_y, n, a0[1], nu))
-    sol = amp.make_solution(macro, f0, L_y, tau_max=2.0)
+    sol = amp.make_solution(macro, f0, L_y)
     return AnsatzSpec(p, eps, N, n, macro, sol)
 
 
@@ -38,7 +38,7 @@ def constant_spec(p, eps, N, th1, a=1.0, n=NG):
     w2 = polarization(p, OPTICAL, 2 * np.pi * (N // 3) / N)
     macro = amp.build_macro_system(p, w1, w2)
     f0 = (np.full(n, a, dtype=complex), np.zeros(n, complex))
-    sol = amp.make_solution(macro, f0, eps * N, tau_max=5.0)
+    sol = amp.make_solution(macro, f0, eps * N)
     return AnsatzSpec(p, eps, N, n, macro, sol)
 
 
@@ -128,7 +128,7 @@ def test_incommensurate_carrier_rejected():
     w2 = polarization(p, OPTICAL, 2 * np.pi * 10 / 64)
     macro = amp.build_macro_system(p, w1, w2)
     f0 = (np.zeros(NG, complex), np.zeros(NG, complex))
-    sol = amp.make_solution(macro, f0, 6.4, tau_max=1.0)
+    sol = amp.make_solution(macro, f0, 6.4)
     with pytest.raises(IncommensurateCarrier):
         AnsatzSpec(p, 0.1, 64, NG, macro, sol)
 

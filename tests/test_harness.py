@@ -1,6 +1,9 @@
 import ast
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -197,6 +200,17 @@ def test_cli_dispersion(tmp_path):
     assert all(len(line.split(",")) == 5 for line in lines[1:])
 
 
+def test_cli_import_loads_no_scipy_solver():
+    """Every command runs on numpy alone: importing the CLI in a fresh
+    interpreter loads none of scipy's solver packages."""
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse")
+    code = f"import sys, dichain.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_cli_malformed_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "convergence", "epz": [0.1]}')
@@ -263,7 +277,7 @@ def test_cli_amplitudes_and_simulate(tmp_path, capsys):
 # the three envelope regimes and the solution make_solution gives each
 AMP_REGIMES = {
     "nonresonant": (dict(params=P_NL, waves=WAVES), amp.TransportSolution),
-    "resonant-c1": (dict(resonant_family=FAM), amp.ODEReferenceSolution),
+    "resonant-c1": (dict(resonant_family=FAM), amp.StrangSolution),
     "resonant-c05": (dict(resonant_family=dict(FAM, c=0.5)), amp.StrangSolution),
 }
 
@@ -319,6 +333,7 @@ BAD_KEYS = [
     # refused before the run, not after it
     pytest.param("out", "no_such_dir/conv.csv", id="out-in-missing-dir"),
     pytest.param("out", "", id="out-empty"),
+    pytest.param("out", ".", id="out-is-a-directory"),
 ]
 
 
