@@ -12,8 +12,8 @@ A Strang step advects the envelopes as one stack: the rows whose group
 velocity is nonzero share one FFT round trip per half step, with their
 phases exp(i kappa v dt) cached per (velocities, L, n, dt), and the
 RK4 source stage updates both rows at once.  Every resonant pair is
-stepped by Yoshida's triple jump of three Strang steps (the lattice's
-order-4 weights ``microsim.SUBSTEPS[4]``): its fixed step
+stepped by Yoshida's triple jump of three Strang steps (the weights
+``TRIPLE_JUMP``): its fixed step
 ``STRANG_DTAU`` = 0.025 errs less than single Strang steps 25 times
 shorter.  A pair at rest (the c = 1 family) takes the same steps with no
 advection: three Yoshida-weighted RK4 source steps each.
@@ -26,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from .microsim import SUBSTEPS
 from .model import ChainParams
 from .resonance import NotResonant, resonant_pair_defect
 from .spectrum import ACOUSTIC, Wave, dispersion_matrix, group_velocity
@@ -292,10 +291,16 @@ def strang_step(sys: MacroSystem, fields, L: float, dtau: float):
     return fields
 
 
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+
+# Yoshida's triple-jump weights (w1, w0, w1), w0 = 1 - 2*w1 < 0
+TRIPLE_JUMP = (_W1, 1.0 - 2.0 * _W1, _W1)
+
+
 def composed_step(sys: MacroSystem, fields, L: float, dtau: float):
     """One order-4 step: Strang steps of w*dtau for Yoshida's triple-jump
     weights w (Yoshida 1990; McLachlan and Quispel, Acta Numerica 2002)."""
-    for w in SUBSTEPS[4]:
+    for w in TRIPLE_JUMP:
         fields = strang_step(sys, fields, L, w * dtau)
     return fields
 

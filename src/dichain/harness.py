@@ -8,6 +8,7 @@ pass/fail gate; runs are deterministic for a fixed configuration.
 from __future__ import annotations
 
 import copy
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -33,8 +34,8 @@ class NoOutputPath(ConfigError):
     """A kind that writes a CSV was given no ``out``."""
 
 
-# every lattice run is Yoshida's order-4 triple jump; ``dt`` is the length
-# of its whole composed step (three force calls)
+# every lattice run is Blanes and Moan's order-4 SRKN_6^b splitting; ``dt``
+# is the length of one whole step (six force calls)
 LATTICE_ORDER = 4
 
 
@@ -103,7 +104,7 @@ SCHEMA = {
     "L_y": (40.0, _positive, "a positive number"),
     "n_grid": (256, lambda n: _is_int(n) and n >= 16 and n & (n - 1) == 0,
                "a power of two >= 16"),
-    "dt": (0.02, _positive, "a positive number"),
+    "dt": (0.1, _positive, "a positive number"),
     "n_samples": (50, lambda n: _is_int(n) and n >= 1, "an integer >= 1"),
     # checked here, so that a bad path fails before the run, not after it
     "out": (None, lambda o: o is None or (isinstance(o, str) and os.path.basename(o) != ""
@@ -319,19 +320,12 @@ def run_ansatz_scaling(cfg: ExperimentConfig) -> ScalingReport:
                   lambda r: abs(r.exponent - 1.5) <= 0.1 and r.ratio <= 2.0)
 
 
-def _dt_target(cfg: ExperimentConfig, p: ChainParams) -> float:
-    return min(cfg.dt, default_dt(p, LATTICE_ORDER))
-
-
-def _experiment_sim(cfg: ExperimentConfig, p: ChainParams, T: float) -> SimConfig:
-    """Lattice run to T whose stride lands on the n_samples sampling times.
-
-    Rounding the stride can stretch the step to 1.5x the target; the
-    default_dt cap leaves room for that in the longest substep.
-    """
-    sample_dt = T / cfg.n_samples
-    stride = max(1, int(round(sample_dt / _dt_target(cfg, p))))
-    return SimConfig(dt=sample_dt / stride, T=T, stride=stride, order=LATTICE_ORDER)
+def _lattice_sim(cfg: ExperimentConfig, p: ChainParams, T: float, spacing: float) -> SimConfig:
+    """Lattice run to T whose stride lands on every multiple of ``spacing``:
+    the fewest steps per spacing that keep dt at or below cfg.dt and the
+    stability cap default_dt."""
+    stride = math.ceil(spacing / min(cfg.dt, default_dt(p, LATTICE_ORDER)))
+    return SimConfig(dt=spacing / stride, T=T, stride=stride, order=LATTICE_ORDER)
 
 
 def _lattice_peak(cfg: ExperimentConfig, observable, law: float):
@@ -347,7 +341,8 @@ def _lattice_peak(cfg: ExperimentConfig, observable, law: float):
             nonlocal peak
             peak = max(peak, observable(spec, t, state))
 
-        integrate(p, s0, _experiment_sim(cfg, p, cfg.tau0 / spec.eps), observer)
+        T = cfg.tau0 / spec.eps
+        integrate(p, s0, _lattice_sim(cfg, p, T, T / cfg.n_samples), observer)
         return peak, peak / spec.eps ** law
     return measure
 
@@ -417,7 +412,6 @@ def run_generation(cfg: ExperimentConfig) -> GenerationReport:
     window = 2.0 * np.pi / om1
     sample_dt = T / cfg.n_samples
     fine_target = window / 96.0
-    stride = max(1, int(round(fine_target / _dt_target(cfg, p))))
     # end on a sampling time, so the fit window holds the same times at any dt
     T_end = fine_target * round((T + window / 2.0) / fine_target)
 
@@ -437,8 +431,7 @@ def run_generation(cfg: ExperimentConfig) -> GenerationReport:
     # the optical-branch modal amplitude of the initial state
     q, qd = (ell @ (x * demod[:, None]).mean(axis=0) for x in (s0.pos, s0.vel))
     initial_mass = float(abs(0.5 * (q - 1j * qd / om2)))
-    integrate(p, s0, SimConfig(dt=fine_target / stride, T=T_end, stride=stride,
-                               order=LATTICE_ORDER), observer)
+    integrate(p, s0, _lattice_sim(cfg, p, T_end, fine_target), observer)
 
     # per-site least squares on the carrier lines over the final window;
     # the e^{+i om2 t} coefficient is eps * A_{1,2} times the polarization
@@ -555,7 +548,8 @@ def run_simulate(cfg: ExperimentConfig, initial=None) -> TableReport:
             rows.append((float(t), j, float(state.pos[j, 0]), float(state.pos[j, 1]),
                          float(state.vel[j, 0]), float(state.vel[j, 1])))
 
-    integrate(p, s0, _experiment_sim(cfg, p, cfg.tau0 / spec.eps), observer)
+    T = cfg.tau0 / spec.eps
+    integrate(p, s0, _lattice_sim(cfg, p, T, T / cfg.n_samples), observer)
     return TableReport("t,j,u1,u2,v1,v2", rows, True, f"wrote snapshots to {cfg.out}")
 
 

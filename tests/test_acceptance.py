@@ -120,7 +120,7 @@ def test_criterion_4_microsim():
 
     errs = []
     for dt in (0.02, 0.01):
-        s = integrate(P0, plane(0.0), SimConfig(dt=dt, T=10.0))
+        s = integrate(P0, plane(0.0), SimConfig(dt=dt, T=10.0, order=2))
         errs.append(np.abs(s.pos - plane(s.t).pos).max())
     ratio = errs[0] / errs[1]
     assert 3.6 <= ratio <= 4.4
@@ -134,7 +134,7 @@ def test_criterion_4_microsim():
     s0 = LatticeState(0.05 * rng.randn(N, 2), 0.05 * rng.randn(N, 2))
     h0 = hamiltonian_energy(s0, p)
     vals = []
-    integrate(p, s0, SimConfig(dt=0.02, T=500.0, stride=25),
+    integrate(p, s0, SimConfig(dt=0.02, T=500.0, stride=25, order=2),
               lambda t, st: vals.append(hamiltonian_energy(st, p)))
     vals = np.array(vals)
     half = len(vals) // 2
@@ -143,8 +143,8 @@ def test_criterion_4_microsim():
 
     # (c) time-reversal recovery
     s0 = LatticeState(0.02 * rng.randn(N, 2), 0.02 * rng.randn(N, 2))
-    sf = integrate(P0, s0, SimConfig(dt=0.02, T=50.0))
-    sb = integrate(P0, LatticeState(sf.pos, -sf.vel), SimConfig(dt=0.02, T=50.0))
+    sf = integrate(P0, s0, SimConfig(dt=0.02, T=50.0, order=2))
+    sb = integrate(P0, LatticeState(sf.pos, -sf.vel), SimConfig(dt=0.02, T=50.0, order=2))
     rev = max(np.abs(sb.pos - s0.pos).max(), np.abs(sb.vel + s0.vel).max())
     assert rev <= 1e-8
     assert time.time() - t0 < 30.0

@@ -14,7 +14,6 @@ from dichain.amplitude import (NONRESONANT, RESONANT_GENERIC, RESONANT_HALF_PI,
                                compute_K, corrector_carriers, coupling_coefficients,
                                second_order_amplitudes, sech_envelope,
                                spectral_derivative, tau_derivative)
-from dichain.microsim import SUBSTEPS
 from dichain.resonance import (NotResonant, family_params, find_acoustic_optical_resonance,
                                solve_family_ratio, wrap_theta)
 from dichain.spectrum import ACOUSTIC, OPTICAL, det_h, dispersion_matrix, polarization
@@ -371,6 +370,13 @@ def test_strang_solution_holds_one_state(monkeypatch):
     assert np.array_equal(sol.fields(2 * sol.dtau)[0], z + 3 * 2)  # restarts
 
 
+def test_triple_jump_weights():
+    # Yoshida's order-4 weights, kept beside composed_step so that no
+    # change of the lattice integrator moves an envelope step
+    w1 = 1 / (2 - 2 ** (1 / 3))
+    assert amp.TRIPLE_JUMP == (w1, 1 - 2 * w1, w1)
+
+
 def test_strang_solution_exact_step_times(monkeypatch):
     """k*dtau resolves to step k, not to k - 1 plus a partial step, even
     where tau/dtau rounds below k."""
@@ -382,7 +388,7 @@ def test_strang_solution_exact_step_times(monkeypatch):
     tau = 16669 * sol.dtau
     assert np.floor(tau / sol.dtau) == 16668
     sol.fields(tau)
-    assert dtaus == [w * sol.dtau for w in SUBSTEPS[4]] * 16669
+    assert dtaus == [w * sol.dtau for w in amp.TRIPLE_JUMP] * 16669
     sol.fields(tau)
     assert len(dtaus) == 3 * 16669
 

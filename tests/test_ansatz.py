@@ -171,7 +171,7 @@ def test_plane_wave_initial_data_reproduced_by_microsim():
     th = 2 * np.pi * 12 / N
     spec = constant_spec(p, eps, N, th, a=0.5)
     s0 = initial_state(spec, improved=True)
-    s = microsim.integrate(p, s0, microsim.SimConfig(dt=0.001, T=10.0))
+    s = microsim.integrate(p, s0, microsim.SimConfig(dt=0.001, T=10.0, order=2))
     expected = sample_first_order(spec, s.t)
     assert np.abs(s.pos - expected).max() < 5e-6  # integrator accuracy
 

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from dichain import amplitude as amp
-from dichain import cli, harness
+from dichain import cli, harness, model
 from dichain.harness import SCHEMA, ConfigError, config_from_dict, fit_loglog
+from dichain.microsim import SimConfig, default_dt
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -110,6 +111,19 @@ CONFIGS = [*sorted(set(ROOT.glob("configs/*.json")) - {ROOT / "configs/p0.json"}
 def test_every_shipped_config_loads(path):
     # the schema is checked in seconds against every config a run or the benchmark reads
     config_from_dict(json.loads(path.read_text()))
+
+
+LATTICE_CONFIGS = ["convergence_resonant", "convergence_nonresonant", "generation",
+                   "generation_control"]
+
+
+@pytest.mark.parametrize("name", LATTICE_CONFIGS)
+def test_lattice_config_dt_is_a_stable_default_step(name):
+    # a SimConfig of the config's dt and the default scheme passes the
+    # stability cap of the config's chain, as the benchmark's step timing needs
+    cfg = config_from_dict(json.loads((ROOT / f"configs/{name}.json").read_text()))
+    p = harness.setup_run(cfg, cfg.eps[0]).p
+    SimConfig(dt=cfg.dt, T=1.0).validate(p)
 
 
 def test_config_rejects_bad_beta_tau0():
@@ -510,7 +524,7 @@ def test_validate_resonance_scan_matches_resonance(tmp_path):
 
 
 def test_fourth_order_convergence_matches_fine_leapfrog(monkeypatch):
-    # the order-4 sweep at the default dt = 0.02 must sit at least as close
+    # the order-4 sweep at the default dt = 0.1 must sit at least as close
     # to a dt = 0.0005 leapfrog run as leapfrog at dt = 0.002 does (with
     # 1.25x slack), row by row; half the shipped horizon keeps it short
     base = dict(kind="convergence", resonant_family=FAM, eps=[0.1, 0.0707, 0.05], tau0=0.5)
@@ -525,14 +539,29 @@ def test_fourth_order_convergence_matches_fine_leapfrog(monkeypatch):
 
 
 def test_stiff_chain_sweep_keeps_substeps_stable():
-    # omega_max = 10 and sample spacings of 0.013-0.018: rounding the stride
-    # stretches the step up to 1.5x its target, and the longest order-4
-    # substep (1.70 dt) must still pass SimConfig.validate
+    # omega_max = 10 and sample spacings of 0.013-0.018, below the stability
+    # cap default_dt = 0.033: the step is the spacing itself, and the longest
+    # order-4 drift (0.605 dt) must pass SimConfig.validate
     stiff = {"V1": {"k1": 1.0}, "V2": {"k1": 2.0}, "W1": {"k1": 1.0}, "W2": {"k1": 96.0}}
     cfg = config_from_dict(dict(kind="convergence", params=stiff, waves=WAVES[:1],
                                 eps=[0.1, 0.0707, 0.05], tau0=0.065, L_y=25.6, n_grid=64))
     rep = harness.run_convergence(cfg)
     assert all(np.isfinite(v) for _, v in rep.rows)
+
+
+def test_lattice_step_never_exceeds_its_target():
+    # the stride is the fewest steps per sample spacing that keep dt at or
+    # below min(cfg.dt, default_dt); rounding would stretch 2.5 to 2 steps
+    p = model.p0()
+    cap = default_dt(p, harness.LATTICE_ORDER)
+    for target in (0.1, 0.04, 1.0):
+        cfg = small_cfg(dt=target)
+        for spacing in (0.05, 0.1, 0.25, 0.2823, 0.8, 3.0):
+            sim = harness._lattice_sim(cfg, p, 10 * spacing, spacing)
+            bound = min(target, cap)
+            assert sim.dt <= bound and sim.stride * sim.dt == pytest.approx(spacing)
+            assert sim.stride == 1 or spacing / (sim.stride - 1) > bound
+            sim.validate(p)
 
 
 def test_generation_window_independent_of_dt():
