@@ -449,52 +449,63 @@ def _tol_res(omega_val: float) -> float:
     return 1e-6 * (1.0 + omega_val ** 4)
 
 
-def _solve_product_corrector(p, om_v, th_v, K, weight):
+@lru_cache(maxsize=64)
+def _corrector_matrix(p: ChainParams, om_v: float, th_v: float):
+    """H(Omega, Theta) of a product carrier as (h00, h01, h10, h11, det H),
+    kept per (params, carrier); a nearly singular H raises NearResonance,
+    which is not cached, so every solve on that carrier raises."""
     H = dispersion_matrix(p, om_v, th_v)
     det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
     if abs(det) < _tol_res(om_v):
         raise NearResonance(
             f"|det H({om_v:.4g}, {th_v:.4g})| = {abs(det):.3e} below tolerance")
+    return H[0, 0], H[0, 1], H[1, 0], H[1, 1], det
+
+
+def _solve_product_corrector(p, om_v, th_v, K, weight, out):
+    """Write the solution A of weight*H(Omega, Theta) A + K = 0 into the
+    (2, n) rows ``out``."""
+    h00, h01, h10, h11, det = _corrector_matrix(p, om_v, th_v)
     k1, k2 = K
-    a1 = -(H[1, 1] * k1 - H[0, 1] * k2) / det / weight
-    a2 = -(-H[1, 0] * k1 + H[0, 0] * k2) / det / weight
-    return np.stack([np.broadcast_to(a1, np.shape(k1)).astype(complex),
-                     np.broadcast_to(a2, np.shape(k1)).astype(complex)])
+    out[0] = -(h11 * k1 - h01 * k2) / det / weight
+    out[1] = -(-h10 * k1 + h00 * k2) / det / weight
 
 
-def _wave_corrector(p, wave: Wave, b, dy_b, dtau_b, k_extra):
+def _wave_corrector(p, wave: Wave, b, dy_b, dtau_b, k_extra, out):
     """Corrector riding the wave's own carrier.
 
     Gauge: the free component vanishes; the determined one solves the
     non-degenerate row of the order-eps^2 bracket (with the quadratic
-    extra source k_extra in resonant regimes).
+    extra source k_extra in resonant regimes).  Written into the (2, n)
+    rows ``out``.
     """
     n = len(b)
-    out = np.zeros((2, n), dtype=complex)
+    out[...] = 0.0
     kx = k_extra if k_extra is not None else (np.zeros(n, complex), np.zeros(n, complex))
     if wave.degenerate:
         if wave.branch == ACOUSTIC:
             out[1] = (p.V2.k1 * dy_b + kx[1]) / (p.c2 - p.c1)
         else:
             out[0] = (p.V1.k1 * dy_b - kx[0]) / (p.c2 - p.c1)
-        return out
+        return
     eit = np.exp(1j * wave.theta)
     P = p.V1.k1 * (eit + 1.0)
     d_tau_a1 = dtau_b
     d_y_a2 = -wave.rho * dy_b
     out[1] = (2j * wave.omega * d_tau_a1 - p.V1.k1 * eit * d_y_a2 - kx[0]) / P
-    return out
 
 
 def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_fields,
-                            dtau_fields) -> dict:
+                            dtau_fields, out: Optional[np.ndarray] = None) -> dict:
     """All corrector fields A_{2,iota} for the given first-order envelopes,
     keyed by iota, each a (2, n) complex array.
 
     ``fields``, ``dy_fields`` and ``dtau_fields`` hold the scalar envelopes,
     their spectral y-derivatives and their tau-derivatives; the latter come
     from the governing macroscopic equations (``tau_derivative``), never
-    from time differencing.
+    from time differencing.  The fields are the rows of one (K, 2, n) stack,
+    ``out`` when given, in the order of the returned keys: the product
+    carriers of ``corrector_carriers``, then the two wave carriers.
     """
     w1, w2 = macro.waves
     b1 = np.asarray(fields[0], dtype=complex)
@@ -502,17 +513,22 @@ def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_field
     dtau_b1, dtau_b2 = dtau_fields
     a1 = w1.amplitude_vector(b1)
     a2 = w2.amplitude_vector(b2)
+    carriers = corrector_carriers(macro.mode, w1, w2)
+    if out is None:
+        out = np.empty((len(carriers) + 2, 2, len(b1)), dtype=complex)
 
     entries = {}
-    for iota, om_v, th_v, weight in corrector_carriers(macro.mode, w1, w2):
+    for rows, (iota, om_v, th_v, weight) in zip(out, carriers):
         K = compute_K(iota, a1, a2, p, w1.theta, w2.theta)
-        entries[iota] = _solve_product_corrector(p, om_v, th_v, K, weight)
+        _solve_product_corrector(p, om_v, th_v, K, weight, rows)
+        entries[iota] = rows
 
     if macro.resonant:
         kx1 = tuple(np.conj(c) for c in compute_K((1, -2), a1, a2, p, w1.theta, w2.theta))
         kx2 = compute_K((1, 1), a1, a2, p, w1.theta, w2.theta)
     else:
         kx1 = kx2 = None
-    entries[1] = _wave_corrector(p, w1, b1, dy_fields[0], dtau_b1, kx1)
-    entries[2] = _wave_corrector(p, w2, b2, dy_fields[1], dtau_b2, kx2)
+    _wave_corrector(p, w1, b1, dy_fields[0], dtau_b1, kx1, out[-2])
+    _wave_corrector(p, w2, b2, dy_fields[1], dtau_b2, kx2, out[-1])
+    entries[1], entries[2] = out[-2], out[-1]
     return entries

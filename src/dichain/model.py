@@ -296,52 +296,3 @@ def hamiltonian_energy(s: LatticeState, p: ChainParams) -> float:
     pot = np.sum(p.V1.potential(s_a)) + np.sum(p.V1.potential(s_b))
     pot += np.sum(p.W1.potential(s.pos[:, 0])) + mu * np.sum(p.W2.potential(s.pos[:, 1]))
     return float(kin + pot)
-
-
-def lipschitz_constant(p: ChainParams, c0: float = 0.5) -> float:
-    """Explicit constant C such that
-
-        ||M(u) - M(w)||_M <= C*(||u||_inf + ||w||_inf)*||u - w||_M
-
-    whenever ||u||_inf, ||w||_inf <= c0.  Crude but valid: stretches are
-    bounded by twice the sup norm, |x^2-y^2| <= (|x|+|y|)|x-y|, and
-    |x^3-y^3| <= (|x|+|y|)^2|x-y| within the ball.
-    """
-    weight_ratio = np.sqrt(max(p.M_w, p.m_w) / min(p.M_w, p.m_w))
-    cv = max(abs(p.V1.k2) + 4 * c0 * abs(p.V1.k3), abs(p.V2.k2) + 4 * c0 * abs(p.V2.k3))
-    cw = max(abs(p.W1.k2) + 2 * c0 * abs(p.W1.k3), abs(p.W2.k2) + 2 * c0 * abs(p.W2.k3))
-    # row-wise: 2 bond differences (each spreading over <= 4 site values) + 1 on-site
-    return float(weight_ratio * (16.0 * cv + 2.0 * cw))
-
-
-def norm_equivalence_interval(p: ChainParams, n_theta: int = 720):
-    """Equivalence constants between ||.||_Y and the plain (l2)^4 norm.
-
-    Returns (kappa_lo, kappa_hi, sqrt of min eig, sqrt of max eig over the
-    position/velocity symbols).  Computed from the extreme eigenvalues of
-    the Fourier symbol of the position form and the diagonal velocity
-    weights.
-    """
-    thetas = np.linspace(-np.pi, np.pi, n_theta)
-    v = p.v_ref
-    d1 = 2 * v + p.M_w * p.W1.k1
-    d2 = 2 * v + p.m_w * p.W2.k1
-    off = v * np.abs(1.0 + np.exp(1j * thetas))
-    tr = d1 + d2
-    disc = np.sqrt((d1 - d2) ** 2 + 4 * off ** 2)
-    lam_min = ((tr - disc) / 2).min()
-    lam_max = ((tr + disc) / 2).max()
-    lo = np.sqrt(min(lam_min, p.M_w, p.m_w))
-    hi = np.sqrt(max(lam_max, p.M_w, p.m_w))
-    return float(lo), float(hi), float(np.sqrt(lam_min)), float(np.sqrt(lam_max))
-
-
-# Reference parameter set used throughout the tests: v11=1, v21=2,
-# w11=w21=1, purely harmonic.
-def p0(**nl) -> ChainParams:
-    """The harmonic reference chain (c1=3, c2=5), optionally with
-    nonlinear coefficients passed as v1=(k1,k2,k3) style overrides."""
-    kw = dict(v1=(1.0, 0.0, 0.0), v2=(2.0, 0.0, 0.0),
-              w1=(1.0, 0.0, 0.0), w2=(1.0, 0.0, 0.0))
-    kw.update(nl)
-    return make_params(**kw)

@@ -3,21 +3,18 @@
 A carrier wave (omega, theta) regenerates itself at (2 omega, 2 theta);
 whether that point again satisfies the dispersion relation decides
 between plain transport of the envelope and coupled amplitude dynamics.
-This module locates acoustic->optical resonances, solves the explicit
-one-parameter family for an exact resonance at prescribed wavenumber,
-and verifies numerically that the remaining second- and third-order
-resonances cannot occur.
+This module measures the acoustic->optical resonance defect, solves the
+explicit one-parameter family for an exact resonance at prescribed
+wavenumber, and verifies numerically that the remaining second- and
+third-order resonances cannot occur.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ChainParams, make_params
 from .spectrum import ACOUSTIC, OPTICAL, Wave, omega
 
-ROOT_TOL = 1e-12
 GRID_SIZE = 2048
 # the family's nonlinear coefficients: k2 and k3 of V1, V2, W1 and W2
 NL_KEYS = ("v12", "v13", "v22", "v23", "w12", "w13", "w22", "w23")
@@ -31,63 +28,9 @@ class NotResonant(ValueError):
     """Raised when a wave pair does not form an exact resonant pair."""
 
 
-@dataclass(frozen=True)
-class ReducedCoords:
-    """Substituted coordinates in which the resonance conditions are scalar
-    equations: c = (cos theta + 1)/2, f = 16 v11 v21, d1 = (c1+c2)^2/f,
-    d2 = (c1-c2)^2/f."""
-
-    c: float
-    d1: float
-    d2: float
-    f: float
-
-    def omega_sq(self, branch: str) -> float:
-        s = 1.0 if branch == OPTICAL else -1.0
-        return 0.5 * np.sqrt(self.f) * (np.sqrt(self.d1) + s * np.sqrt(self.d2 + self.c))
-
-
-def reduced_coords(p: ChainParams, theta: float) -> ReducedCoords:
-    f = 16.0 * p.V1.k1 * p.V2.k1
-    return ReducedCoords(
-        c=float((np.cos(theta) + 1.0) / 2.0),
-        d1=float((p.c1 + p.c2) ** 2 / f),
-        d2=float((p.c1 - p.c2) ** 2 / f),
-        f=float(f),
-    )
-
-
 def resonance_defect(p: ChainParams, theta):
     """h(theta) = 2 omega_-(theta) - omega_+(2 theta)."""
     return 2.0 * omega(p, ACOUSTIC, theta) - omega(p, OPTICAL, 2.0 * np.asarray(theta))
-
-
-def find_acoustic_optical_resonance(p: ChainParams, n_grid: int = GRID_SIZE):
-    """All theta in [0, pi] with 2 omega_-(theta) = omega_+(2 theta).
-
-    Sign changes of the defect on a uniform grid are refined by bisection
-    until |h| <= 1e-12; grid points already below the tolerance (tangent
-    roots such as theta=0 in the exactly-resonant family) are kept as is.
-    Negative roots are the mirror images and are not returned.
-    """
-    from scipy.optimize import brentq
-    thetas = np.linspace(0.0, np.pi, n_grid)
-    h = resonance_defect(p, thetas)
-    roots = [float(t) for t, hv in zip(thetas, h) if abs(hv) <= ROOT_TOL]
-    for i in range(n_grid - 1):
-        if abs(h[i]) <= ROOT_TOL or abs(h[i + 1]) <= ROOT_TOL:
-            continue
-        if h[i] * h[i + 1] < 0.0:
-            root = brentq(lambda t: resonance_defect(p, t), thetas[i], thetas[i + 1],
-                          xtol=1e-15, rtol=8.9e-16)
-            if abs(resonance_defect(p, root)) <= ROOT_TOL:
-                roots.append(float(root))
-    roots.sort()
-    dedup = []
-    for r in roots:
-        if not dedup or r - dedup[-1] > 1e-9:
-            dedup.append(r)
-    return dedup
 
 
 def family_params(gamma: float, b: float, a: float = 1.0, nl: dict = None) -> ChainParams:

@@ -50,13 +50,6 @@ def dispersion_matrix(p: ChainParams, omega_val: float, theta: float) -> np.ndar
     ], dtype=complex)
 
 
-def det_h(p: ChainParams, omega_val, theta):
-    """det H(omega, theta), vectorized over omega/theta arrays."""
-    w2 = np.asarray(omega_val) ** 2
-    theta = np.asarray(theta)
-    return (w2 - p.c1) * (w2 - p.c2) - p.V1.k1 * p.V2.k1 * 2.0 * (1.0 + np.cos(theta))
-
-
 def omega(p: ChainParams, branch: str, theta):
     """Branch frequency omega_-(theta) (acoustic) or omega_+(theta) (optical)."""
     theta = np.asarray(theta, dtype=float)

@@ -1,9 +1,127 @@
-"""Shared test utilities."""
+"""Shared test utilities, and the analysis functions only tests use: the
+reference chain p0, det H, the resonance finder and the reduced
+coordinates, the Lipschitz and norm-equivalence constants."""
+from dataclasses import dataclass
+
 import numpy as np
+from scipy.optimize import brentq
 
 from dichain import amplitude as amp
 from dichain.amplitude import StrangSolution
-from dichain.model import make_params
+from dichain.model import ChainParams, make_params
+from dichain.resonance import GRID_SIZE, resonance_defect
+from dichain.spectrum import OPTICAL, dispersion_matrix
+
+ROOT_TOL = 1e-12
+
+
+# Reference parameter set used throughout the tests: v11=1, v21=2,
+# w11=w21=1, purely harmonic.
+def p0(**nl) -> ChainParams:
+    """The harmonic reference chain (c1=3, c2=5), optionally with
+    nonlinear coefficients passed as v1=(k1,k2,k3) style overrides."""
+    kw = dict(v1=(1.0, 0.0, 0.0), v2=(2.0, 0.0, 0.0),
+              w1=(1.0, 0.0, 0.0), w2=(1.0, 0.0, 0.0))
+    kw.update(nl)
+    return make_params(**kw)
+
+
+def det_h(p: ChainParams, omega_val, theta):
+    """det H(omega, theta), vectorized over omega/theta arrays."""
+    w2 = np.asarray(omega_val) ** 2
+    theta = np.asarray(theta)
+    return (w2 - p.c1) * (w2 - p.c2) - p.V1.k1 * p.V2.k1 * 2.0 * (1.0 + np.cos(theta))
+
+
+@dataclass(frozen=True)
+class ReducedCoords:
+    """Substituted coordinates in which the resonance conditions are scalar
+    equations: c = (cos theta + 1)/2, f = 16 v11 v21, d1 = (c1+c2)^2/f,
+    d2 = (c1-c2)^2/f."""
+
+    c: float
+    d1: float
+    d2: float
+    f: float
+
+    def omega_sq(self, branch: str) -> float:
+        s = 1.0 if branch == OPTICAL else -1.0
+        return 0.5 * np.sqrt(self.f) * (np.sqrt(self.d1) + s * np.sqrt(self.d2 + self.c))
+
+
+def reduced_coords(p: ChainParams, theta: float) -> ReducedCoords:
+    f = 16.0 * p.V1.k1 * p.V2.k1
+    return ReducedCoords(
+        c=float((np.cos(theta) + 1.0) / 2.0),
+        d1=float((p.c1 + p.c2) ** 2 / f),
+        d2=float((p.c1 - p.c2) ** 2 / f),
+        f=float(f),
+    )
+
+
+def find_acoustic_optical_resonance(p: ChainParams, n_grid: int = GRID_SIZE):
+    """All theta in [0, pi] with 2 omega_-(theta) = omega_+(2 theta).
+
+    Sign changes of the defect on a uniform grid are refined by bisection
+    until |h| <= 1e-12; grid points already below the tolerance (tangent
+    roots such as theta=0 in the exactly-resonant family) are kept as is.
+    Negative roots are the mirror images and are not returned.
+    """
+    thetas = np.linspace(0.0, np.pi, n_grid)
+    h = resonance_defect(p, thetas)
+    roots = [float(t) for t, hv in zip(thetas, h) if abs(hv) <= ROOT_TOL]
+    for i in range(n_grid - 1):
+        if abs(h[i]) <= ROOT_TOL or abs(h[i + 1]) <= ROOT_TOL:
+            continue
+        if h[i] * h[i + 1] < 0.0:
+            root = brentq(lambda t: resonance_defect(p, t), thetas[i], thetas[i + 1],
+                          xtol=1e-15, rtol=8.9e-16)
+            if abs(resonance_defect(p, root)) <= ROOT_TOL:
+                roots.append(float(root))
+    roots.sort()
+    dedup = []
+    for r in roots:
+        if not dedup or r - dedup[-1] > 1e-9:
+            dedup.append(r)
+    return dedup
+
+
+def lipschitz_constant(p: ChainParams, c0: float = 0.5) -> float:
+    """Explicit constant C such that
+
+        ||M(u) - M(w)||_M <= C*(||u||_inf + ||w||_inf)*||u - w||_M
+
+    whenever ||u||_inf, ||w||_inf <= c0.  Crude but valid: stretches are
+    bounded by twice the sup norm, |x^2-y^2| <= (|x|+|y|)|x-y|, and
+    |x^3-y^3| <= (|x|+|y|)^2|x-y| within the ball.
+    """
+    weight_ratio = np.sqrt(max(p.M_w, p.m_w) / min(p.M_w, p.m_w))
+    cv = max(abs(p.V1.k2) + 4 * c0 * abs(p.V1.k3), abs(p.V2.k2) + 4 * c0 * abs(p.V2.k3))
+    cw = max(abs(p.W1.k2) + 2 * c0 * abs(p.W1.k3), abs(p.W2.k2) + 2 * c0 * abs(p.W2.k3))
+    # row-wise: 2 bond differences (each spreading over <= 4 site values) + 1 on-site
+    return float(weight_ratio * (16.0 * cv + 2.0 * cw))
+
+
+def norm_equivalence_interval(p: ChainParams, n_theta: int = 720):
+    """Equivalence constants between ||.||_Y and the plain (l2)^4 norm.
+
+    Returns (kappa_lo, kappa_hi, sqrt of min eig, sqrt of max eig over the
+    position/velocity symbols).  Computed from the extreme eigenvalues of
+    the Fourier symbol of the position form and the diagonal velocity
+    weights.
+    """
+    thetas = np.linspace(-np.pi, np.pi, n_theta)
+    v = p.v_ref
+    d1 = 2 * v + p.M_w * p.W1.k1
+    d2 = 2 * v + p.m_w * p.W2.k1
+    off = v * np.abs(1.0 + np.exp(1j * thetas))
+    tr = d1 + d2
+    disc = np.sqrt((d1 - d2) ** 2 + 4 * off ** 2)
+    lam_min = ((tr - disc) / 2).min()
+    lam_max = ((tr + disc) / 2).max()
+    lo = np.sqrt(min(lam_min, p.M_w, p.m_w))
+    hi = np.sqrt(max(lam_max, p.M_w, p.m_w))
+    return float(lo), float(hi), float(np.sqrt(lam_min)), float(np.sqrt(lam_max))
 
 
 def strang_states(sys, fields0, L, tau_end, dtau):
@@ -73,6 +191,18 @@ def roll_force(p, pos):
         return out + v.k3 * (r2 * r - l2 * l) if cubic else out
 
     return lin + np.stack([nl(p.V1, p.W1, s_a, s_b, u1), nl(p.V2, p.W2, s_b, s_c, u2)], axis=1)
+
+
+def per_call_corrector(p, om_v, th_v, K, weight):
+    """Independent reference for a product-carrier corrector: the (2, n)
+    solution of weight*H A + K = 0, building H and det H on every call."""
+    H = dispersion_matrix(p, om_v, th_v)
+    det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
+    k1, k2 = K
+    a1 = -(H[1, 1] * k1 - H[0, 1] * k2) / det / weight
+    a2 = -(-H[1, 0] * k1 + H[0, 0] * k2) / det / weight
+    return np.stack([np.broadcast_to(a1, np.shape(k1)).astype(complex),
+                     np.broadcast_to(a2, np.shape(k1)).astype(complex)])
 
 
 def per_row_snapshot(spec, fields):

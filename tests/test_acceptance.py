@@ -8,18 +8,18 @@ import time
 import numpy as np
 from scipy.optimize import brentq
 
-from _helpers import random_valid_params, strang_states
+from _helpers import (det_h, find_acoustic_optical_resonance, p0, random_valid_params,
+                      strang_states)
 from dichain import harness, model
 from dichain.amplitude import ODEReferenceSolution, build_macro_system, sech_envelope
 from dichain.ansatz import initial_state, sample_first_order
 from dichain.microsim import SimConfig, integrate
 from dichain.model import LatticeState, hamiltonian_energy
-from dichain.resonance import (acoustic_acoustic_scan, family_params,
-                               find_acoustic_optical_resonance, optical_closure_margin,
+from dichain.resonance import (acoustic_acoustic_scan, family_params, optical_closure_margin,
                                solve_family_ratio, third_order_margin)
-from dichain.spectrum import ACOUSTIC, OPTICAL, det_h, group_velocity, omega, polarization
+from dichain.spectrum import ACOUSTIC, OPTICAL, group_velocity, omega, polarization
 
-P0 = model.p0()
+P0 = p0()
 
 P_NONRES = {
     "V1": {"k1": 1.0, "k2": 0.3, "k3": 0.1},

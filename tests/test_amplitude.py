@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _helpers import random_valid_params, strang_states
+from _helpers import (det_h, find_acoustic_optical_resonance, p0, per_call_corrector,
+                      random_valid_params, strang_states)
 from dichain import amplitude as amp
 from dichain import model
 from dichain.amplitude import (NONRESONANT, RESONANT_GENERIC, RESONANT_HALF_PI,
@@ -14,11 +15,10 @@ from dichain.amplitude import (NONRESONANT, RESONANT_GENERIC, RESONANT_HALF_PI,
                                compute_K, corrector_carriers, coupling_coefficients,
                                second_order_amplitudes, sech_envelope,
                                spectral_derivative, tau_derivative)
-from dichain.resonance import (NotResonant, family_params, find_acoustic_optical_resonance,
-                               solve_family_ratio, wrap_theta)
-from dichain.spectrum import ACOUSTIC, OPTICAL, det_h, dispersion_matrix, polarization
+from dichain.resonance import NotResonant, family_params, solve_family_ratio, wrap_theta
+from dichain.spectrum import ACOUSTIC, OPTICAL, dispersion_matrix, polarization
 
-P0 = model.p0()
+P0 = p0()
 L, NG = 40.0, 128
 
 
@@ -506,7 +506,7 @@ def test_corrector_solve_checks_nonresonance():
     # an acoustic carrier with an optical wave that is not its partner: the
     # correctors solve at theta1 = 0.3, but at the reference chain's
     # resonance root (2w1, 2th1) lies on the optical branch
-    p = model.p0(v1=(1.0, 0.3, 0.0), w2=(1.0, 0.35, 0.0))
+    p = p0(v1=(1.0, 0.3, 0.0), w2=(1.0, 0.35, 0.0))
     fields = _smooth_fields(None)
     dy = tuple(spectral_derivative(f, L) for f in fields)
     w2 = polarization(p, OPTICAL, 0.6)
@@ -520,6 +520,32 @@ def test_corrector_solve_checks_nonresonance():
         coupling_coefficients(p, w1, w2)
     with pytest.raises(NearResonance, match=r"det H\(2\.366, 2\.229\)"):
         second_order_amplitudes(p, sys, fields, dy, tau_derivative(sys, fields, dy))
+
+
+def test_corrector_matrix_kept_per_params_and_carrier():
+    """A chain with the same carriers but another V2.k1 gets its own H,
+    whichever chain came first, and the solve is the per-call formula bit
+    for bit; a near-singular H raises on every build, not only the first."""
+    p = family_nl()
+    q = dataclasses.replace(p, V2=dataclasses.replace(p.V2, k1=2.5))
+    w1, w2 = polarization(p, ACOUSTIC, 0.3), polarization(p, OPTICAL, 0.9)
+    sys = build_macro_system(p, w1, w2)
+    fields = _smooth_fields(None)
+    dy = tuple(spectral_derivative(f, L) for f in fields)
+    dtau = tau_derivative(sys, fields, dy)
+    a1, a2 = w1.amplitude_vector(fields[0]), w2.amplitude_vector(fields[1])
+    for chain in (p, q, p, q):
+        s = second_order_amplitudes(chain, sys, fields, dy, dtau)
+        for iota, om_v, th_v, weight in corrector_carriers(sys.mode, w1, w2):
+            K = compute_K(iota, a1, a2, chain, w1.theta, w2.theta)
+            assert np.array_equal(s[iota], per_call_corrector(chain, om_v, th_v, K, weight))
+
+    w1, w2 = resonant_pair(p, 0.0)
+    sys_bad = amp.MacroSystem(NONRESONANT, (w1, w2), (0.0, 0.0))
+    dtau = tau_derivative(sys_bad, fields, dy)
+    for _ in range(2):
+        with pytest.raises(NearResonance, match="below tolerance"):
+            second_order_amplitudes(p, sys_bad, fields, dy, dtau)
 
 
 def test_relations_two_quotient_forms_agree():

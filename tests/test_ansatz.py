@@ -14,7 +14,7 @@ from dichain.ansatz import (AnsatzSpec, IncommensurateCarrier, first_order_veloc
 from dichain.resonance import wrap_theta
 from dichain.spectrum import ACOUSTIC, OPTICAL, polarization
 
-from _helpers import per_row_snapshot
+from _helpers import p0, per_call_corrector, per_row_snapshot
 
 L, NG = 40.0, 128
 
@@ -58,7 +58,7 @@ def rel_err(a, b):
 @pytest.mark.parametrize("N,n", [(400, 256), (1600, 256), (200, 256),
                                  (400, 512), (1600, 512), (404, 16)])
 def test_interp_matches_dense_matrix(N, n):
-    spec = constant_spec(model.p0(), L / N, N, 0.0, n=n)
+    spec = constant_spec(p0(), L / N, N, 0.0, n=n)
     rng = np.random.default_rng(N + n)
     smooth = amp.sech_envelope(L, n, 1.0, 0.5) * np.exp(0.3j * amp.grid_points(L, n))
     rough = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -69,7 +69,7 @@ def test_interp_matches_dense_matrix(N, n):
 
 @pytest.mark.parametrize("N,n", [(256, 256), (512, 256), (1600, 16), (400, 16)])
 def test_interp_recovers_grid_values(N, n):
-    spec = constant_spec(model.p0(), L / N, N, 0.0, n=n)
+    spec = constant_spec(p0(), L / N, N, 0.0, n=n)
     rng = np.random.default_rng(n)
     values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     got = spec.interp(values)[::N // n]
@@ -79,7 +79,7 @@ def test_interp_recovers_grid_values(N, n):
 def test_spec_freed_without_cycle_collector():
     """Cached snapshots must not keep a dropped spec (and the N-length
     fields they hold) alive until the cycle collector runs."""
-    spec = constant_spec(model.p0(), 0.1, 400, 0.0, a=0.5)
+    spec = constant_spec(p0(), 0.1, 400, 0.0, a=0.5)
     sample_improved(spec, 0.7)  # fills the cache and the lazy correctors
     ref = weakref.ref(spec)
     gc.disable()
@@ -91,7 +91,7 @@ def test_spec_freed_without_cycle_collector():
 
 
 def test_zero_amplitudes_sample_zero():
-    p = model.p0()
+    p = p0()
     N = 400
     spec = constant_spec(p, 0.1, N, 0.0, a=0.0)
     assert np.all(sample_first_order(spec, 1.3) == 0.0)
@@ -102,7 +102,7 @@ def test_zero_amplitudes_sample_zero():
 def test_constant_amplitude_uniform_wave():
     # acoustic theta=0 on the reference chain: rho=-1, so both components
     # move together: u_j = (2 eps a cos t, 2 eps a cos t)
-    p = model.p0()
+    p = p0()
     N = 400
     eps = 0.1
     spec = constant_spec(p, eps, N, 0.0, a=0.5)
@@ -114,7 +114,7 @@ def test_constant_amplitude_uniform_wave():
 
 
 def test_sampled_fields_are_real():
-    p = model.p0(w1=(1.0, 0.3, 0.0), w2=(1.0, 0.4, 0.0))
+    p = p0(w1=(1.0, 0.3, 0.0), w2=(1.0, 0.4, 0.0))
     spec = build_spec(p, 0.1, 0.3, 0.6)
     u = sample_improved(spec, 0.37)
     v = anz.improved_velocity(spec, 0.37)
@@ -123,7 +123,7 @@ def test_sampled_fields_are_real():
 
 
 def test_incommensurate_carrier_rejected():
-    p = model.p0()
+    p = p0()
     w1 = polarization(p, ACOUSTIC, 0.3)  # not a multiple of 2 pi / N
     w2 = polarization(p, OPTICAL, 2 * np.pi * 10 / 64)
     macro = amp.build_macro_system(p, w1, w2)
@@ -135,14 +135,14 @@ def test_incommensurate_carrier_rejected():
 
 def test_improved_equals_first_order_when_correctors_vanish():
     # linear chain + constant envelope: every corrector is zero
-    p = model.p0()
+    p = p0()
     spec = constant_spec(p, 0.1, 400, 2 * np.pi * 19 / 400, a=0.7)
     np.testing.assert_array_equal(sample_first_order(spec, 0.9),
                                   sample_improved(spec, 0.9))
 
 
 def test_initial_velocity_matches_analytic_derivative():
-    p = model.p0()
+    p = p0()
     N = 400
     eps = 0.1
     spec = constant_spec(p, eps, N, 0.0, a=0.4)   # theta=0: rho=-1, real
@@ -165,7 +165,7 @@ def test_initial_velocity_matches_analytic_derivative():
 
 
 def test_plane_wave_initial_data_reproduced_by_microsim():
-    p = model.p0()
+    p = p0()
     N = 256
     eps = 0.05
     th = 2 * np.pi * 12 / N
@@ -179,13 +179,13 @@ def test_plane_wave_initial_data_reproduced_by_microsim():
 def test_residual_linear_plane_wave_floor():
     # small amplitude and a balanced step keep both the cancellation noise
     # and the truncation error of the second difference below 1e-8
-    p = model.p0()
+    p = p0()
     spec = constant_spec(p, 0.1, 400, 2 * np.pi * 19 / 400, a=0.01)
     assert residual_norm(p, spec, 1.0, h0=0.03) <= 1e-8
 
 
 def test_residual_scaling_and_h_insensitivity():
-    p = model.p0(v1=(1.0, 0.3, 0.1), v2=(2.0, 0.4, 0.0),
+    p = p0(v1=(1.0, 0.3, 0.1), v2=(2.0, 0.4, 0.0),
                  w1=(1.0, 0.25, 0.05), w2=(1.0, 0.35, 0.0))
     vals, es = [], []
     for eps_t in (0.1, 0.05, 0.025):
@@ -203,7 +203,7 @@ def test_residual_scaling_and_h_insensitivity():
 
 
 def test_gap_scaling_exponent():
-    p = model.p0(v1=(1.0, 0.3, 0.1), v2=(2.0, 0.4, 0.0),
+    p = p0(v1=(1.0, 0.3, 0.1), v2=(2.0, 0.4, 0.0),
                  w1=(1.0, 0.25, 0.05), w2=(1.0, 0.35, 0.0))
     gaps, infs, es = [], [], []
     for eps_t in (0.1, 0.05, 0.025):
@@ -220,7 +220,7 @@ def test_gap_scaling_exponent():
 
 
 def test_residual_requires_available_trajectory():
-    p = model.p0()
+    p = p0()
     spec = constant_spec(p, 0.1, 400, 0.0, a=0.5)
     with pytest.raises(ValueError):
         residual_norm(p, spec, -5.0, h0=0.01)
@@ -326,3 +326,118 @@ def test_improved_is_first_order_plus_corrector_sum(source):
     assert np.array_equal(anz.improved_velocity(spec, t),
                           first_order_velocity(spec, t) + anz.corrector_sum(spec, t, True))
     assert np.any(anz.corrector_sum(spec, t) != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# phase rows per time and corrector matrices per carrier, against the
+# per-term and per-call arithmetic they replace
+
+REGIMES = [*SOURCES, {"resonant_family": {"gamma": 5.0, "c": 0.0, "nl": NL}}]
+REGIME_IDS = ["nonresonant", "half-pi", "c1", "pi"]
+
+
+def _per_term_carrier_sum(spec, terms, t, scale):
+    """The carrier sum with its own exp(i(omega*t + theta*j)) per term."""
+    j = np.arange(spec.N)
+    u = np.zeros((spec.N, 2), dtype=complex)
+    for omega, theta, a in terms:
+        e = np.exp(1j * (omega * t + j * theta))
+        u[:, 0] += a[0] * e
+        u[:, 1] += a[1] * e
+    return 2.0 * scale * u.real
+
+
+def _reference_sums(spec, fields, t):
+    """Leading positions and velocities, and the corrector position and
+    velocity terms, at lattice time t from the envelope grids ``fields``,
+    with fresh phases and per-call solves throughout."""
+    snap = anz._Snapshot(spec, fields)
+    waves = spec.macro.waves
+    a1, a2 = (w.amplitude_vector(b) for w, b in zip(waves, snap.b_grid))
+    # the wave-carrier rows solve no matrix; the product rows are replaced
+    cor = amp.second_order_amplitudes(spec.p, spec.macro, snap.b_grid, snap.dy_grid,
+                                      snap.dtau_grid)
+    for iota, om_v, th_v, weight in amp.corrector_carriers(spec.macro.mode, *waves):
+        K = amp.compute_K(iota, a1, a2, spec.p, waves[0].theta, waves[1].theta)
+        cor[iota] = per_call_corrector(spec.p, om_v, th_v, K, weight)
+    cor_lat = dict(zip(cor, spec.interp(np.stack(list(cor.values())))))
+
+    def first(envelopes):
+        return _per_term_carrier_sum(spec, [(w.omega, w.theta, w.amplitude_vector(b))
+                                            for w, b in zip(waves, envelopes)], t, spec.eps)
+
+    def second(time_derivative):
+        terms = []
+        for iota, om_v, th_v, weight in amp.ansatz_carriers(spec.macro.mode, *waves):
+            c = weight * (1j * om_v if time_derivative else 1.0)
+            if c != 0.0:
+                terms.append((om_v, th_v, c * cor_lat[iota]))
+        return _per_term_carrier_sum(spec, terms, t, spec.eps ** 2)
+
+    vel = [1j * w.omega * b + spec.eps * d for w, b, d in zip(waves, snap.b_lat, snap.dtau_lat)]
+    return first(snap.b_lat), first(vel), second(False), second(True)
+
+
+def _reference_residual(spec, t, h0):
+    h = spec.eps ** 2 * h0
+    base = spec.solution.fields(spec.eps * t)
+    u = []
+    for dt in (-h, 0.0, h):
+        fields = amp.strang_step(spec.macro, base, spec.L, spec.eps * dt) if dt else base
+        pos, _, cor, _ = _reference_sums(spec, fields, t + dt)
+        u.append(pos + cor)
+    um, u0, up = u
+    udd = (up - 2.0 * u0 + um) / (h * h)
+    return model.norm_m(model.force(spec.p, u0) - udd, spec.p)
+
+
+@pytest.mark.parametrize("source", REGIMES, ids=REGIME_IDS)
+def test_shared_phases_and_matrices_match_per_call_arithmetic(source):
+    """Every sampler gives the bits of fresh phase rows and per-call solves.
+    Times are revisited out of order and two specs of different N (the
+    same carriers in the pi regime) interleave, so a stale row shows."""
+    specs = [_setup(source, eps, 128).spec for eps in (0.1, 0.05)]
+    assert specs[0].N != specs[1].N
+    for tau in (0.3, 0.1, 0.3, 0.0, 0.2, 0.1):
+        for spec in specs:
+            t = tau / spec.eps
+            pos, vel, cor, cor_vel = _reference_sums(spec, spec.solution.fields(spec.eps * t), t)
+            assert np.array_equal(anz.corrector_sum(spec, t, True), cor_vel)
+            assert np.array_equal(sample_first_order(spec, t), pos)
+            assert np.array_equal(anz.corrector_sum(spec, t), cor)
+            assert np.array_equal(first_order_velocity(spec, t), vel)
+            assert np.array_equal(sample_improved(spec, t), pos + cor)
+    for spec in specs:
+        pos, vel, cor, cor_vel = _reference_sums(spec, spec.solution.fields(0.0), 0.0)
+        for improved, ref in ((True, (pos + cor, vel + cor_vel)), (False, (pos, vel))):
+            s0 = initial_state(spec, improved)
+            assert np.array_equal(s0.pos, ref[0]) and np.array_equal(s0.vel, ref[1])
+    for t in (0.25, 0.15):
+        for spec in specs:
+            t_lat = t / spec.eps
+            assert residual_norm(spec.p, spec, t_lat, h0=0.02) == \
+                _reference_residual(spec, t_lat, 0.02)
+
+
+@pytest.mark.parametrize("source,rows", zip(REGIMES, (7, 5, 5, 5)), ids=REGIME_IDS)
+def test_phase_rows_once_per_carrier_and_time(monkeypatch, source, rows):
+    """The leading and corrector sums of one time share one exp row per
+    carrier: 7 rows for 17 terms non-resonant, 5 for 13 resonant."""
+    spec = _setup(source, 0.1, 128).spec
+    built = collections.Counter()
+
+    def counted(x, *a, _exp=np.exp, **kw):
+        built[np.ndim(x)] += 1
+        return _exp(x, *a, **kw)
+
+    for tau in (0.3, 0.4):
+        t = tau / spec.eps
+        anz._correctors(spec, spec.at_tau(spec.eps * t))  # the snapshot's FFTs use no exp
+        monkeypatch.setattr(np, "exp", counted)
+        sample_first_order(spec, t)
+        first_order_velocity(spec, t)
+        anz.corrector_sum(spec, t)
+        anz.corrector_sum(spec, t, True)
+        monkeypatch.undo()
+        assert built[1] == rows == len(spec._phases)
+        built.clear()

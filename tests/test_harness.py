@@ -10,8 +10,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from _helpers import p0
 from dichain import amplitude as amp
-from dichain import cli, harness, model
+from dichain import cli, harness
 from dichain.harness import SCHEMA, ConfigError, config_from_dict, fit_loglog
 from dichain.microsim import SimConfig, default_dt
 
@@ -552,7 +553,7 @@ def test_stiff_chain_sweep_keeps_substeps_stable():
 def test_lattice_step_never_exceeds_its_target():
     # the stride is the fewest steps per sample spacing that keep dt at or
     # below min(cfg.dt, default_dt); rounding would stretch 2.5 to 2 steps
-    p = model.p0()
+    p = p0()
     cap = default_dt(p, harness.LATTICE_ORDER)
     for target in (0.1, 0.04, 1.0):
         cfg = small_cfg(dt=target)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _helpers import random_valid_params, roll_force
+from _helpers import p0, random_valid_params, roll_force
 from dichain import microsim, model
 from dichain.microsim import (SCHEMES, SimConfig, SimulationDiverged, default_dt, integrate,
                               largest_drift, modal_mass, omega_max)
@@ -9,7 +9,7 @@ from dichain.model import (LatticeState, cell_pack, cell_unpack, force, hamilton
                            linear_apply, nonlinear_apply)
 from dichain.spectrum import ACOUSTIC, polarization
 
-P0 = model.p0()
+P0 = p0()
 
 
 def plane_wave_state(p, N, k, a, t=0.0):
@@ -53,7 +53,7 @@ def test_linear_plane_wave_fourth_order():
 
 def test_leapfrog_matches_reference_loop():
     # order 2 must stay the plain kick-drift-kick loop, bit for bit
-    p = model.p0(v1=(1.0, 0.2, 0.1), w2=(1.0, 0.3, 0.0))
+    p = p0(v1=(1.0, 0.2, 0.1), w2=(1.0, 0.3, 0.0))
     rng = np.random.RandomState(5)
     s0 = LatticeState(0.05 * rng.randn(32, 2), 0.05 * rng.randn(32, 2))
     dt, n = 0.013, 200
@@ -252,7 +252,7 @@ def test_energy_trend_conserved_fourth_order():
 
 def test_force_path_agreement():
     rng = np.random.RandomState(2)
-    p = model.p0(v1=(1.0, 0.2, 0.1), w2=(1.0, 0.3, 0.0))
+    p = p0(v1=(1.0, 0.2, 0.1), w2=(1.0, 0.3, 0.0))
     pos = rng.randn(32, 2)
     assert np.array_equal(force(p, pos), linear_apply(p, pos) + nonlinear_apply(p, pos))
 

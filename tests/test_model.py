@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from dichain import model
-from _helpers import random_valid_params, roll_force, roll_stencil
+from _helpers import (lipschitz_constant, norm_equivalence_interval, p0, random_valid_params,
+                      roll_force, roll_stencil)
 from dichain.model import (ChainParams, LatticeState, PotentialCoeffs, StabilityError,
                            cell_pack, cell_unpack, energy_norm, force, hamiltonian_energy,
-                           linear_apply, lipschitz_constant, make_params,
-                           nonlinear_apply, norm_equivalence_interval, norm_m,
+                           linear_apply, make_params, nonlinear_apply, norm_m,
                            validate_params)
 
-P0 = model.p0()
+P0 = p0()
 
 
 def test_validate_p0():

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from _helpers import random_valid_params
-from dichain import model
-from dichain.resonance import (acoustic_acoustic_scan, family_params,
-                               find_acoustic_optical_resonance, optical_closure_margin,
-                               reduced_coords, resonance_defect, solve_family_ratio,
-                               third_order_margin, wrap_theta)
-from dichain.spectrum import ACOUSTIC, OPTICAL, det_h, omega
+from _helpers import (det_h, find_acoustic_optical_resonance, p0, random_valid_params,
+                      reduced_coords)
+from dichain.resonance import (acoustic_acoustic_scan, family_params, optical_closure_margin,
+                               resonance_defect, solve_family_ratio, third_order_margin,
+                               wrap_theta)
+from dichain.spectrum import ACOUSTIC, OPTICAL, omega
 
-P0 = model.p0()
+P0 = p0()
 
 # frozen from the independent bisection oracle (brentq on the defect)
 P0_THETA_STAR = 1.1144588301931246

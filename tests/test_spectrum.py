@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from dichain import model
-from dichain.spectrum import (ACOUSTIC, OPTICAL, det_h, dispersion_matrix,
-                              group_velocity, omega, polarization)
-from _helpers import random_valid_params
+from dichain.spectrum import (ACOUSTIC, OPTICAL, dispersion_matrix, group_velocity, omega,
+                              polarization)
+from _helpers import det_h, p0, random_valid_params
 
-P0 = model.p0()
+P0 = p0()
 
 
 def test_matrix_at_origin():
