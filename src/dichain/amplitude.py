@@ -16,7 +16,10 @@ stepped by Yoshida's triple jump of three Strang steps (the weights
 ``TRIPLE_JUMP``): its fixed step
 ``STRANG_DTAU`` = 0.025 errs less than single Strang steps 25 times
 shorter.  A pair at rest (the c = 1 family) takes the same steps with no
-advection: three Yoshida-weighted RK4 source steps each.
+advection: three Yoshida-weighted RK4 source steps each.  A
+``StrangSolution`` keeps the states of its first ``KEEP_STEPS`` steps, so
+a later query for an earlier tau steps on from a kept state instead of
+from tau = 0.
 """
 from __future__ import annotations
 
@@ -366,35 +369,50 @@ class ODEReferenceSolution:
 STRANG_DTAU = 0.025
 
 
+# the first KEEP_STEPS steps a StrangSolution reaches stay kept: every
+# shipped config reaches at most 42 (n = 256: 8 KB a state)
+KEEP_STEPS = 64
+
+
 class StrangSolution:
-    """Fixed-step trajectory of composed (order-4) Strang steps, held as a
-    cursor: the initial state and the state at the last step reached.  A
-    later tau steps on from the cursor, an earlier one restarts from the
-    initial state; a tau between step times takes one partial composed
-    step from the step before it.
+    """Fixed-step trajectory of composed (order-4) Strang steps.  It keeps
+    the state of every step it reaches up to step ``KEEP_STEPS``, and a
+    cursor: the state at the last step reached.  A tau steps on from the
+    latest kept state or cursor at or before its step; a tau between step
+    times takes one partial composed step from the step before it.  Every
+    state is the same composition of steps from the initial one, so the
+    values returned do not depend on the order of the queries.
     """
 
     def __init__(self, sys: MacroSystem, fields0, L: float, dtau: float):
         self.sys = sys
         self.L = L
         self.dtau = dtau
-        self._f0 = (np.asarray(fields0[0], dtype=complex),
-                    np.asarray(fields0[1], dtype=complex))
-        # the cursor: step _k and its state, kept as a one-element list
-        # (perfbench/tracing.py reads its length)
-        self._k, self._states = 0, [self._f0]
+        f0 = (np.asarray(fields0[0], dtype=complex), np.asarray(fields0[1], dtype=complex))
+        # _states[k] is the state at step k (perfbench/tracing.py counts
+        # its growth); the cursor is step _k and its state
+        self._states = [f0]
+        self._k, self._state = 0, f0
 
     def _extend(self, k):
         """Move the cursor to step k."""
-        k0, state = self._k, self._states[0]
-        if k < k0:
-            k0, state = 0, self._f0
-        for _ in range(k - k0):
+        kept = self._states
+        if k < len(kept):
+            self._k, self._state = k, kept[k]
+            return
+        k0, state = ((self._k, self._state) if len(kept) <= self._k <= k
+                     else (len(kept) - 1, kept[-1]))
+        new = []
+        for j in range(k0 + 1, k + 1):
             state = composed_step(self.sys, state, self.L, self.dtau)
-        # a non-finite state stays non-finite, so the last one tells
+            if j <= KEEP_STEPS:
+                new.append(state)
+        # a non-finite state stays non-finite, so the last one tells, and
+        # no diverged state is kept
         if k > k0 and not all(np.isfinite(b).all() for b in state):
             raise FloatingPointError(f"envelope evolution diverged before tau={k * self.dtau}")
-        self._k, self._states = k, [state]
+        kept.extend(new)
+        self._k, self._state = k, state
 
     def fields(self, tau: float):
         if tau < 0:
@@ -403,7 +421,7 @@ class StrangSolution:
         if (k + 1) * self.dtau <= tau:  # tau/dtau rounded down past an exact step time
             k += 1
         self._extend(k)
-        state = self._states[0]
+        state = self._state
         rem = tau - k * self.dtau
         if rem > 1e-14:
             state = composed_step(self.sys, state, self.L, rem)

@@ -65,9 +65,9 @@ class AnsatzSpec:
 
     The macroscopic domain length is tied to the lattice by L = eps*N;
     the envelope solution provides fields at any tau.  The spec keeps
-    the snapshots of the last few tau (``at_tau``), the improved-ansatz
-    carrier table, and the phase rows of the last lattice time asked for
-    (``phase_row``).
+    the snapshot of the last tau asked for (``at_tau``; every caller asks
+    for one tau at a time), the improved-ansatz carrier table, and the
+    phase rows of the last lattice time asked for (``phase_row``).
     """
 
     p: ChainParams
@@ -117,12 +117,11 @@ class AnsatzSpec:
         return np.fft.ifft(pad) * (self.N / self.n)
 
     def at_tau(self, tau: float) -> _Snapshot:
+        """The envelope snapshot at tau, kept until another tau is asked for."""
         snap = self._cache.get(tau)
         if snap is None:
             snap = _Snapshot(self, self.solution.fields(tau))
-            if len(self._cache) >= 8:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[tau] = snap
+            self._cache = {tau: snap}
         return snap
 
     def phase_row(self, omega: float, theta: float, t: float) -> np.ndarray:

@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -222,10 +223,21 @@ def setup_run(cfg: ExperimentConfig, eps_target: float, a0=None) -> RunSetup:
                   for wd in wspecs)
 
     macro = amp.build_macro_system(p, w1, w2)
-    f0 = tuple(amp.sech_envelope(cfg.L_y, cfg.n_grid, a, cfg.nu) for a in a0[:2])
-    sol = amp.make_solution(macro, f0, cfg.L_y)
+    sol = _envelope_solution(amp.make_solution, macro, cfg.L_y, cfg.n_grid,
+                             tuple(a0[:2]), cfg.nu)
     spec = anz.AnsatzSpec(p, eps, N, cfg.n_grid, macro, sol)
     return RunSetup(p, spec)
+
+
+@lru_cache(maxsize=1)
+def _envelope_solution(make, macro, L, n, a0, nu):
+    """The solution of one envelope system from sech initial data.  The
+    envelope equations do not depend on eps, so every eps of a sweep, and
+    the next command with the same envelopes, share one solution and the
+    steps it has taken.  ``make`` is ``amp.make_solution`` as looked up
+    at the call, so a substitute provider gets a solution of its own."""
+    f0 = tuple(amp.sech_envelope(L, n, a, nu) for a in a0)
+    return make(macro, f0, L)
 
 
 # ---------------------------------------------------------------------------

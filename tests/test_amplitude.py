@@ -274,6 +274,7 @@ def test_evolve_nan_detection():
             sol.fields(50.0)
         with pytest.raises(FloatingPointError):  # the diverged states are not kept
             sol.fields(50.0)
+    assert len(sol._states) == 1
 
 
 def _family_system(c):
@@ -350,9 +351,9 @@ def test_strang_step_makes_four_ffts_and_no_phase_on_a_cache_hit(monkeypatch):
     assert calls == {"fft": 2, "ifft": 2}
 
 
-def test_strang_solution_holds_one_state(monkeypatch):
-    """Stepping far along keeps the initial state and the cursor only;
-    an earlier time restarts from the initial state."""
+def test_strang_solution_keeps_only_its_first_steps(monkeypatch):
+    """Stepping far along keeps the states of the first KEEP_STEPS steps
+    and the cursor only; an earlier time comes back from a kept state."""
     # one count per Strang step: exact under composition, unlike a sum of substeps
     monkeypatch.setattr(amp, "strang_step", lambda sys, f, L, dt: (f[0] + 1, f[1] + 1))
     z = np.zeros(64, complex)
@@ -367,7 +368,38 @@ def test_strang_solution_holds_one_state(monkeypatch):
         tracemalloc.stop()
     assert np.array_equal(b1, z + 3 * 5000)  # three Strang steps per composed step
     assert held < 1e6   # 5,001 kept states would take 10 MB
-    assert np.array_equal(sol.fields(2 * sol.dtau)[0], z + 3 * 2)  # restarts
+    assert np.array_equal(sol.fields(2 * sol.dtau)[0], z + 3 * 2)  # a kept step
+    assert len(sol._states) == amp.KEEP_STEPS + 1
+
+
+def test_strang_solution_steps_on_from_the_latest_kept_state(monkeypatch):
+    """A kept step comes back without a step; a step past KEEP_STEPS
+    resumes from the last kept state, or from the cursor when that is
+    later and not past it."""
+    calls = []
+    monkeypatch.setattr(amp, "strang_step",
+                        lambda sys, f, L, dt: calls.append(dt) or (f[0] + 1, f[1] + 1))
+    z = np.zeros(16, complex)
+    sys = build_macro_system(P0, polarization(P0, ACOUSTIC, 0.3), polarization(P0, OPTICAL, 0.9))
+    sol = StrangSolution(sys, (z, z), L, 0.25)
+    K = amp.KEEP_STEPS
+
+    def steps(k):
+        """Composed steps taken to reach step k; checks the state there."""
+        calls.clear()
+        b1, _ = sol.fields(k * sol.dtau)
+        assert np.array_equal(b1, z + 3 * k)
+        return len(calls) // 3
+
+    assert steps(10) == 10
+    assert steps(3) == 0
+    assert steps(K + 20) == K + 10    # from kept step 10
+    assert len(sol._states) == K + 1
+    assert steps(K + 5) == 5          # from kept step K: the cursor is past it
+    assert steps(K + 30) == 25        # from the cursor at K + 5
+    assert steps(K) == 0
+    assert steps(7) == 0
+    assert len(sol._states) == K + 1
 
 
 def test_triple_jump_weights():
@@ -411,7 +443,7 @@ def test_make_solution_steps_strang_by_its_dtau():
     sol = amp.make_solution(sys, f0, L)
     assert type(sol) is StrangSolution and sol.dtau == amp.STRANG_DTAU
     ref = ODEReferenceSolution(sys, f0, 1.0)
-    # a step time, a tau between steps, then an earlier tau (the cursor restarts)
+    # a step time, a tau between steps, then an earlier tau (a kept step)
     for tau in (0.5, 0.5 + 0.4 * amp.STRANG_DTAU, 0.3):
         b, bref = sol.fields(tau), ref.fields(tau)
         for row, row_ref in zip(b, bref):

@@ -229,7 +229,7 @@ def test_residual_requires_available_trajectory():
 NL = {"v12": 0.3, "v22": 0.2, "w12": 0.4, "w22": 1.0}
 
 
-# exact transport, Strang (theta1 = pi/2) and DOP853 (c = 1) envelopes
+# exact transport, Strang (theta1 = pi/2) and Strang at rest (c = 1) envelopes
 SOURCES = [
     {"params": {"V1": {"k1": 1.0, "k2": 0.3, "k3": 0.1}, "V2": {"k1": 2.0, "k2": 0.4},
                 "W1": {"k1": 1.0, "k2": 0.25, "k3": 0.05}, "W2": {"k1": 1.0, "k2": 0.35}},
@@ -237,7 +237,7 @@ SOURCES = [
     {"resonant_family": {"gamma": 2.0, "c": 0.5, "nl": NL}},
     {"resonant_family": {"gamma": 2.0, "c": 1.0, "nl": NL}},
 ]
-SOURCE_IDS = ["transport", "strang", "dop853"]
+SOURCE_IDS = ["transport", "strang", "strang-at-rest"]
 
 
 def _setup(source, eps=0.05, n_grid=256):

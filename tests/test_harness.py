@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import os
 import re
@@ -185,6 +186,46 @@ def test_setup_run_adjusts_eps_exactly():
     setup = harness.setup_run(cfg, 0.0707)
     assert abs(setup.spec.eps * setup.spec.N - cfg.L_y) < 1e-12
     assert setup.spec.N % 4 == 0
+
+
+def _c05_cfg(**over):
+    doc = dict(kind="residual_scaling", resonant_family=dict(FAM, c=0.5),
+               eps=[0.1, 0.0707, 0.05], tau0=0.5, L_y=25.6, n_grid=64)
+    doc.update(over)
+    return config_from_dict(doc)
+
+
+@pytest.mark.parametrize("over", [dict(a0=[1.0, 0.4]), dict(nu=0.6), dict(n_grid=128),
+                                  dict(resonant_family=FAM)],
+                         ids=["a0", "nu", "n_grid", "family"])
+def test_setup_run_shares_one_envelope_solution(over):
+    """Every eps of a sweep gets one solution object; other envelopes get
+    their own."""
+    sol = harness.setup_run(_c05_cfg(), 0.1).spec.solution
+    assert harness.setup_run(_c05_cfg(), 0.05).spec.solution is sol
+    assert harness.setup_run(_c05_cfg(**over), 0.1).spec.solution is not sol
+
+
+def test_setup_run_solution_follows_make_solution(monkeypatch):
+    """A substitute provider, as a finer reference's dtau, gets a solution
+    of its own, not the one the default provider built."""
+    assert harness.setup_run(_c05_cfg(), 0.1).spec.solution.dtau == amp.STRANG_DTAU
+    monkeypatch.setattr(amp, "make_solution", functools.partial(amp.make_solution, dtau=2.5e-4))
+    assert harness.setup_run(_c05_cfg(), 0.1).spec.solution.dtau == 2.5e-4
+
+
+def test_shared_solution_gives_the_rows_of_fresh_ones(monkeypatch):
+    """Sweeps on one solution, the second after the first has stepped it,
+    give the rows of sweeps that build a fresh solution per eps."""
+    shared = [harness.run_ansatz_scaling(_c05_cfg(kind="ansatz_scaling")),
+              harness.run_residual_scaling(_c05_cfg())]
+    monkeypatch.setattr(harness, "_envelope_solution", harness._envelope_solution.__wrapped__)
+    assert (harness.setup_run(_c05_cfg(), 0.1).spec.solution
+            is not harness.setup_run(_c05_cfg(), 0.05).spec.solution)
+    fresh = [harness.run_ansatz_scaling(_c05_cfg(kind="ansatz_scaling")),
+             harness.run_residual_scaling(_c05_cfg())]
+    for a, b in zip(shared, fresh):
+        assert np.array_equal(a.rows, b.rows)
 
 
 def test_single_wave_config():
@@ -402,7 +443,7 @@ def test_cli_output_commands_require_out(tmp_path, capsys, monkeypatch, command,
 SIM_N40 = dict(kind="simulate", params=P_NL, waves=[{"branch": "acoustic", "theta": 0.3}],
                eps=[0.1], tau0=0.05, L_y=4.0, n_grid=16, a0=[0.5], n_samples=2)
 SCAN = dict(kind="resonance_scan", scan={"gamma": [2.0], "c": [1.0]})
-# c = 1: the envelopes would be solved by DOP853 over [0, tau0 + 0.5]
+# c = 1: the envelopes would be stepped by Strang to tau = tau0
 HUGE_TAU0 = dict(kind="amplitudes", resonant_family=FAM, eps=[0.05], tau0=1e300)
 
 
