@@ -3,10 +3,12 @@
 First-order envelopes ride the carriers on macroscopic variables
 (tau, y) = (eps*t, eps*j).  Away from resonance each envelope is simply
 transported at its group velocity; at an exact acoustic->optical
-resonance the two envelopes couple through quadratic source terms.  The
-second-order correctors cancel the quadratic defect of the leading
-ansatz and are obtained pointwise by inverting the dispersion matrix on
-the product carriers.
+resonance the two envelopes couple through quadratic source terms.  Each
+coupling is the solvability condition of its wave carrier: the
+quadratic source on that carrier, projected on the wave's polarization,
+one formula for every resonant regime.  The second-order correctors
+cancel the quadratic defect of the leading ansatz and are obtained
+pointwise by inverting the dispersion matrix on the product carriers.
 
 A Strang step advects the envelopes as one stack: the rows whose group
 velocity is nonzero share one FFT round trip per half step, with their
@@ -84,116 +86,6 @@ def sech_envelope(L: float, n: int, a0: float, nu: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# coupling coefficients
-
-
-@dataclass(frozen=True)
-class Coupling:
-    """Raw coefficients (d1, d2, d) and the envelope-equation prefactors
-    (k1, k2) of the coupled system
-
-        dB1/dtau - v1 dB1/dy = k1 * conj(B1) * B2
-        dB2/dtau - v2 dB2/dy = k2 * B1^2
-
-    in the resonant regime ``mode`` whose formulas produced them.
-    """
-
-    d1: complex
-    d2: complex
-    d: Optional[complex]
-    k1: complex
-    k2: complex
-    mode: str
-
-
-def coupling_coefficients(p: ChainParams, w1: Wave, w2: Wave) -> Coupling:
-    """Quadratic coupling coefficients of the resonant envelope system.
-
-    Three regimes: generic theta1; theta1 = +-pi/2 (the generated wave
-    sits at the band edge theta2 = +-pi); theta1 = +-pi (the generated
-    wave sits at theta2 = 0 and both group velocities vanish).
-    """
-    why = resonant_pair_defect(w1, w2)
-    if why:
-        raise NotResonant(why)
-    v12, v22 = p.V1.k2, p.V2.k2
-    w12, w22 = p.W1.k2, p.W2.k2
-    om1, om2 = w1.omega, w2.omega
-    th1 = w1.theta
-    s1 = om1 * om1 - p.c1, om1 * om1 - p.c2
-    s2 = om2 * om2 - p.c1, om2 * om2 - p.c2
-
-    def pref1(d1):
-        return d1 / (1j * om1) * s1[1] / (s1[0] + s1[1])
-
-    def pref2(d2):
-        return d2 / (2j * om2) * s2[1] / (s2[0] + s2[1])
-
-    if w1.degenerate:  # theta1 = +-pi, omega1 = sqrt(c1)
-        d1 = d2 = complex(-w12)
-        return Coupling(d1, d2, None, pref1(d1), pref2(d2), RESONANT_PI)
-
-    e1 = np.exp(1j * th1)
-    if abs(e1 * e1 + 1.0) < 1e-8:  # theta1 = +-pi/2, theta2 = +-pi
-        sg = 1.0 if np.sin(th1) > 0 else -1.0
-        rho1 = w1.rho
-        d1 = ((v22 / p.V2.k1 - sg * 1j * w22 / s1[1]) * s1[0]
-              + v12 * (rho1 * (1.0 + sg * 1j) + 2.0))
-        k2 = (2.0 * v22 * (1.0 + rho1 * (1.0 + sg * 1j)) - w22 * rho1 ** 2) / (2j * om2)
-        return Coupling(complex(d1), complex(k2 * 2j * om2), None, pref1(d1), complex(k2),
-                        RESONANT_HALF_PI)
-
-    rho1, rho2 = w1.rho, w2.rho
-    cr1 = np.conj(rho1)
-    e2 = np.exp(1j * w2.theta)
-    d = (p.V1.k1 * p.V2.k1 ** 2 * (2.0 + 4.0 * np.cos(th1) + 2.0 * np.cos(w2.theta))
-         / (s1[1] ** 2 * s2[1]))
-    d1 = (d * v22 * ((np.conj(e1) - 1.0) / (cr1 * rho2)
-                     + (np.conj(e2) - 1.0) / rho2
-                     + (e1 - 1.0) / cr1)
-          + v12 * (cr1 * rho2 * (e1 - 1.0) + rho2 * (e2 - 1.0) + cr1 * (np.conj(e1) - 1.0))
-          + d * w22 - w12)
-    d2 = (d * v22 * ((np.conj(e2) - 1.0) / rho1 ** 2 + 2.0 * (np.conj(e1) - 1.0) / rho1)
-          + v12 * (rho1 ** 2 * (e2 - 1.0) + 2.0 * rho1 * (e1 - 1.0))
-          + d * w22 - w12)
-    return Coupling(complex(d1), complex(d2), complex(d), pref1(d1), pref2(d2),
-                    RESONANT_GENERIC)
-
-
-@dataclass(frozen=True)
-class MacroSystem:
-    """Envelope dynamics descriptor: regime, carriers, group velocities,
-    and the coupling prefactors (zero when non-resonant)."""
-
-    mode: str
-    waves: tuple
-    velocities: tuple
-    k1: complex = 0.0
-    k2: complex = 0.0
-
-    @property
-    def resonant(self) -> bool:
-        return self.mode in RESONANT_MODES
-
-
-# a group velocity this small is zero: at the band edge theta2 = pi the
-# optical one is -5.9e-17 in floating point.  Such an envelope is not
-# advected, so a Strang step of a resonant pair with both at rest only
-# integrates its sources.
-VELOCITY_ZERO = 1e-12
-
-
-def build_macro_system(p: ChainParams, w1: Wave, w2: Wave) -> MacroSystem:
-    """Classify the wave pair and assemble the envelope system."""
-    vels = tuple(0.0 if abs(v) <= VELOCITY_ZERO else v
-                 for v in (float(group_velocity(p, w.branch, w.theta)) for w in (w1, w2)))
-    if resonant_pair_defect(w1, w2):
-        return MacroSystem(NONRESONANT, (w1, w2), vels)
-    cpl = coupling_coefficients(p, w1, w2)
-    return MacroSystem(cpl.mode, (w1, w2), vels, cpl.k1, cpl.k2)
-
-
-# ---------------------------------------------------------------------------
 # quadratic source terms on the product carriers
 
 
@@ -235,6 +127,78 @@ def compute_K(iota, a1, a2, p: ChainParams, theta1: float, theta2: float):
             raise ValueError(f"unknown source index {iota!r}")
         out.append(val)
     return out[0], out[1]
+
+
+# ---------------------------------------------------------------------------
+# couplings, projected from the wave-carrier sources
+
+
+def _wave_sources(p: ChainParams, w1: Wave, w2: Wave, a1, a2):
+    """The resonant quadratic sources on the two wave carriers for the
+    first-order amplitudes ``a1``/``a2``: conj(K_(1,-2)) on w1's carrier
+    (conj(B1) B2) and K_(1,1) on w2's (B1^2), each a pair of components."""
+    kx1 = tuple(np.conj(c) for c in compute_K((1, -2), a1, a2, p, w1.theta, w2.theta))
+    kx2 = compute_K((1, 1), a1, a2, p, w1.theta, w2.theta)
+    return kx1, kx2
+
+
+def coupling_coefficients(p: ChainParams, w1: Wave, w2: Wave):
+    """The prefactors (k1, k2) of the resonant envelope system
+
+        dB1/dtau - v1 dB1/dy = k1 * conj(B1) * B2
+        dB2/dtau - v2 dB2/dy = k2 * B1^2
+
+    from the solvability condition of each wave carrier: its source S_w at
+    unit envelopes projected on its polarization r_w,
+    k_w = <r_w, S_w> / (2i omega_w <r_w, r_w>), in the mass-weighted product
+    <a, b> = M_w conj(a0) b0 + m_w conj(a1) b1 of ``model.norm_m``.  A
+    band-edge wave's r_w is a unit vector, so no regime needs a branch.
+    """
+    why = resonant_pair_defect(w1, w2)
+    if why:
+        raise NotResonant(why)
+    r1, r2 = w1.amplitude_vector(1 + 0j), w2.amplitude_vector(1 + 0j)
+
+    def dot(a, b):
+        return p.M_w * np.conj(a[0]) * b[0] + p.m_w * np.conj(a[1]) * b[1]
+
+    return tuple(complex(dot(r, s) / (2j * w.omega * dot(r, r)))
+                 for w, r, s in zip((w1, w2), (r1, r2), _wave_sources(p, w1, w2, r1, r2)))
+
+
+@dataclass(frozen=True)
+class MacroSystem:
+    """Envelope dynamics descriptor: regime, carriers, group velocities,
+    and the coupling prefactors (zero when non-resonant)."""
+
+    mode: str
+    waves: tuple
+    velocities: tuple
+    k1: complex = 0.0
+    k2: complex = 0.0
+
+    @property
+    def resonant(self) -> bool:
+        return self.mode in RESONANT_MODES
+
+
+# a group velocity this small is zero: at the band edge theta2 = pi the
+# optical one is -5.9e-17 in floating point.  Such an envelope is not
+# advected, so a Strang step of a resonant pair with both at rest only
+# integrates its sources.
+VELOCITY_ZERO = 1e-12
+
+
+def build_macro_system(p: ChainParams, w1: Wave, w2: Wave) -> MacroSystem:
+    """Classify the wave pair and assemble the envelope system."""
+    vels = tuple(0.0 if abs(v) <= VELOCITY_ZERO else v
+                 for v in (float(group_velocity(p, w.branch, w.theta)) for w in (w1, w2)))
+    if resonant_pair_defect(w1, w2):
+        return MacroSystem(NONRESONANT, (w1, w2), vels)
+    # theta1 = +-pi: both waves at rest; theta1 = +-pi/2: w2 at the band edge
+    mode = (RESONANT_PI if w1.degenerate else RESONANT_HALF_PI if w2.degenerate
+            else RESONANT_GENERIC)
+    return MacroSystem(mode, (w1, w2), vels, *coupling_coefficients(p, w1, w2))
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +421,8 @@ def corrector_carriers(mode: str, w1: Wave, w2: Wave):
 
 def ansatz_carriers(mode: str, w1: Wave, w2: Wave):
     """All improved-ansatz carriers including the wave carriers themselves."""
-    table = [(1, w1.omega, w1.theta, 1.0), (2, w2.omega, w2.theta, 1.0)]
-    table.extend(corrector_carriers(mode, w1, w2))
-    return table
+    return ([(1, w1.omega, w1.theta, 1.0), (2, w2.omega, w2.theta, 1.0)]
+            + corrector_carriers(mode, w1, w2))
 
 
 def _tol_res(omega_val: float) -> float:
@@ -508,9 +471,8 @@ def _wave_corrector(p, wave: Wave, b, dy_b, dtau_b, k_extra, out):
         return
     eit = np.exp(1j * wave.theta)
     P = p.V1.k1 * (eit + 1.0)
-    d_tau_a1 = dtau_b
     d_y_a2 = -wave.rho * dy_b
-    out[1] = (2j * wave.omega * d_tau_a1 - p.V1.k1 * eit * d_y_a2 - kx[0]) / P
+    out[1] = (2j * wave.omega * dtau_b - p.V1.k1 * eit * d_y_a2 - kx[0]) / P
 
 
 def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_fields,
@@ -528,7 +490,6 @@ def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_field
     w1, w2 = macro.waves
     b1 = np.asarray(fields[0], dtype=complex)
     b2 = np.asarray(fields[1], dtype=complex)
-    dtau_b1, dtau_b2 = dtau_fields
     a1 = w1.amplitude_vector(b1)
     a2 = w2.amplitude_vector(b2)
     carriers = corrector_carriers(macro.mode, w1, w2)
@@ -541,12 +502,8 @@ def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_field
         _solve_product_corrector(p, om_v, th_v, K, weight, rows)
         entries[iota] = rows
 
-    if macro.resonant:
-        kx1 = tuple(np.conj(c) for c in compute_K((1, -2), a1, a2, p, w1.theta, w2.theta))
-        kx2 = compute_K((1, 1), a1, a2, p, w1.theta, w2.theta)
-    else:
-        kx1 = kx2 = None
-    _wave_corrector(p, w1, b1, dy_fields[0], dtau_b1, kx1, out[-2])
-    _wave_corrector(p, w2, b2, dy_fields[1], dtau_b2, kx2, out[-1])
+    kx1, kx2 = _wave_sources(p, w1, w2, a1, a2) if macro.resonant else (None, None)
+    _wave_corrector(p, w1, b1, dy_fields[0], dtau_fields[0], kx1, out[-2])
+    _wave_corrector(p, w2, b2, dy_fields[1], dtau_fields[1], kx2, out[-1])
     entries[1], entries[2] = out[-2], out[-1]
     return entries

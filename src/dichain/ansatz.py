@@ -209,7 +209,7 @@ def initial_state(spec: AnsatzSpec, improved: bool = True) -> LatticeState:
     return LatticeState(sample_first_order(spec, 0.0), first_order_velocity(spec, 0.0), 0.0)
 
 
-def residual_norm(p: ChainParams, spec: AnsatzSpec, t: float, h0: float = 0.01) -> float:
+def residual_norm(p: ChainParams, spec: AnsatzSpec, t: float, h0: float) -> float:
     """Mass-weighted l2 norm of L(U) + M(U) - Udotdot for the improved
     ansatz U, with Udotdot by central difference at step h = eps^2*h0.
 

@@ -20,7 +20,8 @@ import numpy as np
 from . import amplitude as amp
 from . import ansatz as anz
 from .microsim import SimConfig, default_dt, integrate, modal_mass
-from .model import ChainParams, LatticeState, energy_norm, make_params, norm_l2_pair
+from .model import (ChainParams, LatticeState, StabilityError, energy_norm, make_params,
+                    norm_l2_pair)
 from .resonance import (NL_KEYS, acoustic_acoustic_scan, family_params,
                         optical_closure_margin, resonance_defect, solve_family_ratio,
                         third_order_margin, wrap_theta)
@@ -162,8 +163,11 @@ def params_from_dict(d) -> ChainParams:
                 and all(map(_is_real, co.values()))):
             raise ConfigError(f'params.{key}: must be {{"k1": number, "k2": number, '
                               f'"k3": number}} with k2 and k3 optional, got {co!r}')
-    return make_params(*(tuple(float(d[k].get(c, 0.0)) for c in ("k1", "k2", "k3"))
-                         for k in _POTENTIALS))
+    try:
+        return make_params(*(tuple(float(d[k].get(c, 0.0)) for c in ("k1", "k2", "k3"))
+                             for k in _POTENTIALS))
+    except StabilityError as exc:
+        raise ConfigError(f"params: {exc}") from None
 
 
 def config_from_dict(doc, **override) -> ExperimentConfig:
@@ -292,11 +296,11 @@ def _sweep(cfg: ExperimentConfig, label: str, measure, gate) -> ScalingReport:
     return rep
 
 
-def _phase_times(cfg: ExperimentConfig, spec: anz.AnsatzSpec, n_phases: int = 8):
-    """Times over one acoustic period from half the horizon, t0 = tau0/(2 eps)."""
+def _phase_times(cfg: ExperimentConfig, spec: anz.AnsatzSpec):
+    """Eight times over one acoustic period from half the horizon, t0 = tau0/(2 eps)."""
     t0 = 0.5 * cfg.tau0 / spec.eps
     period = 2.0 * np.pi / spec.macro.waves[0].omega
-    return [t0 + f * period for f in np.linspace(0.0, 1.0, n_phases, endpoint=False)]
+    return [t0 + f * period for f in np.linspace(0.0, 1.0, 8, endpoint=False)]
 
 
 def run_residual_scaling(cfg: ExperimentConfig) -> ScalingReport:

@@ -46,9 +46,6 @@ class PotentialCoeffs:
     k2: float = 0.0
     k3: float = 0.0
 
-    def force(self, x):
-        return x * (self.k1 + x * (self.k2 + x * self.k3))
-
     def potential(self, x):
         return x * x * (self.k1 / 2.0 + x * (self.k2 / 3.0 + x * self.k3 / 4.0))
 

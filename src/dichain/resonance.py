@@ -15,7 +15,8 @@ import numpy as np
 from .model import ChainParams, make_params
 from .spectrum import ACOUSTIC, OPTICAL, Wave, omega
 
-GRID_SIZE = 2048
+GRID_SIZE = 2048  # theta grid of the margin scans
+SCAN_SIZE = 1024  # c grid of the acoustic->acoustic scan
 # the family's nonlinear coefficients: k2 and k3 of V1, V2, W1 and W2
 NL_KEYS = ("v12", "v13", "v22", "v23", "w12", "w13", "w22", "w23")
 
@@ -33,12 +34,12 @@ def resonance_defect(p: ChainParams, theta):
     return 2.0 * omega(p, ACOUSTIC, theta) - omega(p, OPTICAL, 2.0 * np.asarray(theta))
 
 
-def family_params(gamma: float, b: float, a: float = 1.0, nl: dict = None) -> ChainParams:
-    """The explicit parameter family v11=a, v21=gamma*a, w11=w21=b, with
+def family_params(gamma: float, b: float, nl: dict = None) -> ChainParams:
+    """The explicit parameter family v11=1, v21=gamma, w11=w21=b, with
     the nonlinear coefficients ``nl`` ({"v12": ..., "w23": ...}, zero if absent)."""
     q = {k: float(v) for k, v in (nl or {}).items()}
-    return make_params(v1=(a, q.get("v12", 0.0), q.get("v13", 0.0)),
-                       v2=(gamma * a, q.get("v22", 0.0), q.get("v23", 0.0)),
+    return make_params(v1=(1.0, q.get("v12", 0.0), q.get("v13", 0.0)),
+                       v2=(gamma, q.get("v22", 0.0), q.get("v23", 0.0)),
                        w1=(b, q.get("w12", 0.0), q.get("w13", 0.0)),
                        w2=(b, q.get("w22", 0.0), q.get("w23", 0.0)))
 
@@ -75,26 +76,26 @@ def solve_family_ratio(gamma: float, c: float):
     return float(r)
 
 
-def optical_closure_margin(p: ChainParams, n_grid: int = GRID_SIZE) -> float:
+def optical_closure_margin(p: ChainParams) -> float:
     """min over theta of the distance of 2 omega_+(theta) from both
     branches at 2 theta; strictly positive means an optical wave cannot
     generate any wave by self-interaction."""
-    thetas = np.linspace(0.0, np.pi, n_grid)
+    thetas = np.linspace(0.0, np.pi, GRID_SIZE)
     two_opt = 2.0 * omega(p, OPTICAL, thetas)
     m = np.minimum(np.abs(two_opt - omega(p, OPTICAL, 2.0 * thetas)),
                    np.abs(two_opt - omega(p, ACOUSTIC, 2.0 * thetas)))
     return float(m.min())
 
 
-def third_order_margin(p: ChainParams, n_grid: int = GRID_SIZE) -> float:
+def third_order_margin(p: ChainParams) -> float:
     """min over theta of omega_-(theta) + omega_+(2 theta) - omega_+(3 theta);
     strictly positive rules out this third-order resonance."""
-    thetas = np.linspace(0.0, np.pi, n_grid)
+    thetas = np.linspace(0.0, np.pi, GRID_SIZE)
     m = omega(p, ACOUSTIC, thetas) + omega(p, OPTICAL, 2.0 * thetas) - omega(p, OPTICAL, 3.0 * thetas)
     return float(m.min())
 
 
-def acoustic_acoustic_scan(gamma: float, n_grid: int = 1024):
+def acoustic_acoustic_scan(gamma: float):
     """Scan the acoustic->acoustic resonance obstruction over the family.
 
     Returns (c_e, max_g) where g~(c) = 8 delta - 9 + 16c + (2c-1)^2
@@ -114,11 +115,11 @@ def acoustic_acoustic_scan(gamma: float, n_grid: int = 1024):
         return (8.0 * delta - 9.0 + 16.0 * c + (2.0 * c - 1.0) ** 2
                 - 8.0 * np.sqrt(delta + c) * np.sqrt(delta + (2.0 * c - 1.0) ** 2))
 
-    cs = np.linspace(c_e, 1.0, n_grid)
+    cs = np.linspace(c_e, 1.0, SCAN_SIZE)
     gv = g(cs)
     i = int(np.argmax(gv))
     lo = cs[max(i - 1, 0)]
-    hi = cs[min(i + 1, n_grid - 1)]
+    hi = cs[min(i + 1, SCAN_SIZE - 1)]
     best = gv[i]
     if hi > lo:
         res = minimize_scalar(lambda c: -g(c), bounds=(lo, hi), method="bounded",

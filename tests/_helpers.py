@@ -231,3 +231,75 @@ def per_row_snapshot(spec, fields):
     return dict(b_lat=[interp(f) for f in b], dtau_lat=[interp(f) for f in dtau],
                 dy_grid=dy, dtau_grid=dtau,
                 a2_lat={iota: np.stack([interp(v[0]), interp(v[1])]) for iota, v in a2.items()})
+
+
+@dataclass(frozen=True)
+class ClosedFormCoupling:
+    """The hand-derived coefficients of the resonant envelope system: raw
+    (d1, d2, d) and the prefactors (k1, k2) of
+
+        dB1/dtau - v1 dB1/dy = k1 * conj(B1) * B2
+        dB2/dtau - v2 dB2/dy = k2 * B1^2
+
+    ``d`` is None outside the generic regime."""
+
+    d1: complex
+    d2: complex
+    d: object
+    k1: complex
+    k2: complex
+
+
+def coupling_prefactors(p: ChainParams, w1, w2):
+    """(P1, P2) with k1 = P1*d1 and k2 = P2*d2.  P2 vanishes when the
+    optical wave sits at the band edge theta2 = +-pi (omega2^2 = c2)."""
+    def pref(w, n):
+        s1, s2 = w.omega ** 2 - p.c1, w.omega ** 2 - p.c2
+        return s2 / (n * 1j * w.omega * (s1 + s2))
+
+    return pref(w1, 1), pref(w2, 2)
+
+
+def coupling_closed_form(p: ChainParams, w1, w2) -> ClosedFormCoupling:
+    """The paper's closed forms in its three resonant regimes: generic
+    theta1; theta1 = +-pi/2 (the generated wave sits at the band edge
+    theta2 = +-pi); theta1 = +-pi (the generated wave sits at theta2 = 0
+    and both group velocities vanish).  An oracle independent of the
+    projection in amplitude.coupling_coefficients."""
+    v12, v22 = p.V1.k2, p.V2.k2
+    w12, w22 = p.W1.k2, p.W2.k2
+    om1, om2 = w1.omega, w2.omega
+    th1 = w1.theta
+    s1 = om1 * om1 - p.c1, om1 * om1 - p.c2
+    s2 = om2 * om2 - p.c1, om2 * om2 - p.c2
+    pf1, pf2 = coupling_prefactors(p, w1, w2)
+
+    if w1.degenerate:  # theta1 = +-pi, omega1 = sqrt(c1)
+        d1 = d2 = complex(-w12)
+        return ClosedFormCoupling(d1, d2, None, pf1 * d1, pf2 * d2)
+
+    e1 = np.exp(1j * th1)
+    if abs(e1 * e1 + 1.0) < 1e-8:  # theta1 = +-pi/2, theta2 = +-pi
+        sg = 1.0 if np.sin(th1) > 0 else -1.0
+        rho1 = w1.rho
+        d1 = ((v22 / p.V2.k1 - sg * 1j * w22 / s1[1]) * s1[0]
+              + v12 * (rho1 * (1.0 + sg * 1j) + 2.0))
+        k2 = (2.0 * v22 * (1.0 + rho1 * (1.0 + sg * 1j)) - w22 * rho1 ** 2) / (2j * om2)
+        return ClosedFormCoupling(complex(d1), complex(k2 * 2j * om2), None,
+                                  complex(pf1 * d1), complex(k2))
+
+    rho1, rho2 = w1.rho, w2.rho
+    cr1 = np.conj(rho1)
+    e2 = np.exp(1j * w2.theta)
+    d = (p.V1.k1 * p.V2.k1 ** 2 * (2.0 + 4.0 * np.cos(th1) + 2.0 * np.cos(w2.theta))
+         / (s1[1] ** 2 * s2[1]))
+    d1 = (d * v22 * ((np.conj(e1) - 1.0) / (cr1 * rho2)
+                     + (np.conj(e2) - 1.0) / rho2
+                     + (e1 - 1.0) / cr1)
+          + v12 * (cr1 * rho2 * (e1 - 1.0) + rho2 * (e2 - 1.0) + cr1 * (np.conj(e1) - 1.0))
+          + d * w22 - w12)
+    d2 = (d * v22 * ((np.conj(e2) - 1.0) / rho1 ** 2 + 2.0 * (np.conj(e1) - 1.0) / rho1)
+          + v12 * (rho1 ** 2 * (e2 - 1.0) + 2.0 * rho1 * (e1 - 1.0))
+          + d * w22 - w12)
+    return ClosedFormCoupling(complex(d1), complex(d2), complex(d),
+                              complex(pf1 * d1), complex(pf2 * d2))

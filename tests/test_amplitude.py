@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _helpers import (det_h, find_acoustic_optical_resonance, p0, per_call_corrector,
+from _helpers import (coupling_closed_form, coupling_prefactors, det_h,
+                      find_acoustic_optical_resonance, p0, per_call_corrector,
                       random_valid_params, strang_states)
 from dichain import amplitude as amp
 from dichain import model
@@ -108,9 +109,10 @@ def test_coupling_pi_case():
     p = model.make_params(v1=(1.0, 0.3, 0.0), v2=(7.0, 0.2, 0.0),
                           w1=(r, 0.4, 0.0), w2=(r, 1.0, 0.0))
     w1, w2 = resonant_pair(p, np.pi)
-    cpl = coupling_coefficients(p, w1, w2)
-    assert abs(cpl.d1 - (-0.4)) < 1e-12
-    assert abs(cpl.d2 - (-0.4)) < 1e-12
+    k1, k2 = coupling_coefficients(p, w1, w2)
+    P1, P2 = coupling_prefactors(p, w1, w2)
+    assert abs(k1 / P1 - (-0.4)) < 1e-12
+    assert abs(k2 / P2 - (-0.4)) < 1e-12
     sys = build_macro_system(p, w1, w2)
     assert sys.mode == RESONANT_PI
     assert max(abs(v) for v in sys.velocities) < 1e-12
@@ -119,10 +121,27 @@ def test_coupling_pi_case():
 def test_coupling_family_theta0():
     p = family_nl(w12=0.4, w22=1.0)
     w1, w2 = resonant_pair(p, 0.0)
-    cpl = coupling_coefficients(p, w1, w2)
-    assert abs(cpl.d - 1.0) < 1e-12
-    assert abs(cpl.d1 - (1.0 * 1.0 - 0.4)) < 1e-12
-    assert abs(cpl.d2 - (1.0 * 1.0 - 0.4)) < 1e-12
+    k1, k2 = coupling_coefficients(p, w1, w2)
+    P1, P2 = coupling_prefactors(p, w1, w2)
+    assert abs(coupling_closed_form(p, w1, w2).d - 1.0) < 1e-12
+    assert abs(k1 / P1 - (1.0 * 1.0 - 0.4)) < 1e-12
+    assert abs(k2 / P2 - (1.0 * 1.0 - 0.4)) < 1e-12
+
+
+def test_coupling_half_pi_hand_value():
+    # gamma = 2, theta1 = pi/2: omega1^2 - c1 = 1 - sqrt5, omega1^2 - c2 = -1 - sqrt5
+    # and rho1 = (1 - sqrt5)/(1 + i), so the pi/2 closed forms reduce to
+    #   d1 = v12 (3 - sqrt5) + v22 (1 - sqrt5)/2 - i w22 (3 - sqrt5)/2,
+    #   k2 = (w22 (3 - sqrt5) - 2i v22 (2 - sqrt5)) / (4 omega1)
+    p = family_nl(b=solve_family_ratio(2.0, 0.5), v12=0.3, v22=0.2, w22=1.0)
+    w1, w2 = resonant_pair(p, np.pi / 2)
+    assert build_macro_system(p, w1, w2).mode == RESONANT_HALF_PI
+    k1, k2 = coupling_coefficients(p, w1, w2)
+    P1, _ = coupling_prefactors(p, w1, w2)
+    s5 = np.sqrt(5.0)
+    assert abs(w1.omega ** 2 - p.c1 - (1.0 - s5)) < 1e-12
+    assert abs(k1 / P1 - (0.3 * (3 - s5) + 0.2 * (1 - s5) / 2 - 1j * 1.0 * (3 - s5) / 2)) < 1e-12
+    assert abs(k2 - (1.0 * (3 - s5) - 2j * 0.2 * (2 - s5)) / (4 * w1.omega)) < 1e-12
 
 
 def test_coupling_generic_matches_independent_evaluation():
@@ -133,9 +152,9 @@ def test_coupling_generic_matches_independent_evaluation():
                           w1=(r, 0.23, 0.0), w2=(r, 0.41, 0.0))
     th1 = float(np.arccos(2 * c - 1.0))
     w1, w2 = resonant_pair(p, th1)
-    cpl = coupling_coefficients(p, w1, w2)
-    assert np.isfinite(cpl.k1) and np.isfinite(cpl.k2)
-    assert abs(cpl.k1) > 0 and abs(cpl.k2) > 0
+    k1, k2 = coupling_coefficients(p, w1, w2)
+    assert np.isfinite(k1) and np.isfinite(k2)
+    assert abs(k1) > 0 and abs(k2) > 0
 
     rho1 = polarization(p, ACOUSTIC, th1).rho
     rho2 = polarization(p, OPTICAL, wrap_theta(2 * th1)).rho
@@ -151,12 +170,43 @@ def test_coupling_generic_matches_independent_evaluation():
           + d * w22c - w12c)
     d2 = (d * v22 * ((np.conj(e2) - 1) / rho1 ** 2 + 2 * (np.conj(e1) - 1) / rho1)
           + v12 * (rho1 ** 2 * (e2 - 1) + 2 * rho1 * (e1 - 1)) + d * w22c - w12c)
-    assert abs(cpl.d1 - d1) < 1e-12
-    assert abs(cpl.d2 - d2) < 1e-12
-    k1 = d1 / (1j * om1) * (om1 ** 2 - p.c2) / ((om1 ** 2 - p.c1) + (om1 ** 2 - p.c2))
-    k2 = d2 / (2j * om2) * (om2 ** 2 - p.c2) / ((om2 ** 2 - p.c1) + (om2 ** 2 - p.c2))
-    assert abs(cpl.k1 - k1) < 1e-12
-    assert abs(cpl.k2 - k2) < 1e-12
+    P1, P2 = coupling_prefactors(p, w1, w2)
+    assert abs(k1 / P1 - d1) < 1e-12
+    assert abs(k2 / P2 - d2) < 1e-12
+    k1_hand = d1 / (1j * om1) * (om1 ** 2 - p.c2) / ((om1 ** 2 - p.c1) + (om1 ** 2 - p.c2))
+    k2_hand = d2 / (2j * om2) * (om2 ** 2 - p.c2) / ((om2 ** 2 - p.c1) + (om2 ** 2 - p.c2))
+    assert abs(k1 - k1_hand) < 1e-12
+    assert abs(k2 - k2_hand) < 1e-12
+
+
+# nonlinear coefficients (v12, v22, w12, w22) of the oracle grid
+ORACLE_NL = ((0.3, 0.2, 0.4, 1.0), (-0.45, 0.35, 0.15, -0.6))
+
+
+def test_coupling_projection_matches_closed_forms():
+    """The projected couplings against the paper's closed forms in all
+    three regimes, at family points (gamma, c) with both signs of theta1:
+    c = 0 is the pi regime (gamma >= 5 admits it), c = 0.5 the pi/2
+    regime, the rest generic.  The generic closed form loses digits near
+    c = 0.5 (|k1| ~ 225 within 3e-4 of it), which the grid stays clear of;
+    on it the two agree to 6e-15 relative."""
+    modes = collections.Counter()
+    for gamma in (1.5, 2.0, 3.0, 5.0, 7.0):
+        for c in (0.0, 0.2, 0.5, 0.72, 0.9, 1.0):
+            r = solve_family_ratio(gamma, c)
+            if r is None:
+                continue
+            th1 = float(np.arccos(2 * c - 1.0))
+            for v12, v22, w12, w22 in ORACLE_NL:
+                p = family_nl(gamma, r, v12, v22, w12, w22)
+                for sign in (1.0, -1.0):
+                    w1, w2 = resonant_pair(p, sign * th1)
+                    modes[build_macro_system(p, w1, w2).mode] += 1
+                    k1, k2 = coupling_coefficients(p, w1, w2)
+                    cf = coupling_closed_form(p, w1, w2)
+                    assert abs(k1 - cf.k1) <= 1e-12 * abs(cf.k1), (gamma, c, sign)
+                    assert abs(k2 - cf.k2) <= 1e-12 * abs(cf.k2), (gamma, c, sign)
+    assert modes == {RESONANT_GENERIC: 72, RESONANT_HALF_PI: 20, RESONANT_PI: 8}
 
 
 def test_macro_system_modes():

@@ -65,7 +65,8 @@ def test_config_rejects_bad_params():
     (dict(P_NL, W1={"k1": "1.0"}), "params.W1"),
     (dict(P_NL, W2={"k1": True}), "params.W2"),
     (dict(P_NL, V2={"k1": float("nan")}), "params.V2"),
-], ids=["key-typo", "extra-potential", "string-k1", "bool-k1", "nan-k1"])
+    (dict(P_NL, V1={"k1": 2.0}, V2={"k1": 1.0}), "params"),
+], ids=["key-typo", "extra-potential", "string-k1", "bool-k1", "nan-k1", "unstable"])
 def test_params_checked_as_strictly_as_config_keys(tmp_path, capsys, params, key):
     # the config key and dispersion --params share one check
     with pytest.raises(ConfigError, match=key):
