@@ -445,7 +445,7 @@ def _corrector_matrix(p: ChainParams, om_v: float, th_v: float):
 
 def _solve_product_corrector(p, om_v, th_v, K, weight, out):
     """Write the solution A of weight*H(Omega, Theta) A + K = 0 into the
-    (2, n) rows ``out``."""
+    (2, ...) rows ``out``."""
     h00, h01, h10, h11, det = _corrector_matrix(p, om_v, th_v)
     k1, k2 = K
     out[0] = -(h11 * k1 - h01 * k2) / det / weight
@@ -457,12 +457,11 @@ def _wave_corrector(p, wave: Wave, b, dy_b, dtau_b, k_extra, out):
 
     Gauge: the free component vanishes; the determined one solves the
     non-degenerate row of the order-eps^2 bracket (with the quadratic
-    extra source k_extra in resonant regimes).  Written into the (2, n)
+    extra source k_extra in resonant regimes).  Written into the (2, ...)
     rows ``out``.
     """
-    n = len(b)
     out[...] = 0.0
-    kx = k_extra if k_extra is not None else (np.zeros(n, complex), np.zeros(n, complex))
+    kx = k_extra if k_extra is not None else (np.zeros_like(b), np.zeros_like(b))
     if wave.degenerate:
         if wave.branch == ACOUSTIC:
             out[1] = (p.V2.k1 * dy_b + kx[1]) / (p.c2 - p.c1)
@@ -478,14 +477,17 @@ def _wave_corrector(p, wave: Wave, b, dy_b, dtau_b, k_extra, out):
 def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_fields,
                             dtau_fields, out: Optional[np.ndarray] = None) -> dict:
     """All corrector fields A_{2,iota} for the given first-order envelopes,
-    keyed by iota, each a (2, n) complex array.
+    keyed by iota, each a (2, ...) complex array.
 
     ``fields``, ``dy_fields`` and ``dtau_fields`` hold the scalar envelopes,
     their spectral y-derivatives and their tau-derivatives; the latter come
     from the governing macroscopic equations (``tau_derivative``), never
-    from time differencing.  The fields are the rows of one (K, 2, n) stack,
-    ``out`` when given, in the order of the returned keys: the product
-    carriers of ``corrector_carriers``, then the two wave carriers.
+    from time differencing.  Each envelope is one grid of shape (n,) or a
+    stack of m of them, (m, n): every step acts element by element, so a
+    stacked state gets the bits a single grid gets.  The fields are the
+    rows of one (K, 2, ...) stack, ``out`` when given, in the order of the
+    returned keys: the product carriers of ``corrector_carriers``, then the
+    two wave carriers.
     """
     w1, w2 = macro.waves
     b1 = np.asarray(fields[0], dtype=complex)
@@ -494,7 +496,7 @@ def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_field
     a2 = w2.amplitude_vector(b2)
     carriers = corrector_carriers(macro.mode, w1, w2)
     if out is None:
-        out = np.empty((len(carriers) + 2, 2, len(b1)), dtype=complex)
+        out = np.empty((len(carriers) + 2, 2) + b1.shape, dtype=complex)
 
     entries = {}
     for rows, (iota, om_v, th_v, weight) in zip(out, carriers):

@@ -5,13 +5,15 @@ and improved), produces consistent initial data for the full
 simulation, and measures the equation defect of the improved ansatz
 numerically.
 
-Each constant is computed once.  A snapshot of the envelopes at one tau
-is interpolated to the lattice in one stacked FFT pass, and its
-correctors in one more.  The spec keeps the carrier phase rows
-exp(i(omega*t + theta*j)) of the last lattice time t, one per carrier, so
-the position, velocity and corrector sums at one time share them.  The
-corrector solves keep H(Omega, Theta) and det H per (params, carrier)
-(``amplitude._corrector_matrix``).
+Each constant is computed once.  The envelope states of several times
+make one (2, m, n) snapshot stack: its spectral derivative,
+tau-derivative and second-order correctors are one pass over the whole
+grid stack, while the interpolation to the lattice and the carrier sums
+stay one sample at a time, so no lattice array grows with m.  The spec
+keeps the carrier phase rows exp(i(omega*t + theta*j)) of the last
+lattice time t, one per carrier, so the position, velocity and corrector
+sums at one time share them.  The corrector solves keep H(Omega, Theta)
+and det H per (params, carrier) (``amplitude._corrector_matrix``).
 """
 from __future__ import annotations
 
@@ -29,33 +31,45 @@ class IncommensurateCarrier(ValueError):
 
 
 class _Snapshot:
-    """Envelope data at one macroscopic time, interpolated to the lattice.
+    """Envelope data at m macroscopic times: the m envelope states as one
+    (2, m, n) grid stack, and the lattice rows of one selected sample.
 
-    Four FFT calls: one spectral derivative of the (2, n) envelope stack
-    and one interpolation of the (4, n) stack of the envelopes and their
-    tau-derivatives.  Second-order correctors are built lazily, by
-    ``_correctors``, into one (K, 2, n) stack that a single interpolation
-    takes as it is; convergence sampling only needs the first-order fields
-    at most times.
+    The grid work is done once for the stack: one spectral derivative (two
+    FFT calls), one tau-derivative and, on first use by ``_correctors``,
+    one ``second_order_amplitudes`` call into a (K, 2, m, n) corrector
+    stack.  The lattice work is done per sample: ``select`` interpolates
+    the sample's (4, n) stack of envelopes and tau-derivatives (two FFT
+    calls) and ``_correctors`` its (K, 2, n) corrector rows (two more),
+    both kept until another sample is selected.  A single tau is the
+    m = 1 stack: four FFT calls, and two more for its correctors, which
+    convergence sampling does not need at most times.
     """
 
-    def __init__(self, spec: "AnsatzSpec", fields):
-        self.b_grid = np.asarray(fields, dtype=complex)
+    def __init__(self, spec: "AnsatzSpec", states):
+        self.b_grid = np.stack(states, axis=1).astype(complex, copy=False)
         self.dy_grid = amp.spectral_derivative(self.b_grid, spec.L)
-        self.dtau_grid = tau_derivative(spec.macro, self.b_grid, self.dy_grid)
-        lat = spec.interp(np.stack((*self.b_grid, *self.dtau_grid)))
-        self.b_lat, self.dtau_lat = lat[:2], lat[2:]
-        self.a2_lat = None
+        self.dtau_grid = np.asarray(tau_derivative(spec.macro, self.b_grid, self.dy_grid))
+        self.a2_grid = self.a2_keys = self.i = None
+        self.select(spec, 0)
+
+    def select(self, spec: "AnsatzSpec", i: int) -> "_Snapshot":
+        """Interpolate sample i to the lattice, unless it is the selected one."""
+        if i != self.i:
+            lat = spec.interp(np.concatenate((self.b_grid[:, i], self.dtau_grid[:, i])))
+            self.i, self.b_lat, self.dtau_lat, self.a2_lat = i, lat[:2], lat[2:], None
+        return self
 
 
 def _correctors(spec: "AnsatzSpec", snap: _Snapshot) -> dict:
-    """The snapshot's second-order correctors on the lattice, built on
-    first use by one interpolation of every carrier's rows."""
+    """The selected sample's second-order correctors on the lattice, by
+    one interpolation of its rows of the snapshot's corrector stack; the
+    stack is built on first use, for every sample at once."""
     if snap.a2_lat is None:
-        stack = np.empty((len(spec.carriers), 2, spec.n), dtype=complex)
-        a2 = second_order_amplitudes(spec.p, spec.macro, snap.b_grid, snap.dy_grid,
-                                     snap.dtau_grid, out=stack)
-        snap.a2_lat = dict(zip(a2, spec.interp(stack)))
+        if snap.a2_grid is None:
+            snap.a2_grid = np.empty((len(spec.carriers),) + snap.b_grid.shape, dtype=complex)
+            snap.a2_keys = list(second_order_amplitudes(
+                spec.p, spec.macro, snap.b_grid, snap.dy_grid, snap.dtau_grid, out=snap.a2_grid))
+        snap.a2_lat = dict(zip(snap.a2_keys, spec.interp(snap.a2_grid[:, :, snap.i])))
     return snap.a2_lat
 
 
@@ -65,9 +79,9 @@ class AnsatzSpec:
 
     The macroscopic domain length is tied to the lattice by L = eps*N;
     the envelope solution provides fields at any tau.  The spec keeps
-    the snapshot of the last tau asked for (``at_tau``; every caller asks
-    for one tau at a time), the improved-ansatz carrier table, and the
-    phase rows of the last lattice time asked for (``phase_row``).
+    the snapshot stack of the last taus asked for (``at_tau``,
+    ``at_taus``), the improved-ansatz carrier table, and the phase rows
+    of the last lattice time asked for (``phase_row``).
     """
 
     p: ChainParams
@@ -117,12 +131,19 @@ class AnsatzSpec:
         return np.fft.ifft(pad) * (self.N / self.n)
 
     def at_tau(self, tau: float) -> _Snapshot:
-        """The envelope snapshot at tau, kept until another tau is asked for."""
-        snap = self._cache.get(tau)
-        if snap is None:
-            snap = _Snapshot(self, self.solution.fields(tau))
-            self._cache = {tau: snap}
-        return snap
+        """The envelope snapshot with tau's sample selected: from the stack
+        of the last ``at_taus`` when tau is in it, else from an m = 1
+        stack of its own, kept until a tau outside it is asked for."""
+        if tau not in self._cache:
+            self.at_taus((tau,))
+        snap, i = self._cache[tau]
+        return snap.select(self, i)
+
+    def at_taus(self, taus) -> None:
+        """Build the snapshots of the taus as one stack, for ``at_tau`` to
+        serve; the samplers ask for tau = eps*t at lattice time t."""
+        snap = _Snapshot(self, [self.solution.fields(tau) for tau in taus])
+        self._cache = {tau: (snap, i) for i, tau in enumerate(taus)}
 
     def phase_row(self, omega: float, theta: float, t: float) -> np.ndarray:
         """exp(i(omega*t + theta*j)) over the lattice sites j, built once
@@ -209,29 +230,40 @@ def initial_state(spec: AnsatzSpec, improved: bool = True) -> LatticeState:
     return LatticeState(sample_first_order(spec, 0.0), first_order_velocity(spec, 0.0), 0.0)
 
 
-def residual_norm(p: ChainParams, spec: AnsatzSpec, t: float, h0: float) -> float:
+def residual_norm(p: ChainParams, spec: AnsatzSpec, t, h0: float):
     """Mass-weighted l2 norm of L(U) + M(U) - Udotdot for the improved
-    ansatz U, with Udotdot by central difference at step h = eps^2*h0.
+    ansatz U, with Udotdot by central difference at step h = eps^2*h0, at
+    lattice time t, or one norm per time when t is a sequence of times.
 
-    The step keeps the finite-difference error below the eps^{5/2}
-    signal being measured.  The division by h^2 also amplifies the rounding
-    of the phases omega*t + theta*j (up to 2,550 rad at N = 400 and 10,152
-    at N = 1,600), which differs between t - h, t and t + h: rounding them
+    The envelope states at t - h, t and t + h of every time make one
+    snapshot stack, so all of them share one pass of grid work.  The step
+    keeps the finite-difference error below the eps^{5/2} signal being
+    measured.  The division by h^2 also amplifies the rounding of the
+    phases omega*t + theta*j (up to 2,550 rad at N = 400 and 10,152 at
+    N = 1,600), which differs between t - h, t and t + h: rounding them
     any other way, such as factoring out exp(i*omega*t), moved a row of the
     c = 0.5 family by 2.7e-3 relative.
     """
-    if t < 0:
-        raise ValueError(f"amplitude trajectory unavailable at t={t} < 0")
+    times = [t] if np.ndim(t) == 0 else list(t)
+    for s in times:
+        if s < 0:
+            raise ValueError(f"amplitude trajectory unavailable at t={s} < 0")
     h = spec.eps ** 2 * h0
-    base = spec.solution.fields(spec.eps * t)
-    # the neighbours are one envelope step of +-eps*h from the state at t,
-    # not dense evaluations: the second difference divides by h^2 and would
-    # amplify any interpolation noise of a dense solution (the step is the
-    # exact flow when non-resonant)
-    snaps = [_Snapshot(spec, amp.strang_step(spec.macro, base, spec.L, spec.eps * dt)
-                       if dt else base) for dt in (-h, 0.0, h)]
-    um, u0, up = (_sample_improved_snap(spec, s, t + dt)
-                  for s, dt in zip(snaps, (-h, 0.0, h)))
-    udd = (up - 2.0 * u0 + um) / (h * h)
-    res = force(p, u0) - udd
-    return norm_m(res, p)
+    steps = (-h, 0.0, h)
+    states = []
+    for s in times:
+        base = spec.solution.fields(spec.eps * s)
+        # the neighbours are one envelope step of +-eps*h from the state at
+        # s, not dense evaluations: the second difference divides by h^2 and
+        # would amplify any interpolation noise of a dense solution (the
+        # step is the exact flow when non-resonant)
+        states += [amp.strang_step(spec.macro, base, spec.L, spec.eps * dt) if dt else base
+                   for dt in steps]
+    snap = _Snapshot(spec, states)
+    norms = []
+    for k, s in enumerate(times):
+        um, u0, up = (_sample_improved_snap(spec, snap.select(spec, 3 * k + d), s + dt)
+                      for d, dt in enumerate(steps))
+        udd = (up - 2.0 * u0 + um) / (h * h)
+        norms.append(norm_m(force(p, u0) - udd, p))
+    return norms if np.ndim(t) else norms[0]

@@ -309,7 +309,7 @@ def run_residual_scaling(cfg: ExperimentConfig) -> ScalingReport:
     def measure(setup):
         spec = setup.spec
         h0 = max(0.01, 5e-5 / spec.eps ** 2)
-        val = max(anz.residual_norm(setup.p, spec, t, h0=h0) for t in _phase_times(cfg, spec))
+        val = max(anz.residual_norm(setup.p, spec, _phase_times(cfg, spec), h0=h0))
         return val, val / spec.eps ** 2.5
 
     return _sweep(cfg, "residual_norm", measure,
@@ -321,8 +321,10 @@ def run_ansatz_scaling(cfg: ExperimentConfig) -> ScalingReport:
     (eps^{3/2} law) plus the sup-norm boundedness check."""
     def measure(setup):
         spec = setup.spec
+        times = _phase_times(cfg, spec)
+        spec.at_taus([spec.eps * t for t in times])  # one snapshot stack, read by at_tau
         gap, sup = 0.0, 0.0
-        for t in _phase_times(cfg, spec):
+        for t in times:
             # each carrier sum once: leading positions and velocities, then
             # the improved ones as those plus the corrector terms
             pos, vel = anz.sample_first_order(spec, t), anz.first_order_velocity(spec, t)

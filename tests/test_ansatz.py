@@ -219,11 +219,18 @@ def test_gap_scaling_exponent():
     assert max(infs) / min(infs) <= 2.0
 
 
-def test_residual_requires_available_trajectory():
+def test_residual_requires_available_trajectory(monkeypatch):
     p = p0()
     spec = constant_spec(p, 0.1, 400, 0.0, a=0.5)
     with pytest.raises(ValueError):
         residual_norm(p, spec, -5.0, h0=0.01)
+    # every time of a sequence is checked before any envelope is stepped
+    stepped = []
+    monkeypatch.setattr(spec.solution, "fields", lambda tau: stepped.append(tau))
+    monkeypatch.setattr(amp, "strang_step", lambda *a: stepped.append(a))
+    with pytest.raises(ValueError, match="t=-2.5 "):
+        residual_norm(p, spec, [1.0, -2.5, 3.0], h0=0.01)
+    assert not stepped
 
 
 NL = {"v12": 0.3, "v22": 0.2, "w12": 0.4, "w22": 1.0}
@@ -282,37 +289,69 @@ def test_theta_snapping_keeps_resonance_exact():
 @pytest.mark.parametrize("eps,n_grid", [(0.05, 256), (0.1, 1024)], ids=["N-above-n", "N-below-n"])
 @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
 def test_snapshot_matches_per_row_reference(source, eps, n_grid):
-    """The stacked FFT passes give every row bit for bit."""
+    """The grid pass over the stack and the FFT passes per sample give
+    every sample's rows bit for bit, alone (m = 1) and in a stack of four
+    selected out of order."""
     spec = _setup(source, eps, n_grid).spec
     assert (spec.N > spec.n) == (n_grid == 256)
-    fields = spec.solution.fields(0.3)
-    snap = anz._Snapshot(spec, fields)
-    a2 = anz._correctors(spec, snap)
-    ref = per_row_snapshot(spec, fields)
-    for name in ("b_lat", "dtau_lat", "dy_grid", "dtau_grid"):
-        assert np.array_equal(getattr(snap, name), ref[name]), name
-    assert a2.keys() == ref["a2_lat"].keys()
-    for iota, rows in a2.items():
-        assert np.array_equal(rows, ref["a2_lat"][iota]), iota
+    states = [spec.solution.fields(tau) for tau in (0.3, 0.1, 0.3, 0.0)]
+    refs = [per_row_snapshot(spec, fields) for fields in states]
+    for stack, order in (([states[0]], [0]), (states, [2, 0, 3, 0, 1])):
+        snap = anz._Snapshot(spec, stack)
+        for i in order:
+            snap.select(spec, i)
+            a2 = anz._correctors(spec, snap)
+            ref = refs[i]
+            for name in ("b_lat", "dtau_lat"):
+                assert np.array_equal(getattr(snap, name), ref[name]), name
+            for name in ("dy_grid", "dtau_grid"):
+                assert np.array_equal(getattr(snap, name)[:, i], ref[name]), name
+            assert a2.keys() == ref["a2_lat"].keys()
+            for iota, rows in a2.items():
+                assert np.array_equal(rows, ref["a2_lat"][iota]), iota
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
 def test_snapshot_makes_four_ffts_and_correctors_two(monkeypatch, source):
+    """Per stack: one spectral derivative (two FFT calls) and one corrector
+    build.  Per sample: one interpolation of its envelopes and one of its
+    correctors (two FFT calls each)."""
     spec = _setup(source).spec
-    fields = spec.solution.fields(0.3)
+    states = [spec.solution.fields(tau) for tau in (0.3, 0.1, 0.2)]
     calls = collections.Counter()
     for name in ("fft", "ifft"):
         def counted(*a, _fn=getattr(np.fft, name), _name=name, **kw):
             calls[_name] += 1
             return _fn(*a, **kw)
         monkeypatch.setattr(np.fft, name, counted)
-    snap = anz._Snapshot(spec, fields)
+
+    def built(*a, _fn=anz.second_order_amplitudes, **kw):
+        calls["second_order"] += 1
+        return _fn(*a, **kw)
+    monkeypatch.setattr(anz, "second_order_amplitudes", built)
+
+    snap = anz._Snapshot(spec, states[:1])
     assert calls == {"fft": 2, "ifft": 2}
     calls.clear()
     anz._correctors(spec, snap)
-    assert calls == {"fft": 1, "ifft": 1}
+    assert calls == {"fft": 1, "ifft": 1, "second_order": 1}
     calls.clear()
     anz._correctors(spec, snap)  # built once
+    assert not calls
+
+    snap = anz._Snapshot(spec, states)  # the stack's derivative, then sample 0
+    assert calls == {"fft": 2, "ifft": 2}
+    calls.clear()
+    anz._correctors(spec, snap)
+    assert calls == {"fft": 1, "ifft": 1, "second_order": 1}
+    for i in (1, 2):
+        calls.clear()
+        snap.select(spec, i)
+        anz._correctors(spec, snap)
+        anz._correctors(spec, snap)
+        assert calls == {"fft": 2, "ifft": 2}
+    calls.clear()
+    snap.select(spec, 2)  # already selected
     assert not calls
 
 
@@ -351,12 +390,13 @@ def _reference_sums(spec, fields, t):
     """Leading positions and velocities, and the corrector position and
     velocity terms, at lattice time t from the envelope grids ``fields``,
     with fresh phases and per-call solves throughout."""
-    snap = anz._Snapshot(spec, fields)
+    ref = per_row_snapshot(spec, fields)
     waves = spec.macro.waves
-    a1, a2 = (w.amplitude_vector(b) for w, b in zip(waves, snap.b_grid))
+    b_grid = [np.asarray(f, dtype=complex) for f in fields]
+    a1, a2 = (w.amplitude_vector(b) for w, b in zip(waves, b_grid))
     # the wave-carrier rows solve no matrix; the product rows are replaced
-    cor = amp.second_order_amplitudes(spec.p, spec.macro, snap.b_grid, snap.dy_grid,
-                                      snap.dtau_grid)
+    cor = amp.second_order_amplitudes(spec.p, spec.macro, b_grid, ref["dy_grid"],
+                                      ref["dtau_grid"])
     for iota, om_v, th_v, weight in amp.corrector_carriers(spec.macro.mode, *waves):
         K = amp.compute_K(iota, a1, a2, spec.p, waves[0].theta, waves[1].theta)
         cor[iota] = per_call_corrector(spec.p, om_v, th_v, K, weight)
@@ -374,8 +414,9 @@ def _reference_sums(spec, fields, t):
                 terms.append((om_v, th_v, c * cor_lat[iota]))
         return _per_term_carrier_sum(spec, terms, t, spec.eps ** 2)
 
-    vel = [1j * w.omega * b + spec.eps * d for w, b, d in zip(waves, snap.b_lat, snap.dtau_lat)]
-    return first(snap.b_lat), first(vel), second(False), second(True)
+    vel = [1j * w.omega * b + spec.eps * d
+           for w, b, d in zip(waves, ref["b_lat"], ref["dtau_lat"])]
+    return first(ref["b_lat"]), first(vel), second(False), second(True)
 
 
 def _reference_residual(spec, t, h0):
@@ -393,20 +434,31 @@ def _reference_residual(spec, t, h0):
 
 @pytest.mark.parametrize("source", REGIMES, ids=REGIME_IDS)
 def test_shared_phases_and_matrices_match_per_call_arithmetic(source):
-    """Every sampler gives the bits of fresh phase rows and per-call solves.
-    Times are revisited out of order and two specs of different N (the
-    same carriers in the pi regime) interleave, so a stale row shows."""
+    """Every sampler gives the bits of fresh phase rows and per-call solves,
+    from single snapshots and from one stack of every tau (as the ansatz
+    sweep reads them).  Times are revisited out of order and two specs of
+    different N (the same carriers in the pi regime) interleave, so a
+    stale row shows.  A sequence of residual times, out of order and with
+    one repeated, gives each time's norm."""
     specs = [_setup(source, eps, 128).spec for eps in (0.1, 0.05)]
     assert specs[0].N != specs[1].N
-    for tau in (0.3, 0.1, 0.3, 0.0, 0.2, 0.1):
-        for spec in specs:
-            t = tau / spec.eps
-            pos, vel, cor, cor_vel = _reference_sums(spec, spec.solution.fields(spec.eps * t), t)
-            assert np.array_equal(anz.corrector_sum(spec, t, True), cor_vel)
-            assert np.array_equal(sample_first_order(spec, t), pos)
-            assert np.array_equal(anz.corrector_sum(spec, t), cor)
-            assert np.array_equal(first_order_velocity(spec, t), vel)
-            assert np.array_equal(sample_improved(spec, t), pos + cor)
+    taus = (0.3, 0.1, 0.3, 0.0, 0.2, 0.1)
+    for stacked in (False, True):
+        if stacked:
+            for spec in specs:
+                spec.at_taus([spec.eps * (tau / spec.eps) for tau in taus])
+        for tau in taus:
+            for spec in specs:
+                t = tau / spec.eps
+                fields = spec.solution.fields(spec.eps * t)
+                pos, vel, cor, cor_vel = _reference_sums(spec, fields, t)
+                assert np.array_equal(anz.corrector_sum(spec, t, True), cor_vel)
+                assert np.array_equal(sample_first_order(spec, t), pos)
+                assert np.array_equal(anz.corrector_sum(spec, t), cor)
+                assert np.array_equal(first_order_velocity(spec, t), vel)
+                assert np.array_equal(sample_improved(spec, t), pos + cor)
+        if stacked:  # every tau was read from the one stack
+            assert all(len(spec._cache) == len(set(taus)) for spec in specs)
     for spec in specs:
         pos, vel, cor, cor_vel = _reference_sums(spec, spec.solution.fields(0.0), 0.0)
         for improved, ref in ((True, (pos + cor, vel + cor_vel)), (False, (pos, vel))):
@@ -417,6 +469,10 @@ def test_shared_phases_and_matrices_match_per_call_arithmetic(source):
             t_lat = t / spec.eps
             assert residual_norm(spec.p, spec, t_lat, h0=0.02) == \
                 _reference_residual(spec, t_lat, 0.02)
+    for spec in specs:
+        times = [tau / spec.eps for tau in (0.25, 0.1, 0.3, 0.1, 0.0)]
+        assert residual_norm(spec.p, spec, times, h0=0.02) == \
+            [_reference_residual(spec, t, 0.02) for t in times]
 
 
 @pytest.mark.parametrize("source,rows", zip(REGIMES, (7, 5, 5, 5)), ids=REGIME_IDS)
