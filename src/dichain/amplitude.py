@@ -6,9 +6,10 @@ transported at its group velocity; at an exact acoustic->optical
 resonance the two envelopes couple through quadratic source terms.  Each
 coupling is the solvability condition of its wave carrier: the
 quadratic source on that carrier, projected on the wave's polarization,
-one formula for every resonant regime.  The second-order correctors
-cancel the quadratic defect of the leading ansatz and are obtained
-pointwise by inverting the dispersion matrix on the product carriers.
+one formula for every resonant regime.  Every quadratic source is the
+lattice's bond stencil on two carriers (``model.carrier_product_force``),
+a constant vector kappa times an envelope product, so the second-order
+corrector that cancels it is a constant vector chi times that product.
 
 A Strang step advects the envelopes as one stack: the rows whose group
 velocity is nonzero share one FFT round trip per half step, with their
@@ -26,12 +27,12 @@ from tau = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
 
-from .model import ChainParams
+from .model import ChainParams, carrier_product_force
 from .resonance import NotResonant, resonant_pair_defect
 from .spectrum import ACOUSTIC, Wave, dispersion_matrix, group_velocity
 
@@ -86,60 +87,47 @@ def sech_envelope(L: float, n: int, a0: float, nu: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# quadratic source terms on the product carriers
+# quadratic sources, from the lattice's bond stencil
 
 
-def compute_K(iota, a1, a2, p: ChainParams, theta1: float, theta2: float):
-    """Pointwise quadratic source K_iota as a pair of components.
+@lru_cache(maxsize=16)
+def source_vectors(p: ChainParams, w1: Wave, w2: Wave) -> dict:
+    """kappa per product carrier: as amplitudes are linear in the
+    envelopes, its quadratic source is the sum of these 2-vectors times its
+    ``_envelope_products``.  Each is the bond stencil on the unit
+    polarizations, doubled for a product of the two waves; those of the
+    mean carrier are real, as the lattice's mean force is.  Read-only."""
+    (r1, t1), (r2, t2) = ((np.asarray(w.amplitude_vector(1 + 0j)), w.theta) for w in (w1, w2))
+    force = partial(carrier_product_force, p)
+    kappa = {(1, 1): [force(r1, t1, r1, t1)], (2, 2): [force(r2, t2, r2, t2)],
+             (1, 2): [2.0 * force(r1, t1, r2, t2)],
+             (1, -2): [2.0 * force(r1, t1, np.conj(r2), -t2)],
+             (1, -1): [force(r, t, np.conj(r), -t).real for r, t in ((r1, t1), (r2, t2))]}
+    for iota, vectors in kappa.items():
+        kappa[iota] = np.array(vectors)
+        kappa[iota].flags.writeable = False
+    return kappa
 
-    ``a1``/``a2`` are the 2-component first-order amplitudes (scalars or
-    arrays).  Upper sign row i=1, lower sign row i=2, second index wraps.
-    """
-    v2 = (p.V1.k2, p.V2.k2)
-    w2 = (p.W1.k2, p.W2.k2)
-    out = []
-    for i in (0, 1):
-        s = 1.0 if i == 0 else -1.0
-        j = 1 - i
-        E = lambda ang: np.exp(s * 1j * ang) - 1.0
-        if iota == (1, 1) or iota == (2, 2):
-            a, th = (a1, theta1) if iota == (1, 1) else (a2, theta2)
-            val = (s * v2[i] * (a[j] ** 2 * E(2.0 * th) - 2.0 * a[0] * a[1] * E(th))
-                   - w2[i] * a[i] ** 2)
-        elif iota == (1, 2):
-            val = (s * 2.0 * v2[i] * (a1[j] * a2[j] * E(theta1 + theta2)
-                                      - a1[i] * a2[j] * E(theta2)
-                                      - a1[j] * a2[i] * E(theta1))
-                   - 2.0 * w2[i] * a1[i] * a2[i])
-        elif iota == (1, -2):
-            c2j = np.conj(a2[j])
-            c2i = np.conj(a2[i])
-            val = (s * 2.0 * v2[i] * (a1[j] * c2j * E(theta1 - theta2)
-                                      - a1[i] * c2j * (np.exp(-s * 1j * theta2) - 1.0)
-                                      - a1[j] * c2i * E(theta1))
-                   - 2.0 * w2[i] * a1[i] * c2i)
-        elif iota == (1, -1):
-            val = 0.0
-            for a, th in ((a1, theta1), (a2, theta2)):
-                val = val + (-s * 2.0 * v2[i] * np.conj(a[i]) * a[j] * E(th)
-                             - w2[i] * np.abs(a[i]) ** 2)
-        else:
-            raise ValueError(f"unknown source index {iota!r}")
-        out.append(val)
-    return out[0], out[1]
+
+def _envelope_products(b1, b2) -> dict:
+    """Each product carrier's envelope products, in the order of its
+    ``source_vectors``; the mean carrier's |B1|^2 and |B2|^2 are real."""
+    return {(1, 1): (b1 * b1,), (2, 2): (b2 * b2,), (1, 2): (b1 * b2,),
+            (1, -2): (b1 * np.conj(b2),),
+            (1, -1): tuple(b.real * b.real + b.imag * b.imag for b in (b1, b2))}
 
 
 # ---------------------------------------------------------------------------
 # couplings, projected from the wave-carrier sources
 
 
-def _wave_sources(p: ChainParams, w1: Wave, w2: Wave, a1, a2):
-    """The resonant quadratic sources on the two wave carriers for the
-    first-order amplitudes ``a1``/``a2``: conj(K_(1,-2)) on w1's carrier
-    (conj(B1) B2) and K_(1,1) on w2's (B1^2), each a pair of components."""
-    kx1 = tuple(np.conj(c) for c in compute_K((1, -2), a1, a2, p, w1.theta, w2.theta))
-    kx2 = compute_K((1, 1), a1, a2, p, w1.theta, w2.theta)
-    return kx1, kx2
+def _wave_sources(p: ChainParams, w1: Wave, w2: Wave, products: dict):
+    """The resonant quadratic sources on the two wave carriers, from the
+    envelope products: conj(K_(1,-2)) on w1's carrier (conj(B1) B2) and
+    K_(1,1) on w2's (B1^2), each a (2, ...) array."""
+    kappa = source_vectors(p, w1, w2)
+    return (np.conj(np.multiply.outer(kappa[(1, -2)][0], products[(1, -2)][0])),
+            np.multiply.outer(kappa[(1, 1)][0], products[(1, 1)][0]))
 
 
 def coupling_coefficients(p: ChainParams, w1: Wave, w2: Wave):
@@ -162,8 +150,9 @@ def coupling_coefficients(p: ChainParams, w1: Wave, w2: Wave):
     def dot(a, b):
         return p.M_w * np.conj(a[0]) * b[0] + p.m_w * np.conj(a[1]) * b[1]
 
+    sources = _wave_sources(p, w1, w2, _envelope_products(1.0, 1.0))
     return tuple(complex(dot(r, s) / (2j * w.omega * dot(r, r)))
-                 for w, r, s in zip((w1, w2), (r1, r2), _wave_sources(p, w1, w2, r1, r2)))
+                 for w, r, s in zip((w1, w2), (r1, r2), sources))
 
 
 @dataclass(frozen=True)
@@ -425,53 +414,46 @@ def ansatz_carriers(mode: str, w1: Wave, w2: Wave):
             + corrector_carriers(mode, w1, w2))
 
 
-def _tol_res(omega_val: float) -> float:
-    """Smallest |det H(omega, theta)| a corrector may divide by."""
-    return 1e-6 * (1.0 + omega_val ** 4)
-
-
 @lru_cache(maxsize=64)
-def _corrector_matrix(p: ChainParams, om_v: float, th_v: float):
-    """H(Omega, Theta) of a product carrier as (h00, h01, h10, h11, det H),
-    kept per (params, carrier); a nearly singular H raises NearResonance,
-    which is not cached, so every solve on that carrier raises."""
-    H = dispersion_matrix(p, om_v, th_v)
-    det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
-    if abs(det) < _tol_res(om_v):
-        raise NearResonance(
-            f"|det H({om_v:.4g}, {th_v:.4g})| = {abs(det):.3e} below tolerance")
-    return H[0, 0], H[0, 1], H[1, 0], H[1, 1], det
+def _corrector_vectors(p: ChainParams, mode: str, w1: Wave, w2: Wave):
+    """(iota, chi) per product carrier, in ``corrector_carriers`` order:
+    weight*H(Omega, Theta) chi + kappa = 0 for each of its source vectors.
+    Read-only.  A nearly singular H raises NearResonance, which is not
+    cached, so every build on that carrier raises."""
+    kappa, vectors = source_vectors(p, w1, w2), []
+    for iota, om_v, th_v, weight in corrector_carriers(mode, w1, w2):
+        H = dispersion_matrix(p, om_v, th_v)
+        det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
+        if abs(det) < 1e-6 * (1.0 + om_v ** 4):  # the smallest |det H| a corrector divides by
+            raise NearResonance(
+                f"|det H({om_v:.4g}, {th_v:.4g})| = {abs(det):.3e} below tolerance")
+        k1, k2 = kappa[iota].T  # the 2x2 inverse by hand: no LAPACK call and its buffers
+        chi = np.stack([-(H[1, 1] * k1 - H[0, 1] * k2) / det / weight,
+                        -(-H[1, 0] * k1 + H[0, 0] * k2) / det / weight], axis=1)
+        chi.flags.writeable = False
+        vectors.append((iota, chi))
+    return tuple(vectors)
 
 
-def _solve_product_corrector(p, om_v, th_v, K, weight, out):
-    """Write the solution A of weight*H(Omega, Theta) A + K = 0 into the
-    (2, ...) rows ``out``."""
-    h00, h01, h10, h11, det = _corrector_matrix(p, om_v, th_v)
-    k1, k2 = K
-    out[0] = -(h11 * k1 - h01 * k2) / det / weight
-    out[1] = -(-h10 * k1 + h00 * k2) / det / weight
-
-
-def _wave_corrector(p, wave: Wave, b, dy_b, dtau_b, k_extra, out):
+def _wave_corrector(p, wave: Wave, dy_b, dtau_b, k_extra, out):
     """Corrector riding the wave's own carrier.
 
     Gauge: the free component vanishes; the determined one solves the
     non-degenerate row of the order-eps^2 bracket (with the quadratic
-    extra source k_extra in resonant regimes).  Written into the (2, ...)
-    rows ``out``.
+    extra source k_extra, a (2, ...) array, in resonant regimes; None
+    otherwise).  Written into the (2, ...) rows ``out``.
     """
     out[...] = 0.0
-    kx = k_extra if k_extra is not None else (np.zeros_like(b), np.zeros_like(b))
-    if wave.degenerate:
-        if wave.branch == ACOUSTIC:
-            out[1] = (p.V2.k1 * dy_b + kx[1]) / (p.c2 - p.c1)
-        else:
-            out[0] = (p.V1.k1 * dy_b - kx[0]) / (p.c2 - p.c1)
-        return
-    eit = np.exp(1j * wave.theta)
-    P = p.V1.k1 * (eit + 1.0)
-    d_y_a2 = -wave.rho * dy_b
-    out[1] = (2j * wave.omega * dtau_b - p.V1.k1 * eit * d_y_a2 - kx[0]) / P
+    if not wave.degenerate:
+        eit = np.exp(1j * wave.theta)
+        row = 2j * wave.omega * dtau_b - p.V1.k1 * eit * (-wave.rho * dy_b)
+        out[1] = (row if k_extra is None else row - k_extra[0]) / (p.V1.k1 * (eit + 1.0))
+    elif wave.branch == ACOUSTIC:
+        row = p.V2.k1 * dy_b
+        out[1] = (row if k_extra is None else row + k_extra[1]) / (p.c2 - p.c1)
+    else:
+        row = p.V1.k1 * dy_b
+        out[0] = (row if k_extra is None else row - k_extra[0]) / (p.c2 - p.c1)
 
 
 def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_fields,
@@ -484,28 +466,26 @@ def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_field
     from the governing macroscopic equations (``tau_derivative``), never
     from time differencing.  Each envelope is one grid of shape (n,) or a
     stack of m of them, (m, n): every step acts element by element, so a
-    stacked state gets the bits a single grid gets.  The fields are the
-    rows of one (K, 2, ...) stack, ``out`` when given, in the order of the
-    returned keys: the product carriers of ``corrector_carriers``, then the
-    two wave carriers.
+    stacked state gets the bits a single grid gets.  A product carrier's
+    corrector is its vectors chi (``_corrector_vectors``) times the
+    envelope products.  The fields are the rows of one (K, 2, ...) stack,
+    ``out`` when given, in the order of the returned keys: the product
+    carriers of ``corrector_carriers``, then the two wave carriers.
     """
     w1, w2 = macro.waves
-    b1 = np.asarray(fields[0], dtype=complex)
-    b2 = np.asarray(fields[1], dtype=complex)
-    a1 = w1.amplitude_vector(b1)
-    a2 = w2.amplitude_vector(b2)
-    carriers = corrector_carriers(macro.mode, w1, w2)
+    b1, b2 = (np.asarray(f, dtype=complex) for f in fields)
+    products = _envelope_products(b1, b2)
+    vectors = _corrector_vectors(p, macro.mode, w1, w2)
     if out is None:
-        out = np.empty((len(carriers) + 2, 2) + b1.shape, dtype=complex)
+        out = np.empty((len(vectors) + 2, 2) + b1.shape, dtype=complex)
 
     entries = {}
-    for rows, (iota, om_v, th_v, weight) in zip(out, carriers):
-        K = compute_K(iota, a1, a2, p, w1.theta, w2.theta)
-        _solve_product_corrector(p, om_v, th_v, K, weight, rows)
+    for rows, (iota, chi) in zip(out, vectors):
+        rows[...] = sum(np.multiply.outer(c, x) for c, x in zip(chi, products[iota]))
         entries[iota] = rows
 
-    kx1, kx2 = _wave_sources(p, w1, w2, a1, a2) if macro.resonant else (None, None)
-    _wave_corrector(p, w1, b1, dy_fields[0], dtau_fields[0], kx1, out[-2])
-    _wave_corrector(p, w2, b2, dy_fields[1], dtau_fields[1], kx2, out[-1])
+    kx1, kx2 = _wave_sources(p, w1, w2, products) if macro.resonant else (None, None)
+    _wave_corrector(p, w1, dy_fields[0], dtau_fields[0], kx1, out[-2])
+    _wave_corrector(p, w2, dy_fields[1], dtau_fields[1], kx2, out[-1])
     entries[1], entries[2] = out[-2], out[-1]
     return entries

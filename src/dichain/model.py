@@ -19,6 +19,11 @@ has k3 != 0, their cubes, each once; every atom's bond force is then
 and V1/W1 on odd atoms, less its on-site force.  The public functions take
 and return ``(N, 2)`` cells; ``cell_pack`` and ``cell_unpack`` convert
 between the two layouts without copying where they can.
+
+``carrier_product_force`` takes the same stencil's k2 terms on two
+carriers a*e^{i theta j}, the quadratic force on their product: row 1
+stretches right by a2 e^{i theta} - a1 and left by a1 - a2, row 2 right by
+a1 - a2 and left by a2 - a1 e^{-i theta}.
 """
 from __future__ import annotations
 
@@ -196,6 +201,19 @@ def _bond_pass(p: ChainParams, n: int):
 
 def _fnl(c: PotentialCoeffs, x):
     return x * x * (c.k2 + c.k3 * x)
+
+
+def carrier_product_force(p: ChainParams, a, theta_a: float, c, theta_c: float) -> np.ndarray:
+    """The quadratic force on the product of the carriers a*e^{i theta_a j}
+    and c*e^{i theta_c j} (a, c per-cell 2-vectors) as the (2, ...)
+    amplitude of its carrier: row i is V_i.k2*(r_a r_c - l_a l_c) -
+    W_i.k2*a_i c_i, of the carriers' right and left stretches."""
+    def stretches(x, theta):
+        inner = x[0] - x[1]
+        return (x[1] * np.exp(1j * theta) - x[0], inner), (inner, x[1] - x[0] * np.exp(-1j * theta))
+    rows = zip((p.V1, p.V2), (p.W1, p.W2), stretches(a, theta_a), stretches(c, theta_c), a, c)
+    return np.array([v.k2 * (ra * rc - la * lc) - w.k2 * ai * ci
+                     for v, w, (ra, la), (rc, lc), ai, ci in rows])
 
 
 def _bond_forces(p: ChainParams, pos):

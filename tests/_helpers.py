@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from dichain import amplitude as amp
 from dichain.amplitude import StrangSolution
-from dichain.model import ChainParams, make_params
+from dichain.model import ChainParams, carrier_product_force, make_params
 from dichain.resonance import GRID_SIZE, resonance_defect
 from dichain.spectrum import OPTICAL, dispersion_matrix
 
@@ -193,16 +193,88 @@ def roll_force(p, pos):
     return lin + np.stack([nl(p.V1, p.W1, s_a, s_b, u1), nl(p.V2, p.W2, s_b, s_c, u2)], axis=1)
 
 
-def per_call_corrector(p, om_v, th_v, K, weight):
-    """Independent reference for a product-carrier corrector: the (2, n)
-    solution of weight*H A + K = 0, building H and det H on every call."""
+# the envelope factors of each product carrier, wave k's conjugate written
+# -k; the mean carrier (1, -1) has one product per wave
+PRODUCT_FACTORS = {(1, 1): ((1, 1),), (2, 2): ((2, 2),), (1, 2): ((1, 2),),
+                   (1, -2): ((1, -2),), (1, -1): ((1, -1), (2, -2))}
+
+
+def envelope_products(iota, fields):
+    """The envelope products of carrier iota, one per factor pair: B_k B_l,
+    with B_{-l} = conj(B_l), and |B_k|^2 as a real x*x + y*y."""
+    b = [np.asarray(f, dtype=complex) for f in fields]
+    out = []
+    for k, l in PRODUCT_FACTORS[iota]:
+        x, y = b[k - 1], b[abs(l) - 1]
+        out.append(x.real * x.real + x.imag * x.imag if l == -k
+                   else x * (y if l > 0 else np.conj(y)))
+    return out
+
+
+def per_call_corrector(p, waves, iota, om_v, th_v, weight, fields):
+    """Independent reference for a product-carrier corrector: kappa from
+    ``model.carrier_product_force`` on the unit polarizations and the
+    solution chi of weight*H chi + kappa = 0, both built on every call,
+    times the envelope products; (2, ...) rows, in the arithmetic of
+    ``amplitude.second_order_amplitudes``."""
+    def carrier(k):
+        w = waves[abs(k) - 1]
+        r = np.asarray(w.amplitude_vector(1 + 0j))
+        return (r, w.theta) if k > 0 else (np.conj(r), -w.theta)
+
+    twice = 2.0 if abs(iota[0]) != abs(iota[1]) else 1.0
+    kappa = np.array([twice * carrier_product_force(p, *carrier(k), *carrier(l))
+                      for k, l in PRODUCT_FACTORS[iota]])
+    if iota == (1, -1):
+        kappa = kappa.real
     H = dispersion_matrix(p, om_v, th_v)
     det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
-    k1, k2 = K
-    a1 = -(H[1, 1] * k1 - H[0, 1] * k2) / det / weight
-    a2 = -(-H[1, 0] * k1 + H[0, 0] * k2) / det / weight
-    return np.stack([np.broadcast_to(a1, np.shape(k1)).astype(complex),
-                     np.broadcast_to(a2, np.shape(k1)).astype(complex)])
+    k1, k2 = kappa.T
+    chi = np.stack([-(H[1, 1] * k1 - H[0, 1] * k2) / det / weight,
+                    -(-H[1, 0] * k1 + H[0, 0] * k2) / det / weight], axis=1)
+    return sum(np.multiply.outer(c, x) for c, x in zip(chi, envelope_products(iota, fields)))
+
+
+def hand_expanded_K(iota, a1, a2, p: ChainParams, theta1: float, theta2: float):
+    """The quadratic source K_iota as a pair of components, expanded by
+    hand: an oracle independent of the bond stencil
+    ``model.carrier_product_force`` that the package reads its sources
+    from.  Its (1, -1) source carries an imaginary part that the lattice's
+    mean force does not have; only its real part is the source.
+
+    ``a1``/``a2`` are the 2-component first-order amplitudes (scalars or
+    arrays).  Upper sign row i=1, lower sign row i=2, second index wraps.
+    """
+    v2 = (p.V1.k2, p.V2.k2)
+    w2 = (p.W1.k2, p.W2.k2)
+    out = []
+    for i in (0, 1):
+        s = 1.0 if i == 0 else -1.0
+        j = 1 - i
+        E = lambda ang: np.exp(s * 1j * ang) - 1.0
+        if iota == (1, 1) or iota == (2, 2):
+            a, th = (a1, theta1) if iota == (1, 1) else (a2, theta2)
+            val = (s * v2[i] * (a[j] ** 2 * E(2.0 * th) - 2.0 * a[0] * a[1] * E(th))
+                   - w2[i] * a[i] ** 2)
+        elif iota == (1, 2):
+            val = (s * 2.0 * v2[i] * (a1[j] * a2[j] * E(theta1 + theta2)
+                                      - a1[i] * a2[j] * E(theta2)
+                                      - a1[j] * a2[i] * E(theta1))
+                   - 2.0 * w2[i] * a1[i] * a2[i])
+        elif iota == (1, -2):
+            c2j = np.conj(a2[j])
+            c2i = np.conj(a2[i])
+            val = (s * 2.0 * v2[i] * (a1[j] * c2j * E(theta1 - theta2)
+                                      - a1[i] * c2j * (np.exp(-s * 1j * theta2) - 1.0)
+                                      - a1[j] * c2i * E(theta1))
+                   - 2.0 * w2[i] * a1[i] * c2i)
+        else:  # (1, -1)
+            val = 0.0
+            for a, th in ((a1, theta1), (a2, theta2)):
+                val = val + (-s * 2.0 * v2[i] * np.conj(a[i]) * a[j] * E(th)
+                             - w2[i] * np.abs(a[i]) ** 2)
+        out.append(val)
+    return out[0], out[1]
 
 
 def per_row_snapshot(spec, fields):

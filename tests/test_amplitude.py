@@ -5,17 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _helpers import (coupling_closed_form, coupling_prefactors, det_h,
-                      find_acoustic_optical_resonance, p0, per_call_corrector,
-                      random_valid_params, strang_states)
+from _helpers import (coupling_closed_form, coupling_prefactors, det_h, envelope_products,
+                      find_acoustic_optical_resonance, hand_expanded_K, p0,
+                      per_call_corrector, strang_states)
 from dichain import amplitude as amp
 from dichain import model
 from dichain.amplitude import (NONRESONANT, RESONANT_GENERIC, RESONANT_HALF_PI,
                                RESONANT_PI, NearResonance,
                                ODEReferenceSolution, StrangSolution, build_macro_system,
-                               compute_K, corrector_carriers, coupling_coefficients,
-                               second_order_amplitudes, sech_envelope,
+                               corrector_carriers, coupling_coefficients,
+                               second_order_amplitudes, sech_envelope, source_vectors,
                                spectral_derivative, tau_derivative)
+from dichain.model import carrier_product_force
 from dichain.resonance import NotResonant, family_params, solve_family_ratio, wrap_theta
 from dichain.spectrum import ACOUSTIC, OPTICAL, dispersion_matrix, polarization
 
@@ -35,68 +36,106 @@ def resonant_pair(p, theta1):
 
 
 # ---------------------------------------------------------------------------
-# quadratic sources
+# quadratic sources: the bond stencil and its constant vectors kappa
+
+
+def _random_amplitudes(rng, n=3):
+    return rng.randn(2, n) + 1j * rng.randn(2, n)
 
 
 def test_compute_k_zero():
-    zero = (np.zeros(4, complex), np.zeros(4, complex))
-    for iota in [(1, 1), (2, 2), (1, 2), (1, -2), (1, -1)]:
-        k = compute_K(iota, zero, zero, family_nl(), 0.7, 1.4)
-        assert np.all(k[0] == 0.0) and np.all(k[1] == 0.0)
+    """A zero carrier has no product with any other."""
+    rng = np.random.RandomState(2)
+    p, zero = family_nl(), np.zeros((2, 4), complex)
+    for th_a, th_c in ((0.7, 1.4), (0.0, np.pi), (np.pi / 2, -0.3)):
+        c = _random_amplitudes(rng, 4)
+        assert np.all(carrier_product_force(p, zero, th_a, c, th_c) == 0.0)
+        assert np.all(carrier_product_force(p, c, th_c, zero, th_a) == 0.0)
 
 
 def test_compute_k_dc_hand_value():
-    # theta1 = theta2 = pi, real amplitudes (a_n, b_n):
+    # theta1 = theta2 = pi, real amplitudes (a_n, b_n): the mean source
+    # B(a, conj(a)) summed over both waves has
     # row 1 = sum_n 4 v12 a_n b_n - w12 a_n^2
     p = model.make_params(v1=(1.0, 0.7, 0.0), v2=(2.0, 0.0, 0.0),
                           w1=(1.0, 0.25, 0.0), w2=(1.0, 0.0, 0.0))
-    a1 = (np.array([0.4 + 0j]), np.array([0.9 + 0j]))
-    a2 = (np.array([-0.3 + 0j]), np.array([0.5 + 0j]))
-    k = compute_K((1, -1), a1, a2, p, np.pi, np.pi)
+    a1 = np.array([0.4 + 0j, 0.9 + 0j])
+    a2 = np.array([-0.3 + 0j, 0.5 + 0j])
+    k = sum(carrier_product_force(p, a, np.pi, np.conj(a), -np.pi) for a in (a1, a2))
     expected = (4 * 0.7 * 0.4 * 0.9 - 0.25 * 0.4 ** 2) \
         + (4 * 0.7 * (-0.3) * 0.5 - 0.25 * 0.3 ** 2)
-    assert abs(k[0][0] - expected) < 1e-14
+    assert abs(k[0] - expected) < 1e-14
 
 
 def test_compute_k_conjugation_symmetry():
     """Conjugating amplitudes AND carriers (theta -> -theta) conjugates
-    every source; at theta in {0, pi} the carrier factors are real and
+    every product; at theta in {0, pi} the carrier factors are real and
     amplitude conjugation alone suffices."""
     rng = np.random.RandomState(0)
     p = family_nl()
-    for iota in [(1, 1), (2, 2), (1, 2), (1, -2), (1, -1)]:
-        a1 = tuple(rng.randn(3) + 1j * rng.randn(3) for _ in range(2))
-        a2 = tuple(rng.randn(3) + 1j * rng.randn(3) for _ in range(2))
-        a1c = tuple(np.conj(a) for a in a1)
-        a2c = tuple(np.conj(a) for a in a2)
-        k = compute_K(iota, a1, a2, p, 0.8, 1.6)
-        kc = compute_K(iota, a1c, a2c, p, -0.8, -1.6)
-        for i in (0, 1):
-            np.testing.assert_allclose(kc[i], np.conj(k[i]), atol=1e-12)
-        for th1, th2 in ((0.0, 0.0), (np.pi, np.pi)):
-            k = compute_K(iota, a1, a2, p, th1, th2)
-            kc = compute_K(iota, a1c, a2c, p, th1, th2)
-            for i in (0, 1):
-                np.testing.assert_allclose(kc[i], np.conj(k[i]), atol=1e-12)
+    a, c = _random_amplitudes(rng), _random_amplitudes(rng)
+    for th_a, th_c in ((0.8, 1.6), (0.8, -1.6), (0.8, -0.8)):
+        k = carrier_product_force(p, a, th_a, c, th_c)
+        kc = carrier_product_force(p, np.conj(a), -th_a, np.conj(c), -th_c)
+        np.testing.assert_allclose(kc, np.conj(k), atol=1e-12)
+    for th_a, th_c in ((0.0, 0.0), (np.pi, np.pi), (0.0, np.pi)):
+        k = carrier_product_force(p, a, th_a, c, th_c)
+        kc = carrier_product_force(p, np.conj(a), th_a, np.conj(c), th_c)
+        np.testing.assert_allclose(kc, np.conj(k), atol=1e-12)
 
 
 def test_compute_k_quadratic_scaling():
+    """The stencil is bilinear and symmetric in its two carriers, so each
+    source scales with the square of the amplitudes."""
     rng = np.random.RandomState(1)
     p = family_nl()
-    a1 = tuple(rng.randn(3) + 1j * rng.randn(3) for _ in range(2))
-    a2 = tuple(rng.randn(3) + 1j * rng.randn(3) for _ in range(2))
-    lam = 1.7
+    a, c = _random_amplitudes(rng), _random_amplitudes(rng)
+    lam, mu = 1.7, -0.4 + 0.9j
+    k = carrier_product_force(p, a, 0.8, c, 1.6)
+    np.testing.assert_allclose(carrier_product_force(p, lam * a, 0.8, mu * c, 1.6),
+                               lam * mu * k, rtol=1e-12)
+    np.testing.assert_allclose(carrier_product_force(p, c, 1.6, a, 0.8), k, rtol=1e-12)
+    np.testing.assert_allclose(carrier_product_force(p, lam * a, 0.8, lam * a, 0.8),
+                               lam ** 2 * carrier_product_force(p, a, 0.8, a, 0.8),
+                               rtol=1e-12)
+
+
+# (label, gamma, c, theta1) of each resonant regime the code distinguishes;
+# theta1 = arccos(2c - 1)
+RESONANT_REGIMES = [("generic", 2.0, 0.72, np.arccos(2 * 0.72 - 1)),
+                    ("half-pi", 2.0, 0.5, np.pi / 2), ("pi", 5.0, 0.0, np.pi),
+                    ("c1", 2.0, 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("regime", ["nonresonant"] + [r[0] for r in RESONANT_REGIMES])
+def test_sources_match_hand_expanded_oracle(regime):
+    """kappa times the envelope products is the hand-expanded source for
+    all five product carriers, on random envelopes.  The error is measured
+    against the sum of the absolute terms, as the mean carrier (1, -1)
+    nearly cancels; that carrier's source is real and equals the oracle's
+    real part."""
+    if regime == "nonresonant":
+        p = model.make_params(v1=(1.0, 0.3, 0.1), v2=(2.0, 0.4, 0.0),
+                              w1=(1.0, 0.25, 0.05), w2=(1.0, 0.35, 0.0))
+        w1, w2 = polarization(p, ACOUSTIC, 0.3), polarization(p, OPTICAL, 0.9)
+    else:
+        _, gamma, cval, th1 = next(r for r in RESONANT_REGIMES if r[0] == regime)
+        p = family_nl(gamma, solve_family_ratio(gamma, cval))
+        w1, w2 = resonant_pair(p, th1)
+    rng = np.random.RandomState(9)
+    fields = tuple(rng.randn(16) + 1j * rng.randn(16) for _ in range(2))
+    a1, a2 = w1.amplitude_vector(fields[0]), w2.amplitude_vector(fields[1])
+    kappa = source_vectors(p, w1, w2)
     for iota in [(1, 1), (2, 2), (1, 2), (1, -2), (1, -1)]:
-        k = compute_K(iota, a1, a2, p, 0.8, 1.6)
-        ks = compute_K(iota, tuple(lam * a for a in a1), tuple(lam * a for a in a2),
-                       p, 0.8, 1.6)
-        for i in (0, 1):
-            np.testing.assert_allclose(ks[i], lam ** 2 * k[i], rtol=1e-12)
-
-
-def test_compute_k_unknown_index():
-    with pytest.raises(ValueError):
-        compute_K((2, -1), (0, 0), (0, 0), family_nl(), 0.1, 0.2)
+        terms = [np.multiply.outer(k, product)
+                 for k, product in zip(kappa[iota], envelope_products(iota, fields))]
+        source = sum(terms)
+        oracle = np.array(hand_expanded_K(iota, a1, a2, p, w1.theta, w2.theta))
+        if iota == (1, -1):
+            assert np.isrealobj(source)
+            oracle = oracle.real
+        scale = sum(np.abs(t) for t in terms) + np.abs(oracle)
+        assert np.all(np.abs(source - oracle) <= 1e-12 * scale), (regime, iota)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +562,9 @@ def test_second_order_defect():
     a1 = w1.amplitude_vector(fields[0])
     a2 = w2.amplitude_vector(fields[1])
     for iota, om_v, th_v, weight in corrector_carriers(NONRESONANT, w1, w2):
-        K = compute_K(iota, a1, a2, p, w1.theta, w2.theta)
+        K = hand_expanded_K(iota, a1, a2, p, w1.theta, w2.theta)
+        if iota == (1, -1):
+            K = tuple(k.real for k in K)
         H = dispersion_matrix(p, om_v, th_v)
         A = s[iota]
         for i in (0, 1):
@@ -593,9 +634,10 @@ def test_corrector_solve_checks_nonresonance():
 
 
 def test_corrector_matrix_kept_per_params_and_carrier():
-    """A chain with the same carriers but another V2.k1 gets its own H,
-    whichever chain came first, and the solve is the per-call formula bit
-    for bit; a near-singular H raises on every build, not only the first."""
+    """A chain with the same carriers but another V2.k1 gets its own
+    vectors chi, whichever chain came first, and each corrector is chi,
+    built per call, times the envelope products bit for bit; a
+    near-singular H raises on every build, not only the first."""
     p = family_nl()
     q = dataclasses.replace(p, V2=dataclasses.replace(p.V2, k1=2.5))
     w1, w2 = polarization(p, ACOUSTIC, 0.3), polarization(p, OPTICAL, 0.9)
@@ -603,12 +645,11 @@ def test_corrector_matrix_kept_per_params_and_carrier():
     fields = _smooth_fields(None)
     dy = tuple(spectral_derivative(f, L) for f in fields)
     dtau = tau_derivative(sys, fields, dy)
-    a1, a2 = w1.amplitude_vector(fields[0]), w2.amplitude_vector(fields[1])
     for chain in (p, q, p, q):
         s = second_order_amplitudes(chain, sys, fields, dy, dtau)
         for iota, om_v, th_v, weight in corrector_carriers(sys.mode, w1, w2):
-            K = compute_K(iota, a1, a2, chain, w1.theta, w2.theta)
-            assert np.array_equal(s[iota], per_call_corrector(chain, om_v, th_v, K, weight))
+            assert np.array_equal(s[iota], per_call_corrector(chain, (w1, w2), iota, om_v,
+                                                              th_v, weight, fields))
 
     w1, w2 = resonant_pair(p, 0.0)
     sys_bad = amp.MacroSystem(NONRESONANT, (w1, w2), (0.0, 0.0))
@@ -656,8 +697,9 @@ def test_resonant_corrector_row_defects():
         dtau = tau_derivative(sys, fields, dy)
         s = second_order_amplitudes(p, sys, fields, dy, dtau)
         a1v, a2v = w1.amplitude_vector(fields[0]), w2.amplitude_vector(fields[1])
-        kx = {1: tuple(np.conj(c) for c in compute_K((1, -2), a1v, a2v, p, w1.theta, w2.theta)),
-              2: compute_K((1, 1), a1v, a2v, p, w1.theta, w2.theta)}
+        kx = {1: tuple(np.conj(c) for c in hand_expanded_K((1, -2), a1v, a2v, p,
+                                                           w1.theta, w2.theta)),
+              2: hand_expanded_K((1, 1), a1v, a2v, p, w1.theta, w2.theta)}
         for idx, wv in ((1, w1), (2, w2)):
             dt = wv.amplitude_vector(dtau[idx - 1])
             dyv = wv.amplitude_vector(dy[idx - 1])

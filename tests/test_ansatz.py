@@ -389,17 +389,15 @@ def _per_term_carrier_sum(spec, terms, t, scale):
 def _reference_sums(spec, fields, t):
     """Leading positions and velocities, and the corrector position and
     velocity terms, at lattice time t from the envelope grids ``fields``,
-    with fresh phases and per-call solves throughout."""
+    with fresh phases and per-call corrector vectors throughout."""
     ref = per_row_snapshot(spec, fields)
     waves = spec.macro.waves
     b_grid = [np.asarray(f, dtype=complex) for f in fields]
-    a1, a2 = (w.amplitude_vector(b) for w, b in zip(waves, b_grid))
     # the wave-carrier rows solve no matrix; the product rows are replaced
     cor = amp.second_order_amplitudes(spec.p, spec.macro, b_grid, ref["dy_grid"],
                                       ref["dtau_grid"])
     for iota, om_v, th_v, weight in amp.corrector_carriers(spec.macro.mode, *waves):
-        K = amp.compute_K(iota, a1, a2, spec.p, waves[0].theta, waves[1].theta)
-        cor[iota] = per_call_corrector(spec.p, om_v, th_v, K, weight)
+        cor[iota] = per_call_corrector(spec.p, waves, iota, om_v, th_v, weight, b_grid)
     cor_lat = dict(zip(cor, spec.interp(np.stack(list(cor.values())))))
 
     def first(envelopes):

@@ -7,9 +7,9 @@ from scipy.integrate import solve_ivp
 from _helpers import (lipschitz_constant, norm_equivalence_interval, p0, random_valid_params,
                       roll_force, roll_stencil)
 from dichain.model import (ChainParams, LatticeState, PotentialCoeffs, StabilityError,
-                           cell_pack, cell_unpack, energy_norm, force, hamiltonian_energy,
-                           linear_apply, make_params, nonlinear_apply, norm_m,
-                           validate_params)
+                           carrier_product_force, cell_pack, cell_unpack, energy_norm, force,
+                           hamiltonian_energy, linear_apply, make_params, nonlinear_apply,
+                           norm_m, validate_params)
 
 P0 = p0()
 
@@ -303,3 +303,46 @@ def test_force_is_negative_hamiltonian_gradient():
         f = force(p, pos)
         np.testing.assert_allclose(f[:, 0], -grad[:, 0], rtol=0, atol=1e-7)
         np.testing.assert_allclose(f[:, 1], -grad[:, 1] / mu, rtol=0, atol=1e-7)
+
+
+# wavenumber indices on a 16-cell ring: theta = 0, pi/2, pi and a generic 3pi/8
+PRODUCT_RING = 16
+PRODUCT_KS = (0, 4, 8, 3)
+
+
+@pytest.mark.parametrize("ka", PRODUCT_KS)
+@pytest.mark.parametrize("kc", PRODUCT_KS)
+def test_carrier_product_force_is_the_lattice_bilinear_force(ka, kc):
+    """The stencil against model.force itself: on a k3 = 0 chain the
+    bilinear part M(u + v) - M(u) - M(v) of two real carriers
+    u = 2Re(a e^{i theta_a j}) and v = 2Re(c e^{i theta_c j}) (L cancels),
+    projected by a DFT on every wavenumber, is 2B(a^s, c^t) summed over the
+    signs s, t whose wavenumber s*theta_a + t*theta_c is that bin, with
+    a^- = conj(a) at -theta_a.  So the bins theta_a +- theta_c carry the
+    mixed and conjugate products, and v = u the self and mean products.
+    At theta = 0 or pi a real carrier's two halves share one bin, and the
+    sum takes both.  At theta_a = theta_c = 0 every stretch product
+    r_a r_c - l_a l_c vanishes identically, so only the on-site terms are
+    checked there."""
+    rng = np.random.default_rng(100 * ka + kc)
+    k2 = rng.uniform(-0.5, 0.5, 4)
+    p = make_params(v1=(1.0, k2[0], 0.0), v2=(2.0, k2[1], 0.0),
+                    w1=(1.0, k2[2], 0.0), w2=(1.0, k2[3], 0.0))
+    N, j = PRODUCT_RING, np.arange(PRODUCT_RING)
+    a, c = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
+    carriers = [(a, ka)] + ([(c, kc)] if kc != ka else [(a, ka)])  # v = u on the diagonal
+    u, v = (2.0 * np.real(np.outer(np.exp(2j * np.pi * k * j / N), x)) for x, k in carriers)
+    bilinear = force(p, u + v) - force(p, u) - force(p, v)
+    measured = np.fft.fft(bilinear, axis=0) / N
+
+    expected = np.zeros((N, 2), dtype=complex)
+    (x, kx), (y, ky) = carriers
+    for s in (1, -1):
+        for t in (1, -1):
+            xs, ys = (x if s > 0 else np.conj(x)), (y if t > 0 else np.conj(y))
+            expected[(s * kx + t * ky) % N] += 2.0 * carrier_product_force(
+                p, xs, s * 2 * np.pi * kx / N, ys, t * 2 * np.pi * ky / N)
+    assert np.abs(expected).max() > 1e-3
+    # the tolerance is the rounding of the forces whose linear parts cancel
+    scale = np.abs(force(p, u + v)).max()
+    np.testing.assert_allclose(measured, expected, rtol=0, atol=1e-13 * scale)
