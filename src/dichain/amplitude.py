@@ -8,8 +8,9 @@ coupling is the solvability condition of its wave carrier: the
 quadratic source on that carrier, projected on the wave's polarization,
 one formula for every resonant regime.  Every quadratic source is the
 lattice's bond stencil on two carriers (``model.carrier_product_force``),
-a constant vector kappa times an envelope product, so the second-order
-corrector that cancels it is a constant vector chi times that product.
+a constant vector kappa times an envelope product.  So every second-order
+corrector is constant vectors chi, built once per chain and wave pair,
+times envelope fields: products, or a wave's dB/dtau, dB/dy and source.
 
 A Strang step advects the envelopes as one stack: the rows whose group
 velocity is nonzero share one FFT round trip per half step, with their
@@ -34,7 +35,7 @@ import numpy as np
 
 from .model import ChainParams, carrier_product_force
 from .resonance import NotResonant, resonant_pair_defect
-from .spectrum import ACOUSTIC, Wave, dispersion_matrix, group_velocity
+from .spectrum import Wave, dispersion_matrix, group_velocity
 
 NONRESONANT = "NonResonant"
 RESONANT_GENERIC = "ResonantGeneric"
@@ -121,15 +122,6 @@ def _envelope_products(b1, b2) -> dict:
 # couplings, projected from the wave-carrier sources
 
 
-def _wave_sources(p: ChainParams, w1: Wave, w2: Wave, products: dict):
-    """The resonant quadratic sources on the two wave carriers, from the
-    envelope products: conj(K_(1,-2)) on w1's carrier (conj(B1) B2) and
-    K_(1,1) on w2's (B1^2), each a (2, ...) array."""
-    kappa = source_vectors(p, w1, w2)
-    return (np.conj(np.multiply.outer(kappa[(1, -2)][0], products[(1, -2)][0])),
-            np.multiply.outer(kappa[(1, 1)][0], products[(1, 1)][0]))
-
-
 def coupling_coefficients(p: ChainParams, w1: Wave, w2: Wave):
     """The prefactors (k1, k2) of the resonant envelope system
 
@@ -150,7 +142,8 @@ def coupling_coefficients(p: ChainParams, w1: Wave, w2: Wave):
     def dot(a, b):
         return p.M_w * np.conj(a[0]) * b[0] + p.m_w * np.conj(a[1]) * b[1]
 
-    sources = _wave_sources(p, w1, w2, _envelope_products(1.0, 1.0))
+    kappa = source_vectors(p, w1, w2)
+    sources = (np.conj(kappa[(1, -2)][0]), kappa[(1, 1)][0])
     return tuple(complex(dot(r, s) / (2j * w.omega * dot(r, r)))
                  for w, r, s in zip((w1, w2), (r1, r2), sources))
 
@@ -414,12 +407,31 @@ def ansatz_carriers(mode: str, w1: Wave, w2: Wave):
             + corrector_carriers(mode, w1, w2))
 
 
+def slow_derivative_vector(p: ChainParams, r, theta: float) -> np.ndarray:
+    """D r: the lattice's linear force on the ramped carrier j r e^{i theta j},
+    less j H(0, theta) r, per e^{i theta j}.  Times dB/dy it is the
+    slow-derivative term of the order-eps^2 bracket on a wave carrier."""
+    eit = np.exp(1j * theta)
+    return np.array([p.V1.k1 * eit * r[1], -p.V2.k1 * np.conj(eit) * r[0]])
+
+
 @lru_cache(maxsize=64)
 def _corrector_vectors(p: ChainParams, mode: str, w1: Wave, w2: Wave):
-    """(iota, chi) per product carrier, in ``corrector_carriers`` order:
-    weight*H(Omega, Theta) chi + kappa = 0 for each of its source vectors.
-    Read-only.  A nearly singular H raises NearResonance, which is not
-    cached, so every build on that carrier raises."""
+    """(iota, chi) per corrector carrier, read-only: the product carriers in
+    ``corrector_carriers`` order, each solving weight*H(Omega, Theta) chi +
+    kappa = 0 per source vector, then the wave carriers 1 and 2, each
+    solving the order-eps^2 bracket
+
+        H(omega, theta) A2 = 2i omega r dB/dtau - D r dB/dy - S P
+
+    with one chi per field dB/dtau, dB/dy and, when resonant, P: conj(B1) B2
+    with S = conj(kappa_(1,-2)) on w1, B1^2 with S = kappa_(1,1) on w2 (r
+    the polarization, D r the ``slow_derivative_vector``).  Gauge: the
+    component r is normalized by (r1 = 1 at the optical band edge, else
+    r0 = 1) is zero; the other is the least-squares solution on its column
+    of H, exact for the sum, which the envelope equations make solvable.
+    A nearly singular product H raises NearResonance, which is not cached,
+    so every build on that carrier raises."""
     kappa, vectors = source_vectors(p, w1, w2), []
     for iota, om_v, th_v, weight in corrector_carriers(mode, w1, w2):
         H = dispersion_matrix(p, om_v, th_v)
@@ -432,28 +444,17 @@ def _corrector_vectors(p: ChainParams, mode: str, w1: Wave, w2: Wave):
                         -(-H[1, 0] * k1 + H[0, 0] * k2) / det / weight], axis=1)
         chi.flags.writeable = False
         vectors.append((iota, chi))
+    sources = (-np.conj(kappa[(1, -2)]), -kappa[(1, 1)]) if mode in RESONANT_MODES else ((), ())
+    for iota, w, source in zip((1, 2), (w1, w2), sources):
+        r = np.asarray(w.amplitude_vector(1 + 0j))
+        rhs = np.array([2j * w.omega * r, -slow_derivative_vector(p, r, w.theta), *source])
+        solved = 1 if r[0] else 0  # the gauge component, r's unit one, stays zero
+        col = dispersion_matrix(p, w.omega, w.theta)[:, solved]
+        chi = np.zeros_like(rhs)
+        chi[:, solved] = (rhs * np.conj(col)).sum(axis=1) / (abs(col) ** 2).sum()
+        chi.flags.writeable = False
+        vectors.append((iota, chi))
     return tuple(vectors)
-
-
-def _wave_corrector(p, wave: Wave, dy_b, dtau_b, k_extra, out):
-    """Corrector riding the wave's own carrier.
-
-    Gauge: the free component vanishes; the determined one solves the
-    non-degenerate row of the order-eps^2 bracket (with the quadratic
-    extra source k_extra, a (2, ...) array, in resonant regimes; None
-    otherwise).  Written into the (2, ...) rows ``out``.
-    """
-    out[...] = 0.0
-    if not wave.degenerate:
-        eit = np.exp(1j * wave.theta)
-        row = 2j * wave.omega * dtau_b - p.V1.k1 * eit * (-wave.rho * dy_b)
-        out[1] = (row if k_extra is None else row - k_extra[0]) / (p.V1.k1 * (eit + 1.0))
-    elif wave.branch == ACOUSTIC:
-        row = p.V2.k1 * dy_b
-        out[1] = (row if k_extra is None else row + k_extra[1]) / (p.c2 - p.c1)
-    else:
-        row = p.V1.k1 * dy_b
-        out[0] = (row if k_extra is None else row - k_extra[0]) / (p.c2 - p.c1)
 
 
 def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_fields,
@@ -462,30 +463,27 @@ def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_field
     keyed by iota, each a (2, ...) complex array.
 
     ``fields``, ``dy_fields`` and ``dtau_fields`` hold the scalar envelopes,
-    their spectral y-derivatives and their tau-derivatives; the latter come
-    from the governing macroscopic equations (``tau_derivative``), never
-    from time differencing.  Each envelope is one grid of shape (n,) or a
-    stack of m of them, (m, n): every step acts element by element, so a
-    stacked state gets the bits a single grid gets.  A product carrier's
-    corrector is its vectors chi (``_corrector_vectors``) times the
-    envelope products.  The fields are the rows of one (K, 2, ...) stack,
-    ``out`` when given, in the order of the returned keys: the product
-    carriers of ``corrector_carriers``, then the two wave carriers.
+    their spectral y-derivatives and their tau-derivatives, the latter from
+    the envelope equations (``tau_derivative``), never from time
+    differencing.  Each envelope is one grid (n,) or a stack of m, (m, n):
+    every step acts element by element, so a stack gets a single grid's
+    bits.  Each corrector is its vectors chi (``_corrector_vectors``) times
+    its fields: a product carrier's envelope products; a wave carrier's
+    dB/dtau, dB/dy and, when resonant, its source product.  They are the
+    rows of one (K, 2, ...) stack, ``out`` when given, in the order of the
+    returned keys: the product carriers of ``corrector_carriers``, then the
+    two wave carriers.
     """
-    w1, w2 = macro.waves
     b1, b2 = (np.asarray(f, dtype=complex) for f in fields)
     products = _envelope_products(b1, b2)
-    vectors = _corrector_vectors(p, macro.mode, w1, w2)
+    sources = ((np.conj(b1) * b2,), products[(1, 1)]) if macro.resonant else ((), ())
+    products.update({k + 1: (dtau_fields[k], dy_fields[k]) + sources[k] for k in (0, 1)})
+    vectors = _corrector_vectors(p, macro.mode, *macro.waves)
     if out is None:
-        out = np.empty((len(vectors) + 2, 2) + b1.shape, dtype=complex)
+        out = np.empty((len(vectors), 2) + b1.shape, dtype=complex)
 
     entries = {}
     for rows, (iota, chi) in zip(out, vectors):
         rows[...] = sum(np.multiply.outer(c, x) for c, x in zip(chi, products[iota]))
         entries[iota] = rows
-
-    kx1, kx2 = _wave_sources(p, w1, w2, products) if macro.resonant else (None, None)
-    _wave_corrector(p, w1, dy_fields[0], dtau_fields[0], kx1, out[-2])
-    _wave_corrector(p, w2, dy_fields[1], dtau_fields[1], kx2, out[-1])
-    entries[1], entries[2] = out[-2], out[-1]
     return entries

@@ -235,6 +235,36 @@ def per_call_corrector(p, waves, iota, om_v, th_v, weight, fields):
     return sum(np.multiply.outer(c, x) for c, x in zip(chi, envelope_products(iota, fields)))
 
 
+def per_call_wave_corrector(p, macro, k, fields, dy, dtau):
+    """Independent reference for the corrector on wave carrier k: the
+    right-hand vectors of its order-eps^2 bracket (2i omega r, -D r and,
+    when resonant, minus the source from ``model.carrier_product_force``),
+    each solved on every call by least squares on the column of
+    H(omega, theta) that r is not normalized by, times dB/dtau, dB/dy and the
+    source product; (2, ...) rows, in the arithmetic of
+    ``amplitude.second_order_amplitudes``."""
+    w = macro.waves[k - 1]
+    r = np.asarray(w.amplitude_vector(1 + 0j))
+    e = np.exp(1j * w.theta)
+    vectors = [2j * w.omega * r, -np.array([p.V1.k1 * e * r[1], -p.V2.k1 * np.conj(e) * r[0]])]
+    factors = [dtau[k - 1], dy[k - 1]]
+    if macro.resonant:
+        (r1, t1), (r2, t2) = ((np.asarray(v.amplitude_vector(1 + 0j)), v.theta)
+                              for v in macro.waves)
+        b1, b2 = (np.asarray(f, dtype=complex) for f in fields)
+        if k == 1:
+            vectors.append(-np.conj(2.0 * carrier_product_force(p, r1, t1, np.conj(r2), -t2)))
+            factors.append(np.conj(b1) * b2)
+        else:
+            vectors.append(-carrier_product_force(p, r1, t1, r1, t1))
+            factors.append(b1 * b1)
+    solved = 0 if w.degenerate and w.branch == OPTICAL else 1
+    col = dispersion_matrix(p, w.omega, w.theta)[:, solved]
+    chi = np.zeros((len(vectors), 2), dtype=complex)
+    chi[:, solved] = (np.array(vectors) * np.conj(col)).sum(axis=1) / (abs(col) ** 2).sum()
+    return sum(np.multiply.outer(c, x) for c, x in zip(chi, factors))
+
+
 def hand_expanded_K(iota, a1, a2, p: ChainParams, theta1: float, theta2: float):
     """The quadratic source K_iota as a pair of components, expanded by
     hand: an oracle independent of the bond stencil

@@ -7,7 +7,8 @@ import pytest
 
 from _helpers import (coupling_closed_form, coupling_prefactors, det_h, envelope_products,
                       find_acoustic_optical_resonance, hand_expanded_K, p0,
-                      per_call_corrector, strang_states)
+                      per_call_corrector, per_call_wave_corrector, random_valid_params,
+                      strang_states)
 from dichain import amplitude as amp
 from dichain import model
 from dichain.amplitude import (NONRESONANT, RESONANT_GENERIC, RESONANT_HALF_PI,
@@ -18,7 +19,8 @@ from dichain.amplitude import (NONRESONANT, RESONANT_GENERIC, RESONANT_HALF_PI,
                                spectral_derivative, tau_derivative)
 from dichain.model import carrier_product_force
 from dichain.resonance import NotResonant, family_params, solve_family_ratio, wrap_theta
-from dichain.spectrum import ACOUSTIC, OPTICAL, dispersion_matrix, polarization
+from dichain.spectrum import (ACOUSTIC, OPTICAL, dispersion_matrix, group_velocity,
+                              polarization)
 
 P0 = p0()
 L, NG = 40.0, 128
@@ -635,9 +637,9 @@ def test_corrector_solve_checks_nonresonance():
 
 def test_corrector_matrix_kept_per_params_and_carrier():
     """A chain with the same carriers but another V2.k1 gets its own
-    vectors chi, whichever chain came first, and each corrector is chi,
-    built per call, times the envelope products bit for bit; a
-    near-singular H raises on every build, not only the first."""
+    vectors chi, whichever chain came first, and each corrector, on a
+    product or a wave carrier, is chi built per call times its fields bit
+    for bit; a near-singular H raises on every build, not only the first."""
     p = family_nl()
     q = dataclasses.replace(p, V2=dataclasses.replace(p.V2, k1=2.5))
     w1, w2 = polarization(p, ACOUSTIC, 0.3), polarization(p, OPTICAL, 0.9)
@@ -650,6 +652,8 @@ def test_corrector_matrix_kept_per_params_and_carrier():
         for iota, om_v, th_v, weight in corrector_carriers(sys.mode, w1, w2):
             assert np.array_equal(s[iota], per_call_corrector(chain, (w1, w2), iota, om_v,
                                                               th_v, weight, fields))
+        for k in (1, 2):
+            assert np.array_equal(s[k], per_call_wave_corrector(chain, sys, k, fields, dy, dtau))
 
     w1, w2 = resonant_pair(p, 0.0)
     sys_bad = amp.MacroSystem(NONRESONANT, (w1, w2), (0.0, 0.0))
@@ -681,16 +685,25 @@ def test_relations_two_quotient_forms_agree():
 
 
 def test_resonant_corrector_row_defects():
-    """In the resonant regime the full eps^2 bracket must vanish row by
-    row once the coupled equations supply the tau derivatives.  This
-    pins the sign of the quadratic extras in the corrector relations."""
+    """In every regime the full eps^2 bracket on each wave carrier must
+    vanish row by row once the envelope equations supply the tau
+    derivatives, and the component the polarization is normalized by is
+    exactly zero.  This pins the sign of the quadratic extras in the
+    resonant corrector relations, and the slow-derivative term in all."""
+    p_nl = model.make_params(v1=(1.0, 0.3, 0.1), v2=(2.0, 0.4, 0.0),
+                             w1=(1.0, 0.25, 0.05), w2=(1.0, 0.35, 0.0))
+    cases = [(p_nl, polarization(p_nl, ACOUSTIC, 0.3), polarization(p_nl, OPTICAL, th2))
+             for th2 in (0.9, np.pi)]  # the second optical wave at the band edge
     for gamma, cval in ((2.0, 1.0), (2.0, 0.5), (7.0, 0.0)):
         th1 = {1.0: 0.0, 0.5: np.pi / 2, 0.0: np.pi}[cval]
         r = solve_family_ratio(gamma, cval)
         p = model.make_params(v1=(1.0, 0.3, 0.0), v2=(gamma, 0.2, 0.0),
                               w1=(r, 0.4, 0.0), w2=(r, 1.0, 0.0))
-        w1, w2 = resonant_pair(p, th1)
+        cases.append((p, *resonant_pair(p, th1)))
+    modes = []
+    for p, w1, w2 in cases:
         sys = build_macro_system(p, w1, w2)
+        modes.append(sys.mode)
         rng = np.random.RandomState(8)
         fields = _smooth_fields(rng)
         dy = tuple(spectral_derivative(f, L) for f in fields)
@@ -700,6 +713,8 @@ def test_resonant_corrector_row_defects():
         kx = {1: tuple(np.conj(c) for c in hand_expanded_K((1, -2), a1v, a2v, p,
                                                            w1.theta, w2.theta)),
               2: hand_expanded_K((1, 1), a1v, a2v, p, w1.theta, w2.theta)}
+        if not sys.resonant:
+            kx = {1: (0.0, 0.0), 2: (0.0, 0.0)}
         for idx, wv in ((1, w1), (2, w2)):
             dt = wv.amplitude_vector(dtau[idx - 1])
             dyv = wv.amplitude_vector(dy[idx - 1])
@@ -708,6 +723,54 @@ def test_resonant_corrector_row_defects():
                  -2j * wv.omega * dt[1] - p.V2.k1 * np.conj(e) * dyv[0])
             H = dispersion_matrix(p, wv.omega, wv.theta)
             A = s[idx]
+            gauge = 1 if wv.degenerate and wv.branch == OPTICAL else 0
+            assert np.all(A[gauge] == 0.0), (sys.mode, idx)
             for i in (0, 1):
                 defect = D[i] + H[i, 0] * A[0] + H[i, 1] * A[1] + kx[idx][i]
-                assert np.abs(defect).max() < 1e-9, (gamma, cval, idx, i)
+                assert np.abs(defect).max() < 1e-9, (sys.mode, idx, i)
+    assert modes == [NONRESONANT, NONRESONANT, RESONANT_GENERIC, RESONANT_HALF_PI,
+                     RESONANT_PI]
+
+
+def test_slow_derivative_vector_is_the_lattice_ramp():
+    """D r is what the lattice's linear force makes of a linear ramp: for
+    u_j = j r e^{i theta j} on a 16-cell ring, e^{-i theta j} L(u)_j -
+    j H(0, theta) r = D r in every cell whose neighbours do not wrap, for
+    the three polarization forms (1, -rho), (1, 0) and (0, 1)."""
+    p = model.make_params(v1=(1.0, 0.3, 0.1), v2=(2.0, 0.4, 0.0),
+                          w1=(1.0, 0.25, 0.05), w2=(1.0, 0.35, 0.0))
+    j = np.arange(16)
+    worst = 0.0
+    for theta in (0.0, np.pi / 2, np.pi, 0.3, -2.0):
+        forms = [(1.0, 0.0), (0.0, 1.0)] + [polarization(p, b, theta).amplitude_vector(1 + 0j)
+                                            for b in (ACOUSTIC, OPTICAL)]
+        h0 = dispersion_matrix(p, 0.0, theta)
+        for r in map(np.asarray, forms):
+            u = np.outer(j * np.exp(1j * theta * j), r)
+            lu = model.linear_apply(p, u.real) + 1j * model.linear_apply(p, u.imag)
+            ramp = np.exp(-1j * theta * j)[:, None] * lu - np.outer(j, h0 @ r)
+            err = np.abs(ramp[1:-1] - amp.slow_derivative_vector(p, r, theta)).max()
+            worst = max(worst, err)
+    assert worst <= 1e-12
+
+
+def test_bracket_solvability_gives_the_group_velocity():
+    """Projecting the wave-carrier bracket on the polarization moves the
+    envelope at the group velocity: <r, D r> / (2i omega <r, r>) =
+    omega'(theta) in the mass-weighted product, on both branches of random
+    chains, at the band centre and edge as well."""
+    rng = np.random.RandomState(24)
+    worst = 0.0
+    for _ in range(200):
+        p = random_valid_params(rng)
+
+        def dot(a, b):
+            return p.M_w * np.conj(a[0]) * b[0] + p.m_w * np.conj(a[1]) * b[1]
+
+        for branch in (ACOUSTIC, OPTICAL):
+            for theta in (0.0, np.pi, *rng.uniform(-np.pi, np.pi, 5)):
+                w = polarization(p, branch, theta)
+                r = np.asarray(w.amplitude_vector(1 + 0j))
+                v = dot(r, amp.slow_derivative_vector(p, r, theta)) / (2j * w.omega * dot(r, r))
+                worst = max(worst, abs(v - group_velocity(p, branch, theta)))
+    assert worst <= 1e-12

@@ -14,7 +14,7 @@ from dichain.ansatz import (AnsatzSpec, IncommensurateCarrier, first_order_veloc
 from dichain.resonance import wrap_theta
 from dichain.spectrum import ACOUSTIC, OPTICAL, polarization
 
-from _helpers import p0, per_call_corrector, per_row_snapshot
+from _helpers import p0, per_call_corrector, per_call_wave_corrector, per_row_snapshot
 
 L, NG = 40.0, 128
 
@@ -393,11 +393,11 @@ def _reference_sums(spec, fields, t):
     ref = per_row_snapshot(spec, fields)
     waves = spec.macro.waves
     b_grid = [np.asarray(f, dtype=complex) for f in fields]
-    # the wave-carrier rows solve no matrix; the product rows are replaced
-    cor = amp.second_order_amplitudes(spec.p, spec.macro, b_grid, ref["dy_grid"],
-                                      ref["dtau_grid"])
-    for iota, om_v, th_v, weight in amp.corrector_carriers(spec.macro.mode, *waves):
-        cor[iota] = per_call_corrector(spec.p, waves, iota, om_v, th_v, weight, b_grid)
+    cor = {iota: per_call_corrector(spec.p, waves, iota, om_v, th_v, weight, b_grid)
+           for iota, om_v, th_v, weight in amp.corrector_carriers(spec.macro.mode, *waves)}
+    for k in (1, 2):
+        cor[k] = per_call_wave_corrector(spec.p, spec.macro, k, b_grid, ref["dy_grid"],
+                                         ref["dtau_grid"])
     cor_lat = dict(zip(cor, spec.interp(np.stack(list(cor.values())))))
 
     def first(envelopes):
