@@ -23,7 +23,10 @@ shorter.  A pair at rest (the c = 1 family) takes the same steps with no
 advection: three Yoshida-weighted RK4 source steps each.  A
 ``StrangSolution`` keeps the states of its first ``KEEP_STEPS`` steps, so
 a later query for an earlier tau steps on from a kept state instead of
-from tau = 0.
+from tau = 0, and the first ``KEEP_OFF_GRID`` finite states it computes
+between step times, read-only, so a tau asked again (by the next eps of a
+sweep) takes no step.  At n grid points a state takes 32 n bytes: both
+tables at their caps hold 193 states, 1.5 MB at n = 256.
 """
 from __future__ import annotations
 
@@ -110,12 +113,15 @@ def source_vectors(p: ChainParams, w1: Wave, w2: Wave) -> dict:
     return kappa
 
 
-def _envelope_products(b1, b2) -> dict:
+def _envelope_products(b1, b2, resonant: bool) -> dict:
     """Each product carrier's envelope products, in the order of its
-    ``source_vectors``; the mean carrier's |B1|^2 and |B2|^2 are real."""
-    return {(1, 1): (b1 * b1,), (2, 2): (b2 * b2,), (1, 2): (b1 * b2,),
-            (1, -2): (b1 * np.conj(b2),),
-            (1, -1): tuple(b.real * b.real + b.imag * b.imag for b in (b1, b2))}
+    ``source_vectors``; the mean carrier's |B1|^2 and |B2|^2 are real.
+    B1 conj(B2) only when non-resonant: no resonant corrector carries it."""
+    products = {(1, 1): (b1 * b1,), (2, 2): (b2 * b2,), (1, 2): (b1 * b2,),
+                (1, -1): tuple(b.real * b.real + b.imag * b.imag for b in (b1, b2))}
+    if not resonant:
+        products[(1, -2)] = (b1 * np.conj(b2),)
+    return products
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +321,11 @@ class ODEReferenceSolution:
 STRANG_DTAU = 0.025
 
 
-# the first KEEP_STEPS steps a StrangSolution reaches stay kept: every
-# shipped config reaches at most 42 (n = 256: 8 KB a state)
-KEEP_STEPS = 64
+# a StrangSolution keeps the first KEEP_STEPS steps it reaches (every
+# shipped config reaches at most 42) and its first KEEP_OFF_GRID finite
+# states between step times (the five eps of convergence_resonant ask for
+# 88); n = 256: 8 KB a state
+KEEP_STEPS, KEEP_OFF_GRID = 64, 128
 
 
 class StrangSolution:
@@ -325,7 +333,9 @@ class StrangSolution:
     the state of every step it reaches up to step ``KEEP_STEPS``, and a
     cursor: the state at the last step reached.  A tau steps on from the
     latest kept state or cursor at or before its step; a tau between step
-    times takes one partial composed step from the step before it.  Every
+    times takes one partial composed step by ``rem`` from its step k.  The
+    first ``KEEP_OFF_GRID`` finite such states are kept by (k, rem), their
+    arrays read-only, so the same tau asked again takes no step.  Every
     state is the same composition of steps from the initial one, so the
     values returned do not depend on the order of the queries.
     """
@@ -339,6 +349,7 @@ class StrangSolution:
         # its growth); the cursor is step _k and its state
         self._states = [f0]
         self._k, self._state = 0, f0
+        self._off_grid = {}
 
     def _extend(self, k):
         """Move the cursor to step k."""
@@ -366,11 +377,19 @@ class StrangSolution:
         k = int(np.floor(tau / self.dtau))
         if (k + 1) * self.dtau <= tau:  # tau/dtau rounded down past an exact step time
             k += 1
-        self._extend(k)
-        state = self._state
         rem = tau - k * self.dtau
-        if rem > 1e-14:
-            state = composed_step(self.sys, state, self.L, rem)
+        if rem <= 1e-14:
+            self._extend(k)
+            return self._state
+        state = self._off_grid.get((k, rem))
+        if state is None:
+            self._extend(k)
+            state = composed_step(self.sys, self._state, self.L, rem)
+            if (len(self._off_grid) < KEEP_OFF_GRID
+                    and all(np.isfinite(b).all() for b in state)):
+                for b in state:
+                    b.flags.writeable = False
+                self._off_grid[(k, rem)] = state
         return state
 
 
@@ -475,7 +494,7 @@ def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_field
     two wave carriers.
     """
     b1, b2 = (np.asarray(f, dtype=complex) for f in fields)
-    products = _envelope_products(b1, b2)
+    products = _envelope_products(b1, b2, macro.resonant)
     sources = ((np.conj(b1) * b2,), products[(1, 1)]) if macro.resonant else ((), ())
     products.update({k + 1: (dtau_fields[k], dy_fields[k]) + sources[k] for k in (0, 1)})
     vectors = _corrector_vectors(p, macro.mode, *macro.waves)

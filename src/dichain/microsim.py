@@ -24,7 +24,8 @@ second-order reference.  The integrator keeps positions, velocities and
 accelerations as flat atom-order arrays of length 2N (see dichain.model),
 so every kick and drift is one ufunc over 2N values; force, the returned
 state and the observer get ``(N, 2)`` views of them (``cell_pack``), not
-copies.
+copies, and force writes each acceleration into the view it gets as
+``out``, so a step allocates no array.
 """
 from __future__ import annotations
 
@@ -98,8 +99,9 @@ def integrate(p: ChainParams, s0: LatticeState, cfg: SimConfig, observer=None) -
     integrator's atom-order arrays; observers must not mutate them.
     """
     cfg.validate(p)
-    # flat atom-order copies; force, the state and the observer see them
-    # as (N, 2) cell_pack views, while kick and drift run on 2N values
+    # flat atom-order copies and acceleration buffer; force, the state and
+    # the observer see them as (N, 2) cell_pack views, while kick and drift
+    # run on 2N values
     x = cell_unpack(s0.pos).copy()
     v = cell_unpack(s0.vel).copy()
     pos = cell_pack(x)
@@ -107,7 +109,9 @@ def integrate(p: ChainParams, s0: LatticeState, cfg: SimConfig, observer=None) -
     state = LatticeState(pos, cell_pack(v), t)
     if observer is not None:
         observer(t, state)
-    acc = cell_unpack(force(p, pos))
+    acc = np.empty_like(x)
+    acc_cells = cell_pack(acc)
+    force(p, pos, out=acc_cells)
     dt = cfg.dt
     n_steps = cfg.n_steps
     kicks, drifts = ([w * dt for w in ws] for ws in SCHEMES[cfg.order])
@@ -116,7 +120,7 @@ def integrate(p: ChainParams, s0: LatticeState, cfg: SimConfig, observer=None) -
         v += np.multiply(kicks[0], acc, out=kick)
         for h, after in zip(drifts, kicks[1:]):
             x += np.multiply(h, v, out=kick)
-            acc = cell_unpack(force(p, pos))
+            force(p, pos, out=acc_cells)
             v += np.multiply(after, acc, out=kick)
         t = s0.t + k * dt
         if k % cfg.stride == 0 or k == n_steps:

@@ -18,7 +18,9 @@ has k3 != 0, their cubes, each once; every atom's bond force is then
 ``k*(s_right - s_left)`` of those powers, with coefficients V2/W2 on even
 and V1/W1 on odd atoms, less its on-site force.  The public functions take
 and return ``(N, 2)`` cells; ``cell_pack`` and ``cell_unpack`` convert
-between the two layouts without copying where they can.
+between the two layouts without copying where they can.  ``force`` also
+writes into a caller's ``(N, 2)`` buffer (``out``), so an integrator
+allocates nothing per call.
 
 ``carrier_product_force`` takes the same stencil's k2 terms on two
 carriers a*e^{i theta j}, the quadratic force on their product: row 1
@@ -28,7 +30,6 @@ a1 - a2 and left by a2 - a1 e^{-i theta}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -163,14 +164,13 @@ def cell_unpack(u) -> np.ndarray:
     return u[:, ::-1].reshape(-1)
 
 
-@lru_cache(maxsize=1)
 def _bond_pass(p: ChainParams, n: int):
     """The force kernel of n atoms of p: a function of the atoms x, in atom
     order, returning L and M in reused buffers.  The n + 1 stretches s are
     squared, and cubed only when a bond has k3 != 0, once each; one subtract
     and one multiply give every atom's k*(s_right - s_left) of each power.
     Coefficients (V2/W2 on even atoms, V1/W1 on odd) and buffers are bound
-    once; one entry, as every run integrates or samples one chain at a time.
+    once; ``_bond_forces`` keeps the last one built.
     """
     def alternate(even: PotentialCoeffs, odd: PotentialCoeffs) -> np.ndarray:
         k = np.empty((3, n))
@@ -216,10 +216,21 @@ def carrier_product_force(p: ChainParams, a, theta_a: float, c, theta_c: float) 
                      for v, w, (ra, la), (rc, lc), ai, ci in rows])
 
 
+# (p, n, kernel) of the last _bond_forces call, found again by identity,
+# without hashing p: every run integrates or samples one chain at a time,
+# thousands of calls each
+_last_kernel = (None, 0, None)
+
+
 def _bond_forces(p: ChainParams, pos):
     """(L, M) of the cells pos, in atom order, as reused buffers."""
+    global _last_kernel
     x = cell_unpack(pos)
-    return _bond_pass(p, x.size)(x)
+    last_p, last_n, apply = _last_kernel
+    if p is not last_p or x.size != last_n:
+        apply = _bond_pass(p, x.size)
+        _last_kernel = (p, x.size, apply)
+    return apply(x)
 
 
 def linear_apply(p: ChainParams, pos) -> np.ndarray:
@@ -240,13 +251,20 @@ def nonlinear_apply(p: ChainParams, pos) -> np.ndarray:
     return cell_pack(_bond_forces(p, pos)[1].copy())
 
 
-def force(p: ChainParams, pos) -> np.ndarray:
+def force(p: ChainParams, pos, out=None) -> np.ndarray:
     """Full right-hand side L(u) + M(u) from one bond pass over the 2N
     atoms: the stretches, their squares and (when a bond has k3 != 0) cubes
     are taken once each, and an atom's bond force is k*(s_right - s_left)
     of them.  Equals linear_apply(p, pos) + nonlinear_apply(p, pos) bit for
-    bit.  Takes and returns (N, 2) cells, a cell_pack view of a fresh array."""
-    return cell_pack(np.add(*_bond_forces(p, pos)))
+    bit.  Takes and returns (N, 2) cells: ``out``, an (N, 2) float array
+    such as a cell_pack view of the caller's atom-order buffer, when given,
+    else a cell_pack view of a fresh array; the sum's bits are the same."""
+    lin, nl = _bond_forces(p, pos)
+    if out is None:
+        return cell_pack(np.add(lin, nl))
+    atoms = out[:, ::-1]  # out in atom order: contiguous for a cell_pack view
+    np.add(lin.reshape(atoms.shape), nl.reshape(atoms.shape), out=atoms)
+    return out
 
 
 def _cell_bonds(pos):

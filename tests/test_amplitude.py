@@ -481,6 +481,79 @@ def test_strang_solution_steps_on_from_the_latest_kept_state(monkeypatch):
     assert len(sol._states) == K + 1
 
 
+def _counted_strang_step(monkeypatch):
+    """Count the real strang_step's calls."""
+    calls = []
+    step = amp.strang_step
+    monkeypatch.setattr(amp, "strang_step",
+                        lambda *a: calls.append(a[-1]) or step(*a))
+    return calls
+
+
+def _half_pi_solution(n=64):
+    f0 = (sech_envelope(L, n, 1.0, 0.5), sech_envelope(L, n, 0.5, 0.5))
+    return StrangSolution(_family_system(0.5), f0, L, amp.STRANG_DTAU)
+
+
+def test_strang_solution_answers_a_repeated_off_grid_tau_without_a_step(monkeypatch):
+    calls = _counted_strang_step(monkeypatch)
+    sol = _half_pi_solution()
+    first = sol.fields(0.31)
+    assert len(calls) == 3 * 13  # twelve whole steps and one partial one
+    calls.clear()
+    again = sol.fields(0.31)
+    assert calls == []
+    assert all(a is b for a, b in zip(first, again))
+    sol.fields(0.02)  # step 0 is kept: the partial step only
+    assert len(calls) == 3
+
+
+def test_strang_solution_off_grid_states_are_order_independent():
+    """Each tau's state, on or off the step grid, equals a fresh
+    solution's bit for bit, whichever order the taus are asked in."""
+    taus = [0.31, 0.02, 0.1, 0.0625, 0.31, 0.17, 0.02, 0.525, 0.2]
+    want = [_half_pi_solution().fields(tau) for tau in taus]
+    for order in (taus, taus[::-1], sorted(taus)):
+        sol = _half_pi_solution()
+        got = {tau: sol.fields(tau) for tau in order}
+        for tau, w in zip(taus, want):
+            assert all(np.array_equal(a, b) for a, b in zip(got[tau], w)), tau
+
+
+def test_strang_solution_off_grid_states_are_read_only():
+    sol = _half_pi_solution()
+    for b in sol.fields(0.31) + sol.fields(0.31):
+        assert not b.flags.writeable
+        with pytest.raises(ValueError):
+            b[0] = 0.0
+
+
+def test_strang_solution_keeps_a_bounded_table_of_finite_off_grid_states(monkeypatch):
+    """Past KEEP_OFF_GRID off-grid states, and for a non-finite one, a tau
+    is stepped on every call and its state is not kept."""
+    calls = []
+
+    def step(sys, f, L, dt):  # a whole step stays finite, a short one does not
+        calls.append(dt)
+        return f[0] + 1, f[1] + (np.nan if abs(dt) < 0.01 else 1.0)
+
+    monkeypatch.setattr(amp, "strang_step", step)
+    z = np.zeros(16, complex)
+    sol = StrangSolution(_family_system(0.5), (z, z), L, 0.25)
+    assert np.isnan(sol.fields(0.001)[1]).all()
+    assert sol._off_grid == {}
+    K = amp.KEEP_OFF_GRID
+    taus = [0.5 + 0.2 * i / K for i in range(1, K + 21)]
+    for tau in taus:
+        assert np.array_equal(sol.fields(tau)[0], z + 3 * 2 + 3)
+    assert len(sol._off_grid) == K
+    calls.clear()
+    for tau in taus:
+        sol.fields(tau)
+    assert len(calls) == 3 * 20  # the 20 taus past the cap, stepped again
+    assert len(sol._off_grid) == K
+
+
 def test_triple_jump_weights():
     # Yoshida's order-4 weights, kept beside composed_step so that no
     # change of the lattice integrator moves an envelope step
@@ -538,6 +611,18 @@ def _smooth_fields(rng, n=NG):
     f1 = np.exp(2j * np.pi * y / L) * np.exp(-0.3 * (y - L / 2) ** 2 / 9)
     f2 = (0.4 + 0.2j) * np.exp(-0.2 * (y - L / 3) ** 2 / 9)
     return (f1.astype(complex), f2.astype(complex))
+
+
+@pytest.mark.parametrize("mode", [NONRESONANT, RESONANT_GENERIC])
+def test_envelope_products_are_those_the_correctors_read(mode):
+    """Each regime builds the products of its product carriers, and when
+    resonant B1^2, w2's source, only: no resonant corrector reads
+    B1 conj(B2)."""
+    w1, w2 = polarization(P0, ACOUSTIC, 0.3), polarization(P0, OPTICAL, 0.9)
+    b = np.ones(4, complex)
+    resonant = mode != NONRESONANT
+    read = {c[0] for c in corrector_carriers(mode, w1, w2)} | ({(1, 1)} if resonant else set())
+    assert set(amp._envelope_products(b, b, resonant)) == read
 
 
 def test_second_order_zero():

@@ -297,13 +297,41 @@ def test_order_and_substep_stability_guard():
 def test_fourth_order_force_calls(monkeypatch):
     calls = []
 
-    def counted(p, pos):
+    def counted(p, pos, out=None):
         calls.append(1)
-        return force(p, pos)
+        return force(p, pos, out=out)
 
     monkeypatch.setattr(microsim, "force", counted)
     integrate(P0, LatticeState.zeros(8), SimConfig(dt=0.05, T=1.0, order=4))
     assert len(calls) == 1 + 6 * 20
+
+
+def test_integrate_writes_each_force_into_one_buffer(monkeypatch):
+    """Every force call gets the same (N, 2) view as ``out``, over the
+    flat atom-order acceleration buffer, and the run matches one whose
+    force returns fresh arrays, bit for bit."""
+    outs = []
+
+    def recorded(p, pos, out=None):
+        outs.append(out)
+        return force(p, pos, out=out)
+
+    def fresh(p, pos, out=None):
+        np.copyto(out, force(p, pos))
+        return out
+
+    p = model.make_params(v1=(1.0, 0.3, 0.2), v2=(2.0, 0.2, 0.1),
+                          w1=(1.0, 0.4, 0.1), w2=(1.0, 1.0, 0.0))
+    rng = np.random.RandomState(4)
+    s0 = LatticeState(0.1 * rng.randn(12, 2), 0.1 * rng.randn(12, 2))
+    cfg = SimConfig(dt=0.05, T=1.0, order=4)
+    monkeypatch.setattr(microsim, "force", recorded)
+    got = integrate(p, s0, cfg)
+    assert all(o is outs[0] for o in outs) and outs[0].shape == (12, 2)
+    assert outs[0].base is not None and outs[0].base.shape == (24,)
+    monkeypatch.setattr(microsim, "force", fresh)
+    want = integrate(p, s0, cfg)
+    assert np.array_equal(got.pos, want.pos) and np.array_equal(got.vel, want.vel)
 
 
 def test_divergence_detection():
