@@ -7,14 +7,12 @@ them together (harness, cli).
 """
 
 from .model import (ChainParams, LatticeState, PotentialCoeffs, StabilityError,
-                    cell_pack, cell_unpack, energy_norm, hamiltonian_energy,
-                    linear_apply, make_params, nonlinear_apply, validate_params)
+                    cell_pack, cell_unpack, energy_norm, make_params, validate_params)
 from .spectrum import ACOUSTIC, OPTICAL, Wave, dispersion_matrix, group_velocity, omega, polarization
 
 __all__ = [
     "ChainParams", "LatticeState", "PotentialCoeffs", "StabilityError",
-    "cell_pack", "cell_unpack", "energy_norm", "hamiltonian_energy",
-    "linear_apply", "make_params", "nonlinear_apply", "validate_params",
+    "cell_pack", "cell_unpack", "energy_norm", "make_params", "validate_params",
     "ACOUSTIC", "OPTICAL", "Wave", "dispersion_matrix", "group_velocity",
     "omega", "polarization",
 ]

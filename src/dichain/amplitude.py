@@ -283,8 +283,9 @@ class ODEReferenceSolution:
     """Dense DOP853 solution of a resonant system with vanishing group
     velocities (the envelope equations reduce to a pointwise ODE), solved
     over [0, tau_max] at once.  The tests' reference for StrangSolution: no
-    experiment builds it.  It lives here, not under tests/, because the
-    benchmark's tracer (perfbench/tracing.py) patches its ``fields``."""
+    experiment builds it, so its scipy, imported only here, is a test
+    dependency.  It lives here, not under tests/, because the benchmark's
+    tracer (perfbench/tracing.py) patches its ``fields``."""
 
     def __init__(self, sys: MacroSystem, fields0, tau_max: float):
         from scipy.integrate import solve_ivp
@@ -322,8 +323,8 @@ STRANG_DTAU = 0.025
 
 
 # a StrangSolution keeps the first KEEP_STEPS steps it reaches (every
-# shipped config reaches at most 42) and its first KEEP_OFF_GRID finite
-# states between step times (the five eps of convergence_resonant ask for
+# shipped config reaches at most 42) and its first KEEP_OFF_GRID states
+# between step times (the five eps of convergence_resonant ask for
 # 88); n = 256: 8 KB a state
 KEEP_STEPS, KEEP_OFF_GRID = 64, 128
 
@@ -334,8 +335,9 @@ class StrangSolution:
     cursor: the state at the last step reached.  A tau steps on from the
     latest kept state or cursor at or before its step; a tau between step
     times takes one partial composed step by ``rem`` from its step k.  The
-    first ``KEEP_OFF_GRID`` finite such states are kept by (k, rem), their
-    arrays read-only, so the same tau asked again takes no step.  Every
+    first ``KEEP_OFF_GRID`` such states are kept by (k, rem), their arrays
+    read-only, so the same tau asked again takes no step.  A non-finite
+    state, whole or partial step, raises FloatingPointError.  Every
     state is the same composition of steps from the initial one, so the
     values returned do not depend on the order of the queries.
     """
@@ -385,8 +387,9 @@ class StrangSolution:
         if state is None:
             self._extend(k)
             state = composed_step(self.sys, self._state, self.L, rem)
-            if (len(self._off_grid) < KEEP_OFF_GRID
-                    and all(np.isfinite(b).all() for b in state)):
+            if not all(np.isfinite(b).all() for b in state):
+                raise FloatingPointError(f"envelope evolution diverged before tau={tau}")
+            if len(self._off_grid) < KEEP_OFF_GRID:
                 for b in state:
                     b.flags.writeable = False
                 self._off_grid[(k, rem)] = state

@@ -52,9 +52,6 @@ class PotentialCoeffs:
     k2: float = 0.0
     k3: float = 0.0
 
-    def potential(self, x):
-        return x * x * (self.k1 / 2.0 + x * (self.k2 / 3.0 + x * self.k3 / 4.0))
-
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -137,9 +134,6 @@ class LatticeState:
     @classmethod
     def zeros(cls, N: int, t: float = 0.0) -> "LatticeState":
         return cls(np.zeros((N, 2)), np.zeros((N, 2)), t)
-
-    def copy(self) -> "LatticeState":
-        return LatticeState(self.pos.copy(), self.vel.copy(), self.t)
 
     @property
     def N(self) -> int:
@@ -233,30 +227,11 @@ def _bond_forces(p: ChainParams, pos):
     return apply(x)
 
 
-def linear_apply(p: ChainParams, pos) -> np.ndarray:
-    """Apply the linear operator L.
-
-    Row 1: v11*(u_{j+1,2} - 2u_{j,1} + u_{j,2}) - w11*u_{j,1}
-    Row 2: v21*(u_{j,1} - 2u_{j,2} + u_{j-1,1}) - w21*u_{j,2}
-
-    The sign of the u_{j-1,1} term is plus: that is what the substitution
-    from the two-atom displacement equations produces, and what the
-    dispersion matrix encodes.
-    """
-    return cell_pack(_bond_forces(p, pos)[0].copy())
-
-
-def nonlinear_apply(p: ChainParams, pos) -> np.ndarray:
-    """Apply the quadratic+cubic force remainder M(u)."""
-    return cell_pack(_bond_forces(p, pos)[1].copy())
-
-
 def force(p: ChainParams, pos, out=None) -> np.ndarray:
     """Full right-hand side L(u) + M(u) from one bond pass over the 2N
     atoms: the stretches, their squares and (when a bond has k3 != 0) cubes
     are taken once each, and an atom's bond force is k*(s_right - s_left)
-    of them.  Equals linear_apply(p, pos) + nonlinear_apply(p, pos) bit for
-    bit.  Takes and returns (N, 2) cells: ``out``, an (N, 2) float array
+    of them.  Takes and returns (N, 2) cells: ``out``, an (N, 2) float array
     such as a cell_pack view of the caller's atom-order buffer, when given,
     else a cell_pack view of a fresh array; the sum's bits are the same."""
     lin, nl = _bond_forces(p, pos)
@@ -308,24 +283,3 @@ def norm_m(arr, p: ChainParams) -> float:
 def norm_l2_pair(pos, vel) -> float:
     """Plain (l2)^4 norm of a (positions, velocities) pair."""
     return float(np.sqrt(np.sum(np.abs(pos) ** 2) + np.sum(np.abs(vel) ** 2)))
-
-
-def hamiltonian_energy(s: LatticeState, p: ChainParams) -> float:
-    """Energy diagnostic for the Newtonian flow.
-
-    Weighted so that the first row carries unit weight: with
-    mu = v11/v21,
-
-        H = sum_j [ udot_{j,1}^2/2 + mu*udot_{j,2}^2/2 ]
-          + sum_j [ V1(s_a) + V1(s_b) + W1(u_{j,1}) + mu*W2(u_{j,2}) ]
-
-    This is exactly conserved when the bond nonlinearities are
-    mass-consistent (mu*V2' = V1' as functions, automatic for the
-    harmonic part); on-site nonlinearities never break conservation.
-    """
-    mu = p.V1.k1 / p.V2.k1
-    s_a, s_b = _cell_bonds(s.pos)
-    kin = 0.5 * np.sum(s.vel[:, 0] ** 2) + 0.5 * mu * np.sum(s.vel[:, 1] ** 2)
-    pot = np.sum(p.V1.potential(s_a)) + np.sum(p.V1.potential(s_b))
-    pot += np.sum(p.W1.potential(s.pos[:, 0])) + mu * np.sum(p.W2.potential(s.pos[:, 1]))
-    return float(kin + pot)

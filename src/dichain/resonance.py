@@ -95,17 +95,39 @@ def third_order_margin(p: ChainParams) -> float:
     return float(m.min())
 
 
+def grid_max(f, xs) -> float:
+    """The maximum of f on [xs[0], xs[-1]]: the largest f(xs) refined by a
+    golden-section search on the grid cells either side of it, down to a
+    bracket of 1e-14.  f takes an array and a float; the search assumes f
+    unimodal on those two cells."""
+    fx = f(xs)
+    i = int(np.argmax(fx))
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+    r = (np.sqrt(5.0) - 1.0) / 2.0
+    # a fixed count of steps, each narrowing the bracket by r, to 1e-14: it
+    # ends even where rounding keeps the bracket from narrowing
+    steps = int(np.ceil(np.log(1e-14 / (hi - lo)) / np.log(r))) if hi > lo else 0
+    for _ in range(steps):
+        a, b = hi - r * (hi - lo), lo + r * (hi - lo)
+        if f(a) >= f(b):
+            hi = b
+        else:
+            lo = a
+    return float(max(fx[i], f((lo + hi) / 2.0)))
+
+
 def acoustic_acoustic_scan(gamma: float):
     """Scan the acoustic->acoustic resonance obstruction over the family.
 
     Returns (c_e, max_g) where g~(c) = 8 delta - 9 + 16c + (2c-1)^2
     - 8 sqrt(delta+c) sqrt(delta+(2c-1)^2) and c_e is the lower end of
     the interval on which the pre-squaring right-hand side is
-    nonnegative.  max_g <= 0 (up to roundoff) certifies that no
-    acoustic->acoustic resonance exists in the family; the maximum sits
-    at c=1 where g~ vanishes identically.
+    nonnegative.  max_g is the maximum of g~ on a SCAN_SIZE grid over
+    [c_e, 1], refined by ``grid_max``'s golden-section search.  max_g <= 0
+    (up to roundoff) certifies that no acoustic->acoustic resonance
+    exists in the family; the maximum sits at c=1 where g~ vanishes
+    identically.
     """
-    from scipy.optimize import minimize_scalar
     if gamma <= 1.0:
         raise ValueError("family requires gamma > 1")
     delta = (gamma - 1.0) ** 2 / (4.0 * gamma)
@@ -115,17 +137,7 @@ def acoustic_acoustic_scan(gamma: float):
         return (8.0 * delta - 9.0 + 16.0 * c + (2.0 * c - 1.0) ** 2
                 - 8.0 * np.sqrt(delta + c) * np.sqrt(delta + (2.0 * c - 1.0) ** 2))
 
-    cs = np.linspace(c_e, 1.0, SCAN_SIZE)
-    gv = g(cs)
-    i = int(np.argmax(gv))
-    lo = cs[max(i - 1, 0)]
-    hi = cs[min(i + 1, SCAN_SIZE - 1)]
-    best = gv[i]
-    if hi > lo:
-        res = minimize_scalar(lambda c: -g(c), bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-14})
-        best = max(best, -res.fun)
-    return float(c_e), float(best)
+    return float(c_e), grid_max(g, np.linspace(c_e, 1.0, SCAN_SIZE))
 
 
 def wrap_theta(theta: float) -> float:

@@ -1,6 +1,7 @@
 """Shared test utilities, and the analysis functions only tests use: the
 reference chain p0, det H, the resonance finder and the reduced
-coordinates, the Lipschitz and norm-equivalence constants."""
+coordinates, the Lipschitz and norm-equivalence constants, the lattice's
+separate L and M and its Hamiltonian."""
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,7 +9,8 @@ from scipy.optimize import brentq
 
 from dichain import amplitude as amp
 from dichain.amplitude import StrangSolution
-from dichain.model import ChainParams, carrier_product_force, make_params
+from dichain.model import (ChainParams, LatticeState, PotentialCoeffs, _bond_forces, _cell_bonds,
+                           carrier_product_force, cell_pack, make_params)
 from dichain.resonance import GRID_SIZE, resonance_defect
 from dichain.spectrum import OPTICAL, dispersion_matrix
 
@@ -130,6 +132,51 @@ def strang_states(sys, fields0, L, tau_end, dtau):
     n = max(1, round(tau_end / dtau))
     sol = StrangSolution(sys, fields0, L, tau_end / n)
     return [sol.fields(k * sol.dtau) for k in range(n + 1)]
+
+
+def linear_apply(p: ChainParams, pos) -> np.ndarray:
+    """The linear operator L of ``model.force``'s bond pass.
+
+    Row 1: v11*(u_{j+1,2} - 2u_{j,1} + u_{j,2}) - w11*u_{j,1}
+    Row 2: v21*(u_{j,1} - 2u_{j,2} + u_{j-1,1}) - w21*u_{j,2}
+
+    The sign of the u_{j-1,1} term is plus: that is what the substitution
+    from the two-atom displacement equations produces, and what the
+    dispersion matrix encodes.
+    """
+    return cell_pack(_bond_forces(p, pos)[0].copy())
+
+
+def nonlinear_apply(p: ChainParams, pos) -> np.ndarray:
+    """The quadratic+cubic force remainder M(u) of ``model.force``'s bond
+    pass."""
+    return cell_pack(_bond_forces(p, pos)[1].copy())
+
+
+def potential(c: PotentialCoeffs, x):
+    """The antiderivative k1*x^2/2 + k2*x^3/3 + k3*x^4/4 of c's force."""
+    return x * x * (c.k1 / 2.0 + x * (c.k2 / 3.0 + x * c.k3 / 4.0))
+
+
+def hamiltonian_energy(s: LatticeState, p: ChainParams) -> float:
+    """Energy diagnostic for the Newtonian flow.
+
+    Weighted so that the first row carries unit weight: with
+    mu = v11/v21,
+
+        H = sum_j [ udot_{j,1}^2/2 + mu*udot_{j,2}^2/2 ]
+          + sum_j [ V1(s_a) + V1(s_b) + W1(u_{j,1}) + mu*W2(u_{j,2}) ]
+
+    This is exactly conserved when the bond nonlinearities are
+    mass-consistent (mu*V2' = V1' as functions, automatic for the
+    harmonic part); on-site nonlinearities never break conservation.
+    """
+    mu = p.V1.k1 / p.V2.k1
+    s_a, s_b = _cell_bonds(s.pos)
+    kin = 0.5 * np.sum(s.vel[:, 0] ** 2) + 0.5 * mu * np.sum(s.vel[:, 1] ** 2)
+    pot = np.sum(potential(p.V1, s_a)) + np.sum(potential(p.V1, s_b))
+    pot += np.sum(potential(p.W1, s.pos[:, 0])) + mu * np.sum(potential(p.W2, s.pos[:, 1]))
+    return float(kin + pot)
 
 
 def random_valid_params(rng, nonlinear=False):

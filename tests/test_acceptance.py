@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from _helpers import (det_h, find_acoustic_optical_resonance, p0, random_valid_params,
-                      strang_states)
+from _helpers import (det_h, find_acoustic_optical_resonance, hamiltonian_energy, p0,
+                      random_valid_params, strang_states)
 from dichain import harness, model
 from dichain.amplitude import ODEReferenceSolution, build_macro_system, sech_envelope
 from dichain.ansatz import initial_state, sample_first_order
 from dichain.microsim import SimConfig, integrate
-from dichain.model import LatticeState, hamiltonian_energy
+from dichain.model import LatticeState
 from dichain.resonance import (acoustic_acoustic_scan, family_params, optical_closure_margin,
                                solve_family_ratio, third_order_margin)
 from dichain.spectrum import ACOUSTIC, OPTICAL, group_velocity, omega, polarization

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _helpers import (coupling_closed_form, coupling_prefactors, det_h, envelope_products,
-                      find_acoustic_optical_resonance, hand_expanded_K, p0,
+                      find_acoustic_optical_resonance, hand_expanded_K, linear_apply, p0,
                       per_call_corrector, per_call_wave_corrector, random_valid_params,
                       strang_states)
 from dichain import amplitude as amp
@@ -529,8 +529,9 @@ def test_strang_solution_off_grid_states_are_read_only():
 
 
 def test_strang_solution_keeps_a_bounded_table_of_finite_off_grid_states(monkeypatch):
-    """Past KEEP_OFF_GRID off-grid states, and for a non-finite one, a tau
-    is stepped on every call and its state is not kept."""
+    """Past KEEP_OFF_GRID off-grid states a tau is stepped on every call
+    and its state is not kept; a non-finite partial step raises, naming
+    its tau, and is not kept."""
     calls = []
 
     def step(sys, f, L, dt):  # a whole step stays finite, a short one does not
@@ -540,13 +541,16 @@ def test_strang_solution_keeps_a_bounded_table_of_finite_off_grid_states(monkeyp
     monkeypatch.setattr(amp, "strang_step", step)
     z = np.zeros(16, complex)
     sol = StrangSolution(_family_system(0.5), (z, z), L, 0.25)
-    assert np.isnan(sol.fields(0.001)[1]).all()
+    with pytest.raises(FloatingPointError, match="tau=0.001"):
+        sol.fields(0.001)
     assert sol._off_grid == {}
     K = amp.KEEP_OFF_GRID
-    taus = [0.5 + 0.2 * i / K for i in range(1, K + 21)]
+    taus = [0.55 + 0.15 * i / K for i in range(1, K + 21)]
     for tau in taus:
         assert np.array_equal(sol.fields(tau)[0], z + 3 * 2 + 3)
     assert len(sol._off_grid) == K
+    with pytest.raises(FloatingPointError, match="tau=0.501"):  # past the cap too
+        sol.fields(0.501)
     calls.clear()
     for tau in taus:
         sol.fields(tau)
@@ -832,7 +836,7 @@ def test_slow_derivative_vector_is_the_lattice_ramp():
         h0 = dispersion_matrix(p, 0.0, theta)
         for r in map(np.asarray, forms):
             u = np.outer(j * np.exp(1j * theta * j), r)
-            lu = model.linear_apply(p, u.real) + 1j * model.linear_apply(p, u.imag)
+            lu = linear_apply(p, u.real) + 1j * linear_apply(p, u.imag)
             ramp = np.exp(-1j * theta * j)[:, None] * lu - np.outer(j, h0 @ r)
             err = np.abs(ramp[1:-1] - amp.slow_derivative_vector(p, r, theta)).max()
             worst = max(worst, err)

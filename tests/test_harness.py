@@ -257,15 +257,27 @@ def test_cli_dispersion(tmp_path):
     assert all(len(line.split(",")) == 5 for line in lines[1:])
 
 
-def test_cli_import_loads_no_scipy_solver():
-    """Every command runs on numpy alone: importing the CLI in a fresh
-    interpreter loads none of scipy's solver packages."""
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse")
-    code = f"import sys, dichain.cli; print([m for m in {heavy!r} if m in sys.modules])"
+def test_cli_runs_every_command_without_scipy(tmp_path):
+    """Every subcommand runs on numpy alone: in a fresh interpreter in which
+    scipy cannot be imported, each exits 0."""
+    sim = dict(SIM_N40, out="snap.csv")
+    val = dict(kind="residual_scaling", params=P_NL, waves=WAVES, eps=[0.1, 0.0707, 0.05],
+               tau0=0.5, L_y=25.6, n_grid=64, out="res.csv")
+    for name, doc in (("sim.json", sim), ("val.json", val)):
+        (tmp_path / name).write_text(json.dumps(doc))
+    commands = [["dispersion", "--params", str(ROOT / "configs/p0.json"), "--out", "disp.csv"],
+                ["resonance", "--gamma", "1.5,2,3", "--c", "0.2,0.5,1.0", "--out", "scan.csv"],
+                ["amplitudes", "--config", str(ROOT / "configs/amplitudes.json")],
+                ["simulate", "--config", "sim.json"],
+                ["validate", "--config", "val.json"],
+                ["generate", "--config", str(ROOT / "configs/generation.json")]]
+    code = ("import sys; sys.modules['scipy'] = None; from dichain import cli; "
+            f"print([cli.main(argv) for argv in {commands!r}])")
     src = str(Path(cli.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                         check=True, capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == str([0] * len(commands)), run.stdout + run.stderr
 
 
 def test_cli_malformed_config(tmp_path, capsys):

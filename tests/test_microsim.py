@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from _helpers import p0, random_valid_params, roll_force
+from _helpers import (hamiltonian_energy, linear_apply, nonlinear_apply, p0, random_valid_params,
+                      roll_force)
 from dichain import microsim, model
 from dichain.microsim import (SCHEMES, SimConfig, SimulationDiverged, default_dt, integrate,
                               largest_drift, modal_mass, omega_max)
-from dichain.model import (LatticeState, cell_pack, cell_unpack, force, hamiltonian_energy,
-                           linear_apply, nonlinear_apply)
+from dichain.model import LatticeState, cell_pack, cell_unpack, force
 from dichain.spectrum import ACOUSTIC, polarization
 
 P0 = p0()

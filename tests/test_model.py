@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from _helpers import (lipschitz_constant, norm_equivalence_interval, p0, random_valid_params,
+from _helpers import (hamiltonian_energy, linear_apply, lipschitz_constant,
+                      nonlinear_apply, norm_equivalence_interval, p0, random_valid_params,
                       roll_force, roll_stencil)
 from dichain.model import (ChainParams, LatticeState, PotentialCoeffs, StabilityError,
                            carrier_product_force, cell_pack, cell_unpack, energy_norm, force,
-                           hamiltonian_energy, linear_apply, make_params, nonlinear_apply,
-                           norm_m, validate_params)
+                           make_params, norm_m, validate_params)
 
 P0 = p0()
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from _helpers import (det_h, find_acoustic_optical_resonance, p0, random_valid_params,
                       reduced_coords)
-from dichain.resonance import (acoustic_acoustic_scan, family_params, optical_closure_margin,
-                               resonance_defect, solve_family_ratio, third_order_margin,
-                               wrap_theta)
+from dichain.resonance import (SCAN_SIZE, acoustic_acoustic_scan, family_params, grid_max,
+                               optical_closure_margin, resonance_defect, solve_family_ratio,
+                               third_order_margin, wrap_theta)
 from dichain.spectrum import ACOUSTIC, OPTICAL, omega
 
 P0 = p0()
@@ -130,19 +130,55 @@ def test_optical_closure_margin():
         assert lower > 0.0
 
 
+def _scan_by_minimize_scalar(gamma):
+    """The acoustic->acoustic scan with its grid maximum refined by scipy's
+    bounded Brent search on the same bracket: an independent reference for
+    grid_max."""
+    delta = (gamma - 1.0) ** 2 / (4.0 * gamma)
+    c_e = max(0.0, (5.0 - np.sqrt(15.0 * delta + 24.0)) / 2.0)
+
+    def g(c):
+        return (8.0 * delta - 9.0 + 16.0 * c + (2.0 * c - 1.0) ** 2
+                - 8.0 * np.sqrt(delta + c) * np.sqrt(delta + (2.0 * c - 1.0) ** 2))
+
+    cs = np.linspace(c_e, 1.0, SCAN_SIZE)
+    gv = g(cs)
+    i = int(np.argmax(gv))
+    lo = cs[max(i - 1, 0)]
+    hi = cs[min(i + 1, SCAN_SIZE - 1)]
+    best = gv[i]
+    if hi > lo:
+        res = minimize_scalar(lambda c: -g(c), bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-14})
+        best = max(best, -res.fun)
+    return float(c_e), float(best)
+
+
 def test_acoustic_acoustic_scan():
     delta_c0 = 1.0 / 15.0
     # gamma solving (gamma-1)^2/(4 gamma) = 1/15
     gamma = 1.0 + 2 * delta_c0 + 2 * np.sqrt(delta_c0 * (1 + delta_c0))
     ce, _ = acoustic_acoustic_scan(gamma)
     assert ce == 0.0
-    for g in (1.1, 1.5, 2.0, 3.0, 5.0):
+    # c_e bit for bit and max g~ within 1e-14 of the scipy refinement
+    for g in (1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 20.0):
         ce, mg = acoustic_acoustic_scan(g)
+        ref_ce, ref_mg = _scan_by_minimize_scalar(g)
+        assert ce == ref_ce
+        assert abs(mg - ref_mg) <= 1e-14
         assert mg <= 1e-12
     # g~ vanishes identically at c=1 (in floats: sqrt(x)^2 is one ulp off)
     delta = 0.125
     g1 = 8 * delta - 9 + 16 + 1 - 8 * np.sqrt(delta + 1) * np.sqrt(delta + 1)
     assert abs(g1) < 1e-14
+
+
+@pytest.mark.parametrize("peak", [0.337, 0.372, 0.0, 1.0])
+def test_grid_max_refines_a_maximum_between_grid_points(peak):
+    """A peak right or left of the largest grid value, or at either end,
+    is found to 1e-12; the grid alone misses the inner ones by 4e-4 or more."""
+    xs = np.linspace(0.0, 1.0, 11)
+    assert abs(grid_max(lambda c: np.cos(c - peak), xs) - 1.0) <= 1e-12
 
 
 def test_third_order_margin():
