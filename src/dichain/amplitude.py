@@ -9,8 +9,8 @@ quadratic source on that carrier, projected on the wave's polarization,
 one formula for every resonant regime.  Every quadratic source is the
 lattice's bond stencil on two carriers (``model.carrier_product_force``),
 a constant vector kappa times an envelope product.  So every second-order
-corrector is constant vectors chi, built once per chain and wave pair,
-times envelope fields: products, or a wave's dB/dtau, dB/dy and source.
+corrector is constant vectors chi of the chain and wave pair times
+envelope fields: products, or a wave's dB/dtau, dB/dy and source.
 
 A Strang step advects the envelopes as one stack: the rows whose group
 velocity is nonzero share one FFT round trip per half step, with their
@@ -21,12 +21,12 @@ stepped by Yoshida's triple jump of three Strang steps (the weights
 ``STRANG_DTAU`` = 0.025 errs less than single Strang steps 25 times
 shorter.  A pair at rest (the c = 1 family) takes the same steps with no
 advection: three Yoshida-weighted RK4 source steps each.  A
-``StrangSolution`` keeps the states of its first ``KEEP_STEPS`` steps, so
-a later query for an earlier tau steps on from a kept state instead of
-from tau = 0, and the first ``KEEP_OFF_GRID`` finite states it computes
-between step times, read-only, so a tau asked again (by the next eps of a
-sweep) takes no step.  At n grid points a state takes 32 n bytes: both
-tables at their caps hold 193 states, 1.5 MB at n = 256.
+``StrangSolution`` keeps one table of the first ``KEEP_STATES`` finite
+states it reaches, read-only, at step times and between them: a later
+query for an earlier tau steps on from a kept step instead of from
+tau = 0, and a tau asked again (by the next eps of a sweep) takes no
+step.  At n grid points a state takes 32 n bytes: the table at its cap
+holds 192 states, 1.5 MB at n = 256.
 """
 from __future__ import annotations
 
@@ -94,23 +94,19 @@ def sech_envelope(L: float, n: int, a0: float, nu: float) -> np.ndarray:
 # quadratic sources, from the lattice's bond stencil
 
 
-@lru_cache(maxsize=16)
 def source_vectors(p: ChainParams, w1: Wave, w2: Wave) -> dict:
     """kappa per product carrier: as amplitudes are linear in the
     envelopes, its quadratic source is the sum of these 2-vectors times its
     ``_envelope_products``.  Each is the bond stencil on the unit
     polarizations, doubled for a product of the two waves; those of the
-    mean carrier are real, as the lattice's mean force is.  Read-only."""
+    mean carrier are real, as the lattice's mean force is."""
     (r1, t1), (r2, t2) = ((np.asarray(w.amplitude_vector(1 + 0j)), w.theta) for w in (w1, w2))
     force = partial(carrier_product_force, p)
     kappa = {(1, 1): [force(r1, t1, r1, t1)], (2, 2): [force(r2, t2, r2, t2)],
              (1, 2): [2.0 * force(r1, t1, r2, t2)],
              (1, -2): [2.0 * force(r1, t1, np.conj(r2), -t2)],
              (1, -1): [force(r, t, np.conj(r), -t).real for r, t in ((r1, t1), (r2, t2))]}
-    for iota, vectors in kappa.items():
-        kappa[iota] = np.array(vectors)
-        kappa[iota].flags.writeable = False
-    return kappa
+    return {iota: np.array(vectors) for iota, vectors in kappa.items()}
 
 
 def _envelope_products(b1, b2, resonant: bool) -> dict:
@@ -322,55 +318,57 @@ class ODEReferenceSolution:
 STRANG_DTAU = 0.025
 
 
-# a StrangSolution keeps the first KEEP_STEPS steps it reaches (every
-# shipped config reaches at most 42) and its first KEEP_OFF_GRID states
-# between step times (the five eps of convergence_resonant ask for
-# 88); n = 256: 8 KB a state
-KEEP_STEPS, KEEP_OFF_GRID = 64, 128
+# a StrangSolution keeps the first KEEP_STATES states it reaches, whole
+# and partial steps alike (a shipped config reaches at most 42 whole and
+# 88 partial ones); n = 256: 8 KB a state
+KEEP_STATES = 192
 
 
 class StrangSolution:
     """Fixed-step trajectory of composed (order-4) Strang steps.  It keeps
-    the state of every step it reaches up to step ``KEEP_STEPS``, and a
-    cursor: the state at the last step reached.  A tau steps on from the
-    latest kept state or cursor at or before its step; a tau between step
-    times takes one partial composed step by ``rem`` from its step k.  The
-    first ``KEEP_OFF_GRID`` such states are kept by (k, rem), their arrays
-    read-only, so the same tau asked again takes no step.  A non-finite
-    state, whole or partial step, raises FloatingPointError.  Every
-    state is the same composition of steps from the initial one, so the
-    values returned do not depend on the order of the queries.
+    one table of states by (k, rem), the state at tau = k*dtau + rem, with
+    rem = 0 at a step time: the first ``KEEP_STATES`` states it reaches,
+    whole or partial steps, their arrays read-only.  A cursor holds the
+    state at the last step reached.  A tau steps on from the latest kept
+    step or the cursor at or before its step k; a tau between step times
+    then takes one partial composed step by ``rem``, so the same tau asked
+    again takes no step.  A non-finite state, whole or partial step,
+    raises FloatingPointError naming its tau and is not kept.  Every state
+    is the same composition of steps from the initial one, so the values
+    returned do not depend on the order of the queries.
     """
 
     def __init__(self, sys: MacroSystem, fields0, L: float, dtau: float):
         self.sys = sys
         self.L = L
         self.dtau = dtau
-        f0 = (np.asarray(fields0[0], dtype=complex), np.asarray(fields0[1], dtype=complex))
-        # _states[k] is the state at step k (perfbench/tracing.py counts
-        # its growth); the cursor is step _k and its state
-        self._states = [f0]
-        self._k, self._state = 0, f0
-        self._off_grid = {}
+        f0 = tuple(np.array(b, dtype=complex) for b in fields0)
+        for b in f0:
+            b.flags.writeable = False
+        # the cursor is step _k and its state; perfbench/tracing.py counts
+        # the states _extend adds to _states
+        self._k, self._state, self._states = 0, f0, {(0, 0.0): f0}
+
+    def _step(self, state, dtau, key, tau):
+        """One composed step by dtau from ``state`` to the state at tau,
+        kept by ``key`` while the table has room."""
+        state = composed_step(self.sys, state, self.L, dtau)
+        if not all(np.isfinite(b).all() for b in state):
+            raise FloatingPointError(f"envelope evolution diverged before tau={tau}")
+        if len(self._states) < KEEP_STATES:
+            for b in state:
+                b.flags.writeable = False
+            self._states[key] = state
+        return state
 
     def _extend(self, k):
         """Move the cursor to step k."""
-        kept = self._states
-        if k < len(kept):
-            self._k, self._state = k, kept[k]
-            return
-        k0, state = ((self._k, self._state) if len(kept) <= self._k <= k
-                     else (len(kept) - 1, kept[-1]))
-        new = []
+        k0 = k
+        while (k0, 0.0) not in self._states and k0 != self._k:
+            k0 -= 1
+        state = self._states.get((k0, 0.0), self._state)
         for j in range(k0 + 1, k + 1):
-            state = composed_step(self.sys, state, self.L, self.dtau)
-            if j <= KEEP_STEPS:
-                new.append(state)
-        # a non-finite state stays non-finite, so the last one tells, and
-        # no diverged state is kept
-        if k > k0 and not all(np.isfinite(b).all() for b in state):
-            raise FloatingPointError(f"envelope evolution diverged before tau={k * self.dtau}")
-        kept.extend(new)
+            state = self._step(state, self.dtau, (j, 0.0), j * self.dtau)
         self._k, self._state = k, state
 
     def fields(self, tau: float):
@@ -383,16 +381,10 @@ class StrangSolution:
         if rem <= 1e-14:
             self._extend(k)
             return self._state
-        state = self._off_grid.get((k, rem))
+        state = self._states.get((k, rem))
         if state is None:
             self._extend(k)
-            state = composed_step(self.sys, self._state, self.L, rem)
-            if not all(np.isfinite(b).all() for b in state):
-                raise FloatingPointError(f"envelope evolution diverged before tau={tau}")
-            if len(self._off_grid) < KEEP_OFF_GRID:
-                for b in state:
-                    b.flags.writeable = False
-                self._off_grid[(k, rem)] = state
+            state = self._step(self._state, rem, (k, rem), tau)
         return state
 
 
@@ -437,9 +429,8 @@ def slow_derivative_vector(p: ChainParams, r, theta: float) -> np.ndarray:
     return np.array([p.V1.k1 * eit * r[1], -p.V2.k1 * np.conj(eit) * r[0]])
 
 
-@lru_cache(maxsize=64)
 def _corrector_vectors(p: ChainParams, mode: str, w1: Wave, w2: Wave):
-    """(iota, chi) per corrector carrier, read-only: the product carriers in
+    """(iota, chi) per corrector carrier: the product carriers in
     ``corrector_carriers`` order, each solving weight*H(Omega, Theta) chi +
     kappa = 0 per source vector, then the wave carriers 1 and 2, each
     solving the order-eps^2 bracket
@@ -452,8 +443,7 @@ def _corrector_vectors(p: ChainParams, mode: str, w1: Wave, w2: Wave):
     component r is normalized by (r1 = 1 at the optical band edge, else
     r0 = 1) is zero; the other is the least-squares solution on its column
     of H, exact for the sum, which the envelope equations make solvable.
-    A nearly singular product H raises NearResonance, which is not cached,
-    so every build on that carrier raises."""
+    A nearly singular product H raises NearResonance."""
     kappa, vectors = source_vectors(p, w1, w2), []
     for iota, om_v, th_v, weight in corrector_carriers(mode, w1, w2):
         H = dispersion_matrix(p, om_v, th_v)
@@ -464,7 +454,6 @@ def _corrector_vectors(p: ChainParams, mode: str, w1: Wave, w2: Wave):
         k1, k2 = kappa[iota].T  # the 2x2 inverse by hand: no LAPACK call and its buffers
         chi = np.stack([-(H[1, 1] * k1 - H[0, 1] * k2) / det / weight,
                         -(-H[1, 0] * k1 + H[0, 0] * k2) / det / weight], axis=1)
-        chi.flags.writeable = False
         vectors.append((iota, chi))
     sources = (-np.conj(kappa[(1, -2)]), -kappa[(1, 1)]) if mode in RESONANT_MODES else ((), ())
     for iota, w, source in zip((1, 2), (w1, w2), sources):
@@ -474,9 +463,8 @@ def _corrector_vectors(p: ChainParams, mode: str, w1: Wave, w2: Wave):
         col = dispersion_matrix(p, w.omega, w.theta)[:, solved]
         chi = np.zeros_like(rhs)
         chi[:, solved] = (rhs * np.conj(col)).sum(axis=1) / (abs(col) ** 2).sum()
-        chi.flags.writeable = False
         vectors.append((iota, chi))
-    return tuple(vectors)
+    return vectors
 
 
 def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_fields,

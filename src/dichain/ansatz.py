@@ -13,7 +13,7 @@ stay one sample at a time, so no lattice array grows with m.  The spec
 keeps the carrier phase rows exp(i(omega*t + theta*j)) of the last
 lattice time t, one per carrier, so the position, velocity and corrector
 sums at one time share them.  Every corrector's vectors, on product and
-wave carriers alike, are kept per chain and wave pair
+wave carriers alike, are built once per snapshot stack
 (``amplitude._corrector_vectors``).
 """
 from __future__ import annotations

@@ -129,6 +129,11 @@ class ExperimentConfig(SimpleNamespace):
             if self.resonant_family is not None and getattr(self, key) is not None:
                 raise ConfigError(f"{key}: cannot be combined with resonant_family")
         if KINDS[self.kind].sweep:
+            fitted = (self.kind in ("convergence", "residual_scaling", "ansatz_scaling")
+                      or self.kind == "generation" and self.resonant_family is None)
+            if fitted and len(self.eps) < 3:
+                raise ConfigError(f"eps: {self.kind} fits an exponent, so it needs at "
+                                  f"least 3 values, got {self.eps!r}")
             if round(self.L_y / self.eps[0]) < 4:
                 raise ConfigError(f"L_y: L_y/eps gives fewer than 4 lattice sites "
                                   f"at eps={self.eps[0]}")

@@ -218,6 +218,27 @@ def test_criterion_7_wave_generation():
             f"control exponent={ctl.exponent:.2f}")
 
 
+GENERATION_EPS = [0.1, 0.05, 0.025]
+
+
+@pytest.mark.parametrize("label", ["generic", "half-pi", "pi"])
+def test_criterion_7_generation_law(label):
+    """The generated optical envelope meets the coupled-equation
+    prediction to O(eps): the discrepancy of ``generate`` falls as eps^1
+    in every resonant regime."""
+    t0 = time.time()
+    rows = []
+    for eps in GENERATION_EPS:
+        cfg = harness.config_from_dict(dict(kind="generation", **SETUPS[label], eps=[eps],
+                                            tau0=1.0, L_y=40.0, n_grid=256, nu=0.5,
+                                            a0=[1.0, 0.0]))
+        rep = harness.run_generation(cfg)
+        rows.append((rep.eps, rep.discrepancy))
+    slope, _ = harness.fit_loglog(rows)
+    assert slope >= 0.8, (label, slope, rows)
+    _report(7, "generation law", t0, f"{label}: discrepancy slope={slope:.3f}")
+
+
 def test_criterion_8_amplitude_solver():
     t0 = time.time()
     L, n = 40.0, 128

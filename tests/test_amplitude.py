@@ -431,8 +431,9 @@ def test_strang_step_makes_four_ffts_and_no_phase_on_a_cache_hit(monkeypatch):
 
 
 def test_strang_solution_keeps_only_its_first_steps(monkeypatch):
-    """Stepping far along keeps the states of the first KEEP_STEPS steps
-    and the cursor only; an earlier time comes back from a kept state."""
+    """Stepping far along keeps the states of the first KEEP_STATES steps,
+    read-only, and the cursor only; an earlier time comes back from a
+    kept state."""
     # one count per Strang step: exact under composition, unlike a sum of substeps
     monkeypatch.setattr(amp, "strang_step", lambda sys, f, L, dt: (f[0] + 1, f[1] + 1))
     z = np.zeros(64, complex)
@@ -448,12 +449,14 @@ def test_strang_solution_keeps_only_its_first_steps(monkeypatch):
     assert np.array_equal(b1, z + 3 * 5000)  # three Strang steps per composed step
     assert held < 1e6   # 5,001 kept states would take 10 MB
     assert np.array_equal(sol.fields(2 * sol.dtau)[0], z + 3 * 2)  # a kept step
-    assert len(sol._states) == amp.KEEP_STEPS + 1
+    assert list(sol._states) == [(k, 0.0) for k in range(amp.KEEP_STATES)]
+    assert not any(b.flags.writeable for state in sol._states.values() for b in state)
+    assert z.flags.writeable  # the initial fields are kept as a copy
 
 
 def test_strang_solution_steps_on_from_the_latest_kept_state(monkeypatch):
-    """A kept step comes back without a step; a step past KEEP_STEPS
-    resumes from the last kept state, or from the cursor when that is
+    """A kept step comes back without a step; a step past the kept ones
+    resumes from the last kept step, or from the cursor when that is
     later and not past it."""
     calls = []
     monkeypatch.setattr(amp, "strang_step",
@@ -461,7 +464,7 @@ def test_strang_solution_steps_on_from_the_latest_kept_state(monkeypatch):
     z = np.zeros(16, complex)
     sys = build_macro_system(P0, polarization(P0, ACOUSTIC, 0.3), polarization(P0, OPTICAL, 0.9))
     sol = StrangSolution(sys, (z, z), L, 0.25)
-    K = amp.KEEP_STEPS
+    K = amp.KEEP_STATES  # steps 0 to K - 1 fill the table
 
     def steps(k):
         """Composed steps taken to reach step k; checks the state there."""
@@ -473,12 +476,13 @@ def test_strang_solution_steps_on_from_the_latest_kept_state(monkeypatch):
     assert steps(10) == 10
     assert steps(3) == 0
     assert steps(K + 20) == K + 10    # from kept step 10
-    assert len(sol._states) == K + 1
-    assert steps(K + 5) == 5          # from kept step K: the cursor is past it
+    assert len(sol._states) == K
+    assert steps(K + 5) == 6          # from kept step K - 1: the cursor is past it
     assert steps(K + 30) == 25        # from the cursor at K + 5
-    assert steps(K) == 0
+    assert steps(K - 1) == 0
+    assert steps(K) == 1              # from kept step K - 1
     assert steps(7) == 0
-    assert len(sol._states) == K + 1
+    assert len(sol._states) == K
 
 
 def _counted_strang_step(monkeypatch):
@@ -529,33 +533,41 @@ def test_strang_solution_off_grid_states_are_read_only():
 
 
 def test_strang_solution_keeps_a_bounded_table_of_finite_off_grid_states(monkeypatch):
-    """Past KEEP_OFF_GRID off-grid states a tau is stepped on every call
-    and its state is not kept; a non-finite partial step raises, naming
-    its tau, and is not kept."""
+    """Whole and partial steps share one table of KEEP_STATES states: past
+    it a tau is stepped on every call and its state is not kept.  A
+    non-finite whole or partial step raises, naming its tau, and is not
+    kept; every kept state is finite and read-only."""
     calls = []
 
-    def step(sys, f, L, dt):  # a whole step stays finite, a short one does not
+    def step(sys, f, L, dt):  # short steps and steps past Strang step 18 go non-finite
         calls.append(dt)
-        return f[0] + 1, f[1] + (np.nan if abs(dt) < 0.01 else 1.0)
+        return f[0] + 1, f[1] + (np.nan if abs(dt) < 0.01 or f[0][0].real >= 18 else 1.0)
 
     monkeypatch.setattr(amp, "strang_step", step)
     z = np.zeros(16, complex)
     sol = StrangSolution(_family_system(0.5), (z, z), L, 0.25)
     with pytest.raises(FloatingPointError, match="tau=0.001"):
         sol.fields(0.001)
-    assert sol._off_grid == {}
-    K = amp.KEEP_OFF_GRID
-    taus = [0.55 + 0.15 * i / K for i in range(1, K + 21)]
+    with pytest.raises(FloatingPointError, match="tau=1.75"):  # whole step 7, on the way to 8
+        sol.fields(2.0)
+    assert list(sol._states) == [(k, 0.0) for k in range(7)]  # the finite steps before it
+    K = amp.KEEP_STATES
+    taus = [0.55 + 0.15 * i / K for i in range(1, K + 14)]
     for tau in taus:
         assert np.array_equal(sol.fields(tau)[0], z + 3 * 2 + 3)
-    assert len(sol._off_grid) == K
+    assert len(sol._states) == K  # whole steps 0 to 6 and K - 7 partial ones
+    assert [key for key in sol._states if key[1] == 0.0] == [(k, 0.0) for k in range(7)]
     with pytest.raises(FloatingPointError, match="tau=0.501"):  # past the cap too
         sol.fields(0.501)
+    with pytest.raises(FloatingPointError, match="tau=1.75"):
+        sol.fields(1.75)
     calls.clear()
     for tau in taus:
         sol.fields(tau)
     assert len(calls) == 3 * 20  # the 20 taus past the cap, stepped again
-    assert len(sol._off_grid) == K
+    assert len(sol._states) == K
+    for state in sol._states.values():
+        assert all(np.isfinite(b).all() and not b.flags.writeable for b in state)
 
 
 def test_triple_jump_weights():
@@ -724,11 +736,10 @@ def test_corrector_solve_checks_nonresonance():
         second_order_amplitudes(p, sys, fields, dy, tau_derivative(sys, fields, dy))
 
 
-def test_corrector_matrix_kept_per_params_and_carrier():
-    """A chain with the same carriers but another V2.k1 gets its own
-    vectors chi, whichever chain came first, and each corrector, on a
-    product or a wave carrier, is chi built per call times its fields bit
-    for bit; a near-singular H raises on every build, not only the first."""
+def test_corrector_vectors_per_params_and_carrier():
+    """Each corrector, on a product or a wave carrier, of two chains that
+    differ only in V2.k1, asked in turn, is chi built per call times its
+    fields bit for bit; a near-singular H raises on every call."""
     p = family_nl()
     q = dataclasses.replace(p, V2=dataclasses.replace(p.V2, k1=2.5))
     w1, w2 = polarization(p, ACOUSTIC, 0.3), polarization(p, OPTICAL, 0.9)

@@ -248,9 +248,9 @@ SOURCE_IDS = ["transport", "strang", "strang-at-rest"]
 
 
 def _setup(source, eps=0.05, n_grid=256):
-    cfg = harness.config_from_dict(dict(kind="residual_scaling", eps=[eps], tau0=1.0,
-                                        L_y=40.0, n_grid=n_grid, nu=0.5, a0=[1.0, 0.5],
-                                        **source))
+    cfg = harness.config_from_dict(dict(kind="residual_scaling", eps=[eps, eps / 2, eps / 4],
+                                        tau0=1.0, L_y=40.0, n_grid=n_grid, nu=0.5,
+                                        a0=[1.0, 0.5], **source))
     return harness.setup_run(cfg, eps)
 
 
@@ -272,7 +272,7 @@ def test_theta_snapping_keeps_resonance_exact():
         "kind": "residual_scaling",
         "resonant_family": {"gamma": 2.0, "c": 0.9,
                             "nl": {"w22": 1.0, "w12": 0.4, "v12": 0.3, "v22": 0.2}},
-        "eps": [0.1], "tau0": 0.5, "L_y": 40.0, "n_grid": 64})
+        "eps": [0.1, 0.05, 0.025], "tau0": 0.5, "L_y": 40.0, "n_grid": 64})
     setup = harness.setup_run(cfg, 0.1)
     w1, w2 = setup.spec.macro.waves
     from dichain.spectrum import omega

@@ -53,6 +53,24 @@ def test_config_rejects_bad_eps():
         small_cfg(eps=[0.3, 0.1])
 
 
+@pytest.mark.parametrize("kind,family,fitted", [
+    ("convergence", None, True), ("residual_scaling", None, True),
+    ("ansatz_scaling", None, True), ("generation", None, True),
+    ("generation", FAM, False), ("amplitudes", FAM, False), ("simulate", None, False)])
+def test_config_needs_three_eps_to_fit_an_exponent(kind, family, fitted):
+    """Every kind that fits an exponent over eps refuses fewer than three,
+    naming eps; a kind that runs one eps takes one."""
+    over = dict(kind=kind, out="o.csv", eps=[0.1, 0.0707])
+    if family is not None:
+        over.update(resonant_family=family, params=None, waves=None)
+    if fitted:
+        with pytest.raises(ConfigError, match=r"^eps: .*at least 3"):
+            small_cfg(**over)
+        small_cfg(**dict(over, eps=[0.1, 0.0707, 0.05]))
+    else:
+        small_cfg(**dict(over, eps=[0.1]))
+
+
 def test_config_rejects_bad_params():
     with pytest.raises(ConfigError, match="params.W2"):
         config_from_dict({"kind": "convergence", "eps": [0.1, 0.05, 0.025],
@@ -403,6 +421,8 @@ BAD_KEYS = [
     pytest.param("out", "no_such_dir/conv.csv", id="out-in-missing-dir"),
     pytest.param("out", "", id="out-empty"),
     pytest.param("out", ".", id="out-is-a-directory"),
+    # a fitted sweep needs three eps: refused before the run, not by the fit after it
+    pytest.param("eps", [0.1, 0.0707], id="eps-two-values"),
 ]
 
 
