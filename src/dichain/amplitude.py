@@ -1,9 +1,10 @@
 """Macroscopic amplitude (envelope) machinery.
 
 First-order envelopes ride the carriers on macroscopic variables
-(tau, y) = (eps*t, eps*j).  Away from resonance each envelope is simply
-transported at its group velocity; at an exact acoustic->optical
-resonance the two envelopes couple through quadratic source terms.  Each
+(tau, y) = (eps*t, eps*j).  The regime is one flag, ``MacroSystem.resonant``:
+away from resonance each envelope is simply transported at its group
+velocity; at an exact acoustic->optical resonance the two envelopes
+couple through quadratic source terms.  Each
 coupling is the solvability condition of its wave carrier: the
 quadratic source on that carrier, projected on the wave's polarization,
 one formula for every resonant regime.  Every quadratic source is the
@@ -37,15 +38,8 @@ from typing import Optional
 import numpy as np
 
 from .model import ChainParams, carrier_product_force
-from .resonance import NotResonant, resonant_pair_defect
+from .resonance import is_resonant_pair
 from .spectrum import Wave, dispersion_matrix, group_velocity
-
-NONRESONANT = "NonResonant"
-RESONANT_GENERIC = "ResonantGeneric"
-RESONANT_HALF_PI = "ResonantHalfPi"
-RESONANT_PI = "ResonantPi"
-
-RESONANT_MODES = (RESONANT_GENERIC, RESONANT_HALF_PI, RESONANT_PI)
 
 
 class NearResonance(ValueError):
@@ -124,8 +118,8 @@ def _envelope_products(b1, b2, resonant: bool) -> dict:
 # couplings, projected from the wave-carrier sources
 
 
-def coupling_coefficients(p: ChainParams, w1: Wave, w2: Wave):
-    """The prefactors (k1, k2) of the resonant envelope system
+def _couplings(p: ChainParams, w1: Wave, w2: Wave):
+    """The prefactors (k1, k2) of a resonant pair's envelope system
 
         dB1/dtau - v1 dB1/dy = k1 * conj(B1) * B2
         dB2/dtau - v2 dB2/dy = k2 * B1^2
@@ -136,9 +130,6 @@ def coupling_coefficients(p: ChainParams, w1: Wave, w2: Wave):
     <a, b> = M_w conj(a0) b0 + m_w conj(a1) b1 of ``model.norm_m``.  A
     band-edge wave's r_w is a unit vector, so no regime needs a branch.
     """
-    why = resonant_pair_defect(w1, w2)
-    if why:
-        raise NotResonant(why)
     r1, r2 = w1.amplitude_vector(1 + 0j), w2.amplitude_vector(1 + 0j)
 
     def dot(a, b):
@@ -155,15 +146,11 @@ class MacroSystem:
     """Envelope dynamics descriptor: regime, carriers, group velocities,
     and the coupling prefactors (zero when non-resonant)."""
 
-    mode: str
+    resonant: bool
     waves: tuple
     velocities: tuple
     k1: complex = 0.0
     k2: complex = 0.0
-
-    @property
-    def resonant(self) -> bool:
-        return self.mode in RESONANT_MODES
 
 
 # a group velocity this small is zero: at the band edge theta2 = pi the
@@ -174,15 +161,13 @@ VELOCITY_ZERO = 1e-12
 
 
 def build_macro_system(p: ChainParams, w1: Wave, w2: Wave) -> MacroSystem:
-    """Classify the wave pair and assemble the envelope system."""
+    """Classify the wave pair, the package's one resonance test, and assemble
+    the envelope system: w1 is degenerate at theta1 = +-pi, w2 at theta1 = +-pi/2."""
     vels = tuple(0.0 if abs(v) <= VELOCITY_ZERO else v
                  for v in (float(group_velocity(p, w.branch, w.theta)) for w in (w1, w2)))
-    if resonant_pair_defect(w1, w2):
-        return MacroSystem(NONRESONANT, (w1, w2), vels)
-    # theta1 = +-pi: both waves at rest; theta1 = +-pi/2: w2 at the band edge
-    mode = (RESONANT_PI if w1.degenerate else RESONANT_HALF_PI if w2.degenerate
-            else RESONANT_GENERIC)
-    return MacroSystem(mode, (w1, w2), vels, *coupling_coefficients(p, w1, w2))
+    if not is_resonant_pair(w1, w2):
+        return MacroSystem(False, (w1, w2), vels)
+    return MacroSystem(True, (w1, w2), vels, *_couplings(p, w1, w2))
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +385,11 @@ def make_solution(sys: MacroSystem, fields0, L: float, dtau: float = STRANG_DTAU
 # second-order correctors
 
 
-def corrector_carriers(mode: str, w1: Wave, w2: Wave):
+def corrector_carriers(resonant: bool, w1: Wave, w2: Wave):
     """Product-carrier table: (iota, Omega, Theta, equation weight)."""
     om1, th1 = w1.omega, w1.theta
     om2, th2 = w2.omega, w2.theta
-    if mode == NONRESONANT:
+    if not resonant:
         return [((1, 1), 2 * om1, 2 * th1, 1.0),
                 ((2, 2), 2 * om2, 2 * th2, 1.0),
                 ((1, 2), om1 + om2, th1 + th2, 1.0),
@@ -415,10 +400,10 @@ def corrector_carriers(mode: str, w1: Wave, w2: Wave):
             ((1, -1), 0.0, 0.0, 0.5)]
 
 
-def ansatz_carriers(mode: str, w1: Wave, w2: Wave):
+def ansatz_carriers(resonant: bool, w1: Wave, w2: Wave):
     """All improved-ansatz carriers including the wave carriers themselves."""
     return ([(1, w1.omega, w1.theta, 1.0), (2, w2.omega, w2.theta, 1.0)]
-            + corrector_carriers(mode, w1, w2))
+            + corrector_carriers(resonant, w1, w2))
 
 
 def slow_derivative_vector(p: ChainParams, r, theta: float) -> np.ndarray:
@@ -429,7 +414,7 @@ def slow_derivative_vector(p: ChainParams, r, theta: float) -> np.ndarray:
     return np.array([p.V1.k1 * eit * r[1], -p.V2.k1 * np.conj(eit) * r[0]])
 
 
-def _corrector_vectors(p: ChainParams, mode: str, w1: Wave, w2: Wave):
+def _corrector_vectors(p: ChainParams, resonant: bool, w1: Wave, w2: Wave):
     """(iota, chi) per corrector carrier: the product carriers in
     ``corrector_carriers`` order, each solving weight*H(Omega, Theta) chi +
     kappa = 0 per source vector, then the wave carriers 1 and 2, each
@@ -445,7 +430,7 @@ def _corrector_vectors(p: ChainParams, mode: str, w1: Wave, w2: Wave):
     of H, exact for the sum, which the envelope equations make solvable.
     A nearly singular product H raises NearResonance."""
     kappa, vectors = source_vectors(p, w1, w2), []
-    for iota, om_v, th_v, weight in corrector_carriers(mode, w1, w2):
+    for iota, om_v, th_v, weight in corrector_carriers(resonant, w1, w2):
         H = dispersion_matrix(p, om_v, th_v)
         det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
         if abs(det) < 1e-6 * (1.0 + om_v ** 4):  # the smallest |det H| a corrector divides by
@@ -455,7 +440,7 @@ def _corrector_vectors(p: ChainParams, mode: str, w1: Wave, w2: Wave):
         chi = np.stack([-(H[1, 1] * k1 - H[0, 1] * k2) / det / weight,
                         -(-H[1, 0] * k1 + H[0, 0] * k2) / det / weight], axis=1)
         vectors.append((iota, chi))
-    sources = (-np.conj(kappa[(1, -2)]), -kappa[(1, 1)]) if mode in RESONANT_MODES else ((), ())
+    sources = (-np.conj(kappa[(1, -2)]), -kappa[(1, 1)]) if resonant else ((), ())
     for iota, w, source in zip((1, 2), (w1, w2), sources):
         r = np.asarray(w.amplitude_vector(1 + 0j))
         rhs = np.array([2j * w.omega * r, -slow_derivative_vector(p, r, w.theta), *source])
@@ -488,7 +473,7 @@ def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_field
     products = _envelope_products(b1, b2, macro.resonant)
     sources = ((np.conj(b1) * b2,), products[(1, 1)]) if macro.resonant else ((), ())
     products.update({k + 1: (dtau_fields[k], dy_fields[k]) + sources[k] for k in (0, 1)})
-    vectors = _corrector_vectors(p, macro.mode, *macro.waves)
+    vectors = _corrector_vectors(p, macro.resonant, *macro.waves)
     if out is None:
         out = np.empty((len(vectors), 2) + b1.shape, dtype=complex)
 

@@ -106,7 +106,7 @@ class AnsatzSpec:
         # lattice wavenumber index m mod N of each grid mode m (fftfreq order,
         # Nyquist at m = -n/2); with N < n several modes alias to one index
         self._fold = np.rint(np.fft.fftfreq(self.n) * self.n).astype(int) % self.N
-        self.carriers = ansatz_carriers(self.macro.mode, *self.macro.waves)
+        self.carriers = ansatz_carriers(self.macro.resonant, *self.macro.waves)
 
     @property
     def L(self) -> float:

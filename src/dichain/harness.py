@@ -40,6 +40,12 @@ class NoOutputPath(ConfigError):
 # is the length of one whole step (six force calls)
 LATTICE_ORDER = 4
 
+# size bounds, checked before any compute: a run holds about 1 KB per
+# lattice site and up to 20 KB per envelope grid point (kept envelope
+# states and snapshot stacks), so these keep it within about 300 MB each
+MAX_SITES = 2 ** 18
+MAX_GRID = 2 ** 14
+
 
 def _is_real(x) -> bool:
     # finite: json.load reads NaN and Infinity as floats; huge ints are refused too
@@ -104,8 +110,8 @@ SCHEMA = {
     "a0": ([1.0, 0.5], _reals, "a non-empty list of numbers"),
     "nu": (0.5, _positive, "a positive number"),
     "L_y": (40.0, _positive, "a positive number"),
-    "n_grid": (256, lambda n: _is_int(n) and n >= 16 and n & (n - 1) == 0,
-               "a power of two >= 16"),
+    "n_grid": (256, lambda n: _is_int(n) and 16 <= n <= MAX_GRID and n & (n - 1) == 0,
+               f"a power of two in [16, {MAX_GRID}]"),
     "dt": (0.1, _positive, "a positive number"),
     "n_samples": (50, lambda n: _is_int(n) and n >= 1, "an integer >= 1"),
     # checked here, so that a bad path fails before the run, not after it
@@ -137,6 +143,9 @@ class ExperimentConfig(SimpleNamespace):
             if round(self.L_y / self.eps[0]) < 4:
                 raise ConfigError(f"L_y: L_y/eps gives fewer than 4 lattice sites "
                                   f"at eps={self.eps[0]}")
+            if round(self.L_y / self.eps[-1]) > MAX_SITES:
+                raise ConfigError(f"eps: L_y/eps gives more than {MAX_SITES} lattice sites "
+                                  f"at eps={self.eps[-1]}")
             if self.resonant_family is None:
                 if self.params is None:
                     raise ConfigError("params: chain parameters or resonant_family required")

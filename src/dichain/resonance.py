@@ -6,7 +6,8 @@ between plain transport of the envelope and coupled amplitude dynamics.
 This module measures the acoustic->optical resonance defect, solves the
 explicit one-parameter family for an exact resonance at prescribed
 wavenumber, and verifies numerically that the remaining second- and
-third-order resonances cannot occur.
+third-order resonances cannot occur: the regime of a wave pair is one
+flag, ``is_resonant_pair``, asked only by ``amplitude.build_macro_system``.
 """
 from __future__ import annotations
 
@@ -23,10 +24,6 @@ NL_KEYS = ("v12", "v13", "v22", "v23", "w12", "w13", "w22", "w23")
 
 class DomainError(ValueError):
     """A family-ratio solution failed its dispersion-level verification."""
-
-
-class NotResonant(ValueError):
-    """Raised when a wave pair does not form an exact resonant pair."""
 
 
 def resonance_defect(p: ChainParams, theta):
@@ -148,13 +145,9 @@ def wrap_theta(theta: float) -> float:
     return float(t)
 
 
-def resonant_pair_defect(w1: Wave, w2: Wave) -> str:
-    """Why (w1, w2) is not an acoustic->optical pair with omega2 = 2 omega1
-    and theta2 = 2 theta1 mod 2pi; the empty string when it is one."""
-    if w1.branch != ACOUSTIC or w2.branch != OPTICAL:
-        return "resonant pair must be acoustic (w1) and optical (w2)"
-    if abs(w2.omega - 2.0 * w1.omega) > 1e-10:
-        return f"omega2={w2.omega} is not 2*omega1={2 * w1.omega}"
-    if abs(wrap_theta(w2.theta - 2.0 * w1.theta)) > 1e-10:
-        return f"theta2={w2.theta} is not 2*theta1 mod 2pi"
-    return ""
+def is_resonant_pair(w1: Wave, w2: Wave) -> bool:
+    """Whether (w1, w2) is an acoustic->optical pair with omega2 = 2 omega1
+    and theta2 = 2 theta1 mod 2pi, each to 1e-10."""
+    return (w1.branch == ACOUSTIC and w2.branch == OPTICAL
+            and abs(w2.omega - 2.0 * w1.omega) <= 1e-10
+            and abs(wrap_theta(w2.theta - 2.0 * w1.theta)) <= 1e-10)

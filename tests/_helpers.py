@@ -414,7 +414,7 @@ def coupling_closed_form(p: ChainParams, w1, w2) -> ClosedFormCoupling:
     theta1; theta1 = +-pi/2 (the generated wave sits at the band edge
     theta2 = +-pi); theta1 = +-pi (the generated wave sits at theta2 = 0
     and both group velocities vanish).  An oracle independent of the
-    projection in amplitude.coupling_coefficients."""
+    projection in amplitude.build_macro_system."""
     v12, v22 = p.V1.k2, p.V2.k2
     w12, w22 = p.W1.k2, p.W2.k2
     om1, om2 = w1.omega, w2.omega

@@ -106,8 +106,10 @@ def test_criterion_3_impossibility_scans():
 
 
 def test_criterion_4_microsim():
+    """The lattice scheme every experiment runs, harness.LATTICE_ORDER."""
     t0 = time.time()
-    # (a) second-order convergence on the linear analytic solution
+    order = harness.LATTICE_ORDER
+    # (a) fourth-order convergence on the linear analytic solution
     N, k, a = 64, 5, 0.01
     th = 2 * np.pi * k / N
     w = polarization(P0, ACOUSTIC, th)
@@ -120,22 +122,22 @@ def test_criterion_4_microsim():
         return LatticeState(pos, vel, t)
 
     errs = []
-    for dt in (0.02, 0.01):
-        s = integrate(P0, plane(0.0), SimConfig(dt=dt, T=10.0, order=2))
+    for dt in (0.04, 0.02):
+        s = integrate(P0, plane(0.0), SimConfig(dt=dt, T=10.0, order=order))
         errs.append(np.abs(s.pos - plane(s.t).pos).max())
     ratio = errs[0] / errs[1]
-    assert 3.6 <= ratio <= 4.4
+    assert 14.0 <= ratio <= 18.0
 
-    # (b) no secular energy drift over T=500 at dt=0.02 (the symplectic
-    # scheme keeps a bounded shadow-energy oscillation; the conserved
-    # signal is the absence of any trend)
+    # (b) no secular energy drift over T=500 at the default dt = 0.1 (the
+    # symplectic scheme keeps a bounded shadow-energy oscillation; the
+    # conserved signal is the absence of any trend)
     p = model.make_params(v1=(1.0, 0.15, 0.0), v2=(2.0, 0.30, 0.0),
                           w1=(1.0, 0.25, 0.1), w2=(1.0, 0.2, 0.0))
     rng = np.random.RandomState(7)
     s0 = LatticeState(0.05 * rng.randn(N, 2), 0.05 * rng.randn(N, 2))
     h0 = hamiltonian_energy(s0, p)
     vals = []
-    integrate(p, s0, SimConfig(dt=0.02, T=500.0, stride=25, order=2),
+    integrate(p, s0, SimConfig(dt=0.1, T=500.0, stride=5, order=order),
               lambda t, st: vals.append(hamiltonian_energy(st, p)))
     vals = np.array(vals)
     half = len(vals) // 2
@@ -144,8 +146,8 @@ def test_criterion_4_microsim():
 
     # (c) time-reversal recovery
     s0 = LatticeState(0.02 * rng.randn(N, 2), 0.02 * rng.randn(N, 2))
-    sf = integrate(P0, s0, SimConfig(dt=0.02, T=50.0, order=2))
-    sb = integrate(P0, LatticeState(sf.pos, -sf.vel), SimConfig(dt=0.02, T=50.0, order=2))
+    sf = integrate(P0, s0, SimConfig(dt=0.1, T=50.0, order=order))
+    sb = integrate(P0, LatticeState(sf.pos, -sf.vel), SimConfig(dt=0.1, T=50.0, order=order))
     rev = max(np.abs(sb.pos - s0.pos).max(), np.abs(sb.vel + s0.vel).max())
     assert rev <= 1e-8
     assert time.time() - t0 < 30.0

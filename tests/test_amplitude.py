@@ -11,14 +11,12 @@ from _helpers import (coupling_closed_form, coupling_prefactors, det_h, envelope
                       strang_states)
 from dichain import amplitude as amp
 from dichain import model
-from dichain.amplitude import (NONRESONANT, RESONANT_GENERIC, RESONANT_HALF_PI,
-                               RESONANT_PI, NearResonance,
-                               ODEReferenceSolution, StrangSolution, build_macro_system,
-                               corrector_carriers, coupling_coefficients,
+from dichain.amplitude import (NearResonance, ODEReferenceSolution, StrangSolution,
+                               build_macro_system, corrector_carriers,
                                second_order_amplitudes, sech_envelope, source_vectors,
                                spectral_derivative, tau_derivative)
 from dichain.model import carrier_product_force
-from dichain.resonance import NotResonant, family_params, solve_family_ratio, wrap_theta
+from dichain.resonance import family_params, solve_family_ratio, wrap_theta
 from dichain.spectrum import (ACOUSTIC, OPTICAL, dispersion_matrix, group_velocity,
                               polarization)
 
@@ -35,6 +33,23 @@ def resonant_pair(p, theta1):
     w1 = polarization(p, ACOUSTIC, theta1)
     w2 = polarization(p, OPTICAL, wrap_theta(2 * theta1))
     return w1, w2
+
+
+def couplings(p, w1, w2):
+    """(k1, k2) of a resonant pair, as build_macro_system projects them."""
+    sys = build_macro_system(p, w1, w2)
+    assert sys.resonant
+    return sys.k1, sys.k2
+
+
+def regime_of(sys):
+    """The regime a MacroSystem's flag and its waves' degenerate flags
+    name: "pi" when w1 sits at theta1 = +-pi, "half-pi" when w2 sits at
+    the band edge (theta1 = +-pi/2), else "generic" or "nonresonant"."""
+    w1, w2 = sys.waves
+    if not sys.resonant:
+        return "nonresonant"
+    return "pi" if w1.degenerate else "half-pi" if w2.degenerate else "generic"
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +165,19 @@ def test_coupling_pi_case():
     p = model.make_params(v1=(1.0, 0.3, 0.0), v2=(7.0, 0.2, 0.0),
                           w1=(r, 0.4, 0.0), w2=(r, 1.0, 0.0))
     w1, w2 = resonant_pair(p, np.pi)
-    k1, k2 = coupling_coefficients(p, w1, w2)
+    k1, k2 = couplings(p, w1, w2)
     P1, P2 = coupling_prefactors(p, w1, w2)
     assert abs(k1 / P1 - (-0.4)) < 1e-12
     assert abs(k2 / P2 - (-0.4)) < 1e-12
     sys = build_macro_system(p, w1, w2)
-    assert sys.mode == RESONANT_PI
+    assert regime_of(sys) == "pi"
     assert max(abs(v) for v in sys.velocities) < 1e-12
 
 
 def test_coupling_family_theta0():
     p = family_nl(w12=0.4, w22=1.0)
     w1, w2 = resonant_pair(p, 0.0)
-    k1, k2 = coupling_coefficients(p, w1, w2)
+    k1, k2 = couplings(p, w1, w2)
     P1, P2 = coupling_prefactors(p, w1, w2)
     assert abs(coupling_closed_form(p, w1, w2).d - 1.0) < 1e-12
     assert abs(k1 / P1 - (1.0 * 1.0 - 0.4)) < 1e-12
@@ -176,8 +191,8 @@ def test_coupling_half_pi_hand_value():
     #   k2 = (w22 (3 - sqrt5) - 2i v22 (2 - sqrt5)) / (4 omega1)
     p = family_nl(b=solve_family_ratio(2.0, 0.5), v12=0.3, v22=0.2, w22=1.0)
     w1, w2 = resonant_pair(p, np.pi / 2)
-    assert build_macro_system(p, w1, w2).mode == RESONANT_HALF_PI
-    k1, k2 = coupling_coefficients(p, w1, w2)
+    assert regime_of(build_macro_system(p, w1, w2)) == "half-pi"
+    k1, k2 = couplings(p, w1, w2)
     P1, _ = coupling_prefactors(p, w1, w2)
     s5 = np.sqrt(5.0)
     assert abs(w1.omega ** 2 - p.c1 - (1.0 - s5)) < 1e-12
@@ -195,7 +210,7 @@ def test_coupling_generic_matches_independent_evaluation():
                           w1=(r, 0.23, 0.0), w2=(r, 0.41, 0.0))
     th1 = float(np.arccos(2 * c - 1.0))
     w1, w2 = resonant_pair(p, th1)
-    k1, k2 = coupling_coefficients(p, w1, w2)
+    k1, k2 = couplings(p, w1, w2)
     assert np.isfinite(k1) and np.isfinite(k2)
     assert abs(k1) > 0 and abs(k2) > 0
 
@@ -230,12 +245,12 @@ def test_coupling_projection_matches_closed_forms():
                 p = family_nl(gamma, r, v12, v22, w12, w22)
                 for sign in (1.0, -1.0):
                     w1, w2 = resonant_pair(p, sign * th1)
-                    modes[build_macro_system(p, w1, w2).mode] += 1
-                    k1, k2 = coupling_coefficients(p, w1, w2)
+                    modes[regime_of(build_macro_system(p, w1, w2))] += 1
+                    k1, k2 = couplings(p, w1, w2)
                     cf = coupling_closed_form(p, w1, w2)
                     assert abs(k1 - cf.k1) <= 1e-12 * abs(cf.k1), (gamma, c, sign)
                     assert abs(k2 - cf.k2) <= 1e-12 * abs(cf.k2), (gamma, c, sign)
-    assert modes == {RESONANT_GENERIC: 72, RESONANT_HALF_PI: 20, RESONANT_PI: 8}
+    assert modes == {"generic": 72, "half-pi": 20, "pi": 8}
 
 
 def test_macro_system_modes():
@@ -243,17 +258,17 @@ def test_macro_system_modes():
     w1 = polarization(p, ACOUSTIC, 0.3)
     w2 = polarization(p, OPTICAL, 0.9)
     sys = build_macro_system(p, w1, w2)
-    assert sys.mode == NONRESONANT and sys.k1 == 0.0 and sys.k2 == 0.0
+    assert not sys.resonant and sys.k1 == 0.0 and sys.k2 == 0.0
 
     w1r, w2r = resonant_pair(p, 0.0)
     sysr = build_macro_system(p, w1r, w2r)
-    assert sysr.mode == RESONANT_GENERIC
+    assert regime_of(sysr) == "generic"
     assert abs(w2r.omega - 2 * w1r.omega) < 1e-10
 
     rh = solve_family_ratio(2.0, 0.5)
     ph = family_nl(b=rh)
     sysh = build_macro_system(ph, *resonant_pair(ph, np.pi / 2))
-    assert sysh.mode == RESONANT_HALF_PI
+    assert regime_of(sysh) == "half-pi"
     # the band-edge optical velocity (-5.9e-17 in floating point) is zero
     assert sysh.velocities[0] > 0.1 and sysh.velocities[1] == 0.0
 
@@ -629,15 +644,14 @@ def _smooth_fields(rng, n=NG):
     return (f1.astype(complex), f2.astype(complex))
 
 
-@pytest.mark.parametrize("mode", [NONRESONANT, RESONANT_GENERIC])
-def test_envelope_products_are_those_the_correctors_read(mode):
+@pytest.mark.parametrize("resonant", [False, True], ids=["NonResonant", "ResonantGeneric"])
+def test_envelope_products_are_those_the_correctors_read(resonant):
     """Each regime builds the products of its product carriers, and when
     resonant B1^2, w2's source, only: no resonant corrector reads
     B1 conj(B2)."""
     w1, w2 = polarization(P0, ACOUSTIC, 0.3), polarization(P0, OPTICAL, 0.9)
     b = np.ones(4, complex)
-    resonant = mode != NONRESONANT
-    read = {c[0] for c in corrector_carriers(mode, w1, w2)} | ({(1, 1)} if resonant else set())
+    read = {c[0] for c in corrector_carriers(resonant, w1, w2)} | ({(1, 1)} if resonant else set())
     assert set(amp._envelope_products(b, b, resonant)) == read
 
 
@@ -664,7 +678,7 @@ def test_second_order_defect():
     s = second_order_amplitudes(p, sys, fields, dy, tau_derivative(sys, fields, dy))
     a1 = w1.amplitude_vector(fields[0])
     a2 = w2.amplitude_vector(fields[1])
-    for iota, om_v, th_v, weight in corrector_carriers(NONRESONANT, w1, w2):
+    for iota, om_v, th_v, weight in corrector_carriers(False, w1, w2):
         K = hand_expanded_K(iota, a1, a2, p, w1.theta, w2.theta)
         if iota == (1, -1):
             K = tuple(k.real for k in K)
@@ -696,7 +710,7 @@ def test_second_order_gauge_and_pi_formula():
 def test_second_order_near_resonance_raises():
     p = family_nl()
     w1, w2 = resonant_pair(p, 0.0)
-    sys_bad = amp.MacroSystem(NONRESONANT, (w1, w2), (0.0, 0.0))
+    sys_bad = amp.MacroSystem(False, (w1, w2), (0.0, 0.0))
     rng = np.random.RandomState(6)
     fields = _smooth_fields(rng)
     dy = tuple(spectral_derivative(f, L) for f in fields)
@@ -711,7 +725,7 @@ def test_corrector_solve_checks_nonresonance():
     p = family_params(2.0, 2.0)
     w1, w2 = resonant_pair(p, 0.0)
     rows = {iota: (om, th) for iota, om, th, _ in
-            corrector_carriers(build_macro_system(p, w1, w2).mode, w1, w2)}
+            corrector_carriers(build_macro_system(p, w1, w2).resonant, w1, w2)}
     for k, iota in ((3, (1, 2)), (4, (2, 2))):
         assert abs(rows[iota][0] - k * w1.omega) < 1e-10
         assert abs(wrap_theta(rows[iota][1] - k * w1.theta)) < 1e-10
@@ -729,9 +743,7 @@ def test_corrector_solve_checks_nonresonance():
     (root,) = find_acoustic_optical_resonance(p)
     w1 = polarization(p, ACOUSTIC, root)
     sys = build_macro_system(p, w1, w2)
-    assert sys.mode == NONRESONANT
-    with pytest.raises(NotResonant):
-        coupling_coefficients(p, w1, w2)
+    assert not sys.resonant and sys.k1 == 0.0 and sys.k2 == 0.0
     with pytest.raises(NearResonance, match=r"det H\(2\.366, 2\.229\)"):
         second_order_amplitudes(p, sys, fields, dy, tau_derivative(sys, fields, dy))
 
@@ -749,14 +761,14 @@ def test_corrector_vectors_per_params_and_carrier():
     dtau = tau_derivative(sys, fields, dy)
     for chain in (p, q, p, q):
         s = second_order_amplitudes(chain, sys, fields, dy, dtau)
-        for iota, om_v, th_v, weight in corrector_carriers(sys.mode, w1, w2):
+        for iota, om_v, th_v, weight in corrector_carriers(sys.resonant, w1, w2):
             assert np.array_equal(s[iota], per_call_corrector(chain, (w1, w2), iota, om_v,
                                                               th_v, weight, fields))
         for k in (1, 2):
             assert np.array_equal(s[k], per_call_wave_corrector(chain, sys, k, fields, dy, dtau))
 
     w1, w2 = resonant_pair(p, 0.0)
-    sys_bad = amp.MacroSystem(NONRESONANT, (w1, w2), (0.0, 0.0))
+    sys_bad = amp.MacroSystem(False, (w1, w2), (0.0, 0.0))
     dtau = tau_derivative(sys_bad, fields, dy)
     for _ in range(2):
         with pytest.raises(NearResonance, match="below tolerance"):
@@ -803,7 +815,7 @@ def test_resonant_corrector_row_defects():
     modes = []
     for p, w1, w2 in cases:
         sys = build_macro_system(p, w1, w2)
-        modes.append(sys.mode)
+        modes.append(regime_of(sys))
         rng = np.random.RandomState(8)
         fields = _smooth_fields(rng)
         dy = tuple(spectral_derivative(f, L) for f in fields)
@@ -824,12 +836,11 @@ def test_resonant_corrector_row_defects():
             H = dispersion_matrix(p, wv.omega, wv.theta)
             A = s[idx]
             gauge = 1 if wv.degenerate and wv.branch == OPTICAL else 0
-            assert np.all(A[gauge] == 0.0), (sys.mode, idx)
+            assert np.all(A[gauge] == 0.0), (regime_of(sys), idx)
             for i in (0, 1):
                 defect = D[i] + H[i, 0] * A[0] + H[i, 1] * A[1] + kx[idx][i]
-                assert np.abs(defect).max() < 1e-9, (sys.mode, idx, i)
-    assert modes == [NONRESONANT, NONRESONANT, RESONANT_GENERIC, RESONANT_HALF_PI,
-                     RESONANT_PI]
+                assert np.abs(defect).max() < 1e-9, (regime_of(sys), idx, i)
+    assert modes == ["nonresonant", "nonresonant", "generic", "half-pi", "pi"]
 
 
 def test_slow_derivative_vector_is_the_lattice_ramp():

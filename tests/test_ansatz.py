@@ -394,7 +394,7 @@ def _reference_sums(spec, fields, t):
     waves = spec.macro.waves
     b_grid = [np.asarray(f, dtype=complex) for f in fields]
     cor = {iota: per_call_corrector(spec.p, waves, iota, om_v, th_v, weight, b_grid)
-           for iota, om_v, th_v, weight in amp.corrector_carriers(spec.macro.mode, *waves)}
+           for iota, om_v, th_v, weight in amp.corrector_carriers(spec.macro.resonant, *waves)}
     for k in (1, 2):
         cor[k] = per_call_wave_corrector(spec.p, spec.macro, k, b_grid, ref["dy_grid"],
                                          ref["dtau_grid"])
@@ -406,7 +406,7 @@ def _reference_sums(spec, fields, t):
 
     def second(time_derivative):
         terms = []
-        for iota, om_v, th_v, weight in amp.ansatz_carriers(spec.macro.mode, *waves):
+        for iota, om_v, th_v, weight in amp.ansatz_carriers(spec.macro.resonant, *waves):
             c = weight * (1j * om_v if time_derivative else 1.0)
             if c != 0.0:
                 terms.append((om_v, th_v, c * cor_lat[iota]))

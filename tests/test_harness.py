@@ -298,6 +298,46 @@ def test_cli_runs_every_command_without_scipy(tmp_path):
     assert run.stdout.strip().splitlines()[-1] == str([0] * len(commands)), run.stdout + run.stderr
 
 
+# what perfbench/kernels.py calls, in the shapes it calls them, under
+# perfbench/tracing.py's wrappers: every name the benchmark looks up
+BENCH_CALLS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+tracer = tracing.Tracer()
+tracer.install()
+from dichain import amplitude, ansatz, harness, microsim
+cfg = harness.config_from_dict(dict(kind="residual_scaling", n_grid=16, tau0=0.1,
+                                    resonant_family={"gamma": 2.0, "c": 0.5}))
+s = harness.setup_run(cfg, 0.1)
+p, spec = s.p, s.spec
+microsim.force(p, ansatz.initial_state(spec).pos)
+fields = spec.solution.fields(0.06)
+spec.interp(fields[0])
+ansatz.sample_first_order(spec, 0.5 / spec.eps)
+ansatz.residual_norm(p, spec, 0.5 / spec.eps, h0=0.01)
+amplitude.strang_step(spec.macro, fields, spec.L, 1e-3)
+print(json.dumps([sorted({span[0] for span in tracer.spans}), tracer.counts]))
+"""
+
+
+def test_benchmark_finds_the_names_it_traces_and_times():
+    """In a fresh interpreter, perfbench's tracer installs on dichain and
+    the calls of its kernel timings run in their shapes: residual_norm
+    with h0, strang_step(macro, fields, L, dt), setup_run's .p and .spec.
+    A rename in src/ fails here, not only in the traced benchmark run."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", BENCH_CALLS, str(ROOT / "perfbench")],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    names, counts = json.loads(run.stdout.strip().splitlines()[-1])
+    assert {"harness.setup_run", "model.force", "amplitude.make_solution", "amplitude.fields",
+            "ansatz.interp", "ansatz.sample", "ansatz.residual_norm",
+            "amplitude.strang_step"} <= set(names)
+    # residual_norm at tau = 0.5 reaches whole steps 1 to 20 of 0.025
+    assert counts["amplitude.strang.checkpoints"] == 20
+
+
 def test_cli_malformed_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "convergence", "epz": [0.1]}')
@@ -423,6 +463,9 @@ BAD_KEYS = [
     pytest.param("out", ".", id="out-is-a-directory"),
     # a fitted sweep needs three eps: refused before the run, not by the fit after it
     pytest.param("eps", [0.1, 0.0707], id="eps-two-values"),
+    # too large to allocate: refused before the run, not by numpy in it
+    pytest.param("eps", [1e-8, 5e-9, 2.5e-9], id="eps-too-many-sites"),
+    pytest.param("n_grid", 2 ** 40, id="n_grid-too-large"),
 ]
 
 
@@ -444,6 +487,35 @@ def test_cli_rejects_bad_integration_keys(tmp_path, capsys, monkeypatch, key, va
 
 def _no_compute(*args, **kw):
     raise AssertionError("a malformed config reached the computation")
+
+
+def test_size_bounds_admit_their_limit_and_refuse_past_it():
+    """MAX_SITES lattice sites at the smallest eps and an n_grid of MAX_GRID
+    pass; one site more, or the next power of two, fail naming the key."""
+    doc = dict(kind="convergence", resonant_family=FAM, L_y=40.0)
+    eps = [0.1, 0.05, 40.0 / harness.MAX_SITES]
+    config_from_dict(dict(doc, eps=eps, n_grid=harness.MAX_GRID))
+    with pytest.raises(ConfigError, match="^eps: .* more than 262144 lattice sites"):
+        config_from_dict(dict(doc, eps=eps[:2] + [40.0 / (harness.MAX_SITES + 1)]))
+    with pytest.raises(ConfigError, match="^n_grid: "):
+        config_from_dict(dict(doc, n_grid=2 * harness.MAX_GRID))
+
+
+def test_cli_reports_memory_error_in_one_line(tmp_path, capsys, monkeypatch):
+    """An allocation that fails in a run, past validation, exits 1 with
+    one error line and no traceback."""
+    def allocate(*args, **kw):
+        raise MemoryError("Unable to allocate 238. GiB for an array with shape (4, 4000000000)")
+
+    monkeypatch.setattr(harness, "setup_run", allocate)
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(dict(kind="convergence", resonant_family=FAM,
+                                    eps=[0.1, 0.0707, 0.05])))
+    rc = cli.main(["validate", "--config", str(cfgf)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: out of memory: Unable to allocate 238. GiB")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_rejection_tests_cover_every_schema_key():
