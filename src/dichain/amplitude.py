@@ -385,25 +385,18 @@ def make_solution(sys: MacroSystem, fields0, L: float, dtau: float = STRANG_DTAU
 # second-order correctors
 
 
-def corrector_carriers(resonant: bool, w1: Wave, w2: Wave):
-    """Product-carrier table: (iota, Omega, Theta, equation weight)."""
-    om1, th1 = w1.omega, w1.theta
-    om2, th2 = w2.omega, w2.theta
-    if not resonant:
-        return [((1, 1), 2 * om1, 2 * th1, 1.0),
-                ((2, 2), 2 * om2, 2 * th2, 1.0),
-                ((1, 2), om1 + om2, th1 + th2, 1.0),
-                ((1, -2), om1 - om2, th1 - th2, 1.0),
-                ((1, -1), 0.0, 0.0, 0.5)]
-    return [((1, 2), om1 + om2, th1 + th2, 1.0),
-            ((2, 2), 2 * om2, 2 * th2, 1.0),
-            ((1, -1), 0.0, 0.0, 0.5)]
-
-
-def ansatz_carriers(resonant: bool, w1: Wave, w2: Wave):
-    """All improved-ansatz carriers including the wave carriers themselves."""
-    return ([(1, w1.omega, w1.theta, 1.0), (2, w2.omega, w2.theta, 1.0)]
-            + corrector_carriers(resonant, w1, w2))
+def carriers(resonant: bool, w1: Wave, w2: Wave):
+    """The improved ansatz's carrier table, (iota, Omega, Theta) per
+    carrier: the wave carriers 1 and 2, then the product carriers.  Each
+    carrier's amplitude A enters as 2 Re(A e^{i(Omega t + Theta j)}), the
+    mean carrier (1, -1) too."""
+    om1, th1, om2, th2 = w1.omega, w1.theta, w2.omega, w2.theta
+    if resonant:
+        products = [((1, 2), om1 + om2, th1 + th2), ((2, 2), 2 * om2, 2 * th2)]
+    else:
+        products = [((1, 1), 2 * om1, 2 * th1), ((2, 2), 2 * om2, 2 * th2),
+                    ((1, 2), om1 + om2, th1 + th2), ((1, -2), om1 - om2, th1 - th2)]
+    return [(1, om1, th1), (2, om2, th2), *products, ((1, -1), 0.0, 0.0)]
 
 
 def slow_derivative_vector(p: ChainParams, r, theta: float) -> np.ndarray:
@@ -415,31 +408,21 @@ def slow_derivative_vector(p: ChainParams, r, theta: float) -> np.ndarray:
 
 
 def _corrector_vectors(p: ChainParams, resonant: bool, w1: Wave, w2: Wave):
-    """(iota, chi) per corrector carrier: the product carriers in
-    ``corrector_carriers`` order, each solving weight*H(Omega, Theta) chi +
-    kappa = 0 per source vector, then the wave carriers 1 and 2, each
-    solving the order-eps^2 bracket
+    """(iota, chi) per carrier of ``carriers``, in its order: the wave
+    carriers 1 and 2, each solving the order-eps^2 bracket
 
         H(omega, theta) A2 = 2i omega r dB/dtau - D r dB/dy - S P
 
     with one chi per field dB/dtau, dB/dy and, when resonant, P: conj(B1) B2
     with S = conj(kappa_(1,-2)) on w1, B1^2 with S = kappa_(1,1) on w2 (r
-    the polarization, D r the ``slow_derivative_vector``).  Gauge: the
-    component r is normalized by (r1 = 1 at the optical band edge, else
-    r0 = 1) is zero; the other is the least-squares solution on its column
-    of H, exact for the sum, which the envelope equations make solvable.
-    A nearly singular product H raises NearResonance."""
+    the polarization, D r the ``slow_derivative_vector``), then the product
+    carriers, each solving H(Omega, Theta) chi + kappa = 0 per source
+    vector.  Gauge: the component r is normalized by (r1 = 1 at the optical
+    band edge, else r0 = 1) is zero; the other is the least-squares
+    solution on its column of H, exact for the sum, which the envelope
+    equations make solvable.  A nearly singular product H raises
+    NearResonance."""
     kappa, vectors = source_vectors(p, w1, w2), []
-    for iota, om_v, th_v, weight in corrector_carriers(resonant, w1, w2):
-        H = dispersion_matrix(p, om_v, th_v)
-        det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
-        if abs(det) < 1e-6 * (1.0 + om_v ** 4):  # the smallest |det H| a corrector divides by
-            raise NearResonance(
-                f"|det H({om_v:.4g}, {th_v:.4g})| = {abs(det):.3e} below tolerance")
-        k1, k2 = kappa[iota].T  # the 2x2 inverse by hand: no LAPACK call and its buffers
-        chi = np.stack([-(H[1, 1] * k1 - H[0, 1] * k2) / det / weight,
-                        -(-H[1, 0] * k1 + H[0, 0] * k2) / det / weight], axis=1)
-        vectors.append((iota, chi))
     sources = (-np.conj(kappa[(1, -2)]), -kappa[(1, 1)]) if resonant else ((), ())
     for iota, w, source in zip((1, 2), (w1, w2), sources):
         r = np.asarray(w.amplitude_vector(1 + 0j))
@@ -448,6 +431,16 @@ def _corrector_vectors(p: ChainParams, resonant: bool, w1: Wave, w2: Wave):
         col = dispersion_matrix(p, w.omega, w.theta)[:, solved]
         chi = np.zeros_like(rhs)
         chi[:, solved] = (rhs * np.conj(col)).sum(axis=1) / (abs(col) ** 2).sum()
+        vectors.append((iota, chi))
+    for iota, om_v, th_v in carriers(resonant, w1, w2)[2:]:
+        H = dispersion_matrix(p, om_v, th_v)
+        det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
+        if abs(det) < 1e-6 * (1.0 + om_v ** 4):  # the smallest |det H| a corrector divides by
+            raise NearResonance(
+                f"|det H({om_v:.4g}, {th_v:.4g})| = {abs(det):.3e} below tolerance")
+        k1, k2 = kappa[iota].T  # the 2x2 inverse by hand: no LAPACK call and its buffers
+        chi = np.stack([-(H[1, 1] * k1 - H[0, 1] * k2) / det,
+                        -(-H[1, 0] * k1 + H[0, 0] * k2) / det], axis=1)
         vectors.append((iota, chi))
     return vectors
 
@@ -463,11 +456,10 @@ def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_field
     differencing.  Each envelope is one grid (n,) or a stack of m, (m, n):
     every step acts element by element, so a stack gets a single grid's
     bits.  Each corrector is its vectors chi (``_corrector_vectors``) times
-    its fields: a product carrier's envelope products; a wave carrier's
-    dB/dtau, dB/dy and, when resonant, its source product.  They are the
-    rows of one (K, 2, ...) stack, ``out`` when given, in the order of the
-    returned keys: the product carriers of ``corrector_carriers``, then the
-    two wave carriers.
+    its fields: a wave carrier's dB/dtau, dB/dy and, when resonant, its
+    source product; a product carrier's envelope products.  They are the
+    rows of one (K, 2, ...) stack, ``out`` when given, row k the corrector
+    of carrier k of ``carriers``, as are the returned keys.
     """
     b1, b2 = (np.asarray(f, dtype=complex) for f in fields)
     products = _envelope_products(b1, b2, macro.resonant)

@@ -1,9 +1,11 @@
 """Microscopic sampling of the two-scale approximations.
 
-Builds lattice positions/velocities from envelope fields (first-order
-and improved), produces consistent initial data for the full
-simulation, and measures the equation defect of the improved ansatz
-numerically.
+Builds lattice positions/velocities from envelope fields, produces
+consistent initial data for the full simulation, and measures the
+equation defect of the improved ansatz numerically.  The improved
+approximation is the leading one plus the corrector sum, one carrier sum
+over the table ``amplitude.carriers`` (the spec's ``carriers``) and the
+corrector rows in its order.
 
 Each constant is computed once.  The envelope states of several times
 make one (2, m, n) snapshot stack: its spectral derivative,
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import amplitude as amp
-from .amplitude import MacroSystem, ansatz_carriers, second_order_amplitudes, tau_derivative
+from .amplitude import MacroSystem, carriers, second_order_amplitudes, tau_derivative
 from .model import ChainParams, LatticeState, force, norm_m
 
 
@@ -50,7 +52,7 @@ class _Snapshot:
         self.b_grid = np.stack(states, axis=1).astype(complex, copy=False)
         self.dy_grid = amp.spectral_derivative(self.b_grid, spec.L)
         self.dtau_grid = np.asarray(tau_derivative(spec.macro, self.b_grid, self.dy_grid))
-        self.a2_grid = self.a2_keys = self.i = None
+        self.a2_grid = self.i = None
         self.select(spec, 0)
 
     def select(self, spec: "AnsatzSpec", i: int) -> "_Snapshot":
@@ -61,16 +63,17 @@ class _Snapshot:
         return self
 
 
-def _correctors(spec: "AnsatzSpec", snap: _Snapshot) -> dict:
-    """The selected sample's second-order correctors on the lattice, by
-    one interpolation of its rows of the snapshot's corrector stack; the
-    stack is built on first use, for every sample at once."""
+def _correctors(spec: "AnsatzSpec", snap: _Snapshot) -> np.ndarray:
+    """The selected sample's second-order correctors on the lattice, (K, 2,
+    N), row k that of carrier k of ``spec.carriers``: one interpolation of
+    its rows of the snapshot's corrector stack, which is built on first
+    use, for every sample at once."""
     if snap.a2_lat is None:
         if snap.a2_grid is None:
             snap.a2_grid = np.empty((len(spec.carriers),) + snap.b_grid.shape, dtype=complex)
-            snap.a2_keys = list(second_order_amplitudes(
-                spec.p, spec.macro, snap.b_grid, snap.dy_grid, snap.dtau_grid, out=snap.a2_grid))
-        snap.a2_lat = dict(zip(snap.a2_keys, spec.interp(snap.a2_grid[:, :, snap.i])))
+            second_order_amplitudes(spec.p, spec.macro, snap.b_grid, snap.dy_grid,
+                                    snap.dtau_grid, out=snap.a2_grid)
+        snap.a2_lat = spec.interp(snap.a2_grid[:, :, snap.i])
     return snap.a2_lat
 
 
@@ -106,7 +109,7 @@ class AnsatzSpec:
         # lattice wavenumber index m mod N of each grid mode m (fftfreq order,
         # Nyquist at m = -n/2); with N < n several modes alias to one index
         self._fold = np.rint(np.fft.fftfreq(self.n) * self.n).astype(int) % self.N
-        self.carriers = ansatz_carriers(self.macro.resonant, *self.macro.waves)
+        self.carriers = carriers(self.macro.resonant, *self.macro.waves)
 
     @property
     def L(self) -> float:
@@ -188,47 +191,30 @@ def first_order_velocity(spec: AnsatzSpec, t: float) -> np.ndarray:
 
 
 def _second_order_sum(spec: AnsatzSpec, snap: _Snapshot, t: float, time_derivative: bool):
-    a2_lat = _correctors(spec, snap)
     terms = []
-    for iota, om_v, th_v, weight in spec.carriers:
-        c = weight * (1j * om_v if time_derivative else 1.0)
+    for (_, om_v, th_v), a2 in zip(spec.carriers, _correctors(spec, snap)):
+        c = 1j * om_v if time_derivative else 1.0
         if c != 0.0:
-            terms.append((om_v, th_v, c * a2_lat[iota]))
+            terms.append((om_v, th_v, c * a2))
     return _carrier_sum(spec, terms, t, spec.eps ** 2)
-
-
-def _sample_improved_snap(spec: AnsatzSpec, snap: _Snapshot, t: float) -> np.ndarray:
-    return _first_order_sum(spec, snap.b_lat, t) + _second_order_sum(spec, snap, t, False)
-
-
-def sample_improved(spec: AnsatzSpec, t: float) -> np.ndarray:
-    """Positions of the improved approximation (with eps^2 correctors)."""
-    snap = spec.at_tau(spec.eps * t)
-    return _sample_improved_snap(spec, snap, t)
 
 
 def corrector_sum(spec: AnsatzSpec, t: float, time_derivative: bool = False) -> np.ndarray:
     """The eps^2 corrector term of the improved approximation at lattice
-    time t, or with ``time_derivative`` its velocity term: adding it to
-    sample_first_order (first_order_velocity) gives sample_improved
-    (improved_velocity) bit for bit."""
+    time t, or with ``time_derivative`` its velocity term: the improved
+    positions (velocities) are sample_first_order (first_order_velocity)
+    plus this.  The velocity term drops the eps^3 term of the correctors'
+    tau-dependence, below the eps^{3/2} initial-error budget."""
     return _second_order_sum(spec, spec.at_tau(spec.eps * t), t, time_derivative)
 
 
-def improved_velocity(spec: AnsatzSpec, t: float) -> np.ndarray:
-    """Time derivative of the improved approximation.
-
-    The eps^3 term from the tau-dependence of the correctors is dropped;
-    it sits below the eps^{3/2} initial-error budget.
-    """
-    return first_order_velocity(spec, t) + corrector_sum(spec, t, True)
-
-
 def initial_state(spec: AnsatzSpec, improved: bool = True) -> LatticeState:
-    """Consistent initial data for the microscopic simulation."""
+    """Consistent initial data for the microscopic simulation: the leading
+    approximation, plus the correctors when ``improved``."""
+    pos, vel = sample_first_order(spec, 0.0), first_order_velocity(spec, 0.0)
     if improved:
-        return LatticeState(sample_improved(spec, 0.0), improved_velocity(spec, 0.0), 0.0)
-    return LatticeState(sample_first_order(spec, 0.0), first_order_velocity(spec, 0.0), 0.0)
+        pos, vel = pos + corrector_sum(spec, 0.0), vel + corrector_sum(spec, 0.0, True)
+    return LatticeState(pos, vel, 0.0)
 
 
 def residual_norm(p: ChainParams, spec: AnsatzSpec, t, h0: float):
@@ -263,7 +249,9 @@ def residual_norm(p: ChainParams, spec: AnsatzSpec, t, h0: float):
     snap = _Snapshot(spec, states)
     norms = []
     for k, s in enumerate(times):
-        um, u0, up = (_sample_improved_snap(spec, snap.select(spec, 3 * k + d), s + dt)
+        # the improved positions of sample 3k + d: both sums read the selected sample
+        um, u0, up = (_first_order_sum(spec, snap.select(spec, 3 * k + d).b_lat, s + dt)
+                      + _second_order_sum(spec, snap, s + dt, False)
                       for d, dt in enumerate(steps))
         udd = (up - 2.0 * u0 + um) / (h * h)
         norms.append(norm_m(force(p, u0) - udd, p))

@@ -45,6 +45,9 @@ LATTICE_ORDER = 4
 # states and snapshot stacks), so these keep it within about 300 MB each
 MAX_SITES = 2 ** 18
 MAX_GRID = 2 ** 14
+# a lattice run takes at least max(T/dt, n_samples) steps to T = tau0/eps;
+# at 0.23 ms a step at N = 1,600 (2 cores), this keeps a run within minutes
+MAX_STEPS = 10 ** 6
 
 
 def _is_real(x) -> bool:
@@ -146,6 +149,17 @@ class ExperimentConfig(SimpleNamespace):
             if round(self.L_y / self.eps[-1]) > MAX_SITES:
                 raise ConfigError(f"eps: L_y/eps gives more than {MAX_SITES} lattice sites "
                                   f"at eps={self.eps[-1]}")
+            sites = [lattice_sites(self.L_y, e) for e in self.eps]
+            for e0, e1, n0, n1 in zip(self.eps, self.eps[1:], sites, sites[1:]):
+                if fitted and n0 == n1:
+                    raise ConfigError(f"eps: {e0} and {e1} both give N = {n1} lattice sites, "
+                                      f"so the fit would see one eps twice")
+            T = self.tau0 * sites[-1] / self.L_y  # tau0/eps at the smallest snapped eps
+            steps = {"dt": T / self.dt, "n_samples": self.n_samples}
+            key = max(steps, key=steps.get)
+            if steps[key] > MAX_STEPS:
+                raise ConfigError(f"{key}: a lattice run to t = tau0/eps = {T:.6g} takes at "
+                                  f"least {steps[key]:.3g} steps, more than {MAX_STEPS}")
             if self.resonant_family is None:
                 if self.params is None:
                     raise ConfigError("params: chain parameters or resonant_family required")
@@ -206,6 +220,13 @@ def snap_theta(theta: float, N: int) -> float:
     return 2.0 * np.pi * round(theta * N / (2.0 * np.pi)) / N
 
 
+def lattice_sites(L_y: float, eps: float) -> int:
+    """The lattice size N of a target eps: round(L_y/eps) less its
+    remainder mod 4, which keeps +-pi/2 and pi carriers commensurate."""
+    N = int(round(L_y / eps))
+    return N - N % 4
+
+
 @dataclass
 class RunSetup:
     p: ChainParams
@@ -216,8 +237,7 @@ def setup_run(cfg: ExperimentConfig, eps_target: float, a0=None) -> RunSetup:
     """Assemble the per-epsilon spec: lattice size, snapped carriers,
     re-solved resonant parameters, envelope fields, and the macroscopic
     solution provider."""
-    N = int(round(cfg.L_y / eps_target))
-    N -= N % 4  # keeps +-pi/2 and pi carriers commensurate
+    N = lattice_sites(cfg.L_y, eps_target)
     eps = cfg.L_y / N
     a0 = list(cfg.a0 if a0 is None else a0)
 

@@ -258,10 +258,10 @@ def envelope_products(iota, fields):
     return out
 
 
-def per_call_corrector(p, waves, iota, om_v, th_v, weight, fields):
+def per_call_corrector(p, waves, iota, om_v, th_v, fields):
     """Independent reference for a product-carrier corrector: kappa from
     ``model.carrier_product_force`` on the unit polarizations and the
-    solution chi of weight*H chi + kappa = 0, both built on every call,
+    solution chi of H chi + kappa = 0, both built on every call,
     times the envelope products; (2, ...) rows, in the arithmetic of
     ``amplitude.second_order_amplitudes``."""
     def carrier(k):
@@ -277,8 +277,8 @@ def per_call_corrector(p, waves, iota, om_v, th_v, weight, fields):
     H = dispersion_matrix(p, om_v, th_v)
     det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
     k1, k2 = kappa.T
-    chi = np.stack([-(H[1, 1] * k1 - H[0, 1] * k2) / det / weight,
-                    -(-H[1, 0] * k1 + H[0, 0] * k2) / det / weight], axis=1)
+    chi = np.stack([-(H[1, 1] * k1 - H[0, 1] * k2) / det,
+                    -(-H[1, 0] * k1 + H[0, 0] * k2) / det], axis=1)
     return sum(np.multiply.outer(c, x) for c, x in zip(chi, envelope_products(iota, fields)))
 
 

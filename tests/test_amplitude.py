@@ -12,9 +12,9 @@ from _helpers import (coupling_closed_form, coupling_prefactors, det_h, envelope
 from dichain import amplitude as amp
 from dichain import model
 from dichain.amplitude import (NearResonance, ODEReferenceSolution, StrangSolution,
-                               build_macro_system, corrector_carriers,
-                               second_order_amplitudes, sech_envelope, source_vectors,
-                               spectral_derivative, tau_derivative)
+                               build_macro_system, carriers, second_order_amplitudes,
+                               sech_envelope, source_vectors, spectral_derivative,
+                               tau_derivative)
 from dichain.model import carrier_product_force
 from dichain.resonance import family_params, solve_family_ratio, wrap_theta
 from dichain.spectrum import (ACOUSTIC, OPTICAL, dispersion_matrix, group_velocity,
@@ -651,7 +651,7 @@ def test_envelope_products_are_those_the_correctors_read(resonant):
     B1 conj(B2)."""
     w1, w2 = polarization(P0, ACOUSTIC, 0.3), polarization(P0, OPTICAL, 0.9)
     b = np.ones(4, complex)
-    read = {c[0] for c in corrector_carriers(resonant, w1, w2)} | ({(1, 1)} if resonant else set())
+    read = {c[0] for c in carriers(resonant, w1, w2)[2:]} | ({(1, 1)} if resonant else set())
     assert set(amp._envelope_products(b, b, resonant)) == read
 
 
@@ -678,14 +678,14 @@ def test_second_order_defect():
     s = second_order_amplitudes(p, sys, fields, dy, tau_derivative(sys, fields, dy))
     a1 = w1.amplitude_vector(fields[0])
     a2 = w2.amplitude_vector(fields[1])
-    for iota, om_v, th_v, weight in corrector_carriers(False, w1, w2):
+    for iota, om_v, th_v in carriers(False, w1, w2)[2:]:
         K = hand_expanded_K(iota, a1, a2, p, w1.theta, w2.theta)
         if iota == (1, -1):
             K = tuple(k.real for k in K)
         H = dispersion_matrix(p, om_v, th_v)
         A = s[iota]
         for i in (0, 1):
-            defect = weight * (H[i, 0] * A[0] + H[i, 1] * A[1]) + K[i]
+            defect = H[i, 0] * A[0] + H[i, 1] * A[1] + K[i]
             assert np.abs(defect).max() < 1e-9
 
 
@@ -724,8 +724,8 @@ def test_corrector_solve_checks_nonresonance():
     non-resonant one, so a pair near a resonance fails in the solve."""
     p = family_params(2.0, 2.0)
     w1, w2 = resonant_pair(p, 0.0)
-    rows = {iota: (om, th) for iota, om, th, _ in
-            corrector_carriers(build_macro_system(p, w1, w2).resonant, w1, w2)}
+    rows = {iota: (om, th) for iota, om, th in
+            carriers(build_macro_system(p, w1, w2).resonant, w1, w2)[2:]}
     for k, iota in ((3, (1, 2)), (4, (2, 2))):
         assert abs(rows[iota][0] - k * w1.omega) < 1e-10
         assert abs(wrap_theta(rows[iota][1] - k * w1.theta)) < 1e-10
@@ -761,9 +761,9 @@ def test_corrector_vectors_per_params_and_carrier():
     dtau = tau_derivative(sys, fields, dy)
     for chain in (p, q, p, q):
         s = second_order_amplitudes(chain, sys, fields, dy, dtau)
-        for iota, om_v, th_v, weight in corrector_carriers(sys.resonant, w1, w2):
+        for iota, om_v, th_v in carriers(sys.resonant, w1, w2)[2:]:
             assert np.array_equal(s[iota], per_call_corrector(chain, (w1, w2), iota, om_v,
-                                                              th_v, weight, fields))
+                                                              th_v, fields))
         for k in (1, 2):
             assert np.array_equal(s[k], per_call_wave_corrector(chain, sys, k, fields, dy, dtau))
 

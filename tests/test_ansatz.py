@@ -8,9 +8,9 @@ import pytest
 from dichain import amplitude as amp
 from dichain import ansatz as anz
 from dichain import harness, microsim, model
-from dichain.ansatz import (AnsatzSpec, IncommensurateCarrier, first_order_velocity,
-                            initial_state, residual_norm,
-                            sample_first_order, sample_improved)
+from dichain.ansatz import (AnsatzSpec, IncommensurateCarrier, corrector_sum,
+                            first_order_velocity, initial_state, residual_norm,
+                            sample_first_order)
 from dichain.resonance import wrap_theta
 from dichain.spectrum import ACOUSTIC, OPTICAL, polarization
 
@@ -80,7 +80,7 @@ def test_spec_freed_without_cycle_collector():
     """Cached snapshots must not keep a dropped spec (and the N-length
     fields they hold) alive until the cycle collector runs."""
     spec = constant_spec(p0(), 0.1, 400, 0.0, a=0.5)
-    sample_improved(spec, 0.7)  # fills the cache and the lazy correctors
+    corrector_sum(spec, 0.7)  # fills the cache and the lazy correctors
     ref = weakref.ref(spec)
     gc.disable()
     try:
@@ -95,8 +95,9 @@ def test_zero_amplitudes_sample_zero():
     N = 400
     spec = constant_spec(p, 0.1, N, 0.0, a=0.0)
     assert np.all(sample_first_order(spec, 1.3) == 0.0)
-    assert np.all(sample_improved(spec, 1.3) == 0.0)
-    assert np.all(anz.improved_velocity(spec, 0.0) == 0.0)
+    assert np.all(sample_first_order(spec, 1.3) + corrector_sum(spec, 1.3) == 0.0)
+    s0 = initial_state(spec)
+    assert np.all(s0.pos == 0.0) and np.all(s0.vel == 0.0)
 
 
 def test_constant_amplitude_uniform_wave():
@@ -116,8 +117,8 @@ def test_constant_amplitude_uniform_wave():
 def test_sampled_fields_are_real():
     p = p0(w1=(1.0, 0.3, 0.0), w2=(1.0, 0.4, 0.0))
     spec = build_spec(p, 0.1, 0.3, 0.6)
-    u = sample_improved(spec, 0.37)
-    v = anz.improved_velocity(spec, 0.37)
+    u = sample_first_order(spec, 0.37) + corrector_sum(spec, 0.37)
+    v = first_order_velocity(spec, 0.37) + corrector_sum(spec, 0.37, True)
     assert u.dtype == np.float64 and v.dtype == np.float64
     assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
 
@@ -138,7 +139,7 @@ def test_improved_equals_first_order_when_correctors_vanish():
     p = p0()
     spec = constant_spec(p, 0.1, 400, 2 * np.pi * 19 / 400, a=0.7)
     np.testing.assert_array_equal(sample_first_order(spec, 0.9),
-                                  sample_improved(spec, 0.9))
+                                  sample_first_order(spec, 0.9) + corrector_sum(spec, 0.9))
 
 
 def test_initial_velocity_matches_analytic_derivative():
@@ -209,10 +210,10 @@ def test_gap_scaling_exponent():
     for eps_t in (0.1, 0.05, 0.025):
         spec = build_spec(p, eps_t, 0.3, 0.6)
         t = 0.5 / spec.eps
-        dpos = sample_improved(spec, t) - sample_first_order(spec, t)
-        dvel = anz.improved_velocity(spec, t) - first_order_velocity(spec, t)
+        pos = sample_first_order(spec, t)
+        dpos, dvel = corrector_sum(spec, t), corrector_sum(spec, t, True)
         gaps.append(model.energy_norm(model.LatticeState(dpos, dvel, t), p))
-        infs.append(np.abs(sample_improved(spec, t)).max() / spec.eps)
+        infs.append(np.abs(pos + dpos).max() / spec.eps)
         es.append(spec.eps)
     slope = np.polyfit(np.log(es), np.log(gaps), 1)[0]
     assert abs(slope - 1.5) <= 0.1
@@ -306,9 +307,11 @@ def test_snapshot_matches_per_row_reference(source, eps, n_grid):
                 assert np.array_equal(getattr(snap, name), ref[name]), name
             for name in ("dy_grid", "dtau_grid"):
                 assert np.array_equal(getattr(snap, name)[:, i], ref[name]), name
-            assert a2.keys() == ref["a2_lat"].keys()
-            for iota, rows in a2.items():
-                assert np.array_equal(rows, ref["a2_lat"][iota]), iota
+            # row k is the corrector of carrier k
+            assert [c[0] for c in spec.carriers] == list(ref["a2_lat"])
+            assert len(a2) == len(spec.carriers)
+            for rows, (iota, ref_rows) in zip(a2, ref["a2_lat"].items()):
+                assert np.array_equal(rows, ref_rows), iota
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
@@ -355,18 +358,6 @@ def test_snapshot_makes_four_ffts_and_correctors_two(monkeypatch, source):
     assert not calls
 
 
-@pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
-def test_improved_is_first_order_plus_corrector_sum(source):
-    """The ansatz-gap sweep builds the improved approximation this way."""
-    spec = _setup(source).spec
-    t = 0.3 / spec.eps
-    assert np.array_equal(sample_improved(spec, t),
-                          sample_first_order(spec, t) + anz.corrector_sum(spec, t))
-    assert np.array_equal(anz.improved_velocity(spec, t),
-                          first_order_velocity(spec, t) + anz.corrector_sum(spec, t, True))
-    assert np.any(anz.corrector_sum(spec, t) != 0.0)
-
-
 # ---------------------------------------------------------------------------
 # phase rows per time and corrector matrices per carrier, against the
 # per-term and per-call arithmetic they replace
@@ -393,8 +384,9 @@ def _reference_sums(spec, fields, t):
     ref = per_row_snapshot(spec, fields)
     waves = spec.macro.waves
     b_grid = [np.asarray(f, dtype=complex) for f in fields]
-    cor = {iota: per_call_corrector(spec.p, waves, iota, om_v, th_v, weight, b_grid)
-           for iota, om_v, th_v, weight in amp.corrector_carriers(spec.macro.resonant, *waves)}
+    table = amp.carriers(spec.macro.resonant, *waves)
+    cor = {iota: per_call_corrector(spec.p, waves, iota, om_v, th_v, b_grid)
+           for iota, om_v, th_v in table[2:]}
     for k in (1, 2):
         cor[k] = per_call_wave_corrector(spec.p, spec.macro, k, b_grid, ref["dy_grid"],
                                          ref["dtau_grid"])
@@ -406,8 +398,8 @@ def _reference_sums(spec, fields, t):
 
     def second(time_derivative):
         terms = []
-        for iota, om_v, th_v, weight in amp.ansatz_carriers(spec.macro.resonant, *waves):
-            c = weight * (1j * om_v if time_derivative else 1.0)
+        for iota, om_v, th_v in table:
+            c = 1j * om_v if time_derivative else 1.0
             if c != 0.0:
                 terms.append((om_v, th_v, c * cor_lat[iota]))
         return _per_term_carrier_sum(spec, terms, t, spec.eps ** 2)
@@ -454,7 +446,6 @@ def test_shared_phases_and_matrices_match_per_call_arithmetic(source):
                 assert np.array_equal(sample_first_order(spec, t), pos)
                 assert np.array_equal(anz.corrector_sum(spec, t), cor)
                 assert np.array_equal(first_order_velocity(spec, t), vel)
-                assert np.array_equal(sample_improved(spec, t), pos + cor)
         if stacked:  # every tau was read from the one stack
             assert all(len(spec._cache) == len(set(taus)) for spec in specs)
     for spec in specs:

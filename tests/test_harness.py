@@ -128,10 +128,19 @@ CONFIGS = [*sorted(set(ROOT.glob("configs/*.json")) - {ROOT / "configs/p0.json"}
            *sorted(ROOT.glob("perfbench/configs/*.json"))]
 
 
+# the lattice step of the benchmark's fine reference runs
+FINE_DT = float(re.search(r"^FINE_DT = (.+)$", (ROOT / "perfbench/make_refs.py").read_text(),
+                          re.M).group(1))
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_shipped_config_loads(path):
-    # the schema is checked in seconds against every config a run or the benchmark reads
-    config_from_dict(json.loads(path.read_text()))
+    # the schema is checked in seconds against every config a run or the
+    # benchmark reads, also at the step of its fine references, which the
+    # bound on lattice steps must admit
+    doc = json.loads(path.read_text())
+    config_from_dict(doc)
+    config_from_dict(dict(doc, dt=FINE_DT))
 
 
 LATTICE_CONFIGS = ["convergence_resonant", "convergence_nonresonant", "generation",
@@ -466,6 +475,11 @@ BAD_KEYS = [
     # too large to allocate: refused before the run, not by numpy in it
     pytest.param("eps", [1e-8, 5e-9, 2.5e-9], id="eps-too-many-sites"),
     pytest.param("n_grid", 2 ** 40, id="n_grid-too-large"),
+    # a fitted sweep whose eps snap to one lattice, and runs of too many
+    # lattice steps: refused before the run, not by the fit or a timeout
+    pytest.param("eps", [0.1, 0.0999, 0.0998], id="eps-snap-to-one-lattice"),
+    pytest.param("dt", 1e-9, id="dt-too-many-steps"),
+    pytest.param("n_samples", 10 ** 12, id="n_samples-too-many-steps"),
 ]
 
 
@@ -490,8 +504,10 @@ def _no_compute(*args, **kw):
 
 
 def test_size_bounds_admit_their_limit_and_refuse_past_it():
-    """MAX_SITES lattice sites at the smallest eps and an n_grid of MAX_GRID
-    pass; one site more, or the next power of two, fail naming the key."""
+    """MAX_SITES lattice sites at the smallest eps, an n_grid of MAX_GRID
+    and a run of MAX_STEPS lattice steps pass; one site more, the next
+    power of two, or a longer run fail naming the key (for the steps, the
+    key of the larger term of max(T/dt, n_samples))."""
     doc = dict(kind="convergence", resonant_family=FAM, L_y=40.0)
     eps = [0.1, 0.05, 40.0 / harness.MAX_SITES]
     config_from_dict(dict(doc, eps=eps, n_grid=harness.MAX_GRID))
@@ -499,6 +515,13 @@ def test_size_bounds_admit_their_limit_and_refuse_past_it():
         config_from_dict(dict(doc, eps=eps[:2] + [40.0 / (harness.MAX_SITES + 1)]))
     with pytest.raises(ConfigError, match="^n_grid: "):
         config_from_dict(dict(doc, n_grid=2 * harness.MAX_GRID))
+    doc["eps"] = [0.1, 0.05, 0.025]  # T = tau0/eps = 40
+    config_from_dict(dict(doc, n_samples=harness.MAX_STEPS))
+    config_from_dict(dict(doc, dt=1.001 * 40.0 / harness.MAX_STEPS))
+    with pytest.raises(ConfigError, match="^n_samples: .* more than 1000000"):
+        config_from_dict(dict(doc, n_samples=harness.MAX_STEPS + 1))
+    with pytest.raises(ConfigError, match="^dt: .* more than 1000000"):
+        config_from_dict(dict(doc, dt=0.999 * 40.0 / harness.MAX_STEPS))
 
 
 def test_cli_reports_memory_error_in_one_line(tmp_path, capsys, monkeypatch):
