@@ -19,7 +19,7 @@ import numpy as np
 
 from . import amplitude as amp
 from . import ansatz as anz
-from .microsim import SimConfig, default_dt, integrate, modal_mass
+from .microsim import SimConfig, default_dt, integrate, integrate_rings, modal_mass
 from .model import (ChainParams, LatticeState, StabilityError, energy_norm, make_params,
                     norm_l2_pair)
 from .resonance import (NL_KEYS, acoustic_acoustic_scan, family_params,
@@ -42,7 +42,8 @@ LATTICE_ORDER = 4
 
 # size bounds, checked before any compute: a run holds about 1 KB per
 # lattice site and up to 20 KB per envelope grid point (kept envelope
-# states and snapshot stacks), so these keep it within about 300 MB each
+# states and snapshot stacks), so these keep it within about 300 MB each;
+# a lattice sweep runs every eps's lattice at once, so its sites are summed
 MAX_SITES = 2 ** 18
 MAX_GRID = 2 ** 14
 # a lattice run takes at least max(T/dt, n_samples) steps to T = tau0/eps;
@@ -138,17 +139,22 @@ class ExperimentConfig(SimpleNamespace):
             if self.resonant_family is not None and getattr(self, key) is not None:
                 raise ConfigError(f"{key}: cannot be combined with resonant_family")
         if KINDS[self.kind].sweep:
-            fitted = (self.kind in ("convergence", "residual_scaling", "ansatz_scaling")
-                      or self.kind == "generation" and self.resonant_family is None)
+            # the kinds whose lattices run at once (_lattice_peak)
+            lattices = (self.kind == "convergence"
+                        or self.kind == "generation" and self.resonant_family is None)
+            fitted = lattices or self.kind in ("residual_scaling", "ansatz_scaling")
             if fitted and len(self.eps) < 3:
                 raise ConfigError(f"eps: {self.kind} fits an exponent, so it needs at "
                                   f"least 3 values, got {self.eps!r}")
             if round(self.L_y / self.eps[0]) < 4:
                 raise ConfigError(f"L_y: L_y/eps gives fewer than 4 lattice sites "
                                   f"at eps={self.eps[0]}")
-            if round(self.L_y / self.eps[-1]) > MAX_SITES:
+            held = self.eps if lattices else self.eps[-1:]
+            if sum(round(self.L_y / e) for e in held) > MAX_SITES:
+                where = (f"summed over eps={self.eps}, whose lattices run at once"
+                         if lattices else f"at eps={self.eps[-1]}")
                 raise ConfigError(f"eps: L_y/eps gives more than {MAX_SITES} lattice sites "
-                                  f"at eps={self.eps[-1]}")
+                                  + where)
             sites = [lattice_sites(self.L_y, e) for e in self.eps]
             for e0, e1, n0, n1 in zip(self.eps, self.eps[1:], sites, sites[1:]):
                 if fitted and n0 == n1:
@@ -315,19 +321,23 @@ def fit_loglog(rows):
 
 
 def _sweep(cfg: ExperimentConfig, label: str, measure, gate) -> ScalingReport:
-    """The eps sweep of a scaling experiment: at each eps, ``measure(setup)``
-    gives the value whose log-log slope is fitted and the value of the
-    series held bounded; ``gate(report)`` decides the verdict."""
-    rows, bounded = [], []
-    for eps_t in cfg.eps:
-        setup = setup_run(cfg, eps_t)
-        value, b = measure(setup)
-        rows.append((setup.spec.eps, value))
-        bounded.append(b)
+    """The eps sweep of a scaling experiment: ``measure`` takes the setups
+    of the eps, made one at a time as it asks for them, and gives per eps
+    the snapped eps, the value whose log-log slope is fitted and the value
+    of the series held bounded; ``gate(report)`` decides the verdict."""
+    measured = measure(setup_run(cfg, eps_t) for eps_t in cfg.eps)
+    rows = [(eps, value) for eps, value, _ in measured]
+    bounded = [b for _, _, b in measured]
     exponent, resid = fit_loglog(rows)
     rep = ScalingReport(rows, exponent, resid, max(bounded) / min(bounded), False, label)
     rep.passed = bool(gate(rep))
     return rep
+
+
+def _each(measure):
+    """A sweep's measurement made at each eps in turn, one setup alive at
+    a time: ``measure(setup)`` gives the fitted and the bounded value."""
+    return lambda setups: [(s.spec.eps, *measure(s)) for s in setups]
 
 
 def _phase_times(cfg: ExperimentConfig, spec: anz.AnsatzSpec):
@@ -346,7 +356,7 @@ def run_residual_scaling(cfg: ExperimentConfig) -> ScalingReport:
         val = max(anz.residual_norm(setup.p, spec, _phase_times(cfg, spec), h0=h0))
         return val, val / spec.eps ** 2.5
 
-    return _sweep(cfg, "residual_norm", measure,
+    return _sweep(cfg, "residual_norm", _each(measure),
                   lambda r: r.exponent >= 2.4 and r.ratio < 4.0)
 
 
@@ -368,7 +378,7 @@ def run_ansatz_scaling(cfg: ExperimentConfig) -> ScalingReport:
             sup = max(sup, float(np.abs(pos2).max()))
         return gap, sup / spec.eps
 
-    return _sweep(cfg, "ansatz_gap", measure,
+    return _sweep(cfg, "ansatz_gap", _each(measure),
                   lambda r: abs(r.exponent - 1.5) <= 0.1 and r.ratio <= 2.0)
 
 
@@ -381,21 +391,23 @@ def _lattice_sim(cfg: ExperimentConfig, p: ChainParams, T: float, spacing: float
 
 
 def _lattice_peak(cfg: ExperimentConfig, observable, law: float):
-    """The measurement of a lattice run from improved initial data to
-    t = tau0/eps: the largest observable(spec, t, state) at the sampling
-    times, and that peak over eps^law."""
-    def measure(setup):
-        p, spec = setup.p, setup.spec
-        s0 = anz.initial_state(spec, improved=True)
-        peak = 0.0
+    """The measurement of a lattice sweep: every eps's lattice from
+    improved initial data to t = tau0/eps, all in one run
+    (``integrate_rings``); per eps the largest observable(spec, t, state)
+    at its sampling times, and that peak over eps^law."""
+    def measure(setups):
+        setups = list(setups)
+        peaks = [0.0] * len(setups)
+        runs = []
+        for i, s in enumerate(setups):
+            def observer(t, state, i=i, spec=s.spec):
+                peaks[i] = max(peaks[i], observable(spec, t, state))
 
-        def observer(t, state):
-            nonlocal peak
-            peak = max(peak, observable(spec, t, state))
-
-        T = cfg.tau0 / spec.eps
-        integrate(p, s0, _lattice_sim(cfg, p, T, T / cfg.n_samples), observer)
-        return peak, peak / spec.eps ** law
+            T = cfg.tau0 / s.spec.eps
+            runs.append((s.p, anz.initial_state(s.spec, improved=True),
+                         _lattice_sim(cfg, s.p, T, T / cfg.n_samples), observer))
+        integrate_rings(runs)
+        return [(s.spec.eps, peak, peak / s.spec.eps ** law) for s, peak in zip(setups, peaks)]
     return measure
 
 

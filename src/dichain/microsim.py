@@ -20,12 +20,19 @@ the next step's first kick uses again, so every step ends synchronized
 and a run of n steps makes 1 + m*n force calls.  ``dt`` is always the
 length of the whole step.  Order 4 is the default and what the
 validation experiments run; leapfrog (``order=2``) stays as the
-second-order reference.  The integrator keeps positions, velocities and
-accelerations as flat atom-order arrays of length 2N (see dichain.model),
-so every kick and drift is one ufunc over 2N values; force, the returned
-state and the observer get ``(N, 2)`` views of them (``cell_pack``), not
-copies, and force writes each acceleration into the view it gets as
-``out``, so a step allocates no array.
+second-order reference.
+
+One loop steps any number of rings at once (``integrate_rings``;
+``integrate`` is its one-ring case).  The rings are laid end to end in
+one flat atom-order array (``model.Rings``), each between two ghost
+atoms that the force refreshes from its own atoms, and ordered longest
+run first, so that the rings still running are always a prefix of the
+array.  Positions, velocities and accelerations are such arrays; each
+kick and drift is one multiply and one add over the prefix, by per-atom
+weights w*dt that carry each ring's own dt and are zero on the ghosts,
+and the force writes into the integrator's acceleration array.  Each
+ring's state and observer get ``(N, 2)`` views of its atoms
+(``cell_pack``), not copies.
 """
 from __future__ import annotations
 
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainParams, LatticeState, cell_pack, cell_unpack, force
+from .model import ChainParams, LatticeState, Rings, cell_pack, cell_unpack, force
 
 
 class SimulationDiverged(FloatingPointError):
@@ -96,41 +103,86 @@ def integrate(p: ChainParams, s0: LatticeState, cfg: SimConfig, observer=None) -
     The observer, if given, is called as observer(t, state) at t=0, every
     ``stride`` steps, and at the final step.  The state passed to the
     observer, and the one returned, hold live (N, 2) views of the
-    integrator's atom-order arrays; observers must not mutate them.
+    integrator's atom-order arrays; observers must not mutate them.  This
+    is the one-ring case of ``integrate_rings``.
     """
-    cfg.validate(p)
-    # flat atom-order copies and acceleration buffer; force, the state and
-    # the observer see them as (N, 2) cell_pack views, while kick and drift
-    # run on 2N values
-    x = cell_unpack(s0.pos).copy()
-    v = cell_unpack(s0.vel).copy()
-    pos = cell_pack(x)
-    t = s0.t
-    state = LatticeState(pos, cell_pack(v), t)
-    if observer is not None:
-        observer(t, state)
-    acc = np.empty_like(x)
-    acc_cells = cell_pack(acc)
-    force(p, pos, out=acc_cells)
-    dt = cfg.dt
-    n_steps = cfg.n_steps
-    kicks, drifts = ([w * dt for w in ws] for ws in SCHEMES[cfg.order])
-    kick = np.empty_like(v)
-    for k in range(1, n_steps + 1):
-        v += np.multiply(kicks[0], acc, out=kick)
-        for h, after in zip(drifts, kicks[1:]):
-            x += np.multiply(h, v, out=kick)
-            force(p, pos, out=acc_cells)
-            v += np.multiply(after, acc, out=kick)
-        t = s0.t + k * dt
-        if k % cfg.stride == 0 or k == n_steps:
-            if not np.all(np.isfinite(x)):
-                raise SimulationDiverged(f"non-finite positions at t={t}")
-            state.t = t
-            if observer is not None:
-                observer(t, state)
-    state.t = s0.t + n_steps * dt
-    return state
+    return integrate_rings([(p, s0, cfg, observer)])[0]
+
+
+def integrate_rings(runs) -> list:
+    """Advance several chains at once, each exactly as ``integrate`` would.
+
+    ``runs`` is a sequence of (p, s0, cfg, observer), every cfg of one
+    order; returns the final states in that order.  The rings are laid
+    end to end in one ``Rings`` layout, longest run first, so that the
+    rings still running are always a prefix of it.  Every stage is then
+    one kick or drift and one force call over that prefix, each
+    ring's atoms weighted by its own w*dt, and a run whose longest ring
+    takes n steps makes 1 + m*n force calls.  Each ring is checked and
+    observed at its own steps, the rings of one step longest run first.
+    """
+    for p, _, cfg, _ in runs:
+        cfg.validate(p)
+    if len({cfg.order for _, _, cfg, _ in runs}) != 1:
+        raise ValueError("integrate_rings: every ring must run the same order")
+    rank = sorted(range(len(runs)), key=lambda i: -runs[i][2].n_steps)
+    p, s0, cfg, observer = zip(*(runs[i] for i in rank))
+    steps = [c.n_steps for c in cfg]
+    rings = Rings(p, [s.N for s in s0])
+    # flat atom-order positions, velocities, accelerations and the kick
+    # and drift scratch, ghosts included; each ring's state and observer
+    # see (N, 2) cell_pack views of its atoms
+    x, v, acc, kick = (np.zeros(rings.size) for _ in range(4))
+    states = []
+    for s, atoms in zip(s0, rings.atoms):
+        x[atoms], v[atoms] = cell_unpack(s.pos), cell_unpack(s.vel)
+        states.append(LatticeState(cell_pack(x[atoms]), cell_pack(v[atoms]), s.t))
+
+    def per_atom(ws):
+        # each weight's w*dt on every ring's atoms and 0 on the ghosts,
+        # one array per distinct weight
+        rows = {}
+        for w in ws:
+            if w not in rows:
+                rows[w] = np.zeros(rings.size)
+                for c, atoms in zip(cfg, rings.atoms):
+                    rows[w][atoms] = w * c.dt
+        return [rows[w] for w in ws]
+    kicks, drifts = map(per_atom, SCHEMES[cfg[0].order])
+
+    def prefix(m):
+        # the arrays of the first m rings
+        n = rings.ends[m - 1]
+        return x[:n], v[:n], acc[:n], kick[:n], [k[:n] for k in kicks], [d[:n] for d in drifts]
+
+    for f, s in zip(observer, states):
+        if f is not None:
+            f(s.t, s)
+    m = len(runs)
+    xs, vs, a, scratch, ks, ds = prefix(m)
+    force(rings, xs, out=a)
+    for k in range(1, steps[0] + 1):
+        if steps[m - 1] < k:  # the rings that have ended drop off the end
+            m = sum(n >= k for n in steps)
+            xs, vs, a, scratch, ks, ds = prefix(m)
+        vs += np.multiply(ks[0], a, out=scratch)
+        for h, after in zip(ds, ks[1:]):
+            xs += np.multiply(h, vs, out=scratch)
+            force(rings, xs, out=a)
+            vs += np.multiply(after, a, out=scratch)
+        for r in range(m):
+            if k % cfg[r].stride == 0 or k == steps[r]:
+                t = s0[r].t + k * cfg[r].dt
+                if not np.all(np.isfinite(x[rings.atoms[r]])):
+                    raise SimulationDiverged(f"non-finite positions at t={t}")
+                states[r].t = t
+                if observer[r] is not None:
+                    observer[r](t, states[r])
+    finals = [None] * len(runs)
+    for i, s, start, c in zip(rank, states, s0, cfg):
+        s.t = start.t + c.n_steps * c.dt
+        finals[i] = s
+    return finals
 
 
 def modal_mass(s: LatticeState, theta: float, component: int) -> float:

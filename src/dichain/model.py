@@ -12,15 +12,20 @@ with periodic boundary conditions in the cell index.
 
 The forces are computed in atom order, the flat array of length 2N
 ``x = [u_{0,2}, u_{0,1}, u_{1,2}, u_{1,1}, ...]`` (``cell_unpack``): every
-bond is ``x[k+1] - x[k]``, with one wrap-around bond closing the ring.  One
-bond pass takes the 2N + 1 stretches, their squares and, only when a bond
-has k3 != 0, their cubes, each once; every atom's bond force is then
+bond is ``x[k+1] - x[k]``, with one wrap-around bond closing the ring.  The
+kernel runs on rings laid end to end in one such array (``Rings``), each
+between two ghost atoms copied from its own ends, so that one subtract
+over the array gives every ring's 2N + 1 stretches, the wrap-around bond
+at both ends; an integrator steps all its rings in it at once, and one
+ring given as ``(N, 2)`` cells is copied into a one-ring layout of its
+own.  One bond pass takes the stretches, their squares and, only when a
+bond has k3 != 0, their cubes, each once; every atom's bond force is then
 ``k*(s_right - s_left)`` of those powers, with coefficients V2/W2 on even
 and V1/W1 on odd atoms, less its on-site force.  The public functions take
 and return ``(N, 2)`` cells; ``cell_pack`` and ``cell_unpack`` convert
 between the two layouts without copying where they can.  ``force`` also
-writes into a caller's ``(N, 2)`` buffer (``out``), so an integrator
-allocates nothing per call.
+writes into a caller's buffer (``out``), so an integrator allocates no
+result per call.
 
 ``carrier_product_force`` takes the same stencil's k2 terms on two
 carriers a*e^{i theta j}, the quadratic force on their product: row 1
@@ -158,33 +163,64 @@ def cell_unpack(u) -> np.ndarray:
     return u[:, ::-1].reshape(-1)
 
 
-def _bond_pass(p: ChainParams, n: int):
-    """The force kernel of n atoms of p: a function of the atoms x, in atom
-    order, returning L and M in reused buffers.  The n + 1 stretches s are
-    squared, and cubed only when a bond has k3 != 0, once each; one subtract
-    and one multiply give every atom's k*(s_right - s_left) of each power.
-    Coefficients (V2/W2 on even atoms, V1/W1 on odd) and buffers are bound
-    once; ``_bond_forces`` keeps the last one built.
+class Rings:
+    """Chains of cells laid end to end in one flat atom array, the layout
+    the force kernel runs on.  Ring r's 2N_r atoms sit between two ghost
+    atoms, copies of its last and its first atom, so that one subtract
+    over the array gives every ring's 2N_r + 1 stretches; the stretch
+    across the junction of two rings and the ghosts' own forces are never
+    read.  Each ring has its own coefficients, zero on the ghosts; when a
+    ring's bonds have k3 != 0, every ring takes cubes, by its own k3.
+    ``atoms`` holds the rings' slices and ``ends`` the length of each
+    prefix of whole rings; ``kernels`` maps each such length to its
+    ``_bond_pass``, all bound once over one set of buffers.
     """
-    def alternate(even: PotentialCoeffs, odd: PotentialCoeffs) -> np.ndarray:
-        k = np.empty((3, n))
-        k[:, 0::2] = [[even.k1], [even.k2], [even.k3]]
-        k[:, 1::2] = [[odd.k1], [odd.k2], [odd.k3]]
-        k.flags.writeable = False
-        return k
-    rows = 3 if p.V1.k3 or p.V2.k3 else 2
-    V, W = alternate(p.V2, p.V1)[:rows], PotentialCoeffs(*alternate(p.W2, p.W1))
-    powers, terms = np.empty((rows, n + 1)), np.empty((rows, n))
-    s, inner, right, left = powers[0], powers[0, 1:-1], powers[:, 1:], powers[:, :-1]
-    lin, nl = np.empty(n), np.empty(n)
 
-    def apply(x):
-        np.subtract(x[1:], x[:-1], out=inner)
-        if n:
-            s[0] = s[-1] = x[0] - x[-1]
-        for k in range(1, rows):
-            np.multiply(powers[k - 1], s, out=powers[k])
+    def __init__(self, params, cells):
+        self.ends = np.cumsum([2 * n + 2 for n in cells]).tolist()
+        starts = [0] + self.ends[:-1]
+        # each ring's atoms, and its ghosts beside the atoms they copy
+        self.atoms = [slice(o + 1, e - 1) for o, e in zip(starts, self.ends)]
+        ghosts = np.array([g for o, e in zip(starts, self.ends) for g in (o, e - 1)])
+        sources = np.array([s for o, e in zip(starts, self.ends) for s in (e - 2, o + 1)])
+        self.size = self.ends[-1]
+        rows = 3 if any(p.V1.k3 or p.V2.k3 for p in params) else 2
+        # V.k1..k3 and W.k1..k3 per atom: V2/W2 on even atoms, V1/W1 on odd
+        k = np.zeros((6, self.size))
+        for p, atoms in zip(params, self.atoms):
+            for coeffs, even, odd in ((k[:3, atoms], p.V2, p.V1), (k[3:, atoms], p.W2, p.W1)):
+                coeffs[:, 0::2] = [[even.k1], [even.k2], [even.k3]]
+                coeffs[:, 1::2] = [[odd.k1], [odd.k2], [odd.k3]]
+        k.flags.writeable = False
+        n = self.size
+        powers, terms, lin, nl = (np.empty((rows, n - 1)), np.empty((rows, n - 2)),
+                                  np.empty(n - 2), np.empty(n - 2))
+        self.kernels = {end: _bond_pass(k[:, :end], rows, ghosts[:2 * m], sources[:2 * m],
+                                        (powers[:, :end - 1], terms[:, :end - 2],
+                                         lin[:end - 2], nl[:end - 2]))
+                        for m, end in enumerate(self.ends, 1)}
+
+
+def _bond_pass(k, rows: int, ghosts, sources, scratch):
+    """The force kernel of the first n slots of a ``Rings`` array, whose
+    coefficient rows V.k1..k3, W.k1..k3 are k: a function of the slots y
+    that copies the ``sources`` into the ``ghosts`` and returns L and M of
+    slots 1 to n - 2, in the reused buffers of ``scratch``.  The n - 1
+    stretches s are squared, and cubed only when ``rows`` is 3 (a bond has
+    k3 != 0), once each; one subtract and one multiply give every atom's
+    k*(s_right - s_left) of each power.
+    """
+    powers, terms, lin, nl = scratch
+    V, W = k[:rows, 1:-1], PotentialCoeffs(*k[3:, 1:-1])
+    s, right, left = powers[0], powers[:, 1:], powers[:, :-1]
+
+    def apply(y):
+        y[ghosts] = y[sources]
+        np.subtract(y[1:], y[:-1], out=s)
+        for j in range(1, rows):
+            np.multiply(powers[j - 1], s, out=powers[j])
         np.multiply(V, np.subtract(right, left, out=terms), out=terms)
+        x = y[1:-1]
         np.subtract(terms[0], np.multiply(W.k1, x, out=lin), out=lin)
         np.subtract(terms[1], _fnl(W, x), out=nl)
         if rows == 3:
@@ -210,30 +246,49 @@ def carrier_product_force(p: ChainParams, a, theta_a: float, c, theta_c: float) 
                      for v, w, (ra, la), (rc, lc), ai, ci in rows])
 
 
-# (p, n, kernel) of the last _bond_forces call, found again by identity,
-# without hashing p: every run integrates or samples one chain at a time,
-# thousands of calls each
-_last_kernel = (None, 0, None)
+# (p, N, kernel, slots, cells) of the last _bond_forces call: the kernel
+# of a one-ring layout of N cells of p, its slot array and the (N, 2) view
+# of that array's atoms, found again by identity, without hashing p
+_last_ring = (None, 0, None, None, None)
 
 
 def _bond_forces(p: ChainParams, pos):
-    """(L, M) of the cells pos, in atom order, as reused buffers."""
-    global _last_kernel
-    x = cell_unpack(pos)
-    last_p, last_n, apply = _last_kernel
-    if p is not last_p or x.size != last_n:
-        apply = _bond_pass(p, x.size)
-        _last_kernel = (p, x.size, apply)
-    return apply(x)
+    """(L, M) of the cells pos of one ring of p, in atom order, as reused
+    buffers: pos is copied between the ghosts of a one-ring layout."""
+    global _last_ring
+    pos = np.asarray(pos, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] != 2:
+        raise ValueError(f"expected shape (N, 2), got {pos.shape}")
+    last_p, last_n, kernel, y, cells = _last_ring
+    if p is not last_p or len(pos) != last_n:
+        rings = Rings((p,), (len(pos),))
+        y = np.zeros(rings.size)
+        kernel, cells = rings.kernels[rings.size], cell_pack(y[1:-1])
+        _last_ring = (p, len(pos), kernel, y, cells)
+    cells[...] = pos
+    return kernel(y)
 
 
-def force(p: ChainParams, pos, out=None) -> np.ndarray:
-    """Full right-hand side L(u) + M(u) from one bond pass over the 2N
-    atoms: the stretches, their squares and (when a bond has k3 != 0) cubes
-    are taken once each, and an atom's bond force is k*(s_right - s_left)
-    of them.  Takes and returns (N, 2) cells: ``out``, an (N, 2) float array
-    such as a cell_pack view of the caller's atom-order buffer, when given,
-    else a cell_pack view of a fresh array; the sum's bits are the same."""
+def force(p, pos, out=None) -> np.ndarray:
+    """Full right-hand side L(u) + M(u) from one bond pass: the stretches,
+    their squares and (when a bond has k3 != 0) cubes are taken once each,
+    and an atom's bond force is k*(s_right - s_left) of them.
+
+    With p a ChainParams, pos is the (N, 2) cells of one ring, and the
+    result is (N, 2) cells: ``out``, an (N, 2) float array such as a
+    cell_pack view of the caller's atom-order buffer, when given, else a
+    cell_pack view of a fresh array; the sum's bits are the same.  With p
+    a ``Rings`` layout, pos is a prefix of whole rings of its flat atom
+    array, ghosts included, whose ghosts the call refreshes, and the
+    forces go into the same slots of ``out``, a flat array as long (a
+    fresh one when not given); its first and last slot are not written.
+    """
+    if isinstance(p, Rings):
+        lin, nl = p.kernels[pos.size](pos)
+        if out is None:
+            out = np.zeros(pos.size)
+        np.add(lin, nl, out=out[1:-1])
+        return out
     lin, nl = _bond_forces(p, pos)
     if out is None:
         return cell_pack(np.add(lin, nl))

@@ -189,12 +189,10 @@ def test_lattice_gates(monkeypatch, run, wobble, passed):
     cfg = small_cfg(eps=[0.1, 0.0707, 0.05, 0.0354, 0.025])
     monkeypatch.setattr(harness, "setup_run",
                         lambda cfg, eps: harness.RunSetup(None, SimpleNamespace(eps=eps)))
-    wobbles = iter(wobble)
 
     def lattice_peak(cfg, observable, law):
-        def measure(setup):
-            w = next(wobbles)
-            return setup.spec.eps ** law * w, w
+        def measure(setups):
+            return [(s.spec.eps, s.spec.eps ** law * w, w) for s, w in zip(setups, wobble)]
         return measure
 
     monkeypatch.setattr(harness, "_lattice_peak", lattice_peak)
@@ -504,15 +502,28 @@ def _no_compute(*args, **kw):
 
 
 def test_size_bounds_admit_their_limit_and_refuse_past_it():
-    """MAX_SITES lattice sites at the smallest eps, an n_grid of MAX_GRID
-    and a run of MAX_STEPS lattice steps pass; one site more, the next
-    power of two, or a longer run fail naming the key (for the steps, the
-    key of the larger term of max(T/dt, n_samples))."""
+    """MAX_SITES lattice sites summed over a lattice sweep's eps (whose
+    lattices run at once) or at the smallest eps of any other sweep, an
+    n_grid of MAX_GRID and a run of MAX_STEPS lattice steps pass; one site
+    more, the next power of two, or a longer run fail naming the key (for
+    the steps, the key of the larger term of max(T/dt, n_samples))."""
     doc = dict(kind="convergence", resonant_family=FAM, L_y=40.0)
-    eps = [0.1, 0.05, 40.0 / harness.MAX_SITES]
+    # round(L_y/eps) = 400 + 800 + the rest of MAX_SITES
+    eps = [0.1, 0.05, 40.0 / (harness.MAX_SITES - 1200)]
     config_from_dict(dict(doc, eps=eps, n_grid=harness.MAX_GRID))
-    with pytest.raises(ConfigError, match="^eps: .* more than 262144 lattice sites"):
-        config_from_dict(dict(doc, eps=eps[:2] + [40.0 / (harness.MAX_SITES + 1)]))
+    config_from_dict(dict(doc, kind="generation", params=P_NL, waves=WAVES[:1],
+                          resonant_family=None, eps=eps))
+    with pytest.raises(ConfigError, match="^eps: .* more than 262144 lattice sites summed"):
+        config_from_dict(dict(doc, eps=eps[:2] + [40.0 / (harness.MAX_SITES - 1199)]))
+    with pytest.raises(ConfigError, match="^eps: .* more than 262144 lattice sites summed"):
+        config_from_dict(dict(doc, kind="generation", params=P_NL, waves=WAVES[:1],
+                              resonant_family=None,
+                              eps=eps[:2] + [40.0 / (harness.MAX_SITES - 1199)]))
+    # a sweep that holds one lattice at a time is bounded at its smallest eps
+    one = dict(doc, kind="residual_scaling")
+    config_from_dict(dict(one, eps=[0.1, 0.05, 40.0 / harness.MAX_SITES]))
+    with pytest.raises(ConfigError, match="^eps: .* more than 262144 lattice sites at eps"):
+        config_from_dict(dict(one, eps=[0.1, 0.05, 40.0 / (harness.MAX_SITES + 1)]))
     with pytest.raises(ConfigError, match="^n_grid: "):
         config_from_dict(dict(doc, n_grid=2 * harness.MAX_GRID))
     doc["eps"] = [0.1, 0.05, 0.025]  # T = tau0/eps = 40

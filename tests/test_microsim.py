@@ -1,11 +1,15 @@
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from _helpers import (hamiltonian_energy, linear_apply, nonlinear_apply, p0, random_valid_params,
                       roll_force)
-from dichain import microsim, model
+from dichain import ansatz, harness, microsim, model
 from dichain.microsim import (SCHEMES, SimConfig, SimulationDiverged, default_dt, integrate,
-                              largest_drift, modal_mass, omega_max)
+                              integrate_rings, largest_drift, modal_mass, omega_max)
 from dichain.model import LatticeState, cell_pack, cell_unpack, force
 from dichain.spectrum import ACOUSTIC, polarization
 
@@ -307,9 +311,9 @@ def test_fourth_order_force_calls(monkeypatch):
 
 
 def test_integrate_writes_each_force_into_one_buffer(monkeypatch):
-    """Every force call gets the same (N, 2) view as ``out``, over the
-    flat atom-order acceleration buffer, and the run matches one whose
-    force returns fresh arrays, bit for bit."""
+    """Every force call gets the same flat atom-order acceleration buffer
+    as ``out`` (the ring's 2N atoms and its two ghosts), and the run
+    matches one whose force returns fresh arrays, bit for bit."""
     outs = []
 
     def recorded(p, pos, out=None):
@@ -327,8 +331,7 @@ def test_integrate_writes_each_force_into_one_buffer(monkeypatch):
     cfg = SimConfig(dt=0.05, T=1.0, order=4)
     monkeypatch.setattr(microsim, "force", recorded)
     got = integrate(p, s0, cfg)
-    assert all(o is outs[0] for o in outs) and outs[0].shape == (12, 2)
-    assert outs[0].base is not None and outs[0].base.shape == (24,)
+    assert all(o is outs[0] for o in outs) and outs[0].shape == (26,)
     monkeypatch.setattr(microsim, "force", fresh)
     want = integrate(p, s0, cfg)
     assert np.array_equal(got.pos, want.pos) and np.array_equal(got.vel, want.vel)
@@ -342,6 +345,116 @@ def test_divergence_detection():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SimulationDiverged):
             integrate(p, s0, SimConfig(dt=0.02, T=50.0, stride=10, order=2))
+
+
+def _recorder(seen):
+    return lambda t, st: seen.append((t, st.pos.copy(), st.vel.copy()))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_observations(got, want):
+    assert [t for t, _, _ in got] == [t for t, _, _ in want]
+    for (_, pos, vel), (_, pos0, vel0) in zip(got, want):
+        assert _same_bits(pos, pos0) and _same_bits(vel, vel0)
+
+
+def _assert_rings_are_each_ring_alone(runs, monkeypatch):
+    """integrate_rings on runs of (p, s0, cfg) gives every ring the
+    observations and final state of its own integrate run, bit for bit,
+    in 1 + 6*(longest run) force calls."""
+    alone, final = [], []
+    for p, s0, cfg in runs:
+        alone.append([])
+        final.append(integrate(p, s0, cfg, _recorder(alone[-1])))
+    calls = []
+
+    def counted(p, pos, out=None):
+        calls.append(1)
+        return model.force(p, pos, out=out)
+
+    monkeypatch.setattr(microsim, "force", counted)
+    together = [[] for _ in runs]
+    got = integrate_rings([(p, s0, cfg, _recorder(seen))
+                           for (p, s0, cfg), seen in zip(runs, together)])
+    assert len(calls) == 1 + 6 * max(cfg.n_steps for _, _, cfg in runs)
+    for seen, want, s, s_alone in zip(together, alone, got, final):
+        _assert_same_observations(seen, want)
+        assert s.t == s_alone.t
+        assert _same_bits(s.pos, s_alone.pos) and _same_bits(s.vel, s_alone.vel)
+
+
+@pytest.mark.parametrize("k3", [0.0, 0.1], ids=["squares", "cubes"])
+def test_rings_run_together_as_each_ring_alone(monkeypatch, k3):
+    """Rings of their own chains, sizes, dt (0.1 and 0.094), strides and
+    step counts, two with equal counts and one of a single step, given out
+    of length order; with k3 != 0 the bond pass takes three powers."""
+    rng = np.random.RandomState(21)
+    rings = [(12, 0.094, 3, 20), (16, 0.1, 4, 31), (8, 0.1, 1, 1), (10, 0.094, 7, 20),
+             (6, 0.1, 2, 9)]
+    runs = []
+    for i, (N, dt, stride, n) in enumerate(rings):
+        p = model.make_params(v1=(1.0 + 0.05 * i, 0.3, k3), v2=(2.0, 0.2 + 0.1 * i, 0.0),
+                              w1=(1.0, 0.4, 0.05), w2=(1.0, 0.5 - 0.1 * i, 0.0))
+        s0 = LatticeState(0.1 * rng.randn(N, 2), 0.1 * rng.randn(N, 2), t=0.5 * i)
+        runs.append((p, s0, SimConfig(dt=dt, T=n * dt, stride=stride, order=4)))
+    _assert_rings_are_each_ring_alone(runs, monkeypatch)
+
+
+def test_nonresonant_sweep_runs_together_as_each_eps_alone(monkeypatch):
+    """The lattice runs of the shipped non-resonant convergence sweep (its
+    V1 has k3 != 0), built as the harness builds them."""
+    root = Path(__file__).resolve().parents[1]
+    doc = json.loads((root / "configs/convergence_nonresonant.json").read_text())
+    cfg = harness.config_from_dict(doc)
+    runs = []
+    for eps in cfg.eps:
+        setup = harness.setup_run(cfg, eps)
+        T = cfg.tau0 / setup.spec.eps
+        runs.append((setup.p, ansatz.initial_state(setup.spec, improved=True),
+                     harness._lattice_sim(cfg, setup.p, T, T / cfg.n_samples)))
+    assert runs[0][0].V1.k3 != 0.0
+    assert len({sim.dt for _, _, sim in runs}) == 2
+    _assert_rings_are_each_ring_alone(runs, monkeypatch)
+
+
+def test_divergence_stays_in_its_ring():
+    """A ring that blows up (the softening cubic of test_divergence_detection)
+    raises at the time of its own run; the rings on either side of it in
+    the layout see, up to the raise, what they see alone, although it goes
+    non-finite steps before its check; and a healthy run of rings raises
+    no floating-point warning from the ghosts or the junctions."""
+    bad = model.make_params(v1=(1.0,), v2=(2.0,), w1=(1.0, 0.0, -40.0), w2=(1.0,))
+    good = model.make_params(v1=(1.0, 0.3, 0.1), v2=(2.0, 0.2), w1=(1.0, 0.4), w2=(1.0, 0.5))
+    rng = np.random.RandomState(3)
+    s_bad = LatticeState(2.0 + rng.randn(16, 2), np.zeros((16, 2)))
+    healthy = [(good, LatticeState(0.1 * rng.randn(N, 2), 0.1 * rng.randn(N, 2)),
+                SimConfig(dt=0.02, T=n * 0.02, stride=1, order=4)) for N, n in ((12, 60), (8, 30))]
+    # the bad ring runs 40 steps, between the others: it is non-finite at
+    # t = 0.1 (step 5) and checked every 10 steps
+    bad_run = (bad, s_bad, SimConfig(dt=0.02, T=0.8, stride=10, order=4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationDiverged) as alone:
+            integrate(*bad_run)
+        with pytest.raises(SimulationDiverged, match="t=0.1$"):
+            integrate(bad, s_bad, SimConfig(dt=0.02, T=0.8, stride=1, order=4))
+        seen = [[], []]
+        with pytest.raises(SimulationDiverged) as together:
+            integrate_rings([healthy[0] + (_recorder(seen[0]),), bad_run + (None,),
+                             healthy[1] + (_recorder(seen[1]),)])
+    assert str(together.value) == str(alone.value) == "non-finite positions at t=0.2"
+    for (p, s0, cfg), got in zip(healthy, seen):
+        want = []
+        integrate(p, s0, cfg, _recorder(want))
+        _assert_same_observations(got, want[:len(got)])
+    # t = 0 to 0.2: the ring laid out before the bad one is observed at the
+    # step of the raise, the one after it is not
+    assert [len(got) for got in seen] == [11, 10]
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error", RuntimeWarning)
+        integrate_rings([run + (None,) for run in healthy])
 
 
 def test_modal_mass_examples():
