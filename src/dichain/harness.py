@@ -36,10 +36,6 @@ class NoOutputPath(ConfigError):
     """A kind that writes a CSV was given no ``out``."""
 
 
-# every lattice run is Blanes and Moan's order-4 SRKN_6^b splitting; ``dt``
-# is the length of one whole step (six force calls)
-LATTICE_ORDER = 4
-
 # size bounds, checked before any compute: a run holds about 1 KB per
 # lattice site and up to 20 KB per envelope grid point (kept envelope
 # states and snapshot stacks), so these keep it within about 300 MB each;
@@ -173,6 +169,15 @@ class ExperimentConfig(SimpleNamespace):
                     raise ConfigError("waves: one or two waves required with params")
             if len(self.a0) < (2 if self.resonant_family is not None else len(self.waves)):
                 raise ConfigError(f"a0: one amplitude per wave required, got {self.a0!r}")
+            # the kinds that measure the waves they seed: generation with a
+            # family seeds only the acoustic wave, one-wave params only a0[0]
+            if self.kind in ("convergence", "ansatz_scaling", "residual_scaling", "generation"):
+                one = (self.resonant_family is None and len(self.waves) == 1
+                       or self.kind == "generation" and self.resonant_family is not None)
+                seeded = self.a0[:1 if one else 2]
+                if not any(seeded):
+                    raise ConfigError(f"a0: the amplitudes {self.kind} seeds, {seeded!r}, "
+                                      f"are all zero, so there is nothing to measure")
         if KINDS[self.kind].writes and self.out is None:
             raise NoOutputPath(f"out: {self.kind} writes a CSV; set its path in the config")
         if self.kind == "dispersion_table" and self.params is None:
@@ -386,8 +391,8 @@ def _lattice_sim(cfg: ExperimentConfig, p: ChainParams, T: float, spacing: float
     """Lattice run to T whose stride lands on every multiple of ``spacing``:
     the fewest steps per spacing that keep dt at or below cfg.dt and the
     stability cap default_dt."""
-    stride = math.ceil(spacing / min(cfg.dt, default_dt(p, LATTICE_ORDER)))
-    return SimConfig(dt=spacing / stride, T=T, stride=stride, order=LATTICE_ORDER)
+    stride = math.ceil(spacing / min(cfg.dt, default_dt(p)))
+    return SimConfig(dt=spacing / stride, T=T, stride=stride)
 
 
 def _lattice_peak(cfg: ExperimentConfig, observable, law: float):
@@ -466,6 +471,9 @@ def run_generation(cfg: ExperimentConfig) -> GenerationReport:
     p, spec = setup.p, setup.spec
     if not spec.macro.resonant:
         raise ConfigError("resonant_family: configured pair is not resonant")
+    if spec.macro.k2 == 0:
+        raise ConfigError("resonant_family.nl: no quadratic coupling (k2 = 0), so the "
+                          "predicted optical envelope is identically zero")
     w1, w2 = spec.macro.waves
     om1, om2 = w1.omega, w2.omega
     theta2 = w2.theta

@@ -1,26 +1,23 @@
 """Time integration of the full nonlinear lattice plus modal diagnostics.
 
-Both schemes are symmetric splittings of ``udotdot = f(u)`` into kicks
-(v += b*dt*f(x)) and drifts (x += a*dt*v), so both are symplectic and
-time reversible.  Each is one row of ``SCHEMES``: its kick weights
-b_1..b_{m+1} and its drift weights a_1..a_m, applied as
-kick, drift, kick, ..., drift, kick, with one force call after each drift:
-
-* order 2 is leapfrog (velocity Verlet), kicks (1/2, 1/2) and one drift,
-  one force call per step;
-* order 4 is Blanes and Moan's optimized six-stage Runge-Kutta-Nystrom
-  splitting SRKN_6^b (Blanes and Moan, "Practical symplectic partitioned
-  Runge-Kutta and Runge-Kutta-Nystrom methods", J. Comput. Appl. Math.
-  142 (2002) 313-330): seven kicks, six drifts and six force calls per
-  step.  Its error constant is far below that of Yoshida's triple jump
-  of leapfrog steps, so it runs a much longer step for the same error.
+The lattice steps by Blanes and Moan's optimized six-stage
+Runge-Kutta-Nystrom splitting SRKN_6^b (Blanes and Moan, "Practical
+symplectic partitioned Runge-Kutta and Runge-Kutta-Nystrom methods",
+J. Comput. Appl. Math. 142 (2002) 313-330), a symmetric splitting of
+``udotdot = f(u)`` into kicks (v += b*dt*f(x)) and drifts (x += a*dt*v),
+so it is symplectic, time reversible and of order 4.  ``SCHEME`` holds its
+kick weights b_1..b_7 and drift weights a_1..a_6, applied as kick, drift,
+kick, ..., drift, kick, with one force call after each drift.  Its error
+constant is far below that of Yoshida's triple jump of leapfrog steps, so
+it runs a much longer step for the same error.
 
 The last kick of a step uses the force of the step's last drift, which
 the next step's first kick uses again, so every step ends synchronized
-and a run of n steps makes 1 + m*n force calls.  ``dt`` is always the
-length of the whole step.  Order 4 is the default and what the
-validation experiments run; leapfrog (``order=2``) stays as the
-second-order reference.
+and a run of n steps of m drifts makes 1 + m*n force calls (m = 6).
+``dt`` is always the length of the whole step.  ``default_dt`` and the
+stepping loop read ``SCHEME`` when called, so any other symmetric
+splitting put in its place (the tests' leapfrog weights) is capped and
+stepped by the same code.
 
 One loop steps any number of rings at once (``integrate_rings``;
 ``integrate`` is its one-ring case).  The rings are laid end to end in
@@ -52,11 +49,8 @@ _A3 = 0.5 - _A1 - _A2
 _B1, _B2, _B3 = 0.0829844064174052, 0.396309801498368, -0.0390563049223486
 _B4 = 1.0 - 2.0 * (_B1 + _B2 + _B3)
 
-# (kick weights, drift weights) of one step, per order
-SCHEMES = {
-    2: ((0.5, 0.5), (1.0,)),
-    4: ((_B1, _B2, _B3, _B4, _B3, _B2, _B1), (_A1, _A2, _A3, _A3, _A2, _A1)),
-}
+# (kick weights, drift weights) of one step
+SCHEME = ((_B1, _B2, _B3, _B4, _B3, _B2, _B1), (_A1, _A2, _A3, _A3, _A2, _A1))
 
 
 def omega_max(p: ChainParams) -> float:
@@ -64,14 +58,9 @@ def omega_max(p: ChainParams) -> float:
     return float(np.sqrt(p.c2))
 
 
-def largest_drift(order: int) -> float:
-    """max |a_i|: the longest drift of one step, in units of dt."""
-    return max(abs(a) for a in SCHEMES[order][1])
-
-
-def default_dt(p: ChainParams, order: int) -> float:
+def default_dt(p: ChainParams) -> float:
     """Stability cap on dt: the step whose longest drift is 0.2/omega_max."""
-    return 0.2 / omega_max(p) / largest_drift(order)
+    return 0.2 / omega_max(p) / max(abs(a) for a in SCHEME[1])
 
 
 @dataclass(frozen=True)
@@ -79,18 +68,15 @@ class SimConfig:
     dt: float
     T: float
     stride: int = 1
-    order: int = 4
 
     def validate(self, p: ChainParams) -> None:
         if self.dt <= 0 or self.T < 0 or self.stride < 1:
             raise ValueError("need dt > 0, T >= 0, stride >= 1")
-        if self.order not in SCHEMES:
-            raise ValueError(f"order={self.order}: must be 2 or 4")
         # the longest drift is what must stay stable
-        if self.dt > default_dt(p, self.order) * (1 + 1e-12):
+        if self.dt > default_dt(p) * (1 + 1e-12):
             raise ValueError(
-                f"dt={self.dt} (longest drift {largest_drift(self.order) * self.dt:.4g}) "
-                f"exceeds the stability margin 0.2/omega_max={0.2 / omega_max(p):.4g}")
+                f"dt={self.dt} exceeds the cap {default_dt(p):.4g} that keeps the longest "
+                f"drift within the stability margin 0.2/omega_max={0.2 / omega_max(p):.4g}")
 
     @property
     def n_steps(self) -> int:
@@ -98,7 +84,7 @@ class SimConfig:
 
 
 def integrate(p: ChainParams, s0: LatticeState, cfg: SimConfig, observer=None) -> LatticeState:
-    """Advance udotdot = L(u) + M(u) with fixed steps of order ``cfg.order``.
+    """Advance udotdot = L(u) + M(u) with fixed steps of ``SCHEME``.
 
     The observer, if given, is called as observer(t, state) at t=0, every
     ``stride`` steps, and at the final step.  The state passed to the
@@ -112,19 +98,17 @@ def integrate(p: ChainParams, s0: LatticeState, cfg: SimConfig, observer=None) -
 def integrate_rings(runs) -> list:
     """Advance several chains at once, each exactly as ``integrate`` would.
 
-    ``runs`` is a sequence of (p, s0, cfg, observer), every cfg of one
-    order; returns the final states in that order.  The rings are laid
-    end to end in one ``Rings`` layout, longest run first, so that the
-    rings still running are always a prefix of it.  Every stage is then
-    one kick or drift and one force call over that prefix, each
-    ring's atoms weighted by its own w*dt, and a run whose longest ring
-    takes n steps makes 1 + m*n force calls.  Each ring is checked and
-    observed at its own steps, the rings of one step longest run first.
+    ``runs`` is a sequence of (p, s0, cfg, observer); returns the final
+    states in that order.  The rings are laid end to end in one ``Rings``
+    layout, longest run first, so that the rings still running are always
+    a prefix of it.  Every stage is then one kick or drift and one force
+    call over that prefix, each ring's atoms weighted by its own w*dt,
+    and a run whose longest ring takes n steps makes 1 + m*n force calls.
+    Each ring is checked and observed at its own steps, the rings of one
+    step longest run first.
     """
     for p, _, cfg, _ in runs:
         cfg.validate(p)
-    if len({cfg.order for _, _, cfg, _ in runs}) != 1:
-        raise ValueError("integrate_rings: every ring must run the same order")
     rank = sorted(range(len(runs)), key=lambda i: -runs[i][2].n_steps)
     p, s0, cfg, observer = zip(*(runs[i] for i in rank))
     steps = [c.n_steps for c in cfg]
@@ -148,7 +132,7 @@ def integrate_rings(runs) -> list:
                 for c, atoms in zip(cfg, rings.atoms):
                     rows[w][atoms] = w * c.dt
         return [rows[w] for w in ws]
-    kicks, drifts = map(per_atom, SCHEMES[cfg[0].order])
+    kicks, drifts = map(per_atom, SCHEME)
 
     def prefix(m):
         # the arrays of the first m rings

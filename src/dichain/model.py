@@ -23,9 +23,9 @@ bond has k3 != 0, their cubes, each once; every atom's bond force is then
 ``k*(s_right - s_left)`` of those powers, with coefficients V2/W2 on even
 and V1/W1 on odd atoms, less its on-site force.  The public functions take
 and return ``(N, 2)`` cells; ``cell_pack`` and ``cell_unpack`` convert
-between the two layouts without copying where they can.  ``force`` also
-writes into a caller's buffer (``out``), so an integrator allocates no
-result per call.
+between the two layouts without copying where they can.  On a ``Rings``
+layout ``force`` writes into the caller's flat buffer (``out``), so an
+integrator allocates no result per call.
 
 ``carrier_product_force`` takes the same stencil's k2 terms on two
 carriers a*e^{i theta j}, the quadratic force on their product: row 1
@@ -275,10 +275,8 @@ def force(p, pos, out=None) -> np.ndarray:
     and an atom's bond force is k*(s_right - s_left) of them.
 
     With p a ChainParams, pos is the (N, 2) cells of one ring, and the
-    result is (N, 2) cells: ``out``, an (N, 2) float array such as a
-    cell_pack view of the caller's atom-order buffer, when given, else a
-    cell_pack view of a fresh array; the sum's bits are the same.  With p
-    a ``Rings`` layout, pos is a prefix of whole rings of its flat atom
+    result is a fresh (N, 2) array of cells (a cell_pack view).  With p a
+    ``Rings`` layout, pos is a prefix of whole rings of its flat atom
     array, ghosts included, whose ghosts the call refreshes, and the
     forces go into the same slots of ``out``, a flat array as long (a
     fresh one when not given); its first and last slot are not written.
@@ -289,12 +287,9 @@ def force(p, pos, out=None) -> np.ndarray:
             out = np.zeros(pos.size)
         np.add(lin, nl, out=out[1:-1])
         return out
-    lin, nl = _bond_forces(p, pos)
-    if out is None:
-        return cell_pack(np.add(lin, nl))
-    atoms = out[:, ::-1]  # out in atom order: contiguous for a cell_pack view
-    np.add(lin.reshape(atoms.shape), nl.reshape(atoms.shape), out=atoms)
-    return out
+    if out is not None:
+        raise TypeError("force: out is taken only with a Rings layout")
+    return cell_pack(np.add(*_bond_forces(p, pos)))
 
 
 def _cell_bonds(pos):

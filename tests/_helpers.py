@@ -1,13 +1,16 @@
 """Shared test utilities, and the analysis functions only tests use: the
 reference chain p0, det H, the resonance finder and the reduced
 coordinates, the Lipschitz and norm-equivalence constants, the lattice's
-separate L and M and its Hamiltonian."""
+separate L and M and its Hamiltonian, and leapfrog as the second-order
+reference scheme."""
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 from scipy.optimize import brentq
 
 from dichain import amplitude as amp
+from dichain import microsim
 from dichain.amplitude import StrangSolution
 from dichain.model import (ChainParams, LatticeState, PotentialCoeffs, _bond_forces, _cell_bonds,
                            carrier_product_force, cell_pack, make_params)
@@ -132,6 +135,18 @@ def strang_states(sys, fields0, L, tau_end, dtau):
     n = max(1, round(tau_end / dtau))
     sol = StrangSolution(sys, fields0, L, tau_end / n)
     return [sol.fields(k * sol.dtau) for k in range(n + 1)]
+
+
+# leapfrog (velocity Verlet) as (kick weights, drift weights): kicks of
+# 1/2 around one drift, one force call per step
+LEAPFROG = ((0.5, 0.5), (1.0,))
+
+
+def leapfrog():
+    """Context in which the lattice steps by LEAPFROG in place of
+    microsim.SCHEME: the same loop, with the stability cap default_dt and
+    the 1 + n force calls of n steps that its one drift gives."""
+    return mock.patch.object(microsim, "SCHEME", LEAPFROG)
 
 
 def linear_apply(p: ChainParams, pos) -> np.ndarray:

@@ -106,9 +106,8 @@ def test_criterion_3_impossibility_scans():
 
 
 def test_criterion_4_microsim():
-    """The lattice scheme every experiment runs, harness.LATTICE_ORDER."""
+    """The lattice scheme every experiment runs, microsim.SCHEME."""
     t0 = time.time()
-    order = harness.LATTICE_ORDER
     # (a) fourth-order convergence on the linear analytic solution
     N, k, a = 64, 5, 0.01
     th = 2 * np.pi * k / N
@@ -123,7 +122,7 @@ def test_criterion_4_microsim():
 
     errs = []
     for dt in (0.04, 0.02):
-        s = integrate(P0, plane(0.0), SimConfig(dt=dt, T=10.0, order=order))
+        s = integrate(P0, plane(0.0), SimConfig(dt=dt, T=10.0))
         errs.append(np.abs(s.pos - plane(s.t).pos).max())
     ratio = errs[0] / errs[1]
     assert 14.0 <= ratio <= 18.0
@@ -137,7 +136,7 @@ def test_criterion_4_microsim():
     s0 = LatticeState(0.05 * rng.randn(N, 2), 0.05 * rng.randn(N, 2))
     h0 = hamiltonian_energy(s0, p)
     vals = []
-    integrate(p, s0, SimConfig(dt=0.1, T=500.0, stride=5, order=order),
+    integrate(p, s0, SimConfig(dt=0.1, T=500.0, stride=5),
               lambda t, st: vals.append(hamiltonian_energy(st, p)))
     vals = np.array(vals)
     half = len(vals) // 2
@@ -146,8 +145,8 @@ def test_criterion_4_microsim():
 
     # (c) time-reversal recovery
     s0 = LatticeState(0.02 * rng.randn(N, 2), 0.02 * rng.randn(N, 2))
-    sf = integrate(P0, s0, SimConfig(dt=0.1, T=50.0, order=order))
-    sb = integrate(P0, LatticeState(sf.pos, -sf.vel), SimConfig(dt=0.1, T=50.0, order=order))
+    sf = integrate(P0, s0, SimConfig(dt=0.1, T=50.0))
+    sb = integrate(P0, LatticeState(sf.pos, -sf.vel), SimConfig(dt=0.1, T=50.0))
     rev = max(np.abs(sb.pos - s0.pos).max(), np.abs(sb.vel + s0.vel).max())
     assert rev <= 1e-8
     assert time.time() - t0 < 30.0

@@ -358,6 +358,38 @@ def test_strang_solution_self_convergence_order_four():
     assert order >= 3.9
 
 
+def _sech_tanh_error(gamma, c, dtau):
+    """Largest error of StrangSolution by dtau, relative to each field's
+    maximum at tau = 0.5, 1, ..., 4, on the family chain at gamma and c
+    with both waves at rest and B2(0) = 0.  There the envelopes solve
+    degenerate second-harmonic generation exactly (Armstrong, Bloembergen,
+    Ducuing and Pershan, Phys. Rev. 127 (1962) 1918): B1 = A sech(lam A tau)
+    and B2 = (k2/lam) A tanh(lam A tau), lam = sqrt(-k1 k2), pointwise in y."""
+    p = family_nl(gamma=gamma, b=solve_family_ratio(gamma, c))
+    sys = build_macro_system(p, *resonant_pair(p, np.arccos(2 * c - 1)))
+    assert sys.resonant and sys.velocities == (0.0, 0.0)
+    a = sech_envelope(L, NG, 1.0, 0.5)
+    lam = np.sqrt(-sys.k1 * sys.k2)
+    sol = StrangSolution(sys, (a, np.zeros(NG, complex)), L, dtau)
+    err = 0.0
+    for tau in 0.5 * np.arange(1, 9):
+        exact = (a / np.cosh(lam * a * tau), sys.k2 / lam * a * np.tanh(lam * a * tau))
+        err = max(err, *(np.abs(b - x).max() / np.abs(x).max()
+                         for b, x in zip(sol.fields(tau), exact)))
+    return err
+
+
+def test_strang_solution_matches_the_exact_sech_tanh_solution():
+    """At the step the runs take, StrangSolution is within 1e-10 of the
+    exact solution at c = 1 (6.0e-12) and at the pi point gamma = 5, c = 0
+    (2.4e-13), and its error falls ~16x per halving of the step at c = 1;
+    one triple-jump weight off by 1e-3 errs by 1e-3."""
+    coarse = _sech_tanh_error(2.0, 1.0, amp.STRANG_DTAU)
+    assert coarse <= 1e-10
+    assert 14.0 <= coarse / _sech_tanh_error(2.0, 1.0, amp.STRANG_DTAU / 2) <= 18.0
+    assert _sech_tanh_error(5.0, 0.0, amp.STRANG_DTAU) <= 1e-10
+
+
 def test_evolve_nan_detection():
     p = family_nl(w22=50.0)
     sys = build_macro_system(p, *resonant_pair(p, 0.0))

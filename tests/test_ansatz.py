@@ -14,7 +14,7 @@ from dichain.ansatz import (AnsatzSpec, IncommensurateCarrier, corrector_sum,
 from dichain.resonance import wrap_theta
 from dichain.spectrum import ACOUSTIC, OPTICAL, polarization
 
-from _helpers import p0, per_call_corrector, per_call_wave_corrector, per_row_snapshot
+from _helpers import leapfrog, p0, per_call_corrector, per_call_wave_corrector, per_row_snapshot
 
 L, NG = 40.0, 128
 
@@ -172,7 +172,8 @@ def test_plane_wave_initial_data_reproduced_by_microsim():
     th = 2 * np.pi * 12 / N
     spec = constant_spec(p, eps, N, th, a=0.5)
     s0 = initial_state(spec, improved=True)
-    s = microsim.integrate(p, s0, microsim.SimConfig(dt=0.001, T=10.0, order=2))
+    with leapfrog():
+        s = microsim.integrate(p, s0, microsim.SimConfig(dt=0.001, T=10.0))
     expected = sample_first_order(spec, s.t)
     assert np.abs(s.pos - expected).max() < 5e-6  # integrator accuracy
 

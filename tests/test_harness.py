@@ -11,11 +11,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _helpers import p0
+from _helpers import LEAPFROG, p0
 from dichain import amplitude as amp
-from dichain import cli, harness
+from dichain import cli, harness, microsim
 from dichain.harness import SCHEMA, ConfigError, config_from_dict, fit_loglog
-from dichain.microsim import SimConfig, default_dt
+from dichain.microsim import SCHEME, SimConfig, default_dt
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -478,6 +478,8 @@ BAD_KEYS = [
     pytest.param("eps", [0.1, 0.0999, 0.0998], id="eps-snap-to-one-lattice"),
     pytest.param("dt", 1e-9, id="dt-too-many-steps"),
     pytest.param("n_samples", 10 ** 12, id="n_samples-too-many-steps"),
+    # a run that seeds no wave: refused before the run, not by the fit after it
+    pytest.param("a0", [0.0, 0.0], id="a0-all-zero"),
 ]
 
 
@@ -499,6 +501,44 @@ def test_cli_rejects_bad_integration_keys(tmp_path, capsys, monkeypatch, key, va
 
 def _no_compute(*args, **kw):
     raise AssertionError("a malformed config reached the computation")
+
+
+# (command, config, a0): the amplitudes each run seeds are all zero; a
+# one-wave params run and generate with a family seed only a0[0]
+SEEDS_NOTHING = [
+    ("validate", dict(kind="ansatz_scaling", params=P_NL, waves=WAVES), [0, 0]),
+    ("validate", dict(kind="residual_scaling", params=P_NL, waves=WAVES), [0.0, 0.0]),
+    ("validate", dict(kind="convergence", params=P_NL, waves=WAVES[:1]), [0, 1]),
+    ("validate", dict(kind="generation", params=P_NL, waves=WAVES[:1]), [0, 1]),
+    ("generate", dict(kind="generation", resonant_family=FAM), [0, 1]),
+]
+
+
+@pytest.mark.parametrize("command,doc,a0", SEEDS_NOTHING,
+                         ids=["ansatz", "residual", "one-wave", "control", "generate"])
+def test_cli_refuses_a_run_that_seeds_no_wave(tmp_path, capsys, monkeypatch, command, doc, a0):
+    monkeypatch.setattr(harness, "setup_run", _no_compute)
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(dict(doc, a0=a0, eps=[0.1, 0.0707, 0.05])))
+    rc = cli.main([command, "--config", str(cfgf)])
+    err = capsys.readouterr().err
+    assert rc == 1 and "a0:" in err and "Traceback" not in err
+    # one seeded wave is enough, and a table kind takes zero amplitudes
+    config_from_dict(dict(doc, a0=[1.0] + a0[1:], eps=[0.1, 0.0707, 0.05]))
+    config_from_dict(dict(doc, kind="simulate", out="o.csv", a0=[0, 0], eps=[0.1]))
+
+
+def test_cli_generate_refuses_a_family_without_quadratic_coupling(tmp_path, capsys):
+    """With k2 = 0 the predicted optical envelope is zero, so generate
+    exits 1 naming resonant_family's nl before any lattice step, not 2
+    with a discrepancy of inf."""
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(dict(kind="generation", resonant_family={"gamma": 2, "c": 0.72})))
+    with np.errstate(all="raise"):
+        rc = cli.main(["generate", "--config", str(cfgf)])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("config error: resonant_family.nl:") and "Traceback" not in err
 
 
 def test_size_bounds_admit_their_limit_and_refuse_past_it():
@@ -710,9 +750,9 @@ def test_fourth_order_convergence_matches_fine_leapfrog(monkeypatch):
     # 1.25x slack), row by row; half the shipped horizon keeps it short
     base = dict(kind="convergence", resonant_family=FAM, eps=[0.1, 0.0707, 0.05], tau0=0.5)
     rows = {}
-    for name, order, over in (("order4", 4, {}), ("leapfrog", 2, dict(dt=0.002)),
-                              ("fine", 2, dict(dt=0.0005))):
-        monkeypatch.setattr(harness, "LATTICE_ORDER", order)
+    for name, weights, over in (("order4", SCHEME, {}), ("leapfrog", LEAPFROG, dict(dt=0.002)),
+                                ("fine", LEAPFROG, dict(dt=0.0005))):
+        monkeypatch.setattr(microsim, "SCHEME", weights)
         rep = harness.run_convergence(config_from_dict(dict(base, **over)))
         rows[name] = [v for _, v in rep.rows]
     for x, s, f in zip(rows["order4"], rows["leapfrog"], rows["fine"]):
@@ -734,7 +774,7 @@ def test_lattice_step_never_exceeds_its_target():
     # the stride is the fewest steps per sample spacing that keep dt at or
     # below min(cfg.dt, default_dt); rounding would stretch 2.5 to 2 steps
     p = p0()
-    cap = default_dt(p, harness.LATTICE_ORDER)
+    cap = default_dt(p)
     for target in (0.1, 0.04, 1.0):
         cfg = small_cfg(dt=target)
         for spacing in (0.05, 0.1, 0.25, 0.2823, 0.8, 3.0):

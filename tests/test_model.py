@@ -260,21 +260,6 @@ def test_force_matches_roll_stencil_odd_layouts():
         assert_matches_roll_stencil(P_NL, cells)
 
 
-@pytest.mark.parametrize("N", [0, 3, 400])
-def test_force_writes_into_out(N):
-    """With ``out``, force returns it holding the bits it returns without:
-    a cell_pack view over an atom-order buffer, as integrate passes, or a
-    plain (N, 2) array."""
-    rng = np.random.RandomState(30 + N)
-    pos = cell_pack(rng.randn(2 * N))
-    want = force(P_NL, pos)
-    flat = np.full(2 * N, np.nan)
-    for buf in (cell_pack(flat), np.full((N, 2), np.nan)):
-        assert force(P_NL, pos, out=buf) is buf
-        assert np.array_equal(buf, want)
-    assert np.array_equal(flat, cell_unpack(want))
-
-
 def test_force_alternating_chains_and_sizes():
     """Calls that alternate two chains and two sizes each get their own
     chain's force at their own size: the kernel of the last (chain, N)
