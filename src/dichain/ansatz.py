@@ -11,12 +11,16 @@ Each constant is computed once.  The envelope states of several times
 make one (2, m, n) snapshot stack: its spectral derivative,
 tau-derivative and second-order correctors are one pass over the whole
 grid stack, while the interpolation to the lattice and the carrier sums
-stay one sample at a time, so no lattice array grows with m.  The spec
-keeps the carrier phase rows exp(i(omega*t + theta*j)) of the last
-lattice time t, one per carrier, so the position, velocity and corrector
-sums at one time share them.  Every corrector's vectors, on product and
-wave carriers alike, are built once per snapshot stack
-(``amplitude._corrector_vectors``).
+stay one sample at a time, so no lattice array grows with m.  The rings
+of a lattice sweep that share one envelope solution share its samples
+too (``SweepSamples``): ring r reads sample i at tau_i = i*tau0/n_samples,
+whose grid pass serves all of them, from a table that keeps at most
+``KEEP_SAMPLES`` samples and drops each once every ring has read a later
+one.  The spec keeps the carrier phase rows exp(i(omega*t + theta*j)) of
+the last lattice time t, one per carrier (one scalar at theta = 0), so
+the position, velocity and corrector sums at one time share them.  Every
+corrector's vectors, on product and wave carriers alike, are built once
+per snapshot stack (``amplitude._corrector_vectors``).
 """
 from __future__ import annotations
 
@@ -35,46 +39,106 @@ class IncommensurateCarrier(ValueError):
 
 class _Snapshot:
     """Envelope data at m macroscopic times: the m envelope states as one
-    (2, m, n) grid stack, and the lattice rows of one selected sample.
-
-    The grid work is done once for the stack: one spectral derivative (two
-    FFT calls), one tau-derivative and, on first use by ``_correctors``,
-    one ``second_order_amplitudes`` call into a (K, 2, m, n) corrector
-    stack.  The lattice work is done per sample: ``select`` interpolates
-    the sample's (4, n) stack of envelopes and tau-derivatives (two FFT
-    calls) and ``_correctors`` its (K, 2, n) corrector rows (two more),
-    both kept until another sample is selected.  A single tau is the
-    m = 1 stack: four FFT calls, and two more for its correctors, which
-    convergence sampling does not need at most times.
+    (2, m, n) grid stack, its spectral derivative (two FFT calls), its
+    tau-derivative and, on first use by ``_correctors``, one
+    ``second_order_amplitudes`` call into a (K, 2, m, n) corrector stack.
+    Given ``out``, a (6, m, n) block, the three stacks are its rows.  The
+    snapshot holds no lattice rows (``_Sample`` does), so the specs of
+    every N that share one envelope solution can share it.
     """
 
-    def __init__(self, spec: "AnsatzSpec", states):
-        self.b_grid = np.stack(states, axis=1).astype(complex, copy=False)
-        self.dy_grid = amp.spectral_derivative(self.b_grid, spec.L)
-        self.dtau_grid = np.asarray(tau_derivative(spec.macro, self.b_grid, self.dy_grid))
-        self.a2_grid = self.i = None
-        self.select(spec, 0)
-
-    def select(self, spec: "AnsatzSpec", i: int) -> "_Snapshot":
-        """Interpolate sample i to the lattice, unless it is the selected one."""
-        if i != self.i:
-            lat = spec.interp(np.concatenate((self.b_grid[:, i], self.dtau_grid[:, i])))
-            self.i, self.b_lat, self.dtau_lat, self.a2_lat = i, lat[:2], lat[2:], None
-        return self
+    def __init__(self, macro: MacroSystem, L: float, states, out=None):
+        b = np.stack(states, axis=1).astype(complex, copy=False)
+        dy = amp.spectral_derivative(b, L)
+        dtau = np.asarray(tau_derivative(macro, b, dy))
+        if out is not None:
+            out[:2], out[2:4], out[4:] = b, dtau, dy
+            b, dtau, dy = out[:2], out[2:4], out[4:]
+        self.b_grid, self.dtau_grid, self.dy_grid, self.a2_grid = b, dtau, dy, None
 
 
-def _correctors(spec: "AnsatzSpec", snap: _Snapshot) -> np.ndarray:
-    """The selected sample's second-order correctors on the lattice, (K, 2,
-    N), row k that of carrier k of ``spec.carriers``: one interpolation of
-    its rows of the snapshot's corrector stack, which is built on first
-    use, for every sample at once."""
-    if snap.a2_lat is None:
+class _Sample:
+    """Sample i of a snapshot on one spec's lattice: one interpolation of
+    its (4, n) stack of envelopes and tau-derivatives (two FFT calls) and,
+    on first use by ``_correctors``, of its (K, 2, n) corrector rows (two
+    more)."""
+
+    def __init__(self, spec: "AnsatzSpec", snap: _Snapshot, i: int):
+        lat = spec.interp(np.concatenate((snap.b_grid[:, i], snap.dtau_grid[:, i])))
+        self.snap, self.i, self.b_lat, self.dtau_lat, self.a2_lat = snap, i, lat[:2], lat[2:], None
+
+
+def _correctors(spec: "AnsatzSpec", sample: _Sample) -> np.ndarray:
+    """The sample's second-order correctors on the lattice, (K, 2, N), row
+    k that of carrier k of ``spec.carriers``: one interpolation of its
+    rows of the snapshot's corrector stack, which is built on first use,
+    for every sample at once."""
+    if sample.a2_lat is None:
+        snap = sample.snap
         if snap.a2_grid is None:
             snap.a2_grid = np.empty((len(spec.carriers),) + snap.b_grid.shape, dtype=complex)
             second_order_amplitudes(spec.p, spec.macro, snap.b_grid, snap.dy_grid,
                                     snap.dtau_grid, out=snap.a2_grid)
-        snap.a2_lat = spec.interp(snap.a2_grid[:, :, snap.i])
-    return snap.a2_lat
+        sample.a2_lat = spec.interp(snap.a2_grid[:, :, sample.i])
+    return sample.a2_lat
+
+
+# a SweepSamples keeps at most KEEP_SAMPLES samples, in (6, n) slots of one
+# array: 96 bytes per grid point a sample, 1.5 KB per grid point at the cap
+# (384 KB at n = 256), of which only the slots written are resident.  The
+# default sweep's rings would keep up to 39 of its 51 samples; past the cap
+# a sample costs one more grid pass (about 55 us at n = 256, 2 cores), less
+# than the interpolation each ring makes of it anyway
+KEEP_SAMPLES = 16
+
+
+class SweepSamples:
+    """The envelope samples of a lattice sweep's rings that share one
+    envelope solution, at the sample times tau_i = i*tau0/n_samples.
+
+    Ring r's i-th observation, at lattice time t with eps_r*t = tau_i up
+    to rounding, reads sample i: its ``fields(tau_i)`` and grid pass, an
+    m = 1 ``_Snapshot`` at the solution's L, are made once for all the
+    rings, and each ring interpolates it to its own lattice.  The rings
+    read their samples in order, and each spec holds the last one it
+    read, so the table drops a sample once every ring has read a later
+    one.  It keeps at most ``KEEP_SAMPLES`` at once, each in a slot of
+    one array allocated up front, so that the samples freed in turn leave
+    no holes in the heap between the envelope states kept meanwhile.
+    Past the cap a sample is built for the ring that asks and not kept:
+    the same tau_i's bits again for the next ring.  Building the table
+    hands it to every spec (``AnsatzSpec.at_tau`` asks it on a miss) and
+    drops the specs' own snapshots, such as those ``initial_state`` left.
+    """
+
+    def __init__(self, specs, L: float, tau0: float, n_samples: int):
+        self.L, self.tau0, self.n_samples = L, tau0, n_samples
+        self._rings = {id(spec): r for r, spec in enumerate(specs)}
+        self._read = [-1] * len(specs)  # the last sample each ring has read
+        self._slots = np.empty((KEEP_SAMPLES, 6, 1, specs[0].n), dtype=complex)
+        self._free = list(range(KEEP_SAMPLES))
+        self._kept = {}  # sample -> (snapshot, slot)
+        for spec in specs:
+            spec._cache, spec._sample, spec.sweep = {}, None, self
+
+    def snapshot(self, spec: "AnsatzSpec", tau: float) -> _Snapshot:
+        """The snapshot of the sample time tau_i that tau rounds to."""
+        i = round(tau * self.n_samples / self.tau0)
+        tau_i = i * self.tau0 / self.n_samples
+        if abs(tau - tau_i) > 1e-9 * self.tau0:
+            raise ValueError(f"tau={tau} is not a sample time i*tau0/n_samples of the sweep")
+        self._read[self._rings[id(spec)]] = i
+        done = min(self._read)
+        for j in [j for j in self._kept if j < done]:
+            self._free.append(self._kept.pop(j)[1])
+        if i in self._kept:
+            return self._kept[i][0]
+        slot = self._free.pop() if self._free else None
+        snap = _Snapshot(spec.macro, self.L, [spec.solution.fields(tau_i)],
+                         out=None if slot is None else self._slots[slot])
+        if slot is not None:
+            self._kept[i] = (snap, slot)
+        return snap
 
 
 @dataclass
@@ -84,8 +148,10 @@ class AnsatzSpec:
     The macroscopic domain length is tied to the lattice by L = eps*N;
     the envelope solution provides fields at any tau.  The spec keeps
     the snapshot stack of the last taus asked for (``at_tau``,
-    ``at_taus``), the improved-ansatz carrier table, and the phase rows
-    of the last lattice time asked for (``phase_row``).
+    ``at_taus``) and the lattice rows of the last sample read from it, the
+    improved-ansatz carrier table, and the phase rows of the last lattice
+    time asked for (``phase_row``).  In a lattice sweep its snapshots come
+    from the sweep's shared ``SweepSamples`` (``sweep``).
     """
 
     p: ChainParams
@@ -96,7 +162,9 @@ class AnsatzSpec:
     solution: object
     carriers: list = field(init=False, repr=False)
     _fold: np.ndarray = field(init=False, repr=False)
+    sweep: SweepSamples = field(init=False, repr=False, default=None)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
+    _sample: _Sample = field(init=False, repr=False, default=None)
     _phase_t: float = field(init=False, repr=False, default=None)
     _phases: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -134,29 +202,38 @@ class AnsatzSpec:
         np.add.at(pad.reshape(-1), (starts[:, None] + self._fold).ravel(), hat.reshape(-1))
         return np.fft.ifft(pad) * (self.N / self.n)
 
-    def at_tau(self, tau: float) -> _Snapshot:
-        """The envelope snapshot with tau's sample selected: from the stack
-        of the last ``at_taus`` when tau is in it, else from an m = 1
-        stack of its own, kept until a tau outside it is asked for."""
+    def at_tau(self, tau: float) -> _Sample:
+        """Tau's sample on the lattice: from the stack of the last
+        ``at_taus`` when tau is in it, else from an m = 1 stack of its own
+        (the sweep's shared one, when the spec is in a sweep), kept until a
+        tau outside it is asked for.  The rows of the last sample read are
+        kept until another sample is read."""
         if tau not in self._cache:
-            self.at_taus((tau,))
+            if self.sweep is None:
+                self.at_taus((tau,))
+            else:
+                self._cache = {tau: (self.sweep.snapshot(self, tau), 0)}
         snap, i = self._cache[tau]
-        return snap.select(self, i)
+        if self._sample is None or self._sample.snap is not snap or self._sample.i != i:
+            self._sample = _Sample(self, snap, i)
+        return self._sample
 
     def at_taus(self, taus) -> None:
         """Build the snapshots of the taus as one stack, for ``at_tau`` to
         serve; the samplers ask for tau = eps*t at lattice time t."""
-        snap = _Snapshot(self, [self.solution.fields(tau) for tau in taus])
+        snap = _Snapshot(self.macro, self.L, [self.solution.fields(tau) for tau in taus])
         self._cache = {tau: (snap, i) for i, tau in enumerate(taus)}
 
     def phase_row(self, omega: float, theta: float, t: float) -> np.ndarray:
         """exp(i(omega*t + theta*j)) over the lattice sites j, built once
-        per carrier for the last time t asked for."""
+        per carrier for the last time t asked for.  At theta = 0 every site
+        has the same phase, so the row is that one numpy scalar, each
+        element's bits."""
         if t != self._phase_t:
             self._phase_t, self._phases = t, {}
         row = self._phases.get((omega, theta))
         if row is None:
-            j = np.arange(self.N)
+            j = np.arange(self.N) if theta != 0.0 else 0.0
             row = self._phases[omega, theta] = np.exp(1j * (omega * t + j * theta))
         return row
 
@@ -185,14 +262,14 @@ def sample_first_order(spec: AnsatzSpec, t: float) -> np.ndarray:
 
 def first_order_velocity(spec: AnsatzSpec, t: float) -> np.ndarray:
     """Exact time derivative of the leading approximation."""
-    snap = spec.at_tau(spec.eps * t)
+    sample = spec.at_tau(spec.eps * t)
     return _first_order_sum(spec, [1j * w.omega * b + spec.eps * d for w, b, d
-                                   in zip(spec.macro.waves, snap.b_lat, snap.dtau_lat)], t)
+                                   in zip(spec.macro.waves, sample.b_lat, sample.dtau_lat)], t)
 
 
-def _second_order_sum(spec: AnsatzSpec, snap: _Snapshot, t: float, time_derivative: bool):
+def _second_order_sum(spec: AnsatzSpec, sample: _Sample, t: float, time_derivative: bool):
     terms = []
-    for (_, om_v, th_v), a2 in zip(spec.carriers, _correctors(spec, snap)):
+    for (_, om_v, th_v), a2 in zip(spec.carriers, _correctors(spec, sample)):
         c = 1j * om_v if time_derivative else 1.0
         if c != 0.0:
             terms.append((om_v, th_v, c * a2))
@@ -246,13 +323,16 @@ def residual_norm(p: ChainParams, spec: AnsatzSpec, t, h0: float):
         # step is the exact flow when non-resonant)
         states += [amp.strang_step(spec.macro, base, spec.L, spec.eps * dt) if dt else base
                    for dt in steps]
-    snap = _Snapshot(spec, states)
+    snap = _Snapshot(spec.macro, spec.L, states)
     norms = []
     for k, s in enumerate(times):
-        # the improved positions of sample 3k + d: both sums read the selected sample
-        um, u0, up = (_first_order_sum(spec, snap.select(spec, 3 * k + d).b_lat, s + dt)
-                      + _second_order_sum(spec, snap, s + dt, False)
-                      for d, dt in enumerate(steps))
+        u = []
+        for d, dt in enumerate(steps):
+            # the improved positions of sample 3k + d: both sums read its lattice rows
+            sample = _Sample(spec, snap, 3 * k + d)
+            u.append(_first_order_sum(spec, sample.b_lat, s + dt)
+                     + _second_order_sum(spec, sample, s + dt, False))
+        um, u0, up = u
         udd = (up - 2.0 * u0 + um) / (h * h)
         norms.append(norm_m(force(p, u0) - udd, p))
     return norms if np.ndim(t) else norms[0]

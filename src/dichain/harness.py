@@ -38,8 +38,9 @@ class NoOutputPath(ConfigError):
 
 # size bounds, checked before any compute: a run holds about 1 KB per
 # lattice site and up to 20 KB per envelope grid point (kept envelope
-# states and snapshot stacks), so these keep it within about 300 MB each;
-# a lattice sweep runs every eps's lattice at once, so its sites are summed
+# states, snapshot stacks, and a lattice sweep's shared samples, at most
+# 1.5 KB), so these keep it within about 300 MB each; a lattice sweep runs
+# every eps's lattice at once, so its sites are summed
 MAX_SITES = 2 ** 18
 MAX_GRID = 2 ** 14
 # a lattice run takes at least max(T/dt, n_samples) steps to T = tau0/eps;
@@ -399,7 +400,12 @@ def _lattice_peak(cfg: ExperimentConfig, observable, law: float):
     """The measurement of a lattice sweep: every eps's lattice from
     improved initial data to t = tau0/eps, all in one run
     (``integrate_rings``); per eps the largest observable(spec, t, state)
-    at its sampling times, and that peak over eps^law."""
+    at its sampling times, and that peak over eps^law.  The i-th sampling
+    time t of each eps has eps*t = tau_i = i*tau0/n_samples up to
+    rounding, and the rings that share one envelope solution read their
+    envelopes at tau_i from one ``anz.SweepSamples`` table, whose grid
+    pass per sample serves all of them and which keeps a bounded number
+    of samples."""
     def measure(setups):
         setups = list(setups)
         peaks = [0.0] * len(setups)
@@ -411,6 +417,12 @@ def _lattice_peak(cfg: ExperimentConfig, observable, law: float):
             T = cfg.tau0 / s.spec.eps
             runs.append((s.p, anz.initial_state(s.spec, improved=True),
                          _lattice_sim(cfg, s.p, T, T / cfg.n_samples), observer))
+        # rings whose snapped carriers differ have envelope solutions of their own
+        shared = {}
+        for s in setups:
+            shared.setdefault(id(s.spec.solution), []).append(s.spec)
+        for specs in shared.values():
+            anz.SweepSamples(specs, cfg.L_y, cfg.tau0, cfg.n_samples)
         integrate_rings(runs)
         return [(s.spec.eps, peak, peak / s.spec.eps ** law) for s, peak in zip(setups, peaks)]
     return measure

@@ -390,6 +390,75 @@ def test_strang_solution_matches_the_exact_sech_tanh_solution():
     assert _sech_tanh_error(5.0, 0.0, amp.STRANG_DTAU) <= 1e-10
 
 
+# the energy identity: on a mass-consistent chain (mu*V2' = V1' with
+# mu = v11/v21, in the family v22 = gamma*v12 and v23 = gamma*v13, the
+# condition under which the lattice's Hamiltonian is conserved),
+# E = int e1|B1|^2 + e2|B2|^2 dy with e_w = omega_w^2 <r_w, r_w>_M is
+# conserved by the envelope equations exactly when e1 k1 + e2 conj(k2) = 0
+
+
+def _energy_weights(p, sys):
+    """e_w = omega_w^2 <r_w, r_w>_M per wave, in the mass-weighted product."""
+    return [w.omega ** 2 * (p.M_w * abs(r[0]) ** 2 + p.m_w * abs(r[1]) ** 2)
+            for w, r in ((w, w.amplitude_vector(1 + 0j)) for w in sys.waves)]
+
+
+def _energy_identity(p, c):
+    """e1 k1 + e2 conj(k2) and the larger of its two terms, at the family
+    point c of the chain p."""
+    sys = build_macro_system(p, *resonant_pair(p, np.arccos(2 * c - 1)))
+    assert sys.resonant
+    e1, e2 = _energy_weights(p, sys)
+    terms = (e1 * sys.k1, e2 * np.conj(sys.k2))
+    return sum(terms), max(map(abs, terms))
+
+
+def test_energy_identity_holds_on_mass_consistent_chains():
+    """Random family points with mass-consistent bonds and random on-site
+    terms satisfy the identity to 1e-12 relative; FAM's chain (v22 = 0.2,
+    not 2*v12) violates it where the polarizations are complex, by 1.40 at
+    c = 0.72, so the check tells the two kinds of chain apart."""
+    rng = np.random.RandomState(5)
+    checked = 0
+    while checked < 20:
+        gamma, c = rng.uniform(1.2, 5.0), rng.uniform(0.0, 1.0)
+        b = solve_family_ratio(gamma, c)
+        if b is None:
+            continue
+        v12, v13, w12, w13, w22, w23 = rng.uniform(-0.5, 0.5, 6)
+        p = model.make_params(v1=(1.0, v12, v13), v2=(gamma, gamma * v12, gamma * v13),
+                              w1=(b, w12, w13), w2=(b, w22, w23))
+        defect, scale = _energy_identity(p, c)
+        assert scale > 1e-3
+        assert abs(defect) <= 1e-12 * scale, (gamma, c)
+        checked += 1
+    defect, scale = _energy_identity(family_nl(b=solve_family_ratio(2.0, 0.72)), 0.72)
+    assert abs(defect) == pytest.approx(1.40, abs=0.01) and abs(defect) > 0.1 * scale
+
+
+def _energy_drift(c, dtau):
+    """Largest relative drift of E over a Strang run by dtau to tau = 4 on
+    the mass-consistent chain gamma = 2, v12 = 0.3, v22 = 0.6, w12 = 0.4,
+    w22 = 1.0 at the family point c, from sech envelopes of 1 and 0.5."""
+    p = family_nl(b=solve_family_ratio(2.0, c), v22=0.6)
+    sys = build_macro_system(p, *resonant_pair(p, np.arccos(2 * c - 1)))
+    e = _energy_weights(p, sys)
+    f0 = (sech_envelope(L, 256, 1.0, 0.5), sech_envelope(L, 256, 0.5, 0.5))
+    energy = [sum(ew * np.sum(np.abs(b) ** 2) for ew, b in zip(e, state))
+              for state in strang_states(sys, f0, L, 4.0, dtau)]
+    return max(abs(x - energy[0]) for x in energy) / energy[0]
+
+
+@pytest.mark.parametrize("c", [0.72, 0.5], ids=["generic", "half-pi"])
+def test_strang_solution_conserves_the_energy_to_order_four(c):
+    """E drifts by at most 1e-10 at the step the runs take (1.29e-11 at
+    c = 0.72, 5.83e-12 at c = 0.5), and the drift falls at least 14x per
+    halving of the step (15.8x and 16.7x): the composed step is order 4."""
+    coarse, fine = (_energy_drift(c, dtau) for dtau in (2 * amp.STRANG_DTAU, amp.STRANG_DTAU))
+    assert fine <= 1e-10
+    assert coarse / fine >= 14.0
+
+
 def test_evolve_nan_detection():
     p = family_nl(w22=50.0)
     sys = build_macro_system(p, *resonant_pair(p, 0.0))

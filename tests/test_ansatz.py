@@ -293,19 +293,19 @@ def test_theta_snapping_keeps_resonance_exact():
 def test_snapshot_matches_per_row_reference(source, eps, n_grid):
     """The grid pass over the stack and the FFT passes per sample give
     every sample's rows bit for bit, alone (m = 1) and in a stack of four
-    selected out of order."""
+    sampled out of order."""
     spec = _setup(source, eps, n_grid).spec
     assert (spec.N > spec.n) == (n_grid == 256)
     states = [spec.solution.fields(tau) for tau in (0.3, 0.1, 0.3, 0.0)]
     refs = [per_row_snapshot(spec, fields) for fields in states]
     for stack, order in (([states[0]], [0]), (states, [2, 0, 3, 0, 1])):
-        snap = anz._Snapshot(spec, stack)
+        snap = anz._Snapshot(spec.macro, spec.L, stack)
         for i in order:
-            snap.select(spec, i)
-            a2 = anz._correctors(spec, snap)
+            sample = anz._Sample(spec, snap, i)
+            a2 = anz._correctors(spec, sample)
             ref = refs[i]
             for name in ("b_lat", "dtau_lat"):
-                assert np.array_equal(getattr(snap, name), ref[name]), name
+                assert np.array_equal(getattr(sample, name), ref[name]), name
             for name in ("dy_grid", "dtau_grid"):
                 assert np.array_equal(getattr(snap, name)[:, i], ref[name]), name
             # row k is the corrector of carrier k
@@ -334,28 +334,30 @@ def test_snapshot_makes_four_ffts_and_correctors_two(monkeypatch, source):
         return _fn(*a, **kw)
     monkeypatch.setattr(anz, "second_order_amplitudes", built)
 
-    snap = anz._Snapshot(spec, states[:1])
+    sample = anz._Sample(spec, anz._Snapshot(spec.macro, spec.L, states[:1]), 0)
     assert calls == {"fft": 2, "ifft": 2}
     calls.clear()
-    anz._correctors(spec, snap)
+    anz._correctors(spec, sample)
     assert calls == {"fft": 1, "ifft": 1, "second_order": 1}
     calls.clear()
-    anz._correctors(spec, snap)  # built once
+    anz._correctors(spec, sample)  # built once
     assert not calls
 
-    snap = anz._Snapshot(spec, states)  # the stack's derivative, then sample 0
-    assert calls == {"fft": 2, "ifft": 2}
+    snap = anz._Snapshot(spec.macro, spec.L, states)  # the stack's derivative
+    assert calls == {"fft": 1, "ifft": 1}
     calls.clear()
-    anz._correctors(spec, snap)
-    assert calls == {"fft": 1, "ifft": 1, "second_order": 1}
+    anz._correctors(spec, anz._Sample(spec, snap, 0))
+    assert calls == {"fft": 2, "ifft": 2, "second_order": 1}
     for i in (1, 2):
         calls.clear()
-        snap.select(spec, i)
-        anz._correctors(spec, snap)
-        anz._correctors(spec, snap)
+        sample = anz._Sample(spec, snap, i)
+        anz._correctors(spec, sample)
+        anz._correctors(spec, sample)
         assert calls == {"fft": 2, "ifft": 2}
+    spec.at_taus((0.3, 0.1))
+    spec.at_tau(0.1)
     calls.clear()
-    snap.select(spec, 2)  # already selected
+    spec.at_tau(0.1)  # the spec keeps the rows of the last sample read
     assert not calls
 
 
@@ -465,10 +467,33 @@ def test_shared_phases_and_matrices_match_per_call_arithmetic(source):
             [_reference_residual(spec, t, 0.02) for t in times]
 
 
+@pytest.mark.parametrize("source", REGIMES, ids=REGIME_IDS)
+def test_flat_phase_scalar_matches_the_row_path(monkeypatch, source):
+    """At theta = 0 (every carrier at c = 1, and the mean carrier) the
+    phase is one numpy scalar: the leading and corrector sums equal, bit
+    for bit, those built on the full row exp(i(omega*t + theta*j))."""
+    spec = _setup(source, 0.1, 128).spec
+    times = [tau / spec.eps for tau in (0.0, 0.3, 0.7)]
+
+    def sums():
+        return [f(spec, t) for t in times for f in (
+            sample_first_order, first_order_velocity, corrector_sum,
+            lambda s, t: corrector_sum(s, t, time_derivative=True))]
+
+    flat = sums()
+    assert [np.ndim(spec.phase_row(om, th, times[-1])) for _, om, th in spec.carriers] == \
+        [int(th != 0.0) for _, _, th in spec.carriers]
+    monkeypatch.setattr(AnsatzSpec, "phase_row", lambda s, omega, theta, t: np.exp(
+        1j * (omega * t + np.arange(s.N) * theta)))
+    for a, b in zip(flat, sums()):
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("source,rows", zip(REGIMES, (7, 5, 5, 5)), ids=REGIME_IDS)
 def test_phase_rows_once_per_carrier_and_time(monkeypatch, source, rows):
     """The leading and corrector sums of one time share one exp row per
-    carrier: 7 rows for 17 terms non-resonant, 5 for 13 resonant."""
+    carrier: 7 rows for 17 terms non-resonant, 5 for 13 resonant, each a
+    scalar at theta = 0 (the mean carrier, and every carrier at c = 1)."""
     spec = _setup(source, 0.1, 128).spec
     built = collections.Counter()
 
@@ -485,5 +510,6 @@ def test_phase_rows_once_per_carrier_and_time(monkeypatch, source, rows):
         anz.corrector_sum(spec, t)
         anz.corrector_sum(spec, t, True)
         monkeypatch.undo()
-        assert built[1] == rows == len(spec._phases)
+        flat = sum(th == 0.0 for _, _, th in spec.carriers)
+        assert (built[0], built[1]) == (flat, rows - flat) and rows == len(spec._phases)
         built.clear()

@@ -13,7 +13,8 @@ import pytest
 
 from _helpers import LEAPFROG, p0
 from dichain import amplitude as amp
-from dichain import cli, harness, microsim
+from dichain import ansatz as anz
+from dichain import cli, harness, microsim, model
 from dichain.harness import SCHEMA, ConfigError, config_from_dict, fit_loglog
 from dichain.microsim import SCHEME, SimConfig, default_dt
 
@@ -757,6 +758,97 @@ def test_fourth_order_convergence_matches_fine_leapfrog(monkeypatch):
         rows[name] = [v for _, v in rep.rows]
     for x, s, f in zip(rows["order4"], rows["leapfrog"], rows["fine"]):
         assert abs(x - f) <= 1.25 * abs(s - f)
+
+
+# the envelope providers of a lattice sweep: Strang at rest (c = 1, one
+# solution for every eps), the moving c = 0.5 family, and exact transport
+SWEEPS = [dict(resonant_family=FAM), dict(resonant_family=dict(FAM, c=0.5)),
+          dict(params=P_NL, waves=WAVES)]
+SWEEP_IDS = ["c1", "half-pi", "nonresonant"]
+
+
+def _sweep_cfg(source):
+    return config_from_dict(dict(kind="convergence", eps=[0.1, 0.0707, 0.05], tau0=0.5,
+                                 n_grid=64, n_samples=20, **source))
+
+
+def _rows_ring_by_ring(cfg):
+    """The convergence rows with each eps's lattice run alone and its
+    observer reading its own envelopes at eps*t, as before the rings of a
+    sweep shared their samples."""
+    rows = []
+    for eps in cfg.eps:
+        s = harness.setup_run(cfg, eps)
+        peak = [0.0]
+
+        def observer(t, state, spec=s.spec):
+            peak[0] = max(peak[0], model.norm_l2_pair(
+                state.pos - anz.sample_first_order(spec, t),
+                state.vel - anz.first_order_velocity(spec, t)))
+
+        T = cfg.tau0 / s.spec.eps
+        microsim.integrate(s.p, anz.initial_state(s.spec, improved=True),
+                           harness._lattice_sim(cfg, s.p, T, T / cfg.n_samples), observer)
+        rows.append((s.spec.eps, peak[0]))
+    return rows
+
+
+@pytest.mark.parametrize("source", SWEEPS, ids=SWEEP_IDS)
+def test_shared_sweep_samples_match_each_ring_alone(source):
+    """Reading the envelopes at tau_i = i*tau0/n_samples from the shared
+    table, not at each ring's eps*t, moves each row by rounding only."""
+    cfg = _sweep_cfg(source)
+    shared = harness.run_convergence(cfg).rows
+    for (eps, value), (eps_ref, ref) in zip(shared, _rows_ring_by_ring(cfg)):
+        assert eps == eps_ref
+        assert abs(value - ref) <= 1e-13 * ref
+
+
+def test_sweep_asks_the_envelopes_once_per_sample_time(monkeypatch):
+    """The rings of a c = 1 sweep share one envelope solution; during the
+    lattice run it is asked for each sample time i*tau0/n_samples once,
+    not once per ring and sample."""
+    cfg = _sweep_cfg(SWEEPS[0])
+    asked, running = [], []
+    fields = amp.StrangSolution.fields
+
+    def counted(sol, tau):
+        if running:
+            asked.append(tau)
+        return fields(sol, tau)
+
+    def run(runs, _rings=harness.integrate_rings):
+        running.append(len(runs))
+        return _rings(runs)
+
+    monkeypatch.setattr(amp.StrangSolution, "fields", counted)
+    monkeypatch.setattr(harness, "integrate_rings", run)
+    harness.run_convergence(cfg)
+    assert running == [3]
+    assert asked == [i * cfg.tau0 / cfg.n_samples for i in range(cfg.n_samples + 1)]
+
+
+def test_sweep_samples_past_the_cap_keep_their_bits(monkeypatch):
+    """With n_samples above the table's cap, the table holds at most the
+    cap, and the samples it cannot keep are built again for each ring with
+    the same bits."""
+    cfg = _sweep_cfg(SWEEPS[0])
+    shared = harness.run_convergence(cfg).rows
+    kept = []
+
+    def watched(table, spec, tau, _snapshot=anz.SweepSamples.snapshot):
+        snap = _snapshot(table, spec, tau)
+        kept.append(len(table._kept))
+        return snap
+
+    monkeypatch.setattr(anz, "KEEP_SAMPLES", 3)
+    monkeypatch.setattr(anz.SweepSamples, "snapshot", watched)
+    assert harness.run_convergence(cfg).rows == shared
+    assert max(kept) == 3 < cfg.n_samples
+    spec = harness.setup_run(cfg, 0.1).spec
+    table = anz.SweepSamples([spec], cfg.L_y, cfg.tau0, cfg.n_samples)
+    with pytest.raises(ValueError, match="not a sample time"):
+        table.snapshot(spec, 0.5 * cfg.tau0 / cfg.n_samples)
 
 
 def test_stiff_chain_sweep_keeps_substeps_stable():
