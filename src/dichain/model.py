@@ -18,14 +18,16 @@ between two ghost atoms copied from its own ends, so that one subtract
 over the array gives every ring's 2N + 1 stretches, the wrap-around bond
 at both ends; an integrator steps all its rings in it at once, and one
 ring given as ``(N, 2)`` cells is copied into a one-ring layout of its
-own.  One bond pass takes the stretches, their squares and, only when a
-bond has k3 != 0, their cubes, each once; every atom's bond force is then
-``k*(s_right - s_left)`` of those powers, with coefficients V2/W2 on even
-and V1/W1 on odd atoms, less its on-site force.  The public functions take
-and return ``(N, 2)`` cells; ``cell_pack`` and ``cell_unpack`` convert
-between the two layouts without copying where they can.  On a ``Rings``
-layout ``force`` writes into the caller's flat buffer (``out``), so an
-integrator allocates no result per call.
+own.  One bond pass takes the stretches once and writes L + M into one
+array: every atom's bond force is d*(V1 + V2*sigma) of the difference d
+and the sum sigma of its right and left stretches, plus
+d*V3*(sigma^2 - s_right*s_left) only when a bond has k3 != 0, with
+coefficients V2/W2 on even and V1/W1 on odd atoms, less its on-site
+force.  The public functions take and return ``(N, 2)`` cells;
+``cell_pack`` and ``cell_unpack`` convert between the two layouts
+without copying where they can.  On a ``Rings`` layout ``force`` writes
+into the caller's flat buffer (``out``), so an integrator allocates no
+result per call.
 
 ``carrier_product_force`` takes the same stencil's k2 terms on two
 carriers a*e^{i theta j}, the quadratic force on their product: row 1
@@ -170,10 +172,11 @@ class Rings:
     over the array gives every ring's 2N_r + 1 stretches; the stretch
     across the junction of two rings and the ghosts' own forces are never
     read.  Each ring has its own coefficients, zero on the ghosts; when a
-    ring's bonds have k3 != 0, every ring takes cubes, by its own k3.
+    ring's bonds have k3 != 0, every ring takes the cubic term, by its own
+    k3, and when no ring has an on-site k3, W.k3 is the scalar 0.0.
     ``atoms`` holds the rings' slices and ``ends`` the length of each
     prefix of whole rings; ``kernels`` maps each such length to its
-    ``_bond_pass``, all bound once over one set of buffers.
+    ``_bond_pass``, all bound once over one set of four scratch rows.
     """
 
     def __init__(self, params, cells):
@@ -184,7 +187,8 @@ class Rings:
         ghosts = np.array([g for o, e in zip(starts, self.ends) for g in (o, e - 1)])
         sources = np.array([s for o, e in zip(starts, self.ends) for s in (e - 2, o + 1)])
         self.size = self.ends[-1]
-        rows = 3 if any(p.V1.k3 or p.V2.k3 for p in params) else 2
+        cubic = any(p.V1.k3 or p.V2.k3 for p in params)
+        onsite_k3 = any(p.W1.k3 or p.W2.k3 for p in params)
         # V.k1..k3 and W.k1..k3 per atom: V2/W2 on even atoms, V1/W1 on odd
         k = np.zeros((6, self.size))
         for p, atoms in zip(params, self.atoms):
@@ -192,40 +196,47 @@ class Rings:
                 coeffs[:, 0::2] = [[even.k1], [even.k2], [even.k3]]
                 coeffs[:, 1::2] = [[odd.k1], [odd.k2], [odd.k3]]
         k.flags.writeable = False
-        n = self.size
-        powers, terms, lin, nl = (np.empty((rows, n - 1)), np.empty((rows, n - 2)),
-                                  np.empty(n - 2), np.empty(n - 2))
-        self.kernels = {end: _bond_pass(k[:, :end], rows, ghosts[:2 * m], sources[:2 * m],
-                                        (powers[:, :end - 1], terms[:, :end - 2],
-                                         lin[:end - 2], nl[:end - 2]))
+        scratch = np.empty((4, self.size - 1))
+        self.kernels = {end: _bond_pass(k[:, :end], cubic, onsite_k3, ghosts[:2 * m],
+                                        sources[:2 * m], scratch[:, :end - 1])
                         for m, end in enumerate(self.ends, 1)}
 
 
-def _bond_pass(k, rows: int, ghosts, sources, scratch):
+def _bond_pass(k, cubic: bool, onsite_k3: bool, ghosts, sources, scratch):
     """The force kernel of the first n slots of a ``Rings`` array, whose
     coefficient rows V.k1..k3, W.k1..k3 are k: a function of the slots y
-    that copies the ``sources`` into the ``ghosts`` and returns L and M of
-    slots 1 to n - 2, in the reused buffers of ``scratch``.  The n - 1
-    stretches s are squared, and cubed only when ``rows`` is 3 (a bond has
-    k3 != 0), once each; one subtract and one multiply give every atom's
-    k*(s_right - s_left) of each power.
-    """
-    powers, terms, lin, nl = scratch
-    V, W = k[:rows, 1:-1], PotentialCoeffs(*k[3:, 1:-1])
-    s, right, left = powers[0], powers[:, 1:], powers[:, :-1]
+    and a buffer ``out`` of n - 2 slots that copies the ``sources`` into
+    the ``ghosts`` and writes L + M of slots 1 to n - 2 into ``out``.
 
-    def apply(y):
+    With s_R and s_L an atom's right and left stretches, d = s_R - s_L,
+    sigma = s_R + s_L and q = s_R*s_L, its bond force
+    k1*d + k2*(s_R^2 - s_L^2) + k3*(s_R^3 - s_L^3) is
+    d*(V1 + V2*sigma + V3*(sigma^2 - q)), whose V3 term is taken only when
+    ``cubic`` (a bond has k3 != 0); less its on-site force W1*x + _fnl(W, x),
+    with W.k3 the scalar 0.0 unless ``onsite_k3``.  The n - 1 stretches
+    and the three rows of n - 2 slots are the four rows of ``scratch``.
+    """
+    s, d, sigma, t = scratch[0], scratch[1, :-1], scratch[2, :-1], scratch[3, :-1]
+    V1, V2, V3 = k[:3, 1:-1]
+    W = PotentialCoeffs(*k[3:5, 1:-1], k[5, 1:-1] if onsite_k3 else 0.0)
+    right, left = s[1:], s[:-1]
+
+    def apply(y, out):
         y[ghosts] = y[sources]
         np.subtract(y[1:], y[:-1], out=s)
-        for j in range(1, rows):
-            np.multiply(powers[j - 1], s, out=powers[j])
-        np.multiply(V, np.subtract(right, left, out=terms), out=terms)
+        np.subtract(right, left, out=d)
+        np.add(right, left, out=sigma)
+        if cubic:
+            np.multiply(right, left, out=t)
+            np.subtract(np.multiply(sigma, sigma, out=out), t, out=t)
+            np.multiply(V3, t, out=t)
+        np.add(V1, np.multiply(V2, sigma, out=sigma), out=sigma)
+        if cubic:
+            np.add(sigma, t, out=sigma)
+        np.multiply(d, sigma, out=out)
         x = y[1:-1]
-        np.subtract(terms[0], np.multiply(W.k1, x, out=lin), out=lin)
-        np.subtract(terms[1], _fnl(W, x), out=nl)
-        if rows == 3:
-            np.add(nl, terms[2], out=nl)
-        return lin, nl
+        np.subtract(out, np.multiply(W.k1, x, out=t), out=out)
+        return np.subtract(out, _fnl(W, x), out=out)
     return apply
 
 
@@ -253,8 +264,8 @@ _last_ring = (None, 0, None, None, None)
 
 
 def _bond_forces(p: ChainParams, pos):
-    """(L, M) of the cells pos of one ring of p, in atom order, as reused
-    buffers: pos is copied between the ghosts of a one-ring layout."""
+    """L + M of the cells pos of one ring of p, as a fresh flat array in
+    atom order: pos is copied between the ghosts of a one-ring layout."""
     global _last_ring
     pos = np.asarray(pos, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:
@@ -266,13 +277,14 @@ def _bond_forces(p: ChainParams, pos):
         kernel, cells = rings.kernels[rings.size], cell_pack(y[1:-1])
         _last_ring = (p, len(pos), kernel, y, cells)
     cells[...] = pos
-    return kernel(y)
+    return kernel(y, np.empty(2 * len(pos)))
 
 
 def force(p, pos, out=None) -> np.ndarray:
-    """Full right-hand side L(u) + M(u) from one bond pass: the stretches,
-    their squares and (when a bond has k3 != 0) cubes are taken once each,
-    and an atom's bond force is k*(s_right - s_left) of them.
+    """Full right-hand side L(u) + M(u) from one bond pass, written in
+    one array: each atom's bond force d*(V1 + V2*sigma [+ V3*(sigma^2 - q)])
+    of its stretches' difference d, sum sigma and product q, less its
+    on-site force (see ``_bond_pass``).
 
     With p a ChainParams, pos is the (N, 2) cells of one ring, and the
     result is a fresh (N, 2) array of cells (a cell_pack view).  With p a
@@ -282,14 +294,13 @@ def force(p, pos, out=None) -> np.ndarray:
     fresh one when not given); its first and last slot are not written.
     """
     if isinstance(p, Rings):
-        lin, nl = p.kernels[pos.size](pos)
         if out is None:
             out = np.zeros(pos.size)
-        np.add(lin, nl, out=out[1:-1])
+        p.kernels[pos.size](pos, out[1:-1])
         return out
     if out is not None:
         raise TypeError("force: out is taken only with a Rings layout")
-    return cell_pack(np.add(*_bond_forces(p, pos)))
+    return cell_pack(_bond_forces(p, pos))
 
 
 def _cell_bonds(pos):

@@ -3,6 +3,7 @@ reference chain p0, det H, the resonance finder and the reduced
 coordinates, the Lipschitz and norm-equivalence constants, the lattice's
 separate L and M and its Hamiltonian, and leapfrog as the second-order
 reference scheme."""
+import functools
 from dataclasses import dataclass
 from unittest import mock
 
@@ -12,8 +13,8 @@ from scipy.optimize import brentq
 from dichain import amplitude as amp
 from dichain import microsim
 from dichain.amplitude import StrangSolution
-from dichain.model import (ChainParams, LatticeState, PotentialCoeffs, _bond_forces, _cell_bonds,
-                           carrier_product_force, cell_pack, make_params)
+from dichain.model import (ChainParams, LatticeState, PotentialCoeffs, _cell_bonds,
+                           carrier_product_force, force, make_params)
 from dichain.resonance import GRID_SIZE, resonance_defect
 from dichain.spectrum import OPTICAL, dispersion_matrix
 
@@ -150,7 +151,8 @@ def leapfrog():
 
 
 def linear_apply(p: ChainParams, pos) -> np.ndarray:
-    """The linear operator L of ``model.force``'s bond pass.
+    """The linear operator L: ``model.force`` on p's linear part (k2 = k3
+    = 0), whose bond pass then takes k1*(s_right - s_left) - w*x.
 
     Row 1: v11*(u_{j+1,2} - 2u_{j,1} + u_{j,2}) - w11*u_{j,1}
     Row 2: v21*(u_{j,1} - 2u_{j,2} + u_{j-1,1}) - w21*u_{j,2}
@@ -159,13 +161,22 @@ def linear_apply(p: ChainParams, pos) -> np.ndarray:
     from the two-atom displacement equations produces, and what the
     dispersion matrix encodes.
     """
-    return cell_pack(_bond_forces(p, pos)[0].copy())
+    return force(_part(p, linear=True), pos)
 
 
 def nonlinear_apply(p: ChainParams, pos) -> np.ndarray:
-    """The quadratic+cubic force remainder M(u) of ``model.force``'s bond
-    pass."""
-    return cell_pack(_bond_forces(p, pos)[1].copy())
+    """The quadratic+cubic force remainder M(u): ``model.force`` on p's
+    nonlinear part (k1 = 0)."""
+    return force(_part(p, linear=False), pos)
+
+
+@functools.cache
+def _part(p: ChainParams, linear: bool) -> ChainParams:
+    """p's linear or nonlinear part, unchecked (make_params refuses k1 =
+    0), one object per chain so that force finds its one-ring layout
+    again on the next call."""
+    return ChainParams(*(PotentialCoeffs(c.k1) if linear else PotentialCoeffs(0.0, c.k2, c.k3)
+                         for c in (p.V1, p.V2, p.W1, p.W2)))
 
 
 def potential(c: PotentialCoeffs, x):
@@ -236,23 +247,24 @@ def roll_stencil(p, pos):
 
 def roll_force(p, pos):
     """L(u) + M(u) with np.roll stretches in the arithmetic of model.force,
-    bit-equal to it: L from roll_stencil, and each atom's bond terms
-    k2*(r*r - l*l) (plus k3*(r*r*r - l*l*l) when a bond has k3 != 0) of
-    its right and left stretches r and l, less the on-site terms."""
+    bit-equal to it: each atom's bond term (r - l)*(k1 + k2*(r + l)), with
+    k3*((r + l)**2 - r*l) added inside the bracket when a bond has k3 != 0,
+    of its right and left stretches r and l, less the on-site terms."""
     pos = np.asarray(pos, dtype=float)
-    lin, _ = roll_stencil(p, pos)
     u1, u2 = pos[:, 0], pos[:, 1]
     s_a = np.roll(u2, -1) - u1
     s_b = u1 - u2
     s_c = np.roll(s_a, 1)
     cubic = p.V1.k3 != 0 or p.V2.k3 != 0
 
-    def nl(v, w, r, l, u):
-        r2, l2 = r * r, l * l
-        out = v.k2 * (r2 - l2) - u * u * (w.k2 + w.k3 * u)
-        return out + v.k3 * (r2 * r - l2 * l) if cubic else out
+    def row(v, w, r, l, u):
+        sigma = r + l
+        bond = v.k1 + v.k2 * sigma
+        if cubic:
+            bond = bond + v.k3 * (sigma * sigma - r * l)
+        return (r - l) * bond - w.k1 * u - u * u * (w.k2 + w.k3 * u)
 
-    return lin + np.stack([nl(p.V1, p.W1, s_a, s_b, u1), nl(p.V2, p.W2, s_b, s_c, u2)], axis=1)
+    return np.stack([row(p.V1, p.W1, s_a, s_b, u1), row(p.V2, p.W2, s_b, s_c, u2)], axis=1)
 
 
 # the envelope factors of each product carrier, wave k's conjugate written

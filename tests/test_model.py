@@ -1,4 +1,7 @@
+import ast
+import inspect
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +10,13 @@ from scipy.integrate import solve_ivp
 from _helpers import (hamiltonian_energy, linear_apply, lipschitz_constant,
                       nonlinear_apply, norm_equivalence_interval, p0, random_valid_params,
                       roll_force, roll_stencil)
-from dichain.model import (ChainParams, LatticeState, PotentialCoeffs, StabilityError,
+from dichain import model
+from dichain.model import (ChainParams, LatticeState, PotentialCoeffs, Rings, StabilityError,
                            carrier_product_force, cell_pack, cell_unpack, energy_norm, force,
                            make_params, norm_m, validate_params)
 
 P0 = p0()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_validate_p0():
@@ -80,8 +85,10 @@ def test_force_matches_unpacked_oracle():
     p = make_params(v1=(1.0, 0.4, -0.2), v2=(2.0, -0.3, 0.1),
                     w1=(1.0, 0.2, 0.3), w2=(1.5, -0.1, 0.05))
     x = rng.randn(16)
-    # the nonlinear remainder takes powers of the bonds, not the oracle's
-    # x*x*(k2 + k3*x) per bond: equal up to round-off
+    # the nonlinear remainder brackets each atom's bonds as
+    # d*(k2*sigma + k3*(sigma^2 - q)) of the difference, sum and product
+    # of its stretches, not the oracle's x*x*(k2 + k3*x) per bond: equal
+    # up to round-off
     assert_close_to(nonlinear_apply(p, cell_pack(x)),
                     cell_pack(dichain_rhs_unpacked(x, p, "nonlinear")))
     assert np.array_equal(linear_apply(p, cell_pack(x)),
@@ -97,7 +104,10 @@ def test_force_is_sum_of_parts():
     p = make_params(v1=(1.0, 0.4, -0.2), v2=(2.0, -0.3, 0.1),
                     w1=(1.0, 0.2, 0.3), w2=(1.5, -0.1, 0.05))
     pos = rng.randn(10, 2)
-    assert np.array_equal(force(p, pos), linear_apply(p, pos) + nonlinear_apply(p, pos))
+    # L and M are force on the linear and on the nonlinear part; the force
+    # itself brackets them in one product per atom, as roll_force does
+    assert np.array_equal(force(p, pos), roll_force(p, pos))
+    assert_close_to(force(p, pos), linear_apply(p, pos) + nonlinear_apply(p, pos))
 
 
 def test_cell_pack_examples():
@@ -287,8 +297,10 @@ def _layouts(rng, N):
 @pytest.mark.parametrize("N", [0, 1, 2, 3, 400])
 @pytest.mark.parametrize("cubic", [True, False])
 def test_force_matches_roll_stencil_random_chains(N, cubic):
-    # roll_stencil keeps the previous kernel's x*x*(k2 + k3*x) per bond, bit
-    # for bit; the bond powers k*(s_r^m - s_l^m) stay within 1e-15*max|F|
+    # roll_stencil takes x*x*(k2 + k3*x) per bond; the bracket
+    # d*(k1 + k2*sigma + k3*(sigma^2 - q)) stays within 1e-15*max|F| of it,
+    # also at ten times the amplitude, where the cubic term dominates and
+    # sigma^2 - q may cancel
     rng = np.random.RandomState(20 + N)
     for _ in range(10):
         p = random_valid_params(rng, nonlinear=True)
@@ -296,6 +308,7 @@ def test_force_matches_roll_stencil_random_chains(N, cubic):
             p = ChainParams(*(PotentialCoeffs(c.k1, c.k2) for c in (p.V1, p.V2, p.W1, p.W2)))
         for pos in _layouts(rng, N):
             assert_matches_roll_stencil(p, pos)
+            assert_matches_roll_stencil(p, 10.0 * pos)
 
 
 def test_force_is_negative_hamiltonian_gradient():
@@ -361,3 +374,39 @@ def test_carrier_product_force_is_the_lattice_bilinear_force(ka, kc):
     # the tolerance is the rounding of the forces whose linear parts cancel
     scale = np.abs(force(p, u + v)).max()
     np.testing.assert_allclose(measured, expected, rtol=0, atol=1e-13 * scale)
+
+
+def _selftest_mutation():
+    """perfbench/selftest.py's MUTATION pair (text, mutant text), read from
+    its source without importing the benchmark."""
+    tree = ast.parse((ROOT / "perfbench/selftest.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["MUTATION"])
+
+
+def test_benchmark_mutation_anchor_reaches_both_force_paths(monkeypatch):
+    """The benchmark's selftest patches one text of model.py, the on-site
+    x*x*(k2 + k3*x) of _fnl, to show that its gates catch a 1 % larger k2.
+    That text occurs once, and force on a Rings prefix and on one ring
+    both go through _fnl, so a kernel that inlines or drops it fails
+    here."""
+    anchor, _ = _selftest_mutation()
+    assert Path(model.__file__).read_text().count(anchor) == 1
+    assert inspect.getsource(model._fnl).count(anchor) == 1
+    rng = np.random.RandomState(32)
+    cells = [rng.randn(6, 2), rng.randn(4, 2)]
+    rings = Rings((P_NL, P_NL), [len(c) for c in cells])
+    y = np.zeros(rings.size)
+    for c, atoms in zip(cells, rings.atoms):
+        y[atoms] = cell_unpack(c)
+
+    def forces():
+        f = force(rings, y)
+        return [f[atoms] for atoms in rings.atoms] + [force(P_NL, cells[0])]
+
+    before = forces()
+    fnl = model._fnl
+    monkeypatch.setattr(model, "_fnl", lambda c, x: fnl(replace(c, k2=1.01 * c.k2), x))
+    for a, b in zip(forces(), before):
+        assert not np.array_equal(a, b)
