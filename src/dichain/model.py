@@ -173,7 +173,7 @@ class Rings:
     across the junction of two rings and the ghosts' own forces are never
     read.  Each ring has its own coefficients, zero on the ghosts; when a
     ring's bonds have k3 != 0, every ring takes the cubic term, by its own
-    k3, and when no ring has an on-site k3, W.k3 is the scalar 0.0.
+    k3.
     ``atoms`` holds the rings' slices and ``ends`` the length of each
     prefix of whole rings; ``kernels`` maps each such length to its
     ``_bond_pass``, all bound once over one set of four scratch rows.
@@ -188,7 +188,6 @@ class Rings:
         sources = np.array([s for o, e in zip(starts, self.ends) for s in (e - 2, o + 1)])
         self.size = self.ends[-1]
         cubic = any(p.V1.k3 or p.V2.k3 for p in params)
-        onsite_k3 = any(p.W1.k3 or p.W2.k3 for p in params)
         # V.k1..k3 and W.k1..k3 per atom: V2/W2 on even atoms, V1/W1 on odd
         k = np.zeros((6, self.size))
         for p, atoms in zip(params, self.atoms):
@@ -197,12 +196,12 @@ class Rings:
                 coeffs[:, 1::2] = [[odd.k1], [odd.k2], [odd.k3]]
         k.flags.writeable = False
         scratch = np.empty((4, self.size - 1))
-        self.kernels = {end: _bond_pass(k[:, :end], cubic, onsite_k3, ghosts[:2 * m],
+        self.kernels = {end: _bond_pass(k[:, :end], cubic, ghosts[:2 * m],
                                         sources[:2 * m], scratch[:, :end - 1])
                         for m, end in enumerate(self.ends, 1)}
 
 
-def _bond_pass(k, cubic: bool, onsite_k3: bool, ghosts, sources, scratch):
+def _bond_pass(k, cubic: bool, ghosts, sources, scratch):
     """The force kernel of the first n slots of a ``Rings`` array, whose
     coefficient rows V.k1..k3, W.k1..k3 are k: a function of the slots y
     and a buffer ``out`` of n - 2 slots that copies the ``sources`` into
@@ -212,13 +211,13 @@ def _bond_pass(k, cubic: bool, onsite_k3: bool, ghosts, sources, scratch):
     sigma = s_R + s_L and q = s_R*s_L, its bond force
     k1*d + k2*(s_R^2 - s_L^2) + k3*(s_R^3 - s_L^3) is
     d*(V1 + V2*sigma + V3*(sigma^2 - q)), whose V3 term is taken only when
-    ``cubic`` (a bond has k3 != 0); less its on-site force W1*x + _fnl(W, x),
-    with W.k3 the scalar 0.0 unless ``onsite_k3``.  The n - 1 stretches
-    and the three rows of n - 2 slots are the four rows of ``scratch``.
+    ``cubic`` (a bond has k3 != 0); less its on-site force W1*x + _fnl(W, x).
+    The n - 1 stretches and the three rows of n - 2 slots are the four rows
+    of ``scratch``.
     """
     s, d, sigma, t = scratch[0], scratch[1, :-1], scratch[2, :-1], scratch[3, :-1]
     V1, V2, V3 = k[:3, 1:-1]
-    W = PotentialCoeffs(*k[3:5, 1:-1], k[5, 1:-1] if onsite_k3 else 0.0)
+    W = PotentialCoeffs(*k[3:, 1:-1])
     right, left = s[1:], s[:-1]
 
     def apply(y, out):
@@ -257,16 +256,34 @@ def carrier_product_force(p: ChainParams, a, theta_a: float, c, theta_c: float) 
                      for v, w, (ra, la), (rc, lc), ai, ci in rows])
 
 
-# (p, N, kernel, slots, cells) of the last _bond_forces call: the kernel
+# (p, N, kernel, slots, cells) of the last one-ring force call: the kernel
 # of a one-ring layout of N cells of p, its slot array and the (N, 2) view
 # of that array's atoms, found again by identity, without hashing p
 _last_ring = (None, 0, None, None, None)
 
 
-def _bond_forces(p: ChainParams, pos):
-    """L + M of the cells pos of one ring of p, as a fresh flat array in
-    atom order: pos is copied between the ghosts of a one-ring layout."""
+def force(p, pos, out=None) -> np.ndarray:
+    """Full right-hand side L(u) + M(u) from one bond pass, written in
+    one array: each atom's bond force d*(V1 + V2*sigma [+ V3*(sigma^2 - q)])
+    of its stretches' difference d, sum sigma and product q, less its
+    on-site force (see ``_bond_pass``).
+
+    With p a ChainParams, pos is the (N, 2) cells of one ring, copied
+    between the ghosts of a one-ring layout, and the result is a fresh
+    (N, 2) array of cells (a cell_pack view).  With p a ``Rings`` layout,
+    pos is a prefix of whole rings of its flat atom array, ghosts
+    included, whose ghosts the call refreshes, and the forces go into the
+    same slots of ``out``, a flat array as long (a fresh one when not
+    given); its first and last slot are not written.
+    """
     global _last_ring
+    if isinstance(p, Rings):
+        if out is None:
+            out = np.zeros(pos.size)
+        p.kernels[pos.size](pos, out[1:-1])
+        return out
+    if out is not None:
+        raise TypeError("force: out is taken only with a Rings layout")
     pos = np.asarray(pos, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"expected shape (N, 2), got {pos.shape}")
@@ -277,30 +294,7 @@ def _bond_forces(p: ChainParams, pos):
         kernel, cells = rings.kernels[rings.size], cell_pack(y[1:-1])
         _last_ring = (p, len(pos), kernel, y, cells)
     cells[...] = pos
-    return kernel(y, np.empty(2 * len(pos)))
-
-
-def force(p, pos, out=None) -> np.ndarray:
-    """Full right-hand side L(u) + M(u) from one bond pass, written in
-    one array: each atom's bond force d*(V1 + V2*sigma [+ V3*(sigma^2 - q)])
-    of its stretches' difference d, sum sigma and product q, less its
-    on-site force (see ``_bond_pass``).
-
-    With p a ChainParams, pos is the (N, 2) cells of one ring, and the
-    result is a fresh (N, 2) array of cells (a cell_pack view).  With p a
-    ``Rings`` layout, pos is a prefix of whole rings of its flat atom
-    array, ghosts included, whose ghosts the call refreshes, and the
-    forces go into the same slots of ``out``, a flat array as long (a
-    fresh one when not given); its first and last slot are not written.
-    """
-    if isinstance(p, Rings):
-        if out is None:
-            out = np.zeros(pos.size)
-        p.kernels[pos.size](pos, out[1:-1])
-        return out
-    if out is not None:
-        raise TypeError("force: out is taken only with a Rings layout")
-    return cell_pack(_bond_forces(p, pos))
+    return cell_pack(kernel(y, np.empty(2 * len(pos))))
 
 
 def _cell_bonds(pos):

@@ -406,19 +406,17 @@ def test_rings_run_together_as_each_ring_alone(monkeypatch, bonds):
     """Rings of their own chains, sizes, dt (0.1 and 0.094), strides and
     step counts, two with equal counts and one of a single step, given out
     of length order.  With bond k3 != 0 the bond pass takes the cubic
-    term; "mixed" gives one ring bond k3 != 0 and another on-site k3 != 0,
-    so that the other rings, which run alone with neither, run together
-    with both, their V3 = 0 terms and zero W.k3 rows adding exactly
-    nothing."""
+    term; "mixed" gives one ring bond k3 != 0, so that the other rings,
+    which run alone without the cubic term, run together with it, their
+    V3 = 0 terms adding exactly nothing."""
     rng = np.random.RandomState(21)
     rings = [(12, 0.094, 3, 20), (16, 0.1, 4, 31), (8, 0.1, 1, 1), (10, 0.094, 7, 20),
              (6, 0.1, 2, 9)]
     runs = []
     for i, (N, dt, stride, n) in enumerate(rings):
         k3 = {"squares": 0.0, "cubes": 0.1, "mixed": 0.1 * (i == 1)}[bonds]
-        w3 = 0.05 * (i == 3) if bonds == "mixed" else 0.05
         p = model.make_params(v1=(1.0 + 0.05 * i, 0.3, k3), v2=(2.0, 0.2 + 0.1 * i, 0.0),
-                              w1=(1.0, 0.4, w3), w2=(1.0, 0.5 - 0.1 * i, 0.0))
+                              w1=(1.0, 0.4, 0.05), w2=(1.0, 0.5 - 0.1 * i, 0.0))
         s0 = LatticeState(0.1 * rng.randn(N, 2), 0.1 * rng.randn(N, 2), t=0.5 * i)
         runs.append((p, s0, SimConfig(dt=dt, T=n * dt, stride=stride)))
     _assert_rings_are_each_ring_alone(runs, monkeypatch)
