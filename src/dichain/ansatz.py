@@ -21,6 +21,10 @@ the last lattice time t, one per carrier (one scalar at theta = 0), so
 the position, velocity and corrector sums at one time share them.  Every
 corrector's vectors, on product and wave carriers alike, are built once
 per snapshot stack (``amplitude._corrector_vectors``).
+
+``residual_norm`` sums the improved positions as one amplitude row per
+carrier, made on the grid for its whole stack: one interpolation and one
+carrier sum per state, on ``phase_row``'s phase rows (see its docstring).
 """
 from __future__ import annotations
 
@@ -300,13 +304,18 @@ def residual_norm(p: ChainParams, spec: AnsatzSpec, t, h0: float):
     lattice time t, or one norm per time when t is a sequence of times.
 
     The envelope states at t - h, t and t + h of every time make one
-    snapshot stack, so all of them share one pass of grid work.  The step
-    keeps the finite-difference error below the eps^{5/2} signal being
-    measured.  The division by h^2 also amplifies the rounding of the
-    phases omega*t + theta*j (up to 2,550 rad at N = 400 and 10,152 at
-    N = 1,600), which differs between t - h, t and t + h: rounding them
-    any other way, such as factoring out exp(i*omega*t), moved a row of the
-    c = 0.5 family by 2.7e-3 relative.
+    snapshot stack, so all of them share one pass of grid work: the
+    correctors and, on the two wave carriers, eps times the wave's
+    amplitude vector make one (K, 2, 3m, n) stack of amplitude rows, one
+    per carrier, and each state is one interpolation of its (K, 2, n)
+    slice and one carrier sum.  The step keeps the finite-difference error
+    below the eps^{5/2} signal being measured.  The division by h^2 also
+    amplifies the rounding of the phases omega*t + theta*j (up to 2,550
+    rad at N = 400 and 10,152 at N = 1,600), which differs between t - h,
+    t and t + h: rounding them any other way, such as factoring out
+    exp(i*omega*t), moved a row of the c = 0.5 family by 2.7e-3 relative.
+    So the phase rows are ``phase_row``'s, unchanged, until the residual
+    differences the slow amplitudes alone (ROADMAP item 2).
     """
     times = [t] if np.ndim(t) == 0 else list(t)
     for s in times:
@@ -324,15 +333,21 @@ def residual_norm(p: ChainParams, spec: AnsatzSpec, t, h0: float):
         states += [amp.strang_step(spec.macro, base, spec.L, spec.eps * dt) if dt else base
                    for dt in steps]
     snap = _Snapshot(spec.macro, spec.L, states)
+    # one amplitude row per carrier on the grid: eps^2 times the corrector,
+    # plus eps times the wave's amplitude vector on the two wave carriers
+    amps = np.empty((len(spec.carriers),) + snap.b_grid.shape, dtype=complex)
+    second_order_amplitudes(spec.p, spec.macro, snap.b_grid, snap.dy_grid, snap.dtau_grid,
+                            out=amps)
+    amps *= spec.eps ** 2
+    for rows, w, b in zip(amps, spec.macro.waves, snap.b_grid):
+        for row, v in zip(rows, w.amplitude_vector(b)):
+            row += spec.eps * v
     norms = []
     for k, s in enumerate(times):
-        u = []
-        for d, dt in enumerate(steps):
-            # the improved positions of sample 3k + d: both sums read its lattice rows
-            sample = _Sample(spec, snap, 3 * k + d)
-            u.append(_first_order_sum(spec, sample.b_lat, s + dt)
-                     + _second_order_sum(spec, sample, s + dt, False))
-        um, u0, up = u
+        # the improved positions of states 3k + d, d = 0, 1, 2
+        um, u0, up = (_carrier_sum(spec, [(om, th, a) for (_, om, th), a in zip(
+            spec.carriers, spec.interp(amps[:, :, 3 * k + d]))], s + dt, 1.0)
+            for d, dt in enumerate(steps))
         udd = (up - 2.0 * u0 + um) / (h * h)
         norms.append(norm_m(force(p, u0) - udd, p))
     return norms if np.ndim(t) else norms[0]

@@ -380,11 +380,10 @@ def _per_term_carrier_sum(spec, terms, t, scale):
     return 2.0 * scale * u.real
 
 
-def _reference_sums(spec, fields, t):
-    """Leading positions and velocities, and the corrector position and
-    velocity terms, at lattice time t from the envelope grids ``fields``,
-    with fresh phases and per-call corrector vectors throughout."""
-    ref = per_row_snapshot(spec, fields)
+def _per_call_correctors(spec, fields, ref):
+    """The carrier table and each carrier's corrector rows on the grid,
+    keyed by carrier, from per-call corrector vectors; ``ref`` is the
+    ``per_row_snapshot`` of ``fields``."""
     waves = spec.macro.waves
     b_grid = [np.asarray(f, dtype=complex) for f in fields]
     table = amp.carriers(spec.macro.resonant, *waves)
@@ -393,6 +392,16 @@ def _reference_sums(spec, fields, t):
     for k in (1, 2):
         cor[k] = per_call_wave_corrector(spec.p, spec.macro, k, b_grid, ref["dy_grid"],
                                          ref["dtau_grid"])
+    return table, cor
+
+
+def _reference_sums(spec, fields, t):
+    """Leading positions and velocities, and the corrector position and
+    velocity terms, at lattice time t from the envelope grids ``fields``,
+    with fresh phases and per-call corrector vectors throughout."""
+    ref = per_row_snapshot(spec, fields)
+    waves = spec.macro.waves
+    table, cor = _per_call_correctors(spec, fields, ref)
     cor_lat = dict(zip(cor, spec.interp(np.stack(list(cor.values())))))
 
     def first(envelopes):
@@ -412,15 +421,32 @@ def _reference_sums(spec, fields, t):
     return first(ref["b_lat"]), first(vel), second(False), second(True)
 
 
-def _reference_residual(spec, t, h0):
+def _per_carrier_positions(spec, fields, t):
+    """The improved positions at lattice time t as one sum over the carrier
+    table: each carrier's amplitude row, eps^2 times its per-call corrector
+    plus, on a wave carrier, eps times the wave's amplitude vector, made on
+    the grid, interpolated to the lattice and summed with fresh phases."""
+    table, cor = _per_call_correctors(spec, fields, per_row_snapshot(spec, fields))
+    amps = {iota: spec.eps ** 2 * cor[iota] for iota, _, _ in table}
+    for iota, w, b in zip((1, 2), spec.macro.waves, fields):
+        amps[iota] = amps[iota] + spec.eps * np.asarray(
+            w.amplitude_vector(np.asarray(b, dtype=complex)))
+    lat = spec.interp(np.stack(list(amps.values())))
+    return _per_term_carrier_sum(spec, [(om_v, th_v, a) for (_, om_v, th_v), a
+                                        in zip(table, lat)], t, 1.0)
+
+
+def _two_sum_positions(spec, fields, t):
+    """The improved positions as the leading sum plus the corrector sum."""
+    pos, _, cor, _ = _reference_sums(spec, fields, t)
+    return pos + cor
+
+
+def _reference_residual(spec, t, h0, positions=_per_carrier_positions):
     h = spec.eps ** 2 * h0
     base = spec.solution.fields(spec.eps * t)
-    u = []
-    for dt in (-h, 0.0, h):
-        fields = amp.strang_step(spec.macro, base, spec.L, spec.eps * dt) if dt else base
-        pos, _, cor, _ = _reference_sums(spec, fields, t + dt)
-        u.append(pos + cor)
-    um, u0, up = u
+    um, u0, up = [positions(spec, amp.strang_step(spec.macro, base, spec.L, spec.eps * dt)
+                            if dt else base, t + dt) for dt in (-h, 0.0, h)]
     udd = (up - 2.0 * u0 + um) / (h * h)
     return model.norm_m(model.force(spec.p, u0) - udd, spec.p)
 
@@ -459,12 +485,39 @@ def test_shared_phases_and_matrices_match_per_call_arithmetic(source):
     for t in (0.25, 0.15):
         for spec in specs:
             t_lat = t / spec.eps
-            assert residual_norm(spec.p, spec, t_lat, h0=0.02) == \
-                _reference_residual(spec, t_lat, 0.02)
+            ref = _reference_residual(spec, t_lat, 0.02)
+            assert residual_norm(spec.p, spec, t_lat, h0=0.02) == ref
+            # the leading sum plus the corrector sum rounds otherwise, and the
+            # division by h^2 amplifies that: up to 2.2e-5 relative on these
+            # specs (6.1e-6 at these times)
+            two_sums = _reference_residual(spec, t_lat, 0.02, _two_sum_positions)
+            assert abs(two_sums - ref) <= 1e-4 * ref
     for spec in specs:
         times = [tau / spec.eps for tau in (0.25, 0.1, 0.3, 0.1, 0.0)]
         assert residual_norm(spec.p, spec, times, h0=0.02) == \
             [_reference_residual(spec, t, 0.02) for t in times]
+
+
+@pytest.mark.parametrize("source", REGIMES, ids=REGIME_IDS)
+def test_residual_interpolates_one_amplitude_stack_per_state(monkeypatch, source):
+    """residual_norm over m times makes 3m interpolations, one per state of
+    its (K, 2, n) amplitude rows, and samples nothing through _Sample."""
+    spec = _setup(source, 0.1, 128).spec
+    shapes = []
+
+    def interp(s, values, _interp=AnsatzSpec.interp):
+        shapes.append(np.shape(values))
+        return _interp(s, values)
+
+    def no_sample(*a, **kw):
+        raise AssertionError("residual_norm built a _Sample")
+
+    monkeypatch.setattr(AnsatzSpec, "interp", interp)
+    monkeypatch.setattr(anz, "_Sample", no_sample)
+    for m in (1, 4):
+        shapes.clear()
+        residual_norm(spec.p, spec, [tau / spec.eps for tau in (0.1, 0.3, 0.2, 0.1)[:m]], h0=0.02)
+        assert shapes == [(len(spec.carriers), 2, spec.n)] * (3 * m)
 
 
 @pytest.mark.parametrize("source", REGIMES, ids=REGIME_IDS)

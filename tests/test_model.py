@@ -241,11 +241,33 @@ def assert_close_to(actual, expected, bound=1e-15):
     np.testing.assert_allclose(actual, expected, rtol=0, atol=bound * scale)
 
 
+def term_scale(p, pos):
+    """Per element, the sum of the magnitudes |k1*x| + |k2*x^2| + |k3*x^3|
+    of the terms roll_stencil adds into L + M, over the element's two bond
+    stretches and its on-site displacement x: the scale of the rounding of
+    that sum in any order, also where L and M, or the terms of L, cancel."""
+    pos = np.asarray(pos, dtype=float)
+    u1, u2 = pos[:, 0], pos[:, 1]
+    s_a = np.roll(u2, -1) - u1
+    s_b = u1 - u2
+    s_c = np.roll(s_a, 1)
+
+    def size(c, x):
+        a = np.abs(x)
+        return a * (abs(c.k1) + a * (abs(c.k2) + a * abs(c.k3)))
+
+    scale = np.empty_like(pos)
+    scale[:, 0] = size(p.V1, s_a) + size(p.V1, s_b) + size(p.W1, u1)
+    scale[:, 1] = size(p.V2, s_b) + size(p.V2, s_c) + size(p.W2, u2)
+    return scale
+
+
 def assert_matches_roll_stencil(p, pos):
     lin, nl = roll_stencil(p, pos)
     assert np.array_equal(linear_apply(p, pos), lin)
     assert_close_to(nonlinear_apply(p, pos), nl)
-    assert_close_to(force(p, pos), lin + nl)
+    excess = np.abs(force(p, pos) - (lin + nl)) - 1e-15 * term_scale(p, pos)
+    assert np.all(excess <= 0.0), excess.max()
     assert np.array_equal(force(p, pos), roll_force(p, pos))
 
 
@@ -298,9 +320,9 @@ def _layouts(rng, N):
 @pytest.mark.parametrize("cubic", [True, False])
 def test_force_matches_roll_stencil_random_chains(N, cubic):
     # roll_stencil takes x*x*(k2 + k3*x) per bond; the bracket
-    # d*(k1 + k2*sigma + k3*(sigma^2 - q)) stays within 1e-15*max|F| of it,
-    # also at ten times the amplitude, where the cubic term dominates and
-    # sigma^2 - q may cancel
+    # d*(k1 + k2*sigma + k3*(sigma^2 - q)) stays within 1e-15 of the
+    # magnitudes of its terms, also at ten times the amplitude, where the
+    # cubic term dominates and sigma^2 - q may cancel
     rng = np.random.RandomState(20 + N)
     for _ in range(10):
         p = random_valid_params(rng, nonlinear=True)
