@@ -13,15 +13,14 @@ a constant vector kappa times an envelope product.  So every second-order
 corrector is constant vectors chi of the chain and wave pair times
 envelope fields: products, or a wave's dB/dtau, dB/dy and source.
 
-A Strang step advects the envelopes as one stack: the rows whose group
-velocity is nonzero share one FFT round trip per half step, with their
-phases exp(i kappa v dt) cached per (velocities, L, n, dt), and the
-RK4 source stage updates both rows at once.  Every resonant pair is
-stepped by Yoshida's triple jump of three Strang steps (the weights
-``TRIPLE_JUMP``): its fixed step
-``STRANG_DTAU`` = 0.025 errs less than single Strang steps 25 times
-shorter.  A pair at rest (the c = 1 family) takes the same steps with no
-advection: three Yoshida-weighted RK4 source steps each.  A
+Every resonant pair is stepped by Lawson's integrating-factor RK4
+(``strang_step``), order 4 in one step: two FFT round trips over the
+rows whose group velocity is nonzero, with their phases
+exp(i kappa v dt) cached per (velocities, L, n, dt), and four source
+evaluations of both rows at once; a pair at rest (the c = 1 family)
+takes classical RK4 steps.  At its fixed step ``STRANG_DTAU`` = 0.025
+it errs 5 times less than the triple jump of Strang steps it replaced,
+which made three times the FFTs and source evaluations.  A
 ``StrangSolution`` keeps one table of the first ``KEEP_STATES`` finite
 states it reaches, read-only, at step times and between them: a later
 query for an earlier tau steps on from a kept step instead of from
@@ -194,51 +193,42 @@ def tau_derivative(sys: MacroSystem, fields, dy_fields):
     return db1, db2
 
 
-def _advect_pair(sys, fields, L, dt):
-    """Exact advection of each envelope by v*dt: one FFT round trip over
-    the stack of the rows whose group velocity is nonzero; a row with
-    zero velocity comes back untouched."""
-    b = list(fields)
+def _advect(sys, stack, L, dt):
+    """Exact advection of each envelope by v*dt, in place on ``stack``,
+    whose axis -2 runs over the two envelopes: one FFT round trip over the
+    rows whose group velocity is nonzero; a row at rest is not touched."""
     moving = [i for i, v in enumerate(sys.velocities) if v != 0.0]
     if moving:
-        phase = _shift_phases(sys.velocities, L, len(b[0]), dt)
-        shifted = np.fft.ifft(np.fft.fft([b[i] for i in moving]) * phase)
-        for i, row in zip(moving, shifted):
-            b[i] = row
-    return tuple(b)
-
-
-def _rk4_sources(sys, fields, dt):
-    b = np.array(fields)
-    ka = _source_rhs(sys, b)
-    kb = _source_rhs(sys, b + 0.5 * dt * ka)
-    kc = _source_rhs(sys, b + 0.5 * dt * kb)
-    kd = _source_rhs(sys, b + dt * kc)
-    return b + dt / 6.0 * (ka + 2 * kb + 2 * kc + kd)
+        m = slice(moving[0], moving[-1] + 1)  # of two rows, any set is contiguous
+        hat = np.fft.fft(stack[..., m, :])
+        hat *= _shift_phases(sys.velocities, L, stack.shape[-1], dt)
+        stack[..., m, :] = np.fft.ifft(hat)
+    return stack
 
 
 def strang_step(sys: MacroSystem, fields, L: float, dtau: float):
-    """One Strang step: exact half advection, quadratic sources via a
-    classical 4-stage step, exact half advection."""
-    fields = _advect_pair(sys, fields, L, 0.5 * dtau)
-    if sys.resonant:
-        fields = _rk4_sources(sys, fields, dtau)
-    fields = _advect_pair(sys, fields, L, 0.5 * dtau)
-    return fields
+    """One Lawson step by h = dtau (Lawson, SIAM J. Numer. Anal. 4 (1967)
+    372-380): RK4 in the frame of the exact advection, E_s by s, with N
+    the sources,
 
+        k1 = N(B),  k2 = N(E_{h/2}(B + h/2 k1)),  k3 = N(E_{h/2}B + h/2 k2),
+        k4 = N(E_h B + h E_{h/2}k3),
+        B <- E_h(B + h/6 k1) + h/3 E_{h/2}(k2 + k3) + h/6 k4,
 
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-
-# Yoshida's triple-jump weights (w1, w0, w1), w0 = 1 - 2*w1 < 0
-TRIPLE_JUMP = (_W1, 1.0 - 2.0 * _W1, _W1)
-
-
-def composed_step(sys: MacroSystem, fields, L: float, dtau: float):
-    """One order-4 step: Strang steps of w*dtau for Yoshida's triple-jump
-    weights w (Yoshida 1990; McLachlan and Quispel, Acta Numerica 2002)."""
-    for w in TRIPLE_JUMP:
-        fields = strang_step(sys, fields, L, w * dtau)
-    return fields
+    as E_h = E_{h/2}E_{h/2}, in two round trips of E_{h/2} of two states
+    each.  At rest it is classical RK4; non-resonant, E_h.  Named for the
+    Strang steps it replaced until ROADMAP item 1's benchmark commit."""
+    h = dtau
+    if not sys.resonant:
+        return tuple(_advect(sys, np.array(fields, dtype=complex), L, h))
+    s = np.array((fields, _source_rhs(sys, fields)))
+    c, e = _advect(sys, s, L, 0.5 * h)  # E_{h/2}B and E_{h/2}k1
+    k2 = _source_rhs(sys, c + 0.5 * h * e)
+    k3 = _source_rhs(sys, c + 0.5 * h * k2)
+    e[...] = c + h / 6 * e + h / 3 * (k2 + k3)
+    c += h * k3
+    x, y = _advect(sys, s, L, 0.5 * h)
+    return tuple(y + h / 6 * _source_rhs(sys, x))
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +243,10 @@ class TransportSolution:
             raise ValueError("TransportSolution only applies to the non-resonant regime")
         self.sys = sys
         self.L = L
-        self._f0 = (np.asarray(fields0[0], dtype=complex),
-                    np.asarray(fields0[1], dtype=complex))
+        self._f0 = np.array(fields0, dtype=complex)
 
     def fields(self, tau: float):
-        return _advect_pair(self.sys, self._f0, self.L, tau)
+        return tuple(_advect(self.sys, self._f0.copy(), self.L, tau))
 
 
 class ODEReferenceSolution:
@@ -266,7 +255,8 @@ class ODEReferenceSolution:
     over [0, tau_max] at once.  The tests' reference for StrangSolution: no
     experiment builds it, so its scipy, imported only here, is a test
     dependency.  It lives here, not under tests/, because the benchmark's
-    tracer (perfbench/tracing.py) patches its ``fields``."""
+    tracer (perfbench/tracing.py) patches its ``fields``, until ROADMAP
+    item 1's benchmark commit."""
 
     def __init__(self, sys: MacroSystem, fields0, tau_max: float):
         from scipy.integrate import solve_ivp
@@ -296,10 +286,10 @@ class ODEReferenceSolution:
         return z[:n] + 1j * z[n:2 * n], z[2 * n:3 * n] + 1j * z[3 * n:]
 
 
-# the composed step of a resonant pair's StrangSolution: on the
-# c = 0.5 family (n = 256, to tau = 1.5) it errs by 1e-10 relative, where
-# single Strang steps of 1e-3 err by 2e-9; at rest (c = 1, n = 128, to
-# tau = 1) it is within 2e-12 of DOP853
+# the Lawson step of a resonant StrangSolution (renamed in ROADMAP item 1's
+# benchmark commit): on the bench's c = 0.5 config (n = 256, eps = 0.025)
+# it errs at tau = 1.5 by 1.8e-11 relative to steps 32 times shorter (the
+# triple jump: 9.5e-11); at rest (c = 1, tau = 1) by 5.8e-13 from DOP853
 STRANG_DTAU = 0.025
 
 
@@ -310,17 +300,19 @@ KEEP_STATES = 192
 
 
 class StrangSolution:
-    """Fixed-step trajectory of composed (order-4) Strang steps.  It keeps
-    one table of states by (k, rem), the state at tau = k*dtau + rem, with
-    rem = 0 at a step time: the first ``KEEP_STATES`` states it reaches,
-    whole or partial steps, their arrays read-only.  A cursor holds the
-    state at the last step reached.  A tau steps on from the latest kept
-    step or the cursor at or before its step k; a tau between step times
-    then takes one partial composed step by ``rem``, so the same tau asked
-    again takes no step.  A non-finite state, whole or partial step,
-    raises FloatingPointError naming its tau and is not kept.  Every state
-    is the same composition of steps from the initial one, so the values
-    returned do not depend on the order of the queries.
+    """Fixed-step trajectory of Lawson (order-4) steps, ``strang_step``,
+    named with it for the Strang steps they replaced until ROADMAP item
+    1's benchmark commit renames both.  It keeps one table of states by
+    (k, rem), the state at tau = k*dtau + rem, with rem = 0 at a step
+    time: the first ``KEEP_STATES`` states it reaches, whole or partial
+    steps, their arrays read-only.  A cursor holds the state at the last
+    step reached.  A tau steps on from the latest kept step or the cursor
+    at or before its step k; a tau between step times then takes one
+    partial step by ``rem``, so the same tau asked again takes no step.
+    A non-finite state, whole or partial step, raises FloatingPointError
+    naming its tau and is not kept.  Every state is the same composition
+    of steps from the initial one, so the values returned do not depend
+    on the order of the queries.
     """
 
     def __init__(self, sys: MacroSystem, fields0, L: float, dtau: float):
@@ -335,9 +327,9 @@ class StrangSolution:
         self._k, self._state, self._states = 0, f0, {(0, 0.0): f0}
 
     def _step(self, state, dtau, key, tau):
-        """One composed step by dtau from ``state`` to the state at tau,
+        """One step by dtau from ``state`` to the state at tau,
         kept by ``key`` while the table has room."""
-        state = composed_step(self.sys, state, self.L, dtau)
+        state = strang_step(self.sys, state, self.L, dtau)
         if not all(np.isfinite(b).all() for b in state):
             raise FloatingPointError(f"envelope evolution diverged before tau={tau}")
         if len(self._states) < KEEP_STATES:

@@ -391,8 +391,8 @@ def run_ansatz_scaling(cfg: ExperimentConfig) -> ScalingReport:
 def _lattice_sim(cfg: ExperimentConfig, p: ChainParams, T: float, spacing: float) -> SimConfig:
     """Lattice run to T whose stride lands on every multiple of ``spacing``:
     the fewest steps per spacing that keep dt at or below cfg.dt and the
-    stability cap default_dt."""
-    stride = math.ceil(spacing / min(cfg.dt, default_dt(p)))
+    stability cap default_dt, to SimConfig.validate's 1e-12 relative."""
+    stride = math.ceil(spacing / min(cfg.dt, default_dt(p)) / (1 + 1e-12))
     return SimConfig(dt=spacing / stride, T=T, stride=stride)
 
 

@@ -131,11 +131,35 @@ def norm_equivalence_interval(p: ChainParams, n_theta: int = 720):
 
 
 def strang_states(sys, fields0, L, tau_end, dtau):
-    """Every state of a fixed-step Strang run to tau_end, its step dtau
+    """Every state of a fixed-step StrangSolution run to tau_end, its step dtau
     adjusted to tau_end/n with n = round(tau_end/dtau)."""
     n = max(1, round(tau_end / dtau))
     sol = StrangSolution(sys, fields0, L, tau_end / n)
     return [sol.fields(k * sol.dtau) for k in range(n + 1)]
+
+
+def per_field_lawson_step(sys, fields, L, dtau):
+    """The Lawson step of ``amp.strang_step`` written field by field: one
+    spectral shift per moving envelope and state, each with its own
+    wavenumbers and phase row, and the sources of the two fields apart.
+    Each field takes the step's arithmetic in the step's order, so the
+    stacked step must give its bits."""
+    h = dtau
+    kappa = 2.0 * np.pi * np.fft.fftfreq(len(fields[0]), d=L / len(fields[0]))
+
+    def advect(f):  # E_{h/2}
+        return [np.fft.ifft(np.fft.fft(b) * np.exp(1j * kappa * (v * (0.5 * h))))
+                if v != 0.0 else b for b, v in zip(f, sys.velocities)]
+
+    def rhs(b1, b2):
+        return [sys.k1 * np.conj(b1) * b2, sys.k2 * b1 * b1]
+
+    c, e = advect(fields), advect(rhs(*fields))
+    k2 = rhs(*[ci + 0.5 * h * ei for ci, ei in zip(c, e)])
+    k3 = rhs(*[ci + 0.5 * h * ki for ci, ki in zip(c, k2)])
+    w = [ci + h / 6 * ei + h / 3 * (k2i + k3i) for ci, ei, k2i, k3i in zip(c, e, k2, k3)]
+    x, y = advect([ci + h * k3i for ci, k3i in zip(c, k3)]), advect(w)
+    return tuple(yi + h / 6 * ki for yi, ki in zip(y, rhs(*x)))
 
 
 # leapfrog (velocity Verlet) as (kick weights, drift weights): kicks of

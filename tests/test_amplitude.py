@@ -7,8 +7,8 @@ import pytest
 
 from _helpers import (coupling_closed_form, coupling_prefactors, det_h, envelope_products,
                       find_acoustic_optical_resonance, hand_expanded_K, linear_apply, p0,
-                      per_call_corrector, per_call_wave_corrector, random_valid_params,
-                      strang_states)
+                      per_call_corrector, per_call_wave_corrector, per_field_lawson_step,
+                      random_valid_params, strang_states)
 from dichain import amplitude as amp
 from dichain import model
 from dichain.amplitude import (NearResonance, ODEReferenceSolution, StrangSolution,
@@ -328,13 +328,12 @@ def test_evolve_generates_second_wave():
     assert np.linalg.norm(strang_states(sys, f0, L, 0.1, 0.002)[-1][1]) > 1e-4
 
 
-def _self_convergence_order(solve):
+def _self_convergence_order(solve, c=0.5):
     """log2 of the ratio of successive differences of the state at
     tau = 1 that ``solve(sys, f0, dtau)`` returns for dtau = 0.04, 0.02,
-    0.01, on the theta1 = pi/2 system of criterion 8."""
-    rh = solve_family_ratio(2.0, 0.5)
-    p = family_nl(b=rh)
-    sys = build_macro_system(p, *resonant_pair(p, np.pi / 2))
+    0.01, on the family system at c (at c = 0.5 theta1 = pi/2, the system
+    of criterion 8)."""
+    sys = _family_system(c)
     assert abs(sys.velocities[0]) > 0.1  # advection active: splitting error visible
     f0 = (sech_envelope(L, NG, 1.0, 0.5), sech_envelope(L, NG, 0.3, 0.5) * np.exp(0.4j))
     sols = {dtau: solve(sys, f0, dtau) for dtau in (0.04, 0.02, 0.01)}
@@ -343,17 +342,20 @@ def _self_convergence_order(solve):
     return np.log2(d1 / d2)
 
 
-def test_evolve_self_convergence_order_two():
-    """The bare Strang step is second order."""
-    def strang_steps(sys, f0, dtau):
+def test_strang_step_self_convergence_order_four():
+    """The bare step, as residual_norm takes it, is fourth order with both
+    envelopes moving (c = 0.72: 4.00)."""
+    def steps(sys, f0, dtau):
         for _ in range(round(1.0 / dtau)):
             f0 = amp.strang_step(sys, f0, L, dtau)
         return f0
-    assert _self_convergence_order(strang_steps) >= 2.0 - 0.1
+    assert abs(_family_system(0.72).velocities[1]) > 0.1
+    assert _self_convergence_order(steps, c=0.72) >= 3.9
 
 
 def test_strang_solution_self_convergence_order_four():
-    """StrangSolution's triple jump of Strang steps is fourth order."""
+    """StrangSolution's Lawson steps are fourth order with the optical
+    envelope at rest (c = 0.5: 4.00)."""
     order = _self_convergence_order(lambda sys, f0, dtau: strang_states(sys, f0, L, 1.0, dtau)[-1])
     assert order >= 3.9
 
@@ -381,9 +383,9 @@ def _sech_tanh_error(gamma, c, dtau):
 
 def test_strang_solution_matches_the_exact_sech_tanh_solution():
     """At the step the runs take, StrangSolution is within 1e-10 of the
-    exact solution at c = 1 (6.0e-12) and at the pi point gamma = 5, c = 0
-    (2.4e-13), and its error falls ~16x per halving of the step at c = 1;
-    one triple-jump weight off by 1e-3 errs by 1e-3."""
+    exact solution at c = 1 (1.1e-12) and at the pi point gamma = 5, c = 0
+    (4.6e-14), and its error falls ~16x per halving of the step at c = 1
+    (16.0x)."""
     coarse = _sech_tanh_error(2.0, 1.0, amp.STRANG_DTAU)
     assert coarse <= 1e-10
     assert 14.0 <= coarse / _sech_tanh_error(2.0, 1.0, amp.STRANG_DTAU / 2) <= 18.0
@@ -437,7 +439,7 @@ def test_energy_identity_holds_on_mass_consistent_chains():
 
 
 def _energy_drift(c, dtau):
-    """Largest relative drift of E over a Strang run by dtau to tau = 4 on
+    """Largest relative drift of E over a StrangSolution run by dtau to tau = 4 on
     the mass-consistent chain gamma = 2, v12 = 0.3, v22 = 0.6, w12 = 0.4,
     w22 = 1.0 at the family point c, from sech envelopes of 1 and 0.5."""
     p = family_nl(b=solve_family_ratio(2.0, c), v22=0.6)
@@ -451,9 +453,9 @@ def _energy_drift(c, dtau):
 
 @pytest.mark.parametrize("c", [0.72, 0.5], ids=["generic", "half-pi"])
 def test_strang_solution_conserves_the_energy_to_order_four(c):
-    """E drifts by at most 1e-10 at the step the runs take (1.29e-11 at
-    c = 0.72, 5.83e-12 at c = 0.5), and the drift falls at least 14x per
-    halving of the step (15.8x and 16.7x): the composed step is order 4."""
+    """E drifts by at most 1e-10 at the step the runs take (7.3e-13 at
+    c = 0.72, 1.7e-12 at c = 0.5), and the drift falls at least 14x per
+    halving of the step (16.2x at both): the Lawson step is order 4."""
     coarse, fine = (_energy_drift(c, dtau) for dtau in (2 * amp.STRANG_DTAU, amp.STRANG_DTAU))
     assert fine <= 1e-10
     assert coarse / fine >= 14.0
@@ -469,7 +471,7 @@ def test_evolve_nan_detection():
             sol.fields(50.0)
         with pytest.raises(FloatingPointError):  # the diverged states are not kept
             sol.fields(50.0)
-    assert len(sol._states) == 1
+    assert all(np.isfinite(b).all() for state in sol._states.values() for b in state)
 
 
 def _family_system(c):
@@ -478,37 +480,13 @@ def _family_system(c):
     return build_macro_system(p, *resonant_pair(p, np.arccos(2 * c - 1)))
 
 
-def _per_field_strang_step(sys, fields, L, dtau):
-    """The Strang step as it was before the envelopes were stacked: one
-    spectral shift per moving envelope, each with its own wavenumbers and
-    phase, and the classical 4-stage step on the two fields apart."""
-    def advect(f, dt):
-        out = []
-        for b, v in zip(f, sys.velocities):
-            if v != 0.0:
-                kappa = 2.0 * np.pi * np.fft.fftfreq(len(b), d=L / len(b))
-                b = np.fft.ifft(np.fft.fft(b) * np.exp(1j * kappa * (v * dt)))
-            out.append(b)
-        return out
-
-    def rhs(b1, b2):
-        return sys.k1 * np.conj(b1) * b2, sys.k2 * b1 * b1
-
-    b1, b2 = advect(fields, 0.5 * dtau)
-    k1a, k2a = rhs(b1, b2)
-    k1b, k2b = rhs(b1 + 0.5 * dtau * k1a, b2 + 0.5 * dtau * k2a)
-    k1c, k2c = rhs(b1 + 0.5 * dtau * k1b, b2 + 0.5 * dtau * k2b)
-    k1d, k2d = rhs(b1 + dtau * k1c, b2 + dtau * k2c)
-    return advect((b1 + dtau / 6.0 * (k1a + 2 * k1b + 2 * k1c + k1d),
-                   b2 + dtau / 6.0 * (k2a + 2 * k2b + 2 * k2c + k2d)), 0.5 * dtau)
-
-
 # at c = 0.5 the optical envelope is at rest; the acoustic one is stopped by hand
 @pytest.mark.parametrize("c,zero_row", [(0.5, None), (0.72, None), (0.72, 0)],
                          ids=["half-pi", "generic-moving", "acoustic-at-rest"])
 def test_strang_step_bit_equal_to_per_field_step(c, zero_row):
-    """Stacking the envelopes into one FFT pass and one RK4 stage, with
-    cached phases, changes no bit: 50 full steps and one partial step."""
+    """Stacking the envelopes into one FFT pass per round trip and one
+    source evaluation per stage, with cached phases, changes no bit of the
+    field-by-field Lawson step: 50 full steps and one partial step."""
     sys = _family_system(c)
     if zero_row is not None:
         vels = list(sys.velocities)
@@ -519,7 +497,7 @@ def test_strang_step_bit_equal_to_per_field_step(c, zero_row):
     new, old = f0, f0
     for dt in [dtau] * 50 + [0.37 * dtau]:
         new = amp.strang_step(sys, new, L, dt)
-        old = _per_field_strang_step(sys, old, L, dt)
+        old = per_field_lawson_step(sys, old, L, dt)
         assert all(np.array_equal(a, b) for a, b in zip(new, old))
     assert all(np.shape(b) == (n,) for b in new)
 
@@ -527,30 +505,41 @@ def test_strang_step_bit_equal_to_per_field_step(c, zero_row):
 def test_advection_leaves_a_zero_velocity_row_untouched():
     sys = dataclasses.replace(_family_system(0.72), velocities=(0.29, 0.0))
     f0 = (sech_envelope(L, NG, 1.0, 0.5), sech_envelope(L, NG, 0.5, 0.5))
-    b1, b2 = amp._advect_pair(sys, f0, L, 0.3)
-    assert b2 is f0[1]
+    stack = np.array(f0)
+    b1, b2 = amp._advect(sys, stack, L, 0.3)
+    assert np.array_equal(b2, f0[1]) and np.shares_memory(b2, stack)  # the row in place
     assert not np.array_equal(b1, f0[0])
 
 
 def test_strang_step_makes_four_ffts_and_no_phase_on_a_cache_hit(monkeypatch):
-    sys = _family_system(0.72)
+    """A Lawson step of a moving pair makes two stacked FFT round trips, a
+    pair at rest none, a non-resonant pair one; on a phase-cache hit no
+    step builds an exp row."""
+    moving, at_rest = _family_system(0.72), _family_system(1.0)
+    nonres = build_macro_system(P0, polarization(P0, ACOUSTIC, 0.7),
+                                polarization(P0, OPTICAL, 1.3))
+    assert at_rest.velocities == (0.0, 0.0) and not nonres.resonant
     f0 = (sech_envelope(L, NG, 1.0, 0.5), sech_envelope(L, NG, 0.5, 0.5))
-    amp.strang_step(sys, f0, L, 1e-3)  # fills the phase cache
+    for sys in (moving, nonres):
+        amp.strang_step(sys, f0, L, 1e-3)  # fills the phase cache
     calls = collections.Counter()
     for mod, name in ((np.fft, "fft"), (np.fft, "ifft"), (np.fft, "fftfreq"), (np, "exp")):
         def counted(*a, _fn=getattr(mod, name), _name=name, **kw):
             calls[_name] += 1
             return _fn(*a, **kw)
         monkeypatch.setattr(mod, name, counted)
-    amp.strang_step(sys, f0, L, 1e-3)
-    assert calls == {"fft": 2, "ifft": 2}
+    for sys, want in ((moving, {"fft": 2, "ifft": 2}), (at_rest, {}),
+                      (nonres, {"fft": 1, "ifft": 1})):
+        calls.clear()
+        amp.strang_step(sys, f0, L, 1e-3)
+        assert calls == want
 
 
 def test_strang_solution_keeps_only_its_first_steps(monkeypatch):
     """Stepping far along keeps the states of the first KEEP_STATES steps,
     read-only, and the cursor only; an earlier time comes back from a
     kept state."""
-    # one count per Strang step: exact under composition, unlike a sum of substeps
+    # one count per step: exact, unlike a sum of step lengths
     monkeypatch.setattr(amp, "strang_step", lambda sys, f, L, dt: (f[0] + 1, f[1] + 1))
     z = np.zeros(64, complex)
     sys = build_macro_system(P0, polarization(P0, ACOUSTIC, 0.3), polarization(P0, OPTICAL, 0.9))
@@ -562,9 +551,9 @@ def test_strang_solution_keeps_only_its_first_steps(monkeypatch):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert np.array_equal(b1, z + 3 * 5000)  # three Strang steps per composed step
+    assert np.array_equal(b1, z + 5000)  # one strang_step call per step
     assert held < 1e6   # 5,001 kept states would take 10 MB
-    assert np.array_equal(sol.fields(2 * sol.dtau)[0], z + 3 * 2)  # a kept step
+    assert np.array_equal(sol.fields(2 * sol.dtau)[0], z + 2)  # a kept step
     assert list(sol._states) == [(k, 0.0) for k in range(amp.KEEP_STATES)]
     assert not any(b.flags.writeable for state in sol._states.values() for b in state)
     assert z.flags.writeable  # the initial fields are kept as a copy
@@ -583,11 +572,11 @@ def test_strang_solution_steps_on_from_the_latest_kept_state(monkeypatch):
     K = amp.KEEP_STATES  # steps 0 to K - 1 fill the table
 
     def steps(k):
-        """Composed steps taken to reach step k; checks the state there."""
+        """Steps taken to reach step k; checks the state there."""
         calls.clear()
         b1, _ = sol.fields(k * sol.dtau)
-        assert np.array_equal(b1, z + 3 * k)
-        return len(calls) // 3
+        assert np.array_equal(b1, z + k)
+        return len(calls)
 
     assert steps(10) == 10
     assert steps(3) == 0
@@ -619,13 +608,13 @@ def test_strang_solution_answers_a_repeated_off_grid_tau_without_a_step(monkeypa
     calls = _counted_strang_step(monkeypatch)
     sol = _half_pi_solution()
     first = sol.fields(0.31)
-    assert len(calls) == 3 * 13  # twelve whole steps and one partial one
+    assert len(calls) == 13  # twelve whole steps and one partial one
     calls.clear()
     again = sol.fields(0.31)
     assert calls == []
     assert all(a is b for a, b in zip(first, again))
     sol.fields(0.02)  # step 0 is kept: the partial step only
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 def test_strang_solution_off_grid_states_are_order_independent():
@@ -655,9 +644,9 @@ def test_strang_solution_keeps_a_bounded_table_of_finite_off_grid_states(monkeyp
     kept; every kept state is finite and read-only."""
     calls = []
 
-    def step(sys, f, L, dt):  # short steps and steps past Strang step 18 go non-finite
+    def step(sys, f, L, dt):  # short steps and steps from step 6 go non-finite
         calls.append(dt)
-        return f[0] + 1, f[1] + (np.nan if abs(dt) < 0.01 or f[0][0].real >= 18 else 1.0)
+        return f[0] + 1, f[1] + (np.nan if abs(dt) < 0.01 or f[0][0].real >= 6 else 1.0)
 
     monkeypatch.setattr(amp, "strang_step", step)
     z = np.zeros(16, complex)
@@ -670,7 +659,7 @@ def test_strang_solution_keeps_a_bounded_table_of_finite_off_grid_states(monkeyp
     K = amp.KEEP_STATES
     taus = [0.55 + 0.15 * i / K for i in range(1, K + 14)]
     for tau in taus:
-        assert np.array_equal(sol.fields(tau)[0], z + 3 * 2 + 3)
+        assert np.array_equal(sol.fields(tau)[0], z + 2 + 1)
     assert len(sol._states) == K  # whole steps 0 to 6 and K - 7 partial ones
     assert [key for key in sol._states if key[1] == 0.0] == [(k, 0.0) for k in range(7)]
     with pytest.raises(FloatingPointError, match="tau=0.501"):  # past the cap too
@@ -680,17 +669,10 @@ def test_strang_solution_keeps_a_bounded_table_of_finite_off_grid_states(monkeyp
     calls.clear()
     for tau in taus:
         sol.fields(tau)
-    assert len(calls) == 3 * 20  # the 20 taus past the cap, stepped again
+    assert len(calls) == 20  # the 20 taus past the cap, stepped again
     assert len(sol._states) == K
     for state in sol._states.values():
         assert all(np.isfinite(b).all() and not b.flags.writeable for b in state)
-
-
-def test_triple_jump_weights():
-    # Yoshida's order-4 weights, kept beside composed_step so that no
-    # change of the lattice integrator moves an envelope step
-    w1 = 1 / (2 - 2 ** (1 / 3))
-    assert amp.TRIPLE_JUMP == (w1, 1 - 2 * w1, w1)
 
 
 def test_strang_solution_exact_step_times(monkeypatch):
@@ -704,9 +686,9 @@ def test_strang_solution_exact_step_times(monkeypatch):
     tau = 16669 * sol.dtau
     assert np.floor(tau / sol.dtau) == 16668
     sol.fields(tau)
-    assert dtaus == [w * sol.dtau for w in amp.TRIPLE_JUMP] * 16669
+    assert dtaus == [sol.dtau] * 16669
     sol.fields(tau)
-    assert len(dtaus) == 3 * 16669
+    assert len(dtaus) == 16669
 
 
 def test_make_solution_steps_strang_by_its_dtau():

@@ -877,6 +877,21 @@ def test_lattice_step_never_exceeds_its_target():
             sim.validate(p)
 
 
+def test_lattice_stride_of_an_integer_ratio_up_to_rounding():
+    # 0.14/0.02 is 7.000000000000001 in floating point; within the 1e-12 of
+    # SimConfig.validate it is 7 steps per spacing, not 8 (14 % more force
+    # calls)
+    p = p0()
+    assert 0.14 / 0.02 > 7 and default_dt(p) > 0.02
+    sim = harness._lattice_sim(small_cfg(dt=0.02), p, 1.4, 0.14)
+    assert sim.stride == 7 and sim.dt == pytest.approx(0.02, rel=1e-12)
+    sim.validate(p)
+    cap = default_dt(p)  # the stability cap, met the same way
+    sim = harness._lattice_sim(small_cfg(dt=1.0), p, 30 * cap, 3 * cap * (1 + 1e-15))
+    assert sim.stride == 3
+    sim.validate(p)
+
+
 def test_generation_window_independent_of_dt():
     # the carrier fit window must hold the same sampling times at every dt,
     # so the discrepancy moves only by the integration error between steps
