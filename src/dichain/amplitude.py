@@ -308,8 +308,9 @@ class StrangSolution:
     steps, their arrays read-only.  A cursor holds the state at the last
     step reached.  A tau steps on from the latest kept step or the cursor
     at or before its step k; a tau between step times then takes one
-    partial step by ``rem``, so the same tau asked again takes no step.
-    A non-finite state, whole or partial step, raises FloatingPointError
+    partial step by ``rem``, so the same tau asked again takes no step,
+    past the cap too while it is the last partial step taken.  A
+    non-finite state, whole or partial step, raises FloatingPointError
     naming its tau and is not kept.  Every state is the same composition
     of steps from the initial one, so the values returned do not depend
     on the order of the queries.
@@ -325,16 +326,17 @@ class StrangSolution:
         # the cursor is step _k and its state; perfbench/tracing.py counts
         # the states _extend adds to _states
         self._k, self._state, self._states = 0, f0, {(0, 0.0): f0}
+        self._partial = (None, None)  # the last partial state returned, by its key
 
     def _step(self, state, dtau, key, tau):
-        """One step by dtau from ``state`` to the state at tau,
+        """One step by dtau from ``state`` to the state at tau, read-only,
         kept by ``key`` while the table has room."""
         state = strang_step(self.sys, state, self.L, dtau)
         if not all(np.isfinite(b).all() for b in state):
             raise FloatingPointError(f"envelope evolution diverged before tau={tau}")
+        for b in state:
+            b.flags.writeable = False
         if len(self._states) < KEEP_STATES:
-            for b in state:
-                b.flags.writeable = False
             self._states[key] = state
         return state
 
@@ -360,8 +362,10 @@ class StrangSolution:
             return self._state
         state = self._states.get((k, rem))
         if state is None:
-            self._extend(k)
-            state = self._step(self._state, rem, (k, rem), tau)
+            if self._partial[0] != (k, rem):
+                self._extend(k)
+                self._partial = (k, rem), self._step(self._state, rem, (k, rem), tau)
+            state = self._partial[1]
         return state
 
 

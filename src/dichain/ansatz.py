@@ -7,20 +7,17 @@ approximation is the leading one plus the corrector sum, one carrier sum
 over the table ``amplitude.carriers`` (the spec's ``carriers``) and the
 corrector rows in its order.
 
-Each constant is computed once.  The envelope states of several times
-make one (2, m, n) snapshot stack: its spectral derivative,
-tau-derivative and second-order correctors are one pass over the whole
-grid stack, while the interpolation to the lattice and the carrier sums
-stay one sample at a time, so no lattice array grows with m.  The rings
-of a lattice sweep that share one envelope solution share its samples
-too (``SweepSamples``): ring r reads sample i at tau_i = i*tau0/n_samples,
-whose grid pass serves all of them, from a table that keeps at most
-``KEEP_SAMPLES`` samples and drops each once every ring has read a later
-one.  The spec keeps the carrier phase rows exp(i(omega*t + theta*j)) of
-the last lattice time t, one per carrier (one scalar at theta = 0), so
-the position, velocity and corrector sums at one time share them.  Every
-corrector's vectors, on product and wave carriers alike, are built once
-per snapshot stack (``amplitude._corrector_vectors``).
+Each constant is computed once.  A sample of the leading approximation
+is one envelope state taken to the lattice by its FFT, with its
+tau-derivative from the envelope equations there.  The correctors are
+made on the grid for a (2, m, n) snapshot stack of m states at once, one
+pass over the stack, and interpolated one state at a time, so no lattice
+array grows with m.  The spec keeps the carrier phase rows
+exp(i(omega*t + theta*j)) of the last lattice time t, one per carrier
+(one scalar at theta = 0), so the position, velocity and corrector sums
+at one time share them.  Every corrector's vectors, on product and wave
+carriers alike, are built once per snapshot stack
+(``amplitude._corrector_vectors``).
 
 ``residual_norm`` sums the improved positions as one amplitude row per
 carrier, made on the grid for its whole stack: one interpolation and one
@@ -46,39 +43,40 @@ class _Snapshot:
     (2, m, n) grid stack, its spectral derivative (two FFT calls), its
     tau-derivative and, on first use by ``_correctors``, one
     ``second_order_amplitudes`` call into a (K, 2, m, n) corrector stack.
-    Given ``out``, a (6, m, n) block, the three stacks are its rows.  The
-    snapshot holds no lattice rows (``_Sample`` does), so the specs of
-    every N that share one envelope solution can share it.
     """
 
-    def __init__(self, macro: MacroSystem, L: float, states, out=None):
+    def __init__(self, macro: MacroSystem, L: float, states):
         b = np.stack(states, axis=1).astype(complex, copy=False)
         dy = amp.spectral_derivative(b, L)
         dtau = np.asarray(tau_derivative(macro, b, dy))
-        if out is not None:
-            out[:2], out[2:4], out[4:] = b, dtau, dy
-            b, dtau, dy = out[:2], out[2:4], out[4:]
         self.b_grid, self.dtau_grid, self.dy_grid, self.a2_grid = b, dtau, dy, None
 
 
 class _Sample:
-    """Sample i of a snapshot on one spec's lattice: one interpolation of
-    its (4, n) stack of envelopes and tau-derivatives (two FFT calls) and,
-    on first use by ``_correctors``, of its (K, 2, n) corrector rows (two
-    more)."""
+    """The (2, n) envelope state ``fields`` at tau on one spec's lattice:
+    one FFT of the state and one fold and inverse FFT of its (4, n) stack
+    of coefficients and their y-derivatives give ``b_lat`` and, by the
+    envelope equations on the lattice, ``dtau_lat``.  Its correctors come
+    from ``snap`` at ``i``, the stack the state is in, if any."""
 
-    def __init__(self, spec: "AnsatzSpec", snap: _Snapshot, i: int):
-        lat = spec.interp(np.concatenate((snap.b_grid[:, i], snap.dtau_grid[:, i])))
-        self.snap, self.i, self.b_lat, self.dtau_lat, self.a2_lat = snap, i, lat[:2], lat[2:], None
+    def __init__(self, spec: "AnsatzSpec", tau: float, fields, snap: _Snapshot = None, i=0):
+        hat = np.fft.fft(fields)
+        dy = hat * (1j * amp.wavenumbers(spec.L, spec.n))
+        if spec.n % 2 == 0:
+            dy[:, spec.n // 2] = 0.0  # unpaired Nyquist mode carries no derivative
+        lat = spec._to_lattice(np.concatenate((hat, dy)))
+        self.b_lat = lat[:2]
+        self.dtau_lat = tau_derivative(spec.macro, self.b_lat, lat[2:])
+        self.tau, self.fields, self.snap, self.i, self.a2_lat = tau, fields, snap, i, None
 
 
 def _correctors(spec: "AnsatzSpec", sample: _Sample) -> np.ndarray:
     """The sample's second-order correctors on the lattice, (K, 2, N), row
     k that of carrier k of ``spec.carriers``: one interpolation of its
-    rows of the snapshot's corrector stack, which is built on first use,
-    for every sample at once."""
+    rows of the corrector stack of its snapshot, or of an m = 1 one of its
+    own, built on first use for every sample of the stack at once."""
     if sample.a2_lat is None:
-        snap = sample.snap
+        snap = sample.snap or _Snapshot(spec.macro, spec.L, [sample.fields])
         if snap.a2_grid is None:
             snap.a2_grid = np.empty((len(spec.carriers),) + snap.b_grid.shape, dtype=complex)
             second_order_amplitudes(spec.p, spec.macro, snap.b_grid, snap.dy_grid,
@@ -87,75 +85,16 @@ def _correctors(spec: "AnsatzSpec", sample: _Sample) -> np.ndarray:
     return sample.a2_lat
 
 
-# a SweepSamples keeps at most KEEP_SAMPLES samples, in (6, n) slots of one
-# array: 96 bytes per grid point a sample, 1.5 KB per grid point at the cap
-# (384 KB at n = 256), of which only the slots written are resident.  The
-# default sweep's rings would keep up to 39 of its 51 samples; past the cap
-# a sample costs one more grid pass (about 55 us at n = 256, 2 cores), less
-# than the interpolation each ring makes of it anyway
-KEEP_SAMPLES = 16
-
-
-class SweepSamples:
-    """The envelope samples of a lattice sweep's rings that share one
-    envelope solution, at the sample times tau_i = i*tau0/n_samples.
-
-    Ring r's i-th observation, at lattice time t with eps_r*t = tau_i up
-    to rounding, reads sample i: its ``fields(tau_i)`` and grid pass, an
-    m = 1 ``_Snapshot`` at the solution's L, are made once for all the
-    rings, and each ring interpolates it to its own lattice.  The rings
-    read their samples in order, and each spec holds the last one it
-    read, so the table drops a sample once every ring has read a later
-    one.  It keeps at most ``KEEP_SAMPLES`` at once, each in a slot of
-    one array allocated up front, so that the samples freed in turn leave
-    no holes in the heap between the envelope states kept meanwhile.
-    Past the cap a sample is built for the ring that asks and not kept:
-    the same tau_i's bits again for the next ring.  Building the table
-    hands it to every spec (``AnsatzSpec.at_tau`` asks it on a miss) and
-    drops the specs' own snapshots, such as those ``initial_state`` left.
-    """
-
-    def __init__(self, specs, L: float, tau0: float, n_samples: int):
-        self.L, self.tau0, self.n_samples = L, tau0, n_samples
-        self._rings = {id(spec): r for r, spec in enumerate(specs)}
-        self._read = [-1] * len(specs)  # the last sample each ring has read
-        self._slots = np.empty((KEEP_SAMPLES, 6, 1, specs[0].n), dtype=complex)
-        self._free = list(range(KEEP_SAMPLES))
-        self._kept = {}  # sample -> (snapshot, slot)
-        for spec in specs:
-            spec._cache, spec._sample, spec.sweep = {}, None, self
-
-    def snapshot(self, spec: "AnsatzSpec", tau: float) -> _Snapshot:
-        """The snapshot of the sample time tau_i that tau rounds to."""
-        i = round(tau * self.n_samples / self.tau0)
-        tau_i = i * self.tau0 / self.n_samples
-        if abs(tau - tau_i) > 1e-9 * self.tau0:
-            raise ValueError(f"tau={tau} is not a sample time i*tau0/n_samples of the sweep")
-        self._read[self._rings[id(spec)]] = i
-        done = min(self._read)
-        for j in [j for j in self._kept if j < done]:
-            self._free.append(self._kept.pop(j)[1])
-        if i in self._kept:
-            return self._kept[i][0]
-        slot = self._free.pop() if self._free else None
-        snap = _Snapshot(spec.macro, self.L, [spec.solution.fields(tau_i)],
-                         out=None if slot is None else self._slots[slot])
-        if slot is not None:
-            self._kept[i] = (snap, slot)
-        return snap
-
-
 @dataclass
 class AnsatzSpec:
     """Everything needed to sample the approximations on the lattice.
 
     The macroscopic domain length is tied to the lattice by L = eps*N;
     the envelope solution provides fields at any tau.  The spec keeps
-    the snapshot stack of the last taus asked for (``at_tau``,
-    ``at_taus``) and the lattice rows of the last sample read from it, the
-    improved-ansatz carrier table, and the phase rows of the last lattice
-    time asked for (``phase_row``).  In a lattice sweep its snapshots come
-    from the sweep's shared ``SweepSamples`` (``sweep``).
+    the snapshot stack of the last ``at_taus`` and the last sample read
+    (``at_tau``), the improved-ansatz carrier table, and the phase rows of
+    the last lattice time asked for (``phase_row``).  A ring of a lattice
+    sweep holds the sweep's (tau0, n_samples) as ``sample_times``.
     """
 
     p: ChainParams
@@ -166,7 +105,7 @@ class AnsatzSpec:
     solution: object
     carriers: list = field(init=False, repr=False)
     _fold: np.ndarray = field(init=False, repr=False)
-    sweep: SweepSamples = field(init=False, repr=False, default=None)
+    sample_times: tuple = field(init=False, repr=False, default=None)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
     _sample: _Sample = field(init=False, repr=False, default=None)
     _phase_t: float = field(init=False, repr=False, default=None)
@@ -194,32 +133,38 @@ class AnsatzSpec:
         The lattice is a uniform N-point grid over the same period, so the
         trigonometric interpolant there is the inverse FFT of the grid's
         coefficients folded onto the N lattice wavenumbers (a zero pad when
-        N >= n).  A stack takes one forward and one inverse FFT, and one
-        fold through a flat index: each row gets the sums a single grid
-        gets, in the same order, and ufunc.at takes its fast path for a
-        1-D index (an ``(..., fold)`` index takes the generic one, two to
-        three times slower).
+        N >= n), ``_to_lattice``.  A stack takes one forward and one inverse
+        FFT, and one fold through a flat index: each row gets the sums a
+        single grid gets, in the same order, and ufunc.at takes its fast
+        path for a 1-D index (an ``(..., fold)`` index takes the generic
+        one, two to three times slower).
         """
-        hat = np.fft.fft(grid_values)
+        return self._to_lattice(np.fft.fft(grid_values))
+
+    def _to_lattice(self, hat: np.ndarray) -> np.ndarray:
+        """The fold and inverse FFT of ``interp``, from grid coefficients."""
         pad = np.zeros(hat.shape[:-1] + (self.N,), dtype=complex)
         starts = self.N * np.arange(pad.size // self.N)
         np.add.at(pad.reshape(-1), (starts[:, None] + self._fold).ravel(), hat.reshape(-1))
         return np.fft.ifft(pad) * (self.N / self.n)
 
     def at_tau(self, tau: float) -> _Sample:
-        """Tau's sample on the lattice: from the stack of the last
-        ``at_taus`` when tau is in it, else from an m = 1 stack of its own
-        (the sweep's shared one, when the spec is in a sweep), kept until a
-        tau outside it is asked for.  The rows of the last sample read are
-        kept until another sample is read."""
-        if tau not in self._cache:
-            if self.sweep is None:
-                self.at_taus((tau,))
-            else:
-                self._cache = {tau: (self.sweep.snapshot(self, tau), 0)}
-        snap, i = self._cache[tau]
-        if self._sample is None or self._sample.snap is not snap or self._sample.i != i:
-            self._sample = _Sample(self, snap, i)
+        """Tau's sample on the lattice, its state read from the stack of
+        the last ``at_taus`` when tau is in it, else from the solution,
+        and kept until another tau is asked for.  With ``sample_times``,
+        tau is first rounded to the sample time i*tau0/n_samples (else
+        ValueError), so every ring of a sweep asks for the same taus."""
+        if self.sample_times is not None:
+            tau0, n_samples = self.sample_times
+            tau_i = round(tau * n_samples / tau0) * tau0 / n_samples
+            if abs(tau - tau_i) > 1e-9 * tau0:
+                raise ValueError(f"tau={tau} is not a sample time i*tau0/n_samples of the sweep")
+            tau = tau_i
+        if self._sample is None or self._sample.tau != tau:
+            snap, i = self._cache.get(tau, (None, 0))
+            fields = self.solution.fields(tau) if snap is None else snap.b_grid[:, i]
+            self._sample = None  # its rows freed before the next one's are made
+            self._sample = _Sample(self, tau, fields, snap, i)
         return self._sample
 
     def at_taus(self, taus) -> None:
@@ -271,22 +216,18 @@ def first_order_velocity(spec: AnsatzSpec, t: float) -> np.ndarray:
                                    in zip(spec.macro.waves, sample.b_lat, sample.dtau_lat)], t)
 
 
-def _second_order_sum(spec: AnsatzSpec, sample: _Sample, t: float, time_derivative: bool):
-    terms = []
-    for (_, om_v, th_v), a2 in zip(spec.carriers, _correctors(spec, sample)):
-        c = 1j * om_v if time_derivative else 1.0
-        if c != 0.0:
-            terms.append((om_v, th_v, c * a2))
-    return _carrier_sum(spec, terms, t, spec.eps ** 2)
-
-
 def corrector_sum(spec: AnsatzSpec, t: float, time_derivative: bool = False) -> np.ndarray:
     """The eps^2 corrector term of the improved approximation at lattice
     time t, or with ``time_derivative`` its velocity term: the improved
     positions (velocities) are sample_first_order (first_order_velocity)
     plus this.  The velocity term drops the eps^3 term of the correctors'
     tau-dependence, below the eps^{3/2} initial-error budget."""
-    return _second_order_sum(spec, spec.at_tau(spec.eps * t), t, time_derivative)
+    terms = []
+    for (_, om_v, th_v), a2 in zip(spec.carriers, _correctors(spec, spec.at_tau(spec.eps * t))):
+        c = 1j * om_v if time_derivative else 1.0
+        if c != 0.0:
+            terms.append((om_v, th_v, c * a2))
+    return _carrier_sum(spec, terms, t, spec.eps ** 2)
 
 
 def initial_state(spec: AnsatzSpec, improved: bool = True) -> LatticeState:

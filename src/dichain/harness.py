@@ -11,6 +11,7 @@ import copy
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
@@ -19,7 +20,8 @@ import numpy as np
 
 from . import amplitude as amp
 from . import ansatz as anz
-from .microsim import SimConfig, default_dt, integrate, integrate_rings, modal_mass
+from .microsim import (SimConfig, SimulationDiverged, default_dt, integrate, integrate_rings,
+                       modal_mass)
 from .model import (ChainParams, LatticeState, StabilityError, energy_norm, make_params,
                     norm_l2_pair)
 from .resonance import (NL_KEYS, acoustic_acoustic_scan, family_params,
@@ -38,9 +40,8 @@ class NoOutputPath(ConfigError):
 
 # size bounds, checked before any compute: a run holds about 1 KB per
 # lattice site and up to 20 KB per envelope grid point (kept envelope
-# states, snapshot stacks, and a lattice sweep's shared samples, at most
-# 1.5 KB), so these keep it within about 300 MB each; a lattice sweep runs
-# every eps's lattice at once, so its sites are summed
+# states and snapshot stacks), so these keep it within about 300 MB each;
+# a lattice sweep runs every eps's lattice at once, so its sites are summed
 MAX_SITES = 2 ** 18
 MAX_GRID = 2 ** 14
 # a lattice run takes at least max(T/dt, n_samples) steps to T = tau0/eps;
@@ -265,12 +266,12 @@ def setup_run(cfg: ExperimentConfig, eps_target: float, a0=None) -> RunSetup:
         w2 = polarization(p, OPTICAL, wrap_theta(2.0 * theta1))
     else:
         p = cfg.params
-        wspecs = list(cfg.waves) + ([{"branch": OPTICAL, "theta": 0.6}]
-                                    if len(cfg.waves) == 1 else [])
+        # a single wave is paired with itself at zero amplitude: the products
+        # of the two sit on its second harmonic and on the mean carrier
         if len(cfg.waves) == 1:
             a0 = [a0[0], 0.0]
         w1, w2 = (polarization(p, wd["branch"], snap_theta(float(wd["theta"]), N))
-                  for wd in wspecs)
+                  for wd in (cfg.waves * 2)[:2])
 
     macro = amp.build_macro_system(p, w1, w2)
     sol = _envelope_solution(amp.make_solution, macro, cfg.L_y, cfg.n_grid,
@@ -396,16 +397,30 @@ def _lattice_sim(cfg: ExperimentConfig, p: ChainParams, T: float, spacing: float
     return SimConfig(dt=spacing / stride, T=T, stride=stride)
 
 
+def _lattice_run(cfg: ExperimentConfig, eps, run, *args):
+    """run(*args) for the rings of ``eps``: a ring that diverges is a
+    config error naming a0, not numpy warnings; the warnings of a run
+    that ends are given when it ends."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            out = run(*args)
+        except SimulationDiverged as exc:
+            raise ConfigError(f"a0: {cfg.a0!r} makes the lattice at eps={eps[exc.run]:.4g} "
+                              f"diverge: non-finite positions at t={exc.t:.6g}") from None
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return out
+
+
 def _lattice_peak(cfg: ExperimentConfig, observable, law: float):
     """The measurement of a lattice sweep: every eps's lattice from
     improved initial data to t = tau0/eps, all in one run
     (``integrate_rings``); per eps the largest observable(spec, t, state)
     at its sampling times, and that peak over eps^law.  The i-th sampling
     time t of each eps has eps*t = tau_i = i*tau0/n_samples up to
-    rounding, and the rings that share one envelope solution read their
-    envelopes at tau_i from one ``anz.SweepSamples`` table, whose grid
-    pass per sample serves all of them and which keeps a bounded number
-    of samples."""
+    rounding, and each ring reads its envelopes at tau_i
+    (``AnsatzSpec.sample_times``), the same taus for every ring."""
     def measure(setups):
         setups = list(setups)
         peaks = [0.0] * len(setups)
@@ -417,13 +432,8 @@ def _lattice_peak(cfg: ExperimentConfig, observable, law: float):
             T = cfg.tau0 / s.spec.eps
             runs.append((s.p, anz.initial_state(s.spec, improved=True),
                          _lattice_sim(cfg, s.p, T, T / cfg.n_samples), observer))
-        # rings whose snapped carriers differ have envelope solutions of their own
-        shared = {}
-        for s in setups:
-            shared.setdefault(id(s.spec.solution), []).append(s.spec)
-        for specs in shared.values():
-            anz.SweepSamples(specs, cfg.L_y, cfg.tau0, cfg.n_samples)
-        integrate_rings(runs)
+            s.spec.sample_times = (cfg.tau0, cfg.n_samples)
+        _lattice_run(cfg, [s.spec.eps for s in setups], integrate_rings, runs)
         return [(s.spec.eps, peak, peak / s.spec.eps ** law) for s, peak in zip(setups, peaks)]
     return measure
 
@@ -515,7 +525,8 @@ def run_generation(cfg: ExperimentConfig) -> GenerationReport:
     # the optical-branch modal amplitude of the initial state
     q, qd = (ell @ (x * demod[:, None]).mean(axis=0) for x in (s0.pos, s0.vel))
     initial_mass = float(abs(0.5 * (q - 1j * qd / om2)))
-    integrate(p, s0, _lattice_sim(cfg, p, T_end, fine_target), observer)
+    _lattice_run(cfg, [spec.eps], integrate, p, s0, _lattice_sim(cfg, p, T_end, fine_target),
+                 observer)
 
     # per-site least squares on the carrier lines over the final window;
     # the e^{+i om2 t} coefficient is eps * A_{1,2} times the polarization

@@ -406,30 +406,37 @@ def hand_expanded_K(iota, a1, a2, p: ChainParams, theta1: float, theta2: float):
 
 
 def per_row_snapshot(spec, fields):
-    """Independent reference for an ansatz snapshot: the grids and lattice
+    """Independent reference for an ansatz sample: the grids and lattice
     rows of ``fields`` with one FFT round trip per envelope row and per
-    corrector row.  Returns b_lat, dtau_lat, dy_grid, dtau_grid and the
+    corrector row.  The envelopes and their y-derivatives on the lattice
+    are the folds of the grid's coefficients and of those times
+    i*kappa, and the tau-derivative there is the envelope equations' of
+    those two.  Returns b_lat, dtau_lat, dy_grid, dtau_grid and the
     correctors a2_lat keyed by carrier."""
     fold = np.rint(np.fft.fftfreq(spec.n) * spec.n).astype(int) % spec.N
 
-    def deriv(values):
+    def deriv_hat(values):
         n = len(values)
         hat = np.fft.fft(values) * (1j * amp.wavenumbers(spec.L, n))
         if n % 2 == 0:
             hat[n // 2] = 0.0
-        return np.fft.ifft(hat)
+        return hat
 
-    def interp(values):
+    def fold_hat(hat):
         pad = np.zeros(spec.N, dtype=complex)
-        np.add.at(pad, fold, np.fft.fft(values))
+        np.add.at(pad, fold, hat)
         return np.fft.ifft(pad) * (spec.N / spec.n)
 
+    def interp(values):
+        return fold_hat(np.fft.fft(values))
+
     b = tuple(np.asarray(f, dtype=complex) for f in fields)
-    dy = tuple(deriv(f) for f in b)
+    dy = tuple(np.fft.ifft(deriv_hat(f)) for f in b)
     dtau = amp.tau_derivative(spec.macro, b, dy)
+    b_lat = [interp(f) for f in b]
+    dtau_lat = amp.tau_derivative(spec.macro, b_lat, [fold_hat(deriv_hat(f)) for f in b])
     a2 = amp.second_order_amplitudes(spec.p, spec.macro, b, dy, dtau)
-    return dict(b_lat=[interp(f) for f in b], dtau_lat=[interp(f) for f in dtau],
-                dy_grid=dy, dtau_grid=dtau,
+    return dict(b_lat=b_lat, dtau_lat=dtau_lat, dy_grid=dy, dtau_grid=dtau,
                 a2_lat={iota: np.stack([interp(v[0]), interp(v[1])]) for iota, v in a2.items()})
 
 

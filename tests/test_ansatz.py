@@ -291,23 +291,23 @@ def test_theta_snapping_keeps_resonance_exact():
 @pytest.mark.parametrize("eps,n_grid", [(0.05, 256), (0.1, 1024)], ids=["N-above-n", "N-below-n"])
 @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
 def test_snapshot_matches_per_row_reference(source, eps, n_grid):
-    """The grid pass over the stack and the FFT passes per sample give
-    every sample's rows bit for bit, alone (m = 1) and in a stack of four
-    sampled out of order."""
+    """A sample's FFT passes and its corrector stack's grid pass give its
+    rows bit for bit: a state alone, whose correctors build an m = 1
+    stack, and the states of a stack of four sampled out of order."""
     spec = _setup(source, eps, n_grid).spec
     assert (spec.N > spec.n) == (n_grid == 256)
     states = [spec.solution.fields(tau) for tau in (0.3, 0.1, 0.3, 0.0)]
     refs = [per_row_snapshot(spec, fields) for fields in states]
-    for stack, order in (([states[0]], [0]), (states, [2, 0, 3, 0, 1])):
-        snap = anz._Snapshot(spec.macro, spec.L, stack)
-        for i in order:
-            sample = anz._Sample(spec, snap, i)
+    snap = anz._Snapshot(spec.macro, spec.L, states)
+    for i in (2, 0, 3, 0, 1):
+        ref = refs[i]
+        for name in ("dy_grid", "dtau_grid"):
+            assert np.array_equal(getattr(snap, name)[:, i], ref[name]), name
+        for sample in (anz._Sample(spec, 0.0, states[i]),
+                       anz._Sample(spec, 0.0, snap.b_grid[:, i], snap, i)):
             a2 = anz._correctors(spec, sample)
-            ref = refs[i]
             for name in ("b_lat", "dtau_lat"):
                 assert np.array_equal(getattr(sample, name), ref[name]), name
-            for name in ("dy_grid", "dtau_grid"):
-                assert np.array_equal(getattr(snap, name)[:, i], ref[name]), name
             # row k is the corrector of carrier k
             assert [c[0] for c in spec.carriers] == list(ref["a2_lat"])
             assert len(a2) == len(spec.carriers)
@@ -317,9 +317,11 @@ def test_snapshot_matches_per_row_reference(source, eps, n_grid):
 
 @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
 def test_snapshot_makes_four_ffts_and_correctors_two(monkeypatch, source):
-    """Per stack: one spectral derivative (two FFT calls) and one corrector
-    build.  Per sample: one interpolation of its envelopes and one of its
-    correctors (two FFT calls each)."""
+    """Per sample: one FFT of its state and one inverse FFT of its
+    envelopes and their y-derivatives on the lattice.  Per stack: one
+    spectral derivative (two FFT calls) and one corrector build; a sample
+    alone builds an m = 1 stack for its correctors.  Per sample's
+    correctors: one interpolation (two FFT calls)."""
     spec = _setup(source).spec
     states = [spec.solution.fields(tau) for tau in (0.3, 0.1, 0.2)]
     calls = collections.Counter()
@@ -334,11 +336,11 @@ def test_snapshot_makes_four_ffts_and_correctors_two(monkeypatch, source):
         return _fn(*a, **kw)
     monkeypatch.setattr(anz, "second_order_amplitudes", built)
 
-    sample = anz._Sample(spec, anz._Snapshot(spec.macro, spec.L, states[:1]), 0)
-    assert calls == {"fft": 2, "ifft": 2}
+    sample = anz._Sample(spec, 0.3, states[0])
+    assert calls == {"fft": 1, "ifft": 1}
     calls.clear()
     anz._correctors(spec, sample)
-    assert calls == {"fft": 1, "ifft": 1, "second_order": 1}
+    assert calls == {"fft": 2, "ifft": 2, "second_order": 1}
     calls.clear()
     anz._correctors(spec, sample)  # built once
     assert not calls
@@ -346,18 +348,18 @@ def test_snapshot_makes_four_ffts_and_correctors_two(monkeypatch, source):
     snap = anz._Snapshot(spec.macro, spec.L, states)  # the stack's derivative
     assert calls == {"fft": 1, "ifft": 1}
     calls.clear()
-    anz._correctors(spec, anz._Sample(spec, snap, 0))
+    anz._correctors(spec, anz._Sample(spec, 0.3, snap.b_grid[:, 0], snap, 0))
     assert calls == {"fft": 2, "ifft": 2, "second_order": 1}
     for i in (1, 2):
         calls.clear()
-        sample = anz._Sample(spec, snap, i)
+        sample = anz._Sample(spec, 0.0, snap.b_grid[:, i], snap, i)
         anz._correctors(spec, sample)
         anz._correctors(spec, sample)
         assert calls == {"fft": 2, "ifft": 2}
     spec.at_taus((0.3, 0.1))
     spec.at_tau(0.1)
     calls.clear()
-    spec.at_tau(0.1)  # the spec keeps the rows of the last sample read
+    spec.at_tau(0.1)  # the spec keeps the last sample read
     assert not calls
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -260,6 +261,22 @@ def test_single_wave_config():
     setup = harness.setup_run(cfg, 0.1)
     b2 = setup.spec.solution.fields(0.0)[1]
     assert np.all(b2 == 0.0)
+
+
+def test_single_wave_config_adds_no_wave_of_its_own():
+    """The second wave of a one-wave config is the first at zero amplitude,
+    so its products sit on the wave's own harmonics: a wave whose
+    difference carrier with an optical wave at theta = 0.6 would be
+    nearly resonant (|det H| = 1.6e-6) measures its ansatz gap."""
+    with open(ROOT / "configs" / "generation_control.json") as fh:
+        doc = json.load(fh)
+    doc.update(kind="ansatz_scaling", waves=[{"branch": "acoustic", "theta": 1.8131564157892874}],
+               eps=[0.04, 0.02, 0.01], L_y=41.48, a0=[1.0, 0.0])
+    cfg = config_from_dict(doc)
+    w1, w2 = harness.setup_run(cfg, cfg.eps[0]).spec.macro.waves
+    assert w2 == w1
+    rep = harness.run_ansatz_scaling(cfg)
+    assert rep.passed and abs(rep.exponent - 1.5) < 0.01
 
 
 def test_determinism_identical_csv(tmp_path):
@@ -542,6 +559,26 @@ def test_cli_generate_refuses_a_family_without_quadratic_coupling(tmp_path, caps
     assert err.startswith("config error: resonant_family.nl:") and "Traceback" not in err
 
 
+def test_cli_names_a0_eps_and_time_of_a_diverged_lattice(tmp_path, capsys):
+    """A lattice that blows up exits 1 with one line naming a0, its eps
+    and the time, and no numpy warning; a run that does not diverge still
+    gives its warnings (here errors), once it ends."""
+    with open(ROOT / "configs" / "convergence_resonant.json") as fh:
+        doc = json.load(fh)
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(dict(doc, a0=[12, 6], eps=[0.2, 0.1, 0.05])))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc = cli.main(["validate", "--config", str(cfgf)])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == "" and not seen
+    assert err == ("config error: a0: [12, 6] makes the lattice at eps=0.2 diverge: "
+                   "non-finite positions at t=3.4\n")
+    with pytest.raises(RuntimeWarning, match="given after the run"):
+        harness._lattice_run(config_from_dict(doc), [0.1], warnings.warn, "given after the run",
+                             RuntimeWarning)
+
+
 def test_size_bounds_admit_their_limit_and_refuse_past_it():
     """MAX_SITES lattice sites summed over a lattice sweep's eps (whose
     lattices run at once) or at the smallest eps of any other sweep, an
@@ -767,15 +804,15 @@ SWEEPS = [dict(resonant_family=FAM), dict(resonant_family=dict(FAM, c=0.5)),
 SWEEP_IDS = ["c1", "half-pi", "nonresonant"]
 
 
-def _sweep_cfg(source):
+def _sweep_cfg(source, n_samples=20):
     return config_from_dict(dict(kind="convergence", eps=[0.1, 0.0707, 0.05], tau0=0.5,
-                                 n_grid=64, n_samples=20, **source))
+                                 n_grid=64, n_samples=n_samples, **source))
 
 
 def _rows_ring_by_ring(cfg):
     """The convergence rows with each eps's lattice run alone and its
-    observer reading its own envelopes at eps*t, as before the rings of a
-    sweep shared their samples."""
+    observer reading its own envelopes at eps*t, not at the sweep's
+    sample times."""
     rows = []
     for eps in cfg.eps:
         s = harness.setup_run(cfg, eps)
@@ -795,8 +832,9 @@ def _rows_ring_by_ring(cfg):
 
 @pytest.mark.parametrize("source", SWEEPS, ids=SWEEP_IDS)
 def test_shared_sweep_samples_match_each_ring_alone(source):
-    """Reading the envelopes at tau_i = i*tau0/n_samples from the shared
-    table, not at each ring's eps*t, moves each row by rounding only."""
+    """Reading the envelopes at the sweep's sample times tau_i =
+    i*tau0/n_samples, not at each ring's eps*t, moves each row by
+    rounding only."""
     cfg = _sweep_cfg(source)
     shared = harness.run_convergence(cfg).rows
     for (eps, value), (eps_ref, ref) in zip(shared, _rows_ring_by_ring(cfg)):
@@ -804,18 +842,34 @@ def test_shared_sweep_samples_match_each_ring_alone(source):
         assert abs(value - ref) <= 1e-13 * ref
 
 
+def _strang_steps(monkeypatch):
+    """The taus of every Lawson step taken from now on."""
+    steps = []
+
+    def counted(sys, fields, L, dtau, _step=amp.strang_step):
+        steps.append(dtau)
+        return _step(sys, fields, L, dtau)
+    monkeypatch.setattr(amp, "strang_step", counted)
+    return steps
+
+
 def test_sweep_asks_the_envelopes_once_per_sample_time(monkeypatch):
-    """The rings of a c = 1 sweep share one envelope solution; during the
-    lattice run it is asked for each sample time i*tau0/n_samples once,
-    not once per ring and sample."""
-    cfg = _sweep_cfg(SWEEPS[0])
+    """The rings of a c = 1 sweep share one envelope solution and each ask
+    it for the sample times i*tau0/n_samples only; the first ring to ask
+    for a tau between step times steps to it, and the others take no
+    step."""
+    cfg = _sweep_cfg(SWEEPS[0], n_samples=30)  # sample times i/60, most between steps
+    harness._envelope_solution.cache_clear()
     asked, running = [], []
     fields = amp.StrangSolution.fields
+    steps = _strang_steps(monkeypatch)
 
     def counted(sol, tau):
+        n = len(steps)
+        state = fields(sol, tau)
         if running:
-            asked.append(tau)
-        return fields(sol, tau)
+            asked.append((tau, len(steps) - n))
+        return state
 
     def run(runs, _rings=harness.integrate_rings):
         running.append(len(runs))
@@ -825,30 +879,36 @@ def test_sweep_asks_the_envelopes_once_per_sample_time(monkeypatch):
     monkeypatch.setattr(harness, "integrate_rings", run)
     harness.run_convergence(cfg)
     assert running == [3]
-    assert asked == [i * cfg.tau0 / cfg.n_samples for i in range(cfg.n_samples + 1)]
+    # each ring once per sample time but t = 0, initial_state's sample
+    sample_times = [i * cfg.tau0 / cfg.n_samples for i in range(1, cfg.n_samples + 1)]
+    assert sorted(tau for tau, _ in asked) == sorted(sample_times * 3)
+    first = {}
+    for tau, stepped in asked:
+        assert tau not in first or stepped == 0
+        first.setdefault(tau, stepped)
+    # 20 whole steps to tau0 and 23 partial ones
+    assert sum(first.values()) == len(steps) == 43 and steps.count(amp.STRANG_DTAU) == 20
 
 
 def test_sweep_samples_past_the_cap_keep_their_bits(monkeypatch):
-    """With n_samples above the table's cap, the table holds at most the
-    cap, and the samples it cannot keep are built again for each ring with
-    the same bits."""
-    cfg = _sweep_cfg(SWEEPS[0])
-    shared = harness.run_convergence(cfg).rows
-    kept = []
-
-    def watched(table, spec, tau, _snapshot=anz.SweepSamples.snapshot):
-        snap = _snapshot(table, spec, tau)
-        kept.append(len(table._kept))
-        return snap
-
-    monkeypatch.setattr(anz, "KEEP_SAMPLES", 3)
-    monkeypatch.setattr(anz.SweepSamples, "snapshot", watched)
-    assert harness.run_convergence(cfg).rows == shared
-    assert max(kept) == 3 < cfg.n_samples
+    """A sweep's ring reads only the sample times; and rings that read
+    each sample time in the same step, past the cap of the solution's
+    table, step to it once and give the rows of an uncapped table."""
+    cfg = _sweep_cfg(SWEEPS[0], n_samples=100)  # the three rings step in lockstep
     spec = harness.setup_run(cfg, 0.1).spec
-    table = anz.SweepSamples([spec], cfg.L_y, cfg.tau0, cfg.n_samples)
+    spec.sample_times = (cfg.tau0, cfg.n_samples)
     with pytest.raises(ValueError, match="not a sample time"):
-        table.snapshot(spec, 0.5 * cfg.tau0 / cfg.n_samples)
+        spec.at_tau(0.5 * cfg.tau0 / cfg.n_samples)
+    steps = _strang_steps(monkeypatch)
+    harness._envelope_solution.cache_clear()
+    rows = harness.run_convergence(cfg).rows
+    uncapped, steps[:] = len(steps), []
+    harness._envelope_solution.cache_clear()
+    monkeypatch.setattr(amp, "KEEP_STATES", 3)
+    assert harness.run_convergence(cfg).rows == rows
+    # the uncapped table keeps every state it reaches, so it steps to each
+    # once: 106 steps, where a partial step of each ring's own takes 274
+    assert len(steps) == uncapped == 106
 
 
 def test_stiff_chain_sweep_keeps_substeps_stable():
