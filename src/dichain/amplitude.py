@@ -53,8 +53,12 @@ def grid_points(L: float, n: int) -> np.ndarray:
     return np.arange(n) * (L / n)
 
 
+@lru_cache(maxsize=16)
 def wavenumbers(L: float, n: int) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
+    """The grid's wavenumbers in fftfreq order, once per (L, n), read-only."""
+    kappa = 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
+    kappa.flags.writeable = False
+    return kappa
 
 
 @lru_cache(maxsize=16)
@@ -184,13 +188,11 @@ def _source_rhs(sys, fields):
 
 def tau_derivative(sys: MacroSystem, fields, dy_fields):
     """Governing right-hand side: dB/dtau = v dB/dy + source, from the
-    envelopes and their y-derivatives."""
-    db1 = sys.velocities[0] * dy_fields[0]
-    db2 = sys.velocities[1] * dy_fields[1]
-    if sys.resonant:
-        s1, s2 = _source_rhs(sys, fields)
-        db1, db2 = db1 + s1, db2 + s2
-    return db1, db2
+    envelopes and their y-derivatives; a row at rest is its source alone."""
+    sources = (_source_rhs(sys, fields) if sys.resonant
+               else np.zeros((2,) + np.shape(dy_fields[0]), dtype=complex))
+    return tuple(v * dy + s if v != 0.0 else s
+                 for v, dy, s in zip(sys.velocities, dy_fields, sources))
 
 
 def _advect(sys, stack, L, dt):

@@ -7,25 +7,22 @@ approximation is the leading one plus the corrector sum, one carrier sum
 over the table ``amplitude.carriers`` (the spec's ``carriers``) and the
 corrector rows in its order.
 
-Each constant is computed once.  A sample of the leading approximation
-is one envelope state taken to the lattice by its FFT, with its
-tau-derivative from the envelope equations there.  The correctors are
-made on the grid for a (2, m, n) snapshot stack of m states at once, one
-pass over the stack, and interpolated one state at a time, so no lattice
-array grows with m.  The spec keeps the carrier phase rows
-exp(i(omega*t + theta*j)) of the last lattice time t, one per carrier
-(one scalar at theta = 0), so the position, velocity and corrector sums
-at one time share them.  Every corrector's vectors, on product and wave
-carriers alike, are built once per snapshot stack
-(``amplitude._corrector_vectors``).
-
-``residual_norm`` sums the improved positions as one amplitude row per
+The samplers sum carriers in Fourier space (``_fold_sum``): a carrier's
+amplitude on the lattice times exp(i(omega*t + theta*j)) is the inverse
+FFT of its grid spectrum shifted by the integer wavenumber theta*N/2pi
+and scaled by exp(i*omega*t), so the positions and velocities of every
+carrier are one (4, N) inverse FFT, per sample and time one for the
+leading terms and one for the correctors.  A sample keeps the spectra of
+its envelope state and tau-derivative (one FFT); the correctors are made
+on the grid for a (2, m, n) snapshot stack of m states at once and take
+one FFT of the whole stack.  ``residual_norm`` sums one amplitude row per
 carrier, made on the grid for its whole stack: one interpolation and one
-carrier sum per state, on ``phase_row``'s phase rows (see its docstring).
+carrier sum per state on ``phase_row``'s rows (see its docstring).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,49 +37,39 @@ class IncommensurateCarrier(ValueError):
 
 class _Snapshot:
     """Envelope data at m macroscopic times: the m envelope states as one
-    (2, m, n) grid stack, its spectral derivative (two FFT calls), its
-    tau-derivative and, on first use by ``_correctors``, one
-    ``second_order_amplitudes`` call into a (K, 2, m, n) corrector stack.
+    (2, m, n) grid stack, its spectral derivative (two FFT calls) and its
+    tau-derivative and, first made by ``_sums``, ``a2_hat``: the FFT of its
+    (K, 2, m, n) corrector stack (one ``second_order_amplitudes`` call).
     """
 
     def __init__(self, macro: MacroSystem, L: float, states):
         b = np.stack(states, axis=1).astype(complex, copy=False)
         dy = amp.spectral_derivative(b, L)
         dtau = np.asarray(tau_derivative(macro, b, dy))
-        self.b_grid, self.dtau_grid, self.dy_grid, self.a2_grid = b, dtau, dy, None
+        self.b_grid, self.dtau_grid, self.dy_grid, self.a2_hat = b, dtau, dy, None
 
 
 class _Sample:
-    """The (2, n) envelope state ``fields`` at tau on one spec's lattice:
-    one FFT of the state and one fold and inverse FFT of its (4, n) stack
-    of coefficients and their y-derivatives give ``b_lat`` and, by the
-    envelope equations on the lattice, ``dtau_lat``.  Its correctors come
-    from ``snap`` at ``i``, the stack the state is in, if any."""
+    """The envelope state ``fields`` at tau as the (2, 4, n) grid spectra
+    of the amplitude vectors of B and of i*omega*B + eps*dB/dtau per wave,
+    by one FFT of the state (and its sources when resonant).  Its
+    correctors are ``snap``'s at ``i``, else an m = 1 stack's of its own;
+    ``sums`` keeps the two folds of the last lattice time ``t``."""
 
     def __init__(self, spec: "AnsatzSpec", tau: float, fields, snap: _Snapshot = None, i=0):
-        hat = np.fft.fft(fields)
-        dy = hat * (1j * amp.wavenumbers(spec.L, spec.n))
-        if spec.n % 2 == 0:
-            dy[:, spec.n // 2] = 0.0  # unpaired Nyquist mode carries no derivative
-        lat = spec._to_lattice(np.concatenate((hat, dy)))
-        self.b_lat = lat[:2]
-        self.dtau_lat = tau_derivative(spec.macro, self.b_lat, lat[2:])
-        self.tau, self.fields, self.snap, self.i, self.a2_lat = tau, fields, snap, i, None
-
-
-def _correctors(spec: "AnsatzSpec", sample: _Sample) -> np.ndarray:
-    """The sample's second-order correctors on the lattice, (K, 2, N), row
-    k that of carrier k of ``spec.carriers``: one interpolation of its
-    rows of the corrector stack of its snapshot, or of an m = 1 one of its
-    own, built on first use for every sample of the stack at once."""
-    if sample.a2_lat is None:
-        snap = sample.snap or _Snapshot(spec.macro, spec.L, [sample.fields])
-        if snap.a2_grid is None:
-            snap.a2_grid = np.empty((len(spec.carriers),) + snap.b_grid.shape, dtype=complex)
-            second_order_amplitudes(spec.p, spec.macro, snap.b_grid, snap.dy_grid,
-                                    snap.dtau_grid, out=snap.a2_grid)
-        sample.a2_lat = spec.interp(snap.a2_grid[:, :, sample.i])
-    return sample.a2_lat
+        macro, n = spec.macro, spec.n
+        hat = np.fft.fft(np.concatenate((fields, amp._source_rhs(macro, fields)))
+                         if macro.resonant else fields)
+        dtau = hat[2:] if macro.resonant else np.zeros_like(hat)
+        ik = 1j * amp.wavenumbers(spec.L, n)
+        if n % 2 == 0:
+            ik[n // 2] = 0.0  # unpaired Nyquist mode carries no derivative
+        for k in np.flatnonzero(macro.velocities):  # no multiply by a velocity of 0
+            dtau[k] += macro.velocities[k] * (ik * hat[k])
+        self.spectra = np.array([[*w.amplitude_vector(b), *w.amplitude_vector(
+            1j * w.omega * b + spec.eps * d)] for w, b, d in zip(macro.waves, hat, dtau)])
+        self.tau, self.fields, self.snap, self.i = tau, fields, snap, i
+        self.t, self.sums = None, [None, None]
 
 
 @dataclass
@@ -105,6 +92,7 @@ class AnsatzSpec:
     solution: object
     carriers: list = field(init=False, repr=False)
     _fold: np.ndarray = field(init=False, repr=False)
+    _omegas: np.ndarray = field(init=False, repr=False)
     sample_times: tuple = field(init=False, repr=False, default=None)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
     _sample: _Sample = field(init=False, repr=False, default=None)
@@ -121,10 +109,17 @@ class AnsatzSpec:
         # Nyquist at m = -n/2); with N < n several modes alias to one index
         self._fold = np.rint(np.fft.fftfreq(self.n) * self.n).astype(int) % self.N
         self.carriers = carriers(self.macro.resonant, *self.macro.waves)
+        self._omegas = np.array([om for _, om, _ in self.carriers])
 
     @property
     def L(self) -> float:
         return self.eps * self.N
+
+    @cached_property
+    def _shift(self) -> np.ndarray:
+        """Per carrier, its grid modes' flat indices into a (4, N) pad, shifted by theta*N/2pi."""
+        k = np.rint([th * self.N / (2.0 * np.pi) for _, _, th in self.carriers]).astype(int)
+        return (self._fold + k[:, None, None]) % self.N + self.N * np.arange(4)[:, None]
 
     def interp(self, grid_values: np.ndarray) -> np.ndarray:
         """Spectral interpolation from the macro grid to y = eps*j, along
@@ -133,16 +128,11 @@ class AnsatzSpec:
         The lattice is a uniform N-point grid over the same period, so the
         trigonometric interpolant there is the inverse FFT of the grid's
         coefficients folded onto the N lattice wavenumbers (a zero pad when
-        N >= n), ``_to_lattice``.  A stack takes one forward and one inverse
-        FFT, and one fold through a flat index: each row gets the sums a
-        single grid gets, in the same order, and ufunc.at takes its fast
-        path for a 1-D index (an ``(..., fold)`` index takes the generic
-        one, two to three times slower).
+        N >= n).  A stack takes one forward and one inverse FFT, and one
+        fold through a flat index (ufunc.at's fast path): each row gets the
+        sums a single grid gets, in the same order.
         """
-        return self._to_lattice(np.fft.fft(grid_values))
-
-    def _to_lattice(self, hat: np.ndarray) -> np.ndarray:
-        """The fold and inverse FFT of ``interp``, from grid coefficients."""
+        hat = np.fft.fft(grid_values)
         pad = np.zeros(hat.shape[:-1] + (self.N,), dtype=complex)
         starts = self.N * np.arange(pad.size // self.N)
         np.add.at(pad.reshape(-1), (starts[:, None] + self._fold).ravel(), hat.reshape(-1))
@@ -175,9 +165,9 @@ class AnsatzSpec:
 
     def phase_row(self, omega: float, theta: float, t: float) -> np.ndarray:
         """exp(i(omega*t + theta*j)) over the lattice sites j, built once
-        per carrier for the last time t asked for.  At theta = 0 every site
-        has the same phase, so the row is that one numpy scalar, each
-        element's bits."""
+        per carrier for the last time t asked for, for ``residual_norm``.
+        At theta = 0 every site has the same phase, so the row is that one
+        numpy scalar, each element's bits."""
         if t != self._phase_t:
             self._phase_t, self._phases = t, {}
         row = self._phases.get((omega, theta))
@@ -199,21 +189,52 @@ def _carrier_sum(spec: AnsatzSpec, terms, t: float, scale: float) -> np.ndarray:
     return 2.0 * scale * u.real
 
 
-def _first_order_sum(spec: AnsatzSpec, envelopes, t: float) -> np.ndarray:
-    return _carrier_sum(spec, [(w.omega, w.theta, w.amplitude_vector(b))
-                               for w, b in zip(spec.macro.waves, envelopes)], t, spec.eps)
+def _fold_sum(spec: AnsatzSpec, spectra: np.ndarray, t: float, scale: float) -> np.ndarray:
+    """2*scale*Re of sum_c a_c*exp(i(omega_c*t + theta_c*j)) over the first
+    K carriers, from the (K, 4, n) grid spectra of the a_c: each, times
+    exp(i*omega_c*t), is added into one zero (4, N) pad at ``_shift``, and
+    one inverse FFT gives the (4, N) sums, read-only."""
+    K = len(spectra)
+    pad = np.zeros((4, spec.N), dtype=complex)
+    phases = np.exp(1j * (spec._omegas[:K] * t))
+    np.add.at(pad.reshape(-1), spec._shift[:K].ravel(),
+              (spectra * phases[:, None, None]).reshape(-1))
+    sums = np.fft.ifft(pad).real * (2.0 * scale * spec.N / spec.n)
+    sums.flags.writeable = False
+    return sums
+
+
+def _sums(spec: AnsatzSpec, t: float, correctors: bool) -> np.ndarray:
+    """The (4, N) positions and velocities at lattice time t of the leading
+    terms or, with ``correctors``, of the eps^2 corrector terms (their rows
+    and i*omega times them): one fold per sample and time, kept."""
+    sample = spec.at_tau(spec.eps * t)
+    if sample.t != t:
+        sample.t, sample.sums = t, [None, None]
+    if sample.sums[correctors] is None:
+        spectra, scale = sample.spectra, spec.eps
+        if correctors:
+            snap = sample.snap = sample.snap or _Snapshot(spec.macro, spec.L, [sample.fields])
+            if snap.a2_hat is None:
+                a2 = np.empty((len(spec.carriers),) + snap.b_grid.shape, dtype=complex)
+                second_order_amplitudes(spec.p, spec.macro, snap.b_grid, snap.dy_grid,
+                                        snap.dtau_grid, out=a2)
+                snap.a2_hat = np.fft.fft(a2)
+            a = snap.a2_hat[:, :, sample.i]
+            spectra = np.concatenate((a, a * (1j * spec._omegas)[:, None, None]), axis=1)
+            scale = spec.eps ** 2
+        sample.sums[correctors] = _fold_sum(spec, spectra, t, scale)
+    return sample.sums[correctors]
 
 
 def sample_first_order(spec: AnsatzSpec, t: float) -> np.ndarray:
-    """Positions of the leading approximation at lattice time t."""
-    return _first_order_sum(spec, spec.at_tau(spec.eps * t).b_lat, t)
+    """Positions of the leading approximation at lattice time t, (N, 2), read-only."""
+    return _sums(spec, t, False)[:2].T
 
 
 def first_order_velocity(spec: AnsatzSpec, t: float) -> np.ndarray:
     """Exact time derivative of the leading approximation."""
-    sample = spec.at_tau(spec.eps * t)
-    return _first_order_sum(spec, [1j * w.omega * b + spec.eps * d for w, b, d
-                                   in zip(spec.macro.waves, sample.b_lat, sample.dtau_lat)], t)
+    return _sums(spec, t, False)[2:].T
 
 
 def corrector_sum(spec: AnsatzSpec, t: float, time_derivative: bool = False) -> np.ndarray:
@@ -222,12 +243,8 @@ def corrector_sum(spec: AnsatzSpec, t: float, time_derivative: bool = False) -> 
     positions (velocities) are sample_first_order (first_order_velocity)
     plus this.  The velocity term drops the eps^3 term of the correctors'
     tau-dependence, below the eps^{3/2} initial-error budget."""
-    terms = []
-    for (_, om_v, th_v), a2 in zip(spec.carriers, _correctors(spec, spec.at_tau(spec.eps * t))):
-        c = 1j * om_v if time_derivative else 1.0
-        if c != 0.0:
-            terms.append((om_v, th_v, c * a2))
-    return _carrier_sum(spec, terms, t, spec.eps ** 2)
+    sums = _sums(spec, t, True)
+    return (sums[2:] if time_derivative else sums[:2]).T
 
 
 def initial_state(spec: AnsatzSpec, improved: bool = True) -> LatticeState:
@@ -253,10 +270,11 @@ def residual_norm(p: ChainParams, spec: AnsatzSpec, t, h0: float):
     below the eps^{5/2} signal being measured.  The division by h^2 also
     amplifies the rounding of the phases omega*t + theta*j (up to 2,550
     rad at N = 400 and 10,152 at N = 1,600), which differs between t - h,
-    t and t + h: rounding them any other way, such as factoring out
-    exp(i*omega*t), moved a row of the c = 0.5 family by 2.7e-3 relative.
-    So the phase rows are ``phase_row``'s, unchanged, until the residual
-    differences the slow amplitudes alone (ROADMAP item 2).
+    t and t + h: rounding them any other way moves a row of the c = 0.5
+    family by 2.7e-3 relative, both factoring out exp(i*omega*t) and the
+    samplers' spectral fold.  So it alone sums carriers on ``interp``'s
+    rows and ``phase_row``'s phases (``_carrier_sum``), unchanged, until
+    the residual differences the slow amplitudes alone (ROADMAP item 6).
     """
     times = [t] if np.ndim(t) == 0 else list(t)
     for s in times:

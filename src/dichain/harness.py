@@ -376,13 +376,11 @@ def run_ansatz_scaling(cfg: ExperimentConfig) -> ScalingReport:
         spec.at_taus([spec.eps * t for t in times])  # one snapshot stack, read by at_tau
         gap, sup = 0.0, 0.0
         for t in times:
-            # each carrier sum once: leading positions and velocities, then
-            # the improved ones as those plus the corrector terms
-            pos, vel = anz.sample_first_order(spec, t), anz.first_order_velocity(spec, t)
-            pos2 = pos + anz.corrector_sum(spec, t)
-            vel2 = vel + anz.corrector_sum(spec, t, time_derivative=True)
-            gap = max(gap, energy_norm(LatticeState(pos2 - pos, vel2 - vel, t), setup.p))
-            sup = max(sup, float(np.abs(pos2).max()))
+            # the gap is the corrector terms; the improved positions add them
+            cor = anz.corrector_sum(spec, t)
+            gap = max(gap, energy_norm(
+                LatticeState(cor, anz.corrector_sum(spec, t, time_derivative=True), t), setup.p))
+            sup = max(sup, float(np.abs(anz.sample_first_order(spec, t) + cor).max()))
         return gap, sup / spec.eps
 
     return _sweep(cfg, "ansatz_gap", _each(measure),
@@ -397,17 +395,18 @@ def _lattice_sim(cfg: ExperimentConfig, p: ChainParams, T: float, spacing: float
     return SimConfig(dt=spacing / stride, T=T, stride=stride)
 
 
-def _lattice_run(cfg: ExperimentConfig, eps, run, *args):
+def _lattice_run(cfg: ExperimentConfig, eps, run, *args, source=None):
     """run(*args) for the rings of ``eps``: a ring that diverges is a
-    config error naming a0, not numpy warnings; the warnings of a run
-    that ends are given when it ends."""
+    config error naming a0 (or the ``source`` of its state), not numpy
+    warnings; the warnings of a run that ends are given when it ends."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         try:
             out = run(*args)
         except SimulationDiverged as exc:
-            raise ConfigError(f"a0: {cfg.a0!r} makes the lattice at eps={eps[exc.run]:.4g} "
-                              f"diverge: non-finite positions at t={exc.t:.6g}") from None
+            raise ConfigError(f"{source or f'a0: {cfg.a0!r}'} makes the lattice at "
+                              f"eps={eps[exc.run]:.4g} diverge: non-finite positions at "
+                              f"t={exc.t:.6g}") from None
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return out
@@ -644,7 +643,8 @@ def run_simulate(cfg: ExperimentConfig, initial=None) -> TableReport:
                          float(state.vel[j, 0]), float(state.vel[j, 1])))
 
     T = cfg.tau0 / spec.eps
-    integrate(p, s0, _lattice_sim(cfg, p, T, T / cfg.n_samples), observer)
+    _lattice_run(cfg, [spec.eps], integrate, p, s0, _lattice_sim(cfg, p, T, T / cfg.n_samples),
+                 observer, source=None if initial is None else "--init-file: the initial state")
     return TableReport("t,j,u1,u2,v1,v2", rows, True, f"wrote snapshots to {cfg.out}")
 
 

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from dichain import amplitude as amp
+from dichain import ansatz as anz
 from dichain import microsim
 from dichain.amplitude import StrangSolution
 from dichain.model import (ChainParams, LatticeState, PotentialCoeffs, _cell_bonds,
@@ -408,11 +409,10 @@ def hand_expanded_K(iota, a1, a2, p: ChainParams, theta1: float, theta2: float):
 def per_row_snapshot(spec, fields):
     """Independent reference for an ansatz sample: the grids and lattice
     rows of ``fields`` with one FFT round trip per envelope row and per
-    corrector row.  The envelopes and their y-derivatives on the lattice
-    are the folds of the grid's coefficients and of those times
-    i*kappa, and the tau-derivative there is the envelope equations' of
-    those two.  Returns b_lat, dtau_lat, dy_grid, dtau_grid and the
-    correctors a2_lat keyed by carrier."""
+    corrector row.  The envelopes on the lattice are the folds of the
+    grid's coefficients, and their tau-derivatives there the folds of the
+    envelope equations' on the grid.  Returns b_lat, dtau_lat, dy_grid,
+    dtau_grid and the correctors a2_lat keyed by carrier."""
     fold = np.rint(np.fft.fftfreq(spec.n) * spec.n).astype(int) % spec.N
 
     def deriv_hat(values):
@@ -422,22 +422,49 @@ def per_row_snapshot(spec, fields):
             hat[n // 2] = 0.0
         return hat
 
-    def fold_hat(hat):
-        pad = np.zeros(spec.N, dtype=complex)
-        np.add.at(pad, fold, hat)
-        return np.fft.ifft(pad) * (spec.N / spec.n)
-
     def interp(values):
-        return fold_hat(np.fft.fft(values))
+        pad = np.zeros(spec.N, dtype=complex)
+        np.add.at(pad, fold, np.fft.fft(values))
+        return np.fft.ifft(pad) * (spec.N / spec.n)
 
     b = tuple(np.asarray(f, dtype=complex) for f in fields)
     dy = tuple(np.fft.ifft(deriv_hat(f)) for f in b)
     dtau = amp.tau_derivative(spec.macro, b, dy)
-    b_lat = [interp(f) for f in b]
-    dtau_lat = amp.tau_derivative(spec.macro, b_lat, [fold_hat(deriv_hat(f)) for f in b])
     a2 = amp.second_order_amplitudes(spec.p, spec.macro, b, dy, dtau)
-    return dict(b_lat=b_lat, dtau_lat=dtau_lat, dy_grid=dy, dtau_grid=dtau,
+    return dict(b_lat=[interp(f) for f in b], dtau_lat=[interp(d) for d in dtau],
+                dy_grid=dy, dtau_grid=dtau,
                 a2_lat={iota: np.stack([interp(v[0]), interp(v[1])]) for iota, v in a2.items()})
+
+
+def interpolated_sums(spec, fields, t):
+    """The carrier sums of the envelope state ``fields`` at lattice time t
+    as interpolated amplitudes times phase rows: every grid row taken to
+    the lattice by ``spec.interp`` (B, its tau-derivative on the grid and
+    the corrector rows), then summed by ``ansatz._carrier_sum`` on
+    ``phase_row``'s rows.  Returns the leading positions and velocities
+    and the corrector position and velocity terms, each (N, 2)."""
+    b = np.asarray(fields, dtype=complex)
+    dy = amp.spectral_derivative(b, spec.L)
+    dtau = np.asarray(amp.tau_derivative(spec.macro, b, dy))
+    a2 = np.empty((len(spec.carriers), 2, spec.n), dtype=complex)
+    amp.second_order_amplitudes(spec.p, spec.macro, b, dy, dtau, out=a2)
+    b_lat, dtau_lat, a2_lat = spec.interp(b), spec.interp(dtau), spec.interp(a2)
+    waves = spec.macro.waves
+
+    def first(envelopes):
+        return anz._carrier_sum(spec, [(w.omega, w.theta, w.amplitude_vector(e))
+                                       for w, e in zip(waves, envelopes)], t, spec.eps)
+
+    def second(time_derivative):
+        terms = []
+        for (_, om_v, th_v), a in zip(spec.carriers, a2_lat):
+            c = 1j * om_v if time_derivative else 1.0
+            if c != 0.0:
+                terms.append((om_v, th_v, c * a))
+        return anz._carrier_sum(spec, terms, t, spec.eps ** 2)
+
+    vel = [1j * w.omega * e + spec.eps * d for w, e, d in zip(waves, b_lat, dtau_lat)]
+    return first(b_lat), first(vel), second(False), second(True)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from dichain.ansatz import (AnsatzSpec, IncommensurateCarrier, corrector_sum,
 from dichain.resonance import wrap_theta
 from dichain.spectrum import ACOUSTIC, OPTICAL, polarization
 
-from _helpers import leapfrog, p0, per_call_corrector, per_call_wave_corrector, per_row_snapshot
+from _helpers import (interpolated_sums, leapfrog, p0, per_call_corrector,
+                      per_call_wave_corrector, per_row_snapshot)
 
 L, NG = 40.0, 128
 
@@ -285,43 +286,72 @@ def test_theta_snapping_keeps_resonance_exact():
     assert abs(k - round(k)) < 1e-9
 
 
+def _close(got, want, rtol=1e-12):
+    """Each sum of ``got`` agrees with ``want``'s to rtol of the largest
+    magnitude of its pair, positions and velocities: a velocity that
+    vanishes, as at t = 0 with real envelopes on carriers at theta = 0 or
+    pi, is rounding alone and has no scale of its own."""
+    for pair in ((0, 1), (2, 3)):
+        scale = max(np.abs(want[k]).max() for k in pair)
+        if any(np.abs(got[k] - want[k]).max() > rtol * scale for k in pair):
+            return False
+    return True
+
+
+def _sampled_sums(spec, t):
+    """The four sums the samplers give at lattice time t."""
+    return (sample_first_order(spec, t), first_order_velocity(spec, t),
+            corrector_sum(spec, t), corrector_sum(spec, t, True))
+
+
+def _sample_at(spec, t, *sample):
+    """Make the spec's kept sample at lattice time t the ``_Sample`` of
+    ``sample`` (fields[, snap, i]), whatever the solution holds there."""
+    spec._sample = anz._Sample(spec, spec.eps * t, *sample)
+    return spec._sample
+
+
 # N = 800 lattice sites over n = 256 grid points (a zero pad), and N = 400
 # over n = 1024, where up to three grid modes fold onto one lattice
-# wavenumber, so the order of the fold's sums shows in the bits
+# wavenumber
 @pytest.mark.parametrize("eps,n_grid", [(0.05, 256), (0.1, 1024)], ids=["N-above-n", "N-below-n"])
 @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
 def test_snapshot_matches_per_row_reference(source, eps, n_grid):
-    """A sample's FFT passes and its corrector stack's grid pass give its
-    rows bit for bit: a state alone, whose correctors build an m = 1
-    stack, and the states of a stack of four sampled out of order."""
+    """A stack's grid rows are those of one FFT round trip per row, bit for
+    bit.  A state's sums are the same bits whether it is sampled alone,
+    its correctors from an m = 1 stack, or out of a stack of four sampled
+    out of order, and they are the per-row interpolants summed with fresh
+    phase rows to 1e-12."""
     spec = _setup(source, eps, n_grid).spec
     assert (spec.N > spec.n) == (n_grid == 256)
-    states = [spec.solution.fields(tau) for tau in (0.3, 0.1, 0.3, 0.0)]
+    taus = (0.3, 0.1, 0.3, 0.0)
+    states = [spec.solution.fields(tau) for tau in taus]
     refs = [per_row_snapshot(spec, fields) for fields in states]
     snap = anz._Snapshot(spec.macro, spec.L, states)
     for i in (2, 0, 3, 0, 1):
         ref = refs[i]
         for name in ("dy_grid", "dtau_grid"):
             assert np.array_equal(getattr(snap, name)[:, i], ref[name]), name
-        for sample in (anz._Sample(spec, 0.0, states[i]),
-                       anz._Sample(spec, 0.0, snap.b_grid[:, i], snap, i)):
-            a2 = anz._correctors(spec, sample)
-            for name in ("b_lat", "dtau_lat"):
-                assert np.array_equal(getattr(sample, name), ref[name]), name
-            # row k is the corrector of carrier k
-            assert [c[0] for c in spec.carriers] == list(ref["a2_lat"])
-            assert len(a2) == len(spec.carriers)
-            for rows, (iota, ref_rows) in zip(a2, ref["a2_lat"].items()):
-                assert np.array_equal(rows, ref_rows), iota
+        t = taus[i] / spec.eps + 0.7
+        _sample_at(spec, t, states[i])
+        alone = _sampled_sums(spec, t)
+        assert spec._sample.snap is not snap
+        _sample_at(spec, t, snap.b_grid[:, i], snap, i)
+        stacked = _sampled_sums(spec, t)
+        for x, y in zip(alone, stacked):
+            assert np.array_equal(x, y)
+        assert _close(alone, _reference_sums(spec, states[i], t))
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
 def test_snapshot_makes_four_ffts_and_correctors_two(monkeypatch, source):
-    """Per sample: one FFT of its state and one inverse FFT of its
-    envelopes and their y-derivatives on the lattice.  Per stack: one
-    spectral derivative (two FFT calls) and one corrector build; a sample
-    alone builds an m = 1 stack for its correctors.  Per sample's
-    correctors: one interpolation (two FFT calls)."""
+    """Per sample: one FFT of its state (with its sources when resonant).
+    Per sample and lattice time: one inverse FFT for the leading positions
+    and velocities and one for the corrector terms, each shared by the
+    paired call.  Per stack, on first use of its correctors: its spectral
+    derivative (two FFT calls), one corrector build and one FFT of the
+    whole corrector stack; a sample alone builds an m = 1 stack, so its
+    correctors make four FFT calls at their first time."""
     spec = _setup(source).spec
     states = [spec.solution.fields(tau) for tau in (0.3, 0.1, 0.2)]
     calls = collections.Counter()
@@ -336,26 +366,32 @@ def test_snapshot_makes_four_ffts_and_correctors_two(monkeypatch, source):
         return _fn(*a, **kw)
     monkeypatch.setattr(anz, "second_order_amplitudes", built)
 
-    sample = anz._Sample(spec, 0.3, states[0])
-    assert calls == {"fft": 1, "ifft": 1}
-    calls.clear()
-    anz._correctors(spec, sample)
-    assert calls == {"fft": 2, "ifft": 2, "second_order": 1}
-    calls.clear()
-    anz._correctors(spec, sample)  # built once
-    assert not calls
+    t = 0.3 / spec.eps
+    _sample_at(spec, t, states[0])
+    assert calls == {"fft": 1}
+    for time_derivative in (False, True):
+        calls.clear()
+        anz.corrector_sum(spec, t, time_derivative)
+        assert calls == ({"fft": 2, "ifft": 2, "second_order": 1} if not time_derivative
+                         else {})
+    for f in (sample_first_order, first_order_velocity):
+        calls.clear()
+        f(spec, t)
+        assert calls == ({"ifft": 1} if f is sample_first_order else {})
 
+    calls.clear()
     snap = anz._Snapshot(spec.macro, spec.L, states)  # the stack's derivative
     assert calls == {"fft": 1, "ifft": 1}
     calls.clear()
-    anz._correctors(spec, anz._Sample(spec, 0.3, snap.b_grid[:, 0], snap, 0))
-    assert calls == {"fft": 2, "ifft": 2, "second_order": 1}
+    _sample_at(spec, t, snap.b_grid[:, 0], snap, 0)
+    anz.corrector_sum(spec, t)
+    assert calls == {"fft": 2, "ifft": 1, "second_order": 1}
     for i in (1, 2):
         calls.clear()
-        sample = anz._Sample(spec, 0.0, snap.b_grid[:, i], snap, i)
-        anz._correctors(spec, sample)
-        anz._correctors(spec, sample)
-        assert calls == {"fft": 2, "ifft": 2}
+        _sample_at(spec, t, snap.b_grid[:, i], snap, i)
+        anz.corrector_sum(spec, t)
+        anz.corrector_sum(spec, t, True)
+        assert calls == {"fft": 1, "ifft": 1}
     spec.at_taus((0.3, 0.1))
     spec.at_tau(0.1)
     calls.clear()
@@ -455,12 +491,13 @@ def _reference_residual(spec, t, h0, positions=_per_carrier_positions):
 
 @pytest.mark.parametrize("source", REGIMES, ids=REGIME_IDS)
 def test_shared_phases_and_matrices_match_per_call_arithmetic(source):
-    """Every sampler gives the bits of fresh phase rows and per-call solves,
-    from single snapshots and from one stack of every tau (as the ansatz
-    sweep reads them).  Times are revisited out of order and two specs of
-    different N (the same carriers in the pi regime) interleave, so a
-    stale row shows.  A sequence of residual times, out of order and with
-    one repeated, gives each time's norm."""
+    """Every sampler gives the sums of fresh phase rows and per-call solves
+    to 1e-12, from single snapshots and from one stack of every tau (as
+    the ansatz sweep reads them).  Times are revisited out of order and
+    two specs of different N (the same carriers in the pi regime)
+    interleave, so a stale fold shows.  residual_norm keeps their bits,
+    and a sequence of residual times, out of order and with one repeated,
+    gives each time's norm."""
     specs = [_setup(source, eps, 128).spec for eps in (0.1, 0.05)]
     assert specs[0].N != specs[1].N
     taus = (0.3, 0.1, 0.3, 0.0, 0.2, 0.1)
@@ -472,18 +509,16 @@ def test_shared_phases_and_matrices_match_per_call_arithmetic(source):
             for spec in specs:
                 t = tau / spec.eps
                 fields = spec.solution.fields(spec.eps * t)
-                pos, vel, cor, cor_vel = _reference_sums(spec, fields, t)
-                assert np.array_equal(anz.corrector_sum(spec, t, True), cor_vel)
-                assert np.array_equal(sample_first_order(spec, t), pos)
-                assert np.array_equal(anz.corrector_sum(spec, t), cor)
-                assert np.array_equal(first_order_velocity(spec, t), vel)
+                got = (anz.corrector_sum(spec, t, True), sample_first_order(spec, t),
+                       anz.corrector_sum(spec, t), first_order_velocity(spec, t))
+                assert _close([got[k] for k in (1, 3, 2, 0)], _reference_sums(spec, fields, t))
         if stacked:  # every tau was read from the one stack
             assert all(len(spec._cache) == len(set(taus)) for spec in specs)
     for spec in specs:
         pos, vel, cor, cor_vel = _reference_sums(spec, spec.solution.fields(0.0), 0.0)
         for improved, ref in ((True, (pos + cor, vel + cor_vel)), (False, (pos, vel))):
             s0 = initial_state(spec, improved)
-            assert np.array_equal(s0.pos, ref[0]) and np.array_equal(s0.vel, ref[1])
+            assert _close((s0.pos, s0.vel) * 2, ref * 2)
     for t in (0.25, 0.15):
         for spec in specs:
             t_lat = t / spec.eps
@@ -525,46 +560,124 @@ def test_residual_interpolates_one_amplitude_stack_per_state(monkeypatch, source
 @pytest.mark.parametrize("source", REGIMES, ids=REGIME_IDS)
 def test_flat_phase_scalar_matches_the_row_path(monkeypatch, source):
     """At theta = 0 (every carrier at c = 1, and the mean carrier) the
-    phase is one numpy scalar: the leading and corrector sums equal, bit
-    for bit, those built on the full row exp(i(omega*t + theta*j))."""
+    phase of residual_norm's carrier sums is one numpy scalar: its norms
+    equal, bit for bit, those built on the full row
+    exp(i(omega*t + theta*j))."""
     spec = _setup(source, 0.1, 128).spec
     times = [tau / spec.eps for tau in (0.0, 0.3, 0.7)]
-
-    def sums():
-        return [f(spec, t) for t in times for f in (
-            sample_first_order, first_order_velocity, corrector_sum,
-            lambda s, t: corrector_sum(s, t, time_derivative=True))]
-
-    flat = sums()
+    flat = residual_norm(spec.p, spec, times, h0=0.02)
     assert [np.ndim(spec.phase_row(om, th, times[-1])) for _, om, th in spec.carriers] == \
         [int(th != 0.0) for _, _, th in spec.carriers]
     monkeypatch.setattr(AnsatzSpec, "phase_row", lambda s, omega, theta, t: np.exp(
         1j * (omega * t + np.arange(s.N) * theta)))
-    for a, b in zip(flat, sums()):
-        assert np.array_equal(a, b)
+    assert residual_norm(spec.p, spec, times, h0=0.02) == flat
 
 
 @pytest.mark.parametrize("source,rows", zip(REGIMES, (7, 5, 5, 5)), ids=REGIME_IDS)
 def test_phase_rows_once_per_carrier_and_time(monkeypatch, source, rows):
-    """The leading and corrector sums of one time share one exp row per
-    carrier: 7 rows for 17 terms non-resonant, 5 for 13 resonant, each a
-    scalar at theta = 0 (the mean carrier, and every carrier at c = 1)."""
+    """residual_norm, the one caller of phase_row, builds one exp row per
+    carrier and state time, shared by the carrier sum's two components:
+    7 rows non-resonant and 5 resonant, each a scalar at theta = 0 (the
+    mean carrier, and every carrier at c = 1).  The samplers build none."""
     spec = _setup(source, 0.1, 128).spec
-    built = collections.Counter()
+    built, summing = collections.Counter(), [False]
 
     def counted(x, *a, _exp=np.exp, **kw):
-        built[np.ndim(x)] += 1
+        if summing[0]:
+            built[np.ndim(x)] += 1
         return _exp(x, *a, **kw)
 
+    def carrier_sum(*a, _sum=anz._carrier_sum):
+        summing[0] = True
+        try:
+            return _sum(*a)
+        finally:
+            summing[0] = False
+
+    monkeypatch.setattr(np, "exp", counted)
+    monkeypatch.setattr(anz, "_carrier_sum", carrier_sum)
+    flat = sum(th == 0.0 for _, _, th in spec.carriers)
     for tau in (0.3, 0.4):
         t = tau / spec.eps
-        anz._correctors(spec, spec.at_tau(spec.eps * t))  # the snapshot's FFTs use no exp
-        monkeypatch.setattr(np, "exp", counted)
-        sample_first_order(spec, t)
-        first_order_velocity(spec, t)
-        anz.corrector_sum(spec, t)
-        anz.corrector_sum(spec, t, True)
-        monkeypatch.undo()
-        flat = sum(th == 0.0 for _, _, th in spec.carriers)
-        assert (built[0], built[1]) == (flat, rows - flat) and rows == len(spec._phases)
+        residual_norm(spec.p, spec, t, h0=0.02)  # the states at t - h, t and t + h
+        assert (built[0], built[1]) == (3 * flat, 3 * (rows - flat))
+        assert rows == len(spec._phases) == len(spec.carriers)
         built.clear()
+        _sampled_sums(spec, t)
+        initial_state(spec)
+        assert not built
+
+
+@pytest.mark.parametrize("eps,n_grid", [(0.05, 256), (0.1, 1024)], ids=["N-above-n", "N-below-n"])
+@pytest.mark.parametrize("source", REGIMES, ids=REGIME_IDS)
+def test_fold_matches_interpolated_phase_row_sums(source, eps, n_grid):
+    """Each carrier's grid spectrum shifted by theta*N/2pi and folded with
+    the others into one inverse FFT gives the sums of the interpolated
+    amplitudes times phase rows (``_helpers.interpolated_sums``) to 1e-12
+    of their largest magnitude, in every regime, with the lattice finer
+    and coarser than the grid, and at lattice phases omega*t + theta*j far
+    past 2*pi."""
+    spec = _setup(source, eps, n_grid).spec
+    assert (spec.N > spec.n) == (n_grid == 256)
+    for tau in (0.0, 0.3, 0.9):
+        t = tau / spec.eps
+        want = interpolated_sums(spec, spec.solution.fields(spec.eps * t), t)
+        assert _close(_sampled_sums(spec, t), want)
+    s0 = initial_state(spec)
+    want = interpolated_sums(spec, spec.solution.fields(0.0), 0.0)
+    assert _close((s0.pos, s0.vel) * 2, (want[0] + want[2], want[1] + want[3]) * 2)
+
+
+@pytest.mark.parametrize("source", REGIMES, ids=REGIME_IDS)
+def test_one_inverse_fft_per_sample_and_time(monkeypatch, source):
+    """The samplers make one inverse FFT per sample and lattice time for
+    the leading terms and one for the correctors, whichever of the paired
+    calls comes first, out of one snapshot stack as the ansatz sweep reads
+    it and in initial_state; they call neither interp nor phase_row,
+    which only residual_norm calls."""
+    spec = _setup(source, 0.1, 128).spec
+    times = [tau / spec.eps for tau in (0.3, 0.1, 0.2)]
+    spec.at_taus([spec.eps * t for t in times])
+    corrector_sum(spec, times[0])  # the stack's corrector spectra, made once
+    calls = collections.Counter()
+
+    def counted(*a, _fn=np.fft.ifft, **kw):
+        calls["ifft"] += 1
+        return _fn(*a, **kw)
+
+    def refused(*a, **kw):
+        raise AssertionError("a sampler called interp or phase_row")
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    monkeypatch.setattr(AnsatzSpec, "interp", refused)
+    monkeypatch.setattr(AnsatzSpec, "phase_row", refused)
+    for t in (times[1], times[0], times[2], times[0]):  # each a new sample
+        calls.clear()
+        first_order_velocity(spec, t)
+        corrector_sum(spec, t, True)
+        assert calls == {"ifft": 2}
+        sample_first_order(spec, t)
+        corrector_sum(spec, t)
+        assert calls == {"ifft": 2}
+    spec.at_taus([0.0])
+    calls.clear()
+    initial_state(spec)
+    assert calls == {"ifft": 2}
+
+
+@pytest.mark.parametrize("source", REGIMES, ids=REGIME_IDS)
+def test_tau_derivative_takes_no_multiply_by_a_velocity_of_zero(source):
+    """The grid's dB/dtau is v*dB/dy plus the sources, bit for bit, on a
+    moving row, and the sources alone on a row at rest (both rows at
+    c = 1, the optical one at half-pi), which a non-finite dB/dy there
+    shows; the wavenumbers are built once per (L, n), read-only."""
+    spec = _setup(source, 0.1, 128).spec
+    macro = spec.macro
+    b = np.asarray(spec.solution.fields(0.3), dtype=complex)
+    dy = amp.spectral_derivative(b, spec.L)
+    sources = amp._source_rhs(macro, b) if macro.resonant else np.zeros_like(b)
+    dy[[v == 0.0 for v in macro.velocities]] = np.nan
+    for v, got, d, s in zip(macro.velocities, amp.tau_derivative(macro, b, dy), dy, sources):
+        assert np.array_equal(got, s if v == 0.0 else v * d + s)
+    kappa = amp.wavenumbers(spec.L, spec.n)
+    assert kappa is amp.wavenumbers(spec.L, spec.n) and not kappa.flags.writeable

@@ -579,6 +579,49 @@ def test_cli_names_a0_eps_and_time_of_a_diverged_lattice(tmp_path, capsys):
                              RuntimeWarning)
 
 
+def _diverging_simulate(tmp_path, capsys, a0, init_file):
+    """simulate on convergence_resonant's chain at eps = 0.2 with ``a0``,
+    from the improved initial data of a0 = [12, 6] as --init-file when
+    ``init_file``: (exit code, stdout, stderr, warnings seen)."""
+    with open(ROOT / "configs" / "convergence_resonant.json") as fh:
+        doc = json.load(fh)
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(dict(doc, a0=a0, eps=[0.2, 0.1, 0.05])))
+    args = ["simulate", "--config", str(cfgf), "--out", str(tmp_path / "snaps.csv")]
+    if init_file:
+        cfg = config_from_dict(dict(doc, a0=[12, 6], eps=[0.2, 0.1, 0.05]))
+        s0 = anz.initial_state(harness.setup_run(cfg, 0.2).spec)
+        rows = np.column_stack([np.arange(s0.N), s0.pos, s0.vel])
+        np.savetxt(tmp_path / "init.csv", rows, delimiter=",", header="j,u1,u2,v1,v2",
+                   comments="")
+        args += ["--init-file", str(tmp_path / "init.csv")]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc = cli.main(args)
+    out, err = capsys.readouterr()
+    return rc, out, err, seen
+
+
+def test_cli_simulate_names_a0_of_a_diverged_lattice(tmp_path, capsys):
+    """simulate from improved initial data that blows up exits 1 with
+    validate's one line naming a0, and writes no CSV."""
+    rc, out, err, seen = _diverging_simulate(tmp_path, capsys, [12, 6], False)
+    assert rc == 1 and out == "" and not seen
+    assert err == ("config error: a0: [12, 6] makes the lattice at eps=0.2 diverge: "
+                   "non-finite positions at t=3.4\n")
+    assert not (tmp_path / "snaps.csv").exists()
+
+
+def test_cli_simulate_names_the_init_file_of_a_diverged_lattice(tmp_path, capsys):
+    """simulate from an --init-file state that blows up names --init-file,
+    not the config's a0, which did not make the state."""
+    rc, out, err, seen = _diverging_simulate(tmp_path, capsys, [1.0, 0.5], True)
+    assert rc == 1 and out == "" and not seen
+    assert err == ("config error: --init-file: the initial state makes the lattice at eps=0.2 "
+                   "diverge: non-finite positions at t=3.4\n")
+    assert not (tmp_path / "snaps.csv").exists()
+
+
 def test_size_bounds_admit_their_limit_and_refuse_past_it():
     """MAX_SITES lattice sites summed over a lattice sweep's eps (whose
     lattices run at once) or at the smallest eps of any other sweep, an
