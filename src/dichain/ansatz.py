@@ -191,28 +191,28 @@ def _carrier_sum(spec: AnsatzSpec, terms, t: float, scale: float) -> np.ndarray:
 
 def _fold_sum(spec: AnsatzSpec, spectra: np.ndarray, t: float, scale: float) -> np.ndarray:
     """2*scale*Re of sum_c a_c*exp(i(omega_c*t + theta_c*j)) over the first
-    K carriers, from the (K, 4, n) grid spectra of the a_c: each, times
-    exp(i*omega_c*t), is added into one zero (4, N) pad at ``_shift``, and
-    one inverse FFT gives the (4, N) sums, read-only."""
-    K = len(spectra)
-    pad = np.zeros((4, spec.N), dtype=complex)
+    K carriers, from the (K, r, n) grid spectra of the a_c: each, times
+    exp(i*omega_c*t), is added into one zero (r, N) pad at ``_shift``, and
+    one inverse FFT gives the (r, N) sums, read-only."""
+    K, r = spectra.shape[:2]
+    pad = np.zeros((r, spec.N), dtype=complex)
     phases = np.exp(1j * (spec._omegas[:K] * t))
-    np.add.at(pad.reshape(-1), spec._shift[:K].ravel(),
+    np.add.at(pad.reshape(-1), spec._shift[:K, :r].ravel(),
               (spectra * phases[:, None, None]).reshape(-1))
     sums = np.fft.ifft(pad).real * (2.0 * scale * spec.N / spec.n)
     sums.flags.writeable = False
     return sums
 
 
-def _sums(spec: AnsatzSpec, t: float, correctors: bool) -> np.ndarray:
+def _sums(spec: AnsatzSpec, t: float, correctors: bool, rows: int = 4) -> np.ndarray:
     """The (4, N) positions and velocities at lattice time t of the leading
     terms or, with ``correctors``, of the eps^2 corrector terms (their rows
-    and i*omega times them): one fold per sample and time, kept."""
+    and i*omega times them): one fold per sample and time, kept, of ``rows`` rows."""
     sample = spec.at_tau(spec.eps * t)
     if sample.t != t:
         sample.t, sample.sums = t, [None, None]
-    if sample.sums[correctors] is None:
-        spectra, scale = sample.spectra, spec.eps
+    if sample.sums[correctors] is None or len(sample.sums[correctors]) < rows:
+        spectra, scale = sample.spectra[:, :rows], spec.eps
         if correctors:
             snap = sample.snap = sample.snap or _Snapshot(spec.macro, spec.L, [sample.fields])
             if snap.a2_hat is None:
@@ -227,9 +227,10 @@ def _sums(spec: AnsatzSpec, t: float, correctors: bool) -> np.ndarray:
     return sample.sums[correctors]
 
 
-def sample_first_order(spec: AnsatzSpec, t: float) -> np.ndarray:
-    """Positions of the leading approximation at lattice time t, (N, 2), read-only."""
-    return _sums(spec, t, False)[:2].T
+def sample_first_order(spec: AnsatzSpec, t: float, fold_velocity: bool = True) -> np.ndarray:
+    """Positions of the leading approximation at lattice time t, (N, 2), read-only;
+    ``fold_velocity`` folds the rows a paired ``first_order_velocity`` reads too."""
+    return _sums(spec, t, False, 4 if fold_velocity else 2)[:2].T
 
 
 def first_order_velocity(spec: AnsatzSpec, t: float) -> np.ndarray:

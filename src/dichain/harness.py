@@ -3,13 +3,16 @@ supporting configuration/report plumbing.
 
 Each experiment turns one of the asymptotic claims about the two-scale
 approximation into a measured exponent or discrepancy with a fixed
-pass/fail gate; runs are deterministic for a fixed configuration.
+pass/fail gate; runs are deterministic for a fixed configuration, also
+where a lattice sweep runs its rings in two processes (``_rings_in_two``).
 """
 from __future__ import annotations
 
 import copy
 import math
 import os
+import pickle
+import signal
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -380,7 +383,7 @@ def run_ansatz_scaling(cfg: ExperimentConfig) -> ScalingReport:
             cor = anz.corrector_sum(spec, t)
             gap = max(gap, energy_norm(
                 LatticeState(cor, anz.corrector_sum(spec, t, time_derivative=True), t), setup.p))
-            sup = max(sup, float(np.abs(anz.sample_first_order(spec, t) + cor).max()))
+            sup = max(sup, float(np.abs(anz.sample_first_order(spec, t, False) + cor).max()))
         return gap, sup / spec.eps
 
     return _sweep(cfg, "ansatz_gap", _each(measure),
@@ -398,7 +401,7 @@ def _lattice_sim(cfg: ExperimentConfig, p: ChainParams, T: float, spacing: float
 def _lattice_run(cfg: ExperimentConfig, eps, run, *args, source=None):
     """run(*args) for the rings of ``eps``: a ring that diverges is a
     config error naming a0 (or the ``source`` of its state), not numpy
-    warnings; the warnings of a run that ends are given when it ends."""
+    warnings; a run that ends gives its warnings then, once each."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         try:
@@ -407,15 +410,69 @@ def _lattice_run(cfg: ExperimentConfig, eps, run, *args, source=None):
             raise ConfigError(f"{source or f'a0: {cfg.a0!r}'} makes the lattice at "
                               f"eps={eps[exc.run]:.4g} diverge: non-finite positions at "
                               f"t={exc.t:.6g}") from None
-    for w in caught:
+    for w in {(str(w.message), w.category, w.filename, w.lineno): w for w in caught}.values():
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return out
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, 1 where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _rings_in_two(runs, peaks, eps):
+    """integrate_rings(runs), whose observers write ``peaks``; given two
+    CPUs and two rings, the heavier of two groups of about equal work
+    N*n_steps runs here and the other in one forked child, which pickles
+    back its divergence, peaks and warnings.  The rings are independent,
+    so the peaks and the divergence raised are the one-process ones."""
+    def run(group):  # None, or the divergence as the one-process loop orders them
+        try:
+            integrate_rings([runs[i] for i in group])
+        except SimulationDiverged as exc:
+            return exc.k, -runs[group[exc.run]][2].n_steps, group[exc.run], exc.t
+
+    if _cpus() < 2 or len(runs) < 2:
+        return integrate_rings(runs)
+    work, groups = [s.N * c.n_steps for _, s, c, _ in runs], ([], [])
+    for i in sorted(range(len(runs)), key=work.__getitem__, reverse=True):
+        min(groups, key=lambda g: sum(work[j] for j in g)).append(i)
+    mine, theirs = (sorted(g) for g in sorted(groups, key=lambda g: -sum(work[j] for j in g)))
+    (r, w), pid = os.pipe(), os.fork()
+    if pid == 0:  # the child: one pickle down the pipe, then out by os._exit only
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                out = run(theirs), [peaks[i] for i in theirs], caught
+            os.write(w, pickle.dumps(out))  # a blocking pipe takes it all
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    with os.fdopen(r, "rb") as fh:
+        try:
+            diverged, data = run(mine), fh.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not data:
+        raise ChildProcessError(f"the lattices at eps={', '.join(f'{eps[i]:.4g}' for i in theirs)}"
+                                f" ended without a result (exit code {code})")
+    there, theirs_peaks, caught = pickle.loads(data)
+    for i, peak in zip(theirs, theirs_peaks):
+        peaks[i] = peak
+    for c in caught:
+        warnings.warn_explicit(c.message, c.category, c.filename, c.lineno)
+    if diverged or there:
+        k, _, i, t = min(d for d in (diverged, there) if d)
+        raise SimulationDiverged(i, t, k)
+
+
 def _lattice_peak(cfg: ExperimentConfig, observable, law: float):
     """The measurement of a lattice sweep: every eps's lattice from
-    improved initial data to t = tau0/eps, all in one run
-    (``integrate_rings``); per eps the largest observable(spec, t, state)
+    improved initial data to t = tau0/eps, in at most two runs of rings
+    (``_rings_in_two``); per eps the largest observable(spec, t, state)
     at its sampling times, and that peak over eps^law.  The i-th sampling
     time t of each eps has eps*t = tau_i = i*tau0/n_samples up to
     rounding, and each ring reads its envelopes at tau_i
@@ -432,8 +489,8 @@ def _lattice_peak(cfg: ExperimentConfig, observable, law: float):
             runs.append((s.p, anz.initial_state(s.spec, improved=True),
                          _lattice_sim(cfg, s.p, T, T / cfg.n_samples), observer))
             s.spec.sample_times = (cfg.tau0, cfg.n_samples)
-        _lattice_run(cfg, [s.spec.eps for s in setups], integrate_rings, runs)
-        return [(s.spec.eps, peak, peak / s.spec.eps ** law) for s, peak in zip(setups, peaks)]
+        _lattice_run(cfg, eps := [s.spec.eps for s in setups], _rings_in_two, runs, peaks, eps)
+        return [(e, peak, peak / e ** law) for e, peak in zip(eps, peaks)]
     return measure
 
 

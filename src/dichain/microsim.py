@@ -41,11 +41,11 @@ from .model import ChainParams, LatticeState, Rings, cell_pack, cell_unpack, for
 
 
 class SimulationDiverged(FloatingPointError):
-    """NaN or overflow in run ``run`` of ``integrate_rings`` at time ``t``."""
+    """NaN or overflow in run ``run`` of ``integrate_rings`` at step ``k``, time ``t``."""
 
-    def __init__(self, run: int, t: float):
+    def __init__(self, run: int, t: float, k: int = None):
         super().__init__(f"non-finite positions at t={t}")
-        self.run, self.t = run, t
+        self.run, self.t, self.k = run, t, k
 
 
 _A1, _A2 = 0.245298957184271, 0.604872665711080
@@ -162,7 +162,7 @@ def integrate_rings(runs) -> list:
             if k % cfg[r].stride == 0 or k == steps[r]:
                 t = s0[r].t + k * cfg[r].dt
                 if not np.all(np.isfinite(x[rings.atoms[r]])):
-                    raise SimulationDiverged(rank[r], t)
+                    raise SimulationDiverged(rank[r], t, k)
                 states[r].t = t
                 if observer[r] is not None:
                     observer[r](t, states[r])

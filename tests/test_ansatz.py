@@ -344,6 +344,40 @@ def test_snapshot_matches_per_row_reference(source, eps, n_grid):
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
+def test_positions_alone_fold_two_rows_with_the_bits_of_four(monkeypatch, source):
+    """sample_first_order without fold_velocity folds the two position
+    rows alone, one (2, N) inverse FFT with the bits of the (4, N) fold;
+    a first_order_velocity at that time then folds all four rows once, and
+    the ansatz-gap sweep, which reads no leading velocity, keeps its rows."""
+    spec = _setup(source).spec
+    t = 0.3 / spec.eps
+    fields = spec.solution.fields(spec.eps * t)
+    _sample_at(spec, t, fields)
+    pos, vel = sample_first_order(spec, t), first_order_velocity(spec, t)
+    shapes = []
+
+    def counted(a, *args, _fn=np.fft.ifft, **kw):
+        shapes.append(np.shape(a))
+        return _fn(a, *args, **kw)
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    _sample_at(spec, t, fields)
+    assert np.array_equal(sample_first_order(spec, t, False), pos)
+    assert np.array_equal(sample_first_order(spec, t, False), pos)
+    assert shapes == [(2, spec.N)]
+    assert np.array_equal(first_order_velocity(spec, t), vel)
+    assert np.array_equal(sample_first_order(spec, t, False), pos)
+    assert np.array_equal(sample_first_order(spec, t), pos)
+    assert shapes == [(2, spec.N), (4, spec.N)]
+    monkeypatch.undo()
+    cfg = harness.config_from_dict(dict(kind="ansatz_scaling", eps=[0.1, 0.0707, 0.05],
+                                        tau0=0.5, L_y=40.0, n_grid=64, **source))
+    rows = harness.run_ansatz_scaling(cfg).rows
+    monkeypatch.setattr(anz, "sample_first_order",
+                        lambda spec, t, fold_velocity=True, _f=sample_first_order: _f(spec, t))
+    assert harness.run_ansatz_scaling(cfg).rows == rows
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
 def test_snapshot_makes_four_ffts_and_correctors_two(monkeypatch, source):
     """Per sample: one FFT of its state (with its sources when resonant).
     Per sample and lattice time: one inverse FFT for the leading positions

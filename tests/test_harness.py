@@ -3,8 +3,10 @@ import functools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -900,7 +902,8 @@ def test_sweep_asks_the_envelopes_once_per_sample_time(monkeypatch):
     """The rings of a c = 1 sweep share one envelope solution and each ask
     it for the sample times i*tau0/n_samples only; the first ring to ask
     for a tau between step times steps to it, and the others take no
-    step."""
+    step.  On one CPU, so that every ring runs in this process."""
+    monkeypatch.setattr(harness, "_cpus", lambda: 1)
     cfg = _sweep_cfg(SWEEPS[0], n_samples=30)  # sample times i/60, most between steps
     harness._envelope_solution.cache_clear()
     asked, running = [], []
@@ -952,6 +955,204 @@ def test_sweep_samples_past_the_cap_keep_their_bits(monkeypatch):
     # the uncapped table keeps every state it reaches, so it steps to each
     # once: 106 steps, where a partial step of each ring's own takes 274
     assert len(steps) == uncapped == 106
+
+
+def _no_child_left():
+    """True when this process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _forks(monkeypatch):
+    """The pids of every os.fork from now on, as the parent sees them."""
+    pids = []
+
+    def counted(_fork=os.fork):
+        pid = _fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def test_sweep_asks_the_envelopes_once_per_sample_time_in_each_process(monkeypatch, tmp_path):
+    """Split over two processes, the c = 1 sweep's rings ask the envelope
+    solution each process has for the sample times i*tau0/n_samples only,
+    each ring once per sample time; in each process the first ring to ask
+    for a tau steps to it and the others take no step."""
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    cfg = _sweep_cfg(SWEEPS[0], n_samples=30)
+    harness._envelope_solution.cache_clear()
+    log = tmp_path / "asked.txt"
+    fields = amp.StrangSolution.fields
+    steps = _strang_steps(monkeypatch)
+    running = [False]
+
+    def counted(sol, tau):
+        n = len(steps)  # per process: the child's steps add to its copy
+        state = fields(sol, tau)
+        if running[0]:
+            with open(log, "a") as fh:  # one line per call from either process
+                fh.write(f"{os.getpid()} {tau!r} {len(steps) - n}\n")
+        return state
+
+    def run(runs, _rings=harness.integrate_rings):
+        running[0] = True
+        return _rings(runs)
+
+    monkeypatch.setattr(amp.StrangSolution, "fields", counted)
+    monkeypatch.setattr(harness, "integrate_rings", run)
+    pids = _forks(monkeypatch)
+    harness.run_convergence(cfg)
+    assert len(pids) == 1 and _no_child_left()
+    asked = {}
+    for line in log.read_text().splitlines():
+        pid, tau, stepped = line.split()
+        asked.setdefault(int(pid), []).append((float(tau), int(stepped)))
+    assert set(asked) == {os.getpid(), pids[0]}
+    sample_times = [i * cfg.tau0 / cfg.n_samples for i in range(1, cfg.n_samples + 1)]
+    # the eps = 0.05 ring here, the other two in the child
+    for pid, rings in ((os.getpid(), 1), (pids[0], 2)):
+        assert sorted(tau for tau, _ in asked[pid]) == sorted(sample_times * rings)
+        first = {}
+        for tau, stepped in asked[pid]:
+            assert tau not in first or stepped == 0
+            first.setdefault(tau, stepped)
+        assert sum(first.values()) == 43  # 20 whole steps to tau0 and 23 partial ones
+
+
+CONTROL = dict(kind="generation", params=P_NL, waves=WAVES[:1], a0=[1.0, 0.0],
+               eps=[0.1, 0.0707, 0.05], tau0=0.5, n_grid=64, n_samples=20)
+
+
+@pytest.mark.parametrize("doc", [dict(CONTROL, kind="convergence", waves=None, params=None,
+                                      a0=[1.0, 0.5], **SWEEPS[1]),
+                                 dict(CONTROL, kind="convergence", a0=[1.0, 0.5], **SWEEPS[2]),
+                                 CONTROL], ids=["resonant", "nonresonant", "control"])
+def test_split_sweep_gives_the_rows_of_one_process(monkeypatch, doc):
+    """A lattice sweep split over two processes gives the rows of the
+    one-process run, bit for bit, and leaves no child behind; on one CPU
+    it forks nothing."""
+    cfg = config_from_dict(doc)
+    pids = _forks(monkeypatch)
+    monkeypatch.setattr(harness, "_cpus", lambda: 1)
+    serial = harness.run_experiment(cfg).rows
+    assert not pids
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    harness._envelope_solution.cache_clear()  # both processes step from tau = 0
+    assert harness.run_experiment(cfg).rows == serial
+    assert len(pids) == 1 and _no_child_left()
+
+
+def test_cpu_count_falls_back_to_one(monkeypatch):
+    """_cpus is the CPUs this process may run on, and 1 where the OS does
+    not say."""
+    assert harness._cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness._cpus() == 1
+
+
+def _split(monkeypatch, fake):
+    """The three-eps c = 1 sweep on two CPUs, its rings run by
+    fake(runs, here) in each process, here True in this one; the eps =
+    0.05 ring runs here, 0.1 and 0.0707 in the child."""
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    parent = os.getpid()
+    monkeypatch.setattr(harness, "integrate_rings",
+                        lambda runs, _rings=harness.integrate_rings: fake(
+                            runs, os.getpid() == parent, _rings))
+    return _sweep_cfg(SWEEPS[0])
+
+
+@pytest.mark.parametrize("k_here,k_child,named", [(3, 3, 0.05), (4, 3, 0.1), (3, 4, 0.05)])
+def test_split_divergence_is_the_one_process_loops_first(monkeypatch, k_here, k_child, named):
+    """Both groups diverge, each in its first ring: the error names the
+    ring of the smaller step, and at one step the longest run (eps =
+    0.05), as the one-process loop meets them; the child is reaped."""
+    def fake(runs, here, _rings):
+        raise microsim.SimulationDiverged(0, 1.5, k_here if here else k_child)
+    cfg = _split(monkeypatch, fake)
+    with pytest.raises(ConfigError, match=f"at eps={named} diverge: non-finite positions at "
+                                          "t=1.5$"):
+        harness.run_convergence(cfg)
+    assert _no_child_left()
+
+
+def test_split_divergence_of_both_groups_matches_one_process(monkeypatch):
+    """With a0 = [12, 6] both groups diverge (eps = 0.05 here at t = 12,
+    eps = 0.2 in the child at t = 3.4); the split run names the ring the
+    one-process run names."""
+    with open(ROOT / "configs" / "convergence_resonant.json") as fh:
+        cfg = config_from_dict(dict(json.load(fh), a0=[12, 6], eps=[0.2, 0.1, 0.05]))
+    here = []
+
+    def run(runs, _rings=harness.integrate_rings):
+        try:
+            return _rings(runs)
+        except microsim.SimulationDiverged as exc:
+            here.append(exc.t)
+            raise
+    monkeypatch.setattr(harness, "integrate_rings", run)
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_cpus", lambda cpus=cpus: cpus)
+        with pytest.raises(ConfigError) as exc:
+            harness.run_convergence(cfg)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == ("a0: [12, 6] makes the lattice at eps=0.2 diverge: "
+                                      "non-finite positions at t=3.4")
+    assert here == [3.4000000000000004, 12.0] and _no_child_left()
+
+
+def test_split_warnings_come_after_the_run_once_each(monkeypatch):
+    """The child's warnings are given with this process's, after the run,
+    each once; with RuntimeWarnings as errors the first is raised."""
+    def fake(runs, here, _rings):
+        warnings.warn("met by both groups", RuntimeWarning)
+        if not here:
+            warnings.warn("met by the child alone", UserWarning)
+        return _rings(runs)
+    cfg = _split(monkeypatch, fake)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rows = harness.run_convergence(cfg).rows
+    assert sorted(str(w.message) for w in seen) == ["met by both groups",
+                                                     "met by the child alone"]
+    assert all(peak > 0 for _, peak in rows) and _no_child_left()
+    with pytest.raises(RuntimeWarning, match="met by both groups"):
+        harness.run_convergence(cfg)
+    assert _no_child_left()
+
+
+def test_split_child_lost_is_an_error_naming_its_eps(monkeypatch):
+    """A child that dies without a result is an error naming the eps of
+    its rings and its exit code, not a hang, and is reaped."""
+    def fake(runs, here, _rings):
+        if not here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _rings(runs)
+    cfg = _split(monkeypatch, fake)
+    with pytest.raises(ChildProcessError, match=r"^the lattices at eps=0\.1, 0\.07092 ended "
+                                                r"without a result \(exit code -9\)$"):
+        harness.run_convergence(cfg)
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
+def test_split_parent_error_kills_and_reaps_the_child(monkeypatch, error):
+    """An exception or interrupt in this process's group kills the child,
+    which would run for a minute, reaps it and is raised."""
+    def fake(runs, here, _rings):
+        if here:
+            raise error("stop")
+        time.sleep(60)
+    cfg = _split(monkeypatch, fake)
+    t0 = time.perf_counter()
+    with pytest.raises(error, match="stop"):
+        harness.run_convergence(cfg)
+    assert time.perf_counter() - t0 < 30 and _no_child_left()
 
 
 def test_stiff_chain_sweep_keeps_substeps_stable():
