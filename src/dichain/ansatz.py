@@ -205,9 +205,9 @@ def _fold_sum(spec: AnsatzSpec, spectra: np.ndarray, t: float, scale: float) -> 
 
 
 def _sums(spec: AnsatzSpec, t: float, correctors: bool, rows: int = 4) -> np.ndarray:
-    """The (4, N) positions and velocities at lattice time t of the leading
-    terms or, with ``correctors``, of the eps^2 corrector terms (their rows
-    and i*omega times them): one fold per sample and time, kept, of ``rows`` rows."""
+    """The positions, then velocities, at lattice time t of the leading terms
+    or, with ``correctors``, of the eps^2 corrector terms (their rows and
+    i*omega times them), at least ``rows`` of the 4: one fold per sample and time, kept."""
     sample = spec.at_tau(spec.eps * t)
     if sample.t != t:
         sample.t, sample.sums = t, [None, None]

@@ -43,7 +43,7 @@ from .model import ChainParams, LatticeState, Rings, cell_pack, cell_unpack, for
 class SimulationDiverged(FloatingPointError):
     """NaN or overflow in run ``run`` of ``integrate_rings`` at step ``k``, time ``t``."""
 
-    def __init__(self, run: int, t: float, k: int = None):
+    def __init__(self, run: int, t: float, k: int):
         super().__init__(f"non-finite positions at t={t}")
         self.run, self.t, self.k = run, t, k
 

@@ -1126,16 +1126,20 @@ def test_split_warnings_come_after_the_run_once_each(monkeypatch):
     assert _no_child_left()
 
 
-def test_split_child_lost_is_an_error_naming_its_eps(monkeypatch):
-    """A child that dies without a result is an error naming the eps of
-    its rings and its exit code, not a hang, and is reaped."""
+@pytest.mark.parametrize("code", [-9, 1], ids=["killed", "raised"])
+def test_split_child_lost_is_an_error_naming_its_eps(monkeypatch, code):
+    """A child that dies without a result, killed or by an exception other
+    than a divergence, is an error naming the eps of its rings and its
+    exit code, not a hang, and is reaped."""
     def fake(runs, here, _rings):
         if not here:
-            os.kill(os.getpid(), signal.SIGKILL)
+            if code < 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("lost in the child")
         return _rings(runs)
     cfg = _split(monkeypatch, fake)
     with pytest.raises(ChildProcessError, match=r"^the lattices at eps=0\.1, 0\.07092 ended "
-                                                r"without a result \(exit code -9\)$"):
+                                                rf"without a result \(exit code {code}\)$"):
         harness.run_convergence(cfg)
     assert _no_child_left()
 
