@@ -62,7 +62,7 @@ def wavenumbers(L: float, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _shift_phases(velocities: tuple, L: float, n: int, dt: float) -> np.ndarray:
+def _advection_factors(velocities: tuple, L: float, n: int, dt: float) -> np.ndarray:
     """exp(i kappa v dt), one row per nonzero velocity: multiplying the
     Fourier coefficients by it evaluates the trigonometric interpolant at
     y + v dt (exact advection).  Read-only; a step reuses it every call."""
@@ -70,17 +70,6 @@ def _shift_phases(velocities: tuple, L: float, n: int, dt: float) -> np.ndarray:
     phase = np.array([np.exp(1j * kappa * (v * dt)) for v in velocities if v != 0.0])
     phase.flags.writeable = False
     return phase
-
-
-def spectral_derivative(values: np.ndarray, L: float) -> np.ndarray:
-    """d/dy of each row of ``values`` along its last axis (a single grid
-    or a stack of them), one FFT round trip for the whole stack."""
-    n = np.shape(values)[-1]
-    kappa = wavenumbers(L, n)
-    hat = np.fft.fft(values) * (1j * kappa)
-    if n % 2 == 0:
-        hat[..., n // 2] = 0.0  # unpaired Nyquist mode carries no derivative
-    return np.fft.ifft(hat)
 
 
 def sech_envelope(L: float, n: int, a0: float, nu: float) -> np.ndarray:
@@ -186,15 +175,6 @@ def _source_rhs(sys, fields):
     return out
 
 
-def tau_derivative(sys: MacroSystem, fields, dy_fields):
-    """Governing right-hand side: dB/dtau = v dB/dy + source, from the
-    envelopes and their y-derivatives; a row at rest is its source alone."""
-    sources = (_source_rhs(sys, fields) if sys.resonant
-               else np.zeros((2,) + np.shape(dy_fields[0]), dtype=complex))
-    return tuple(v * dy + s if v != 0.0 else s
-                 for v, dy, s in zip(sys.velocities, dy_fields, sources))
-
-
 def _advect(sys, stack, L, dt):
     """Exact advection of each envelope by v*dt, in place on ``stack``,
     whose axis -2 runs over the two envelopes: one FFT round trip over the
@@ -203,7 +183,7 @@ def _advect(sys, stack, L, dt):
     if moving:
         m = slice(moving[0], moving[-1] + 1)  # of two rows, any set is contiguous
         hat = np.fft.fft(stack[..., m, :])
-        hat *= _shift_phases(sys.velocities, L, stack.shape[-1], dt)
+        hat *= _advection_factors(sys.velocities, L, stack.shape[-1], dt)
         stack[..., m, :] = np.fft.ifft(hat)
     return stack
 
@@ -450,7 +430,7 @@ def second_order_amplitudes(p: ChainParams, macro: MacroSystem, fields, dy_field
 
     ``fields``, ``dy_fields`` and ``dtau_fields`` hold the scalar envelopes,
     their spectral y-derivatives and their tau-derivatives, the latter from
-    the envelope equations (``tau_derivative``), never from time
+    the envelope equations (``ansatz._Snapshot``), never from time
     differencing.  Each envelope is one grid (n,) or a stack of m, (m, n):
     every step acts element by element, so a stack gets a single grid's
     bits.  Each corrector is its vectors chi (``_corrector_vectors``) times

@@ -7,17 +7,19 @@ approximation is the leading one plus the corrector sum, one carrier sum
 over the table ``amplitude.carriers`` (the spec's ``carriers``) and the
 corrector rows in its order.
 
-The samplers sum carriers in Fourier space (``_fold_sum``): a carrier's
-amplitude on the lattice times exp(i(omega*t + theta*j)) is the inverse
-FFT of its grid spectrum shifted by the integer wavenumber theta*N/2pi
-and scaled by exp(i*omega*t), so the positions and velocities of every
-carrier are one (4, N) inverse FFT, per sample and time one for the
-leading terms and one for the correctors.  A sample keeps the spectra of
-its envelope state and tau-derivative (one FFT); the correctors are made
-on the grid for a (2, m, n) snapshot stack of m states at once and take
-one FFT of the whole stack.  ``residual_norm`` sums one amplitude row per
-carrier, made on the grid for its whole stack: one interpolation and one
-carrier sum per state on ``phase_row``'s rows (see its docstring).
+Envelope states are read as a stack (``_Snapshot``): m states are one
+(2, m, n) grid stack and one FFT of it, which gives the spectra of B and
+of dB/dtau from the envelope equations; dB/dy and dB/dtau on the grid,
+for the correctors, are one inverse FFT each.  The samplers sum carriers
+in Fourier space (``_fold_sum``): a carrier's amplitude on the lattice
+times exp(i(omega*t + theta*j)) is the inverse FFT of its grid spectrum
+shifted by the integer wavenumber theta*N/2pi and scaled by
+exp(i*omega*t), so the positions and velocities of every carrier are one
+(4, N) inverse FFT, per state and time one for the leading terms and one
+for the correctors, whose spectra are one FFT of the stack's whole
+(K, 2, m, n) corrector stack.  ``residual_norm`` sums one amplitude row
+per carrier, made on the grid for its whole stack: one interpolation and
+one carrier sum per state (``_carrier_sum``; ``residual_norm`` says why).
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import amplitude as amp
-from .amplitude import MacroSystem, carriers, second_order_amplitudes, tau_derivative
+from .amplitude import MacroSystem, carriers, second_order_amplitudes
 from .model import ChainParams, LatticeState, force, norm_m
 
 
@@ -36,40 +38,28 @@ class IncommensurateCarrier(ValueError):
 
 
 class _Snapshot:
-    """Envelope data at m macroscopic times: the m envelope states as one
-    (2, m, n) grid stack, its spectral derivative (two FFT calls) and its
-    tau-derivative and, first made by ``_sums``, ``a2_hat``: the FFT of its
-    (K, 2, m, n) corrector stack (one ``second_order_amplitudes`` call).
-    """
+    """Envelope data at m macroscopic times: the m states as one (2, m, n)
+    grid stack and, by one FFT of it (stacked with its sources when
+    resonant), the spectra of B and of dB/dtau = v*dB/dy + source, the
+    latter v*i*kappa*B on the moving rows plus the sources', i*kappa zero
+    on the unpaired Nyquist mode, which carries no derivative.  First made
+    by ``_sums``, ``a2_hat``: the FFT of its (K, 2, m, n) corrector stack
+    (one ``second_order_amplitudes`` call)."""
 
-    def __init__(self, macro: MacroSystem, L: float, states):
-        b = np.stack(states, axis=1).astype(complex, copy=False)
-        dy = amp.spectral_derivative(b, L)
-        dtau = np.asarray(tau_derivative(macro, b, dy))
-        self.b_grid, self.dtau_grid, self.dy_grid, self.a2_hat = b, dtau, dy, None
-
-
-class _Sample:
-    """The envelope state ``fields`` at tau as the (2, 4, n) grid spectra
-    of the amplitude vectors of B and of i*omega*B + eps*dB/dtau per wave,
-    by one FFT of the state (and its sources when resonant).  Its
-    correctors are ``snap``'s at ``i``, else an m = 1 stack's of its own;
-    ``sums`` keeps the two folds of the last lattice time ``t``."""
-
-    def __init__(self, spec: "AnsatzSpec", tau: float, fields, snap: _Snapshot = None, i=0):
-        macro, n = spec.macro, spec.n
-        hat = np.fft.fft(np.concatenate((fields, amp._source_rhs(macro, fields)))
-                         if macro.resonant else fields)
-        dtau = hat[2:] if macro.resonant else np.zeros_like(hat)
-        ik = 1j * amp.wavenumbers(spec.L, n)
+    def __init__(self, spec: "AnsatzSpec", states):
+        macro, n, self.a2_hat = spec.macro, spec.n, None
+        self._ik = 1j * amp.wavenumbers(spec.L, n)
         if n % 2 == 0:
-            ik[n // 2] = 0.0  # unpaired Nyquist mode carries no derivative
+            self._ik[n // 2] = 0.0
+        b = self.b_grid = np.stack(states, axis=1).astype(complex, copy=False)
+        hat = np.fft.fft(np.concatenate((b, amp._source_rhs(macro, b))) if macro.resonant else b)
+        self.b_hat, self.dtau_hat = hat[:2], hat[2:] if macro.resonant else np.zeros_like(hat)
         for k in np.flatnonzero(macro.velocities):  # no multiply by a velocity of 0
-            dtau[k] += macro.velocities[k] * (ik * hat[k])
-        self.spectra = np.array([[*w.amplitude_vector(b), *w.amplitude_vector(
-            1j * w.omega * b + spec.eps * d)] for w, b, d in zip(macro.waves, hat, dtau)])
-        self.tau, self.fields, self.snap, self.i = tau, fields, snap, i
-        self.t, self.sums = None, [None, None]
+            self.dtau_hat[k] += macro.velocities[k] * (self._ik * hat[k])
+
+    def grids(self):
+        """B, dB/dy and dB/dtau on the grid, the latter two one inverse FFT each."""
+        return self.b_grid, np.fft.ifft(self.b_hat * self._ik), np.fft.ifft(self.dtau_hat)
 
 
 @dataclass
@@ -77,11 +67,11 @@ class AnsatzSpec:
     """Everything needed to sample the approximations on the lattice.
 
     The macroscopic domain length is tied to the lattice by L = eps*N;
-    the envelope solution provides fields at any tau.  The spec keeps
-    the snapshot stack of the last ``at_taus`` and the last sample read
-    (``at_tau``), the improved-ansatz carrier table, and the phase rows of
-    the last lattice time asked for (``phase_row``).  A ring of a lattice
-    sweep holds the sweep's (tau0, n_samples) as ``sample_times``.
+    the envelope solution provides fields at any tau.  The spec keeps the
+    improved-ansatz carrier table, the stack ``at_tau`` reads (the last
+    ``at_taus`` stack, or the m = 1 stack of the last tau asked for) and
+    the last fold of each kind (``_sums``).  A ring of a lattice sweep
+    holds the sweep's (tau0, n_samples) as ``sample_times``.
     """
 
     p: ChainParams
@@ -95,9 +85,7 @@ class AnsatzSpec:
     _omegas: np.ndarray = field(init=False, repr=False)
     sample_times: tuple = field(init=False, repr=False, default=None)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
-    _sample: _Sample = field(init=False, repr=False, default=None)
-    _phase_t: float = field(init=False, repr=False, default=None)
-    _phases: dict = field(init=False, repr=False, default_factory=dict)
+    _folds: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         for w in self.macro.waves:
@@ -138,11 +126,11 @@ class AnsatzSpec:
         np.add.at(pad.reshape(-1), (starts[:, None] + self._fold).ravel(), hat.reshape(-1))
         return np.fft.ifft(pad) * (self.N / self.n)
 
-    def at_tau(self, tau: float) -> _Sample:
-        """Tau's sample on the lattice, its state read from the stack of
-        the last ``at_taus`` when tau is in it, else from the solution,
-        and kept until another tau is asked for.  With ``sample_times``,
-        tau is first rounded to the sample time i*tau0/n_samples (else
+    def at_tau(self, tau: float):
+        """(stack, i): tau's state is row i of the stack of the last
+        ``at_taus`` when tau is in it, else of an m = 1 stack of its own,
+        kept until another tau is asked for.  With ``sample_times``, tau is
+        first rounded to the sample time i*tau0/n_samples (else
         ValueError), so every ring of a sweep asks for the same taus."""
         if self.sample_times is not None:
             tau0, n_samples = self.sample_times
@@ -150,43 +138,29 @@ class AnsatzSpec:
             if abs(tau - tau_i) > 1e-9 * tau0:
                 raise ValueError(f"tau={tau} is not a sample time i*tau0/n_samples of the sweep")
             tau = tau_i
-        if self._sample is None or self._sample.tau != tau:
-            snap, i = self._cache.get(tau, (None, 0))
-            fields = self.solution.fields(tau) if snap is None else snap.b_grid[:, i]
-            self._sample = None  # its rows freed before the next one's are made
-            self._sample = _Sample(self, tau, fields, snap, i)
-        return self._sample
+        if tau not in self._cache:
+            self._cache, self._folds = {}, {}  # the last stack freed before the next one is made
+            self._cache = {tau: (_Snapshot(self, [self.solution.fields(tau)]), 0)}
+        return self._cache[tau]
 
     def at_taus(self, taus) -> None:
-        """Build the snapshots of the taus as one stack, for ``at_tau`` to
+        """Build the states of the taus as one stack, for ``at_tau`` to
         serve; the samplers ask for tau = eps*t at lattice time t."""
-        snap = _Snapshot(self.macro, self.L, [self.solution.fields(tau) for tau in taus])
-        self._cache = {tau: (snap, i) for i, tau in enumerate(taus)}
-
-    def phase_row(self, omega: float, theta: float, t: float) -> np.ndarray:
-        """exp(i(omega*t + theta*j)) over the lattice sites j, built once
-        per carrier for the last time t asked for, for ``residual_norm``.
-        At theta = 0 every site has the same phase, so the row is that one
-        numpy scalar, each element's bits."""
-        if t != self._phase_t:
-            self._phase_t, self._phases = t, {}
-        row = self._phases.get((omega, theta))
-        if row is None:
-            j = np.arange(self.N) if theta != 0.0 else 0.0
-            row = self._phases[omega, theta] = np.exp(1j * (omega * t + j * theta))
-        return row
+        stack = _Snapshot(self, [self.solution.fields(tau) for tau in taus])
+        self._cache = {tau: (stack, i) for i, tau in enumerate(taus)}
 
 
-def _carrier_sum(spec: AnsatzSpec, terms, t: float, scale: float) -> np.ndarray:
-    """2*scale*Re of the sum of a*exp(i(omega*t + theta*j)) over the
-    (omega, theta, a) terms, where a holds the amplitudes of both
-    components on the lattice."""
+def _carrier_sum(spec: AnsatzSpec, amps: np.ndarray, t: float) -> np.ndarray:
+    """2*Re of sum_c a_c*exp(i(omega_c*t + theta_c*j)) over the carriers,
+    from the (K, 2, N) amplitudes a_c of both components on the lattice.
+    At theta = 0 every site has the same phase, so the row is that one
+    numpy scalar, each element's bits."""
     u = np.zeros((spec.N, 2), dtype=complex)
-    for omega, theta, a in terms:
-        e = spec.phase_row(omega, theta, t)
+    for (_, omega, theta), a in zip(spec.carriers, amps):
+        e = np.exp(1j * (omega * t + (np.arange(spec.N) if theta != 0.0 else 0.0) * theta))
         u[:, 0] += a[0] * e
         u[:, 1] += a[1] * e
-    return 2.0 * scale * u.real
+    return 2.0 * u.real
 
 
 def _fold_sum(spec: AnsatzSpec, spectra: np.ndarray, t: float, scale: float) -> np.ndarray:
@@ -207,24 +181,25 @@ def _fold_sum(spec: AnsatzSpec, spectra: np.ndarray, t: float, scale: float) -> 
 def _sums(spec: AnsatzSpec, t: float, correctors: bool, rows: int = 4) -> np.ndarray:
     """The positions, then velocities, at lattice time t of the leading terms
     or, with ``correctors``, of the eps^2 corrector terms (their rows and
-    i*omega times them), at least ``rows`` of the 4: one fold per sample and time, kept."""
-    sample = spec.at_tau(spec.eps * t)
-    if sample.t != t:
-        sample.t, sample.sums = t, [None, None]
-    if sample.sums[correctors] is None or len(sample.sums[correctors]) < rows:
-        spectra, scale = sample.spectra[:, :rows], spec.eps
+    i*omega times them), at least ``rows`` of the 4: one fold per state and
+    time, kept on the spec until the next one of its kind."""
+    stack, i = spec.at_tau(spec.eps * t)
+    key, kept = (stack, i, t), spec._folds.get(correctors)
+    if kept is None or kept[0] != key or len(kept[1]) < rows:
         if correctors:
-            snap = sample.snap = sample.snap or _Snapshot(spec.macro, spec.L, [sample.fields])
-            if snap.a2_hat is None:
-                a2 = np.empty((len(spec.carriers),) + snap.b_grid.shape, dtype=complex)
-                second_order_amplitudes(spec.p, spec.macro, snap.b_grid, snap.dy_grid,
-                                        snap.dtau_grid, out=a2)
-                snap.a2_hat = np.fft.fft(a2)
-            a = snap.a2_hat[:, :, sample.i]
+            if stack.a2_hat is None:
+                a2 = np.empty((len(spec.carriers),) + stack.b_grid.shape, dtype=complex)
+                second_order_amplitudes(spec.p, spec.macro, *stack.grids(), out=a2)
+                stack.a2_hat = np.fft.fft(a2)
+            a = stack.a2_hat[:, :, i]
             spectra = np.concatenate((a, a * (1j * spec._omegas)[:, None, None]), axis=1)
-            scale = spec.eps ** 2
-        sample.sums[correctors] = _fold_sum(spec, spectra, t, scale)
-    return sample.sums[correctors]
+        else:  # the amplitude vectors of B and of i*omega*B + eps*dB/dtau per wave
+            spectra = np.array([[*w.amplitude_vector(b), *w.amplitude_vector(
+                1j * w.omega * b + spec.eps * d)] for w, b, d in zip(
+                    spec.macro.waves, stack.b_hat[:, i], stack.dtau_hat[:, i])])
+        scale = spec.eps ** 2 if correctors else spec.eps
+        kept = spec._folds[correctors] = key, _fold_sum(spec, spectra[:, :rows], t, scale)
+    return kept[1]
 
 
 def sample_first_order(spec: AnsatzSpec, t: float, fold_velocity: bool = True) -> np.ndarray:
@@ -263,7 +238,7 @@ def residual_norm(p: ChainParams, spec: AnsatzSpec, t, h0: float):
     lattice time t, or one norm per time when t is a sequence of times.
 
     The envelope states at t - h, t and t + h of every time make one
-    snapshot stack, so all of them share one pass of grid work: the
+    ``_Snapshot`` stack, so all of them share one pass of grid work: the
     correctors and, on the two wave carriers, eps times the wave's
     amplitude vector make one (K, 2, 3m, n) stack of amplitude rows, one
     per carrier, and each state is one interpolation of its (K, 2, n)
@@ -274,13 +249,12 @@ def residual_norm(p: ChainParams, spec: AnsatzSpec, t, h0: float):
     t and t + h: rounding them any other way moves a row of the c = 0.5
     family by 2.7e-3 relative, both factoring out exp(i*omega*t) and the
     samplers' spectral fold.  So it alone sums carriers on ``interp``'s
-    rows and ``phase_row``'s phases (``_carrier_sum``), unchanged, until
-    the residual differences the slow amplitudes alone (ROADMAP item 6).
+    rows and phase rows (``_carrier_sum``), unchanged, until the residual
+    differences the slow amplitudes alone (ROADMAP item 6).
     """
     times = [t] if np.ndim(t) == 0 else list(t)
-    for s in times:
-        if s < 0:
-            raise ValueError(f"amplitude trajectory unavailable at t={s} < 0")
+    if min(times) < 0:
+        raise ValueError(f"amplitude trajectory unavailable at t={min(times)} < 0")
     h = spec.eps ** 2 * h0
     steps = (-h, 0.0, h)
     states = []
@@ -292,22 +266,20 @@ def residual_norm(p: ChainParams, spec: AnsatzSpec, t, h0: float):
         # step is the exact flow when non-resonant)
         states += [amp.strang_step(spec.macro, base, spec.L, spec.eps * dt) if dt else base
                    for dt in steps]
-    snap = _Snapshot(spec.macro, spec.L, states)
+    b, dy, dtau = _Snapshot(spec, states).grids()  # its spectra freed before the rows are made
     # one amplitude row per carrier on the grid: eps^2 times the corrector,
     # plus eps times the wave's amplitude vector on the two wave carriers
-    amps = np.empty((len(spec.carriers),) + snap.b_grid.shape, dtype=complex)
-    second_order_amplitudes(spec.p, spec.macro, snap.b_grid, snap.dy_grid, snap.dtau_grid,
-                            out=amps)
+    amps = np.empty((len(spec.carriers),) + b.shape, dtype=complex)
+    second_order_amplitudes(spec.p, spec.macro, b, dy, dtau, out=amps)
     amps *= spec.eps ** 2
-    for rows, w, b in zip(amps, spec.macro.waves, snap.b_grid):
-        for row, v in zip(rows, w.amplitude_vector(b)):
+    for rows, w, bw in zip(amps, spec.macro.waves, b):
+        for row, v in zip(rows, w.amplitude_vector(bw)):
             row += spec.eps * v
     norms = []
     for k, s in enumerate(times):
         # the improved positions of states 3k + d, d = 0, 1, 2
-        um, u0, up = (_carrier_sum(spec, [(om, th, a) for (_, om, th), a in zip(
-            spec.carriers, spec.interp(amps[:, :, 3 * k + d]))], s + dt, 1.0)
-            for d, dt in enumerate(steps))
+        um, u0, up = (_carrier_sum(spec, spec.interp(amps[:, :, 3 * k + d]), s + dt)
+                      for d, dt in enumerate(steps))
         udd = (up - 2.0 * u0 + um) / (h * h)
         norms.append(norm_m(force(p, u0) - udd, p))
     return norms if np.ndim(t) else norms[0]

@@ -393,9 +393,17 @@ def run_ansatz_scaling(cfg: ExperimentConfig) -> ScalingReport:
 def _lattice_sim(cfg: ExperimentConfig, p: ChainParams, T: float, spacing: float) -> SimConfig:
     """Lattice run to T whose stride lands on every multiple of ``spacing``:
     the fewest steps per spacing that keep dt at or below cfg.dt and the
-    stability cap default_dt, to SimConfig.validate's 1e-12 relative."""
-    stride = math.ceil(spacing / min(cfg.dt, default_dt(p)) / (1 + 1e-12))
-    return SimConfig(dt=spacing / stride, T=T, stride=stride)
+    stability cap default_dt, to SimConfig.validate's 1e-12 relative; past
+    MAX_STEPS steps a ConfigError names what sets the step: dt, the chain or tau0."""
+    cap = default_dt(p)
+    stride = math.ceil(spacing / min(cfg.dt, cap) / (1 + 1e-12))
+    sim = SimConfig(dt=spacing / stride, T=T, stride=stride)
+    if sim.n_steps > MAX_STEPS:
+        key = ("tau0" if stride == 1 else "dt" if cfg.dt <= cap
+               else "resonant_family" if cfg.resonant_family else "params")
+        raise ConfigError(f"{key}: a lattice run to t = {T:.6g} takes {sim.n_steps} steps of "
+                          f"dt = {sim.dt:.4g}, more than MAX_STEPS = {MAX_STEPS}")
+    return sim
 
 
 def _lattice_run(cfg: ExperimentConfig, eps, run, *args, source=None):

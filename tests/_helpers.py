@@ -1,8 +1,9 @@
 """Shared test utilities, and the analysis functions only tests use: the
 reference chain p0, det H, the resonance finder and the reduced
 coordinates, the Lipschitz and norm-equivalence constants, the lattice's
-separate L and M and its Hamiltonian, and leapfrog as the second-order
-reference scheme."""
+separate L and M and its Hamiltonian, leapfrog as the second-order
+reference scheme, and the envelopes' y- and tau-derivatives on the grid
+as references for the ansatz's spectral ones."""
 import functools
 from dataclasses import dataclass
 from unittest import mock
@@ -11,7 +12,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from dichain import amplitude as amp
-from dichain import ansatz as anz
 from dichain import microsim
 from dichain.amplitude import StrangSolution
 from dichain.model import (ChainParams, LatticeState, PotentialCoeffs, _cell_bonds,
@@ -406,13 +406,34 @@ def hand_expanded_K(iota, a1, a2, p: ChainParams, theta1: float, theta2: float):
     return out[0], out[1]
 
 
+def spectral_derivative(values: np.ndarray, L: float) -> np.ndarray:
+    """Reference d/dy of each row of ``values`` along its last axis (a
+    single grid or a stack of them), one FFT round trip for the whole
+    stack; the unpaired Nyquist mode carries no derivative."""
+    n = np.shape(values)[-1]
+    hat = np.fft.fft(values) * (1j * amp.wavenumbers(L, n))
+    if n % 2 == 0:
+        hat[..., n // 2] = 0.0
+    return np.fft.ifft(hat)
+
+
+def tau_derivative(sys, fields, dy_fields):
+    """Reference dB/dtau = v dB/dy + source on the grid, from the envelopes
+    and their y-derivatives; a row at rest is its source alone."""
+    sources = (amp._source_rhs(sys, fields) if sys.resonant
+               else np.zeros((2,) + np.shape(dy_fields[0]), dtype=complex))
+    return tuple(v * dy + s if v != 0.0 else s
+                 for v, dy, s in zip(sys.velocities, dy_fields, sources))
+
+
 def per_row_snapshot(spec, fields):
     """Independent reference for an ansatz sample: the grids and lattice
     rows of ``fields`` with one FFT round trip per envelope row and per
     corrector row.  The envelopes on the lattice are the folds of the
     grid's coefficients, and their tau-derivatives there the folds of the
-    envelope equations' on the grid.  Returns b_lat, dtau_lat, dy_grid,
-    dtau_grid and the correctors a2_lat keyed by carrier."""
+    envelope equations', v*i*kappa*B plus the sources per row in Fourier
+    space, on the grid.  Returns b_lat, dtau_lat, dy_grid, dtau_grid and
+    the correctors a2_lat keyed by carrier."""
     fold = np.rint(np.fft.fftfreq(spec.n) * spec.n).astype(int) % spec.N
 
     def deriv_hat(values):
@@ -429,30 +450,46 @@ def per_row_snapshot(spec, fields):
 
     b = tuple(np.asarray(f, dtype=complex) for f in fields)
     dy = tuple(np.fft.ifft(deriv_hat(f)) for f in b)
-    dtau = amp.tau_derivative(spec.macro, b, dy)
+    sources = (amp._source_rhs(spec.macro, b) if spec.macro.resonant
+               else np.zeros((2, spec.n), dtype=complex))
+    dtau = tuple(np.fft.ifft(v * deriv_hat(f) + np.fft.fft(s) if v != 0.0 else np.fft.fft(s))
+                 for v, f, s in zip(spec.macro.velocities, b, sources))
     a2 = amp.second_order_amplitudes(spec.p, spec.macro, b, dy, dtau)
     return dict(b_lat=[interp(f) for f in b], dtau_lat=[interp(d) for d in dtau],
                 dy_grid=dy, dtau_grid=dtau,
                 a2_lat={iota: np.stack([interp(v[0]), interp(v[1])]) for iota, v in a2.items()})
 
 
+def per_term_carrier_sum(spec, terms, t, scale):
+    """2*scale*Re of the sum of a*exp(i(omega*t + theta*j)) over the
+    (omega, theta, a) terms, with its own full row of phases per term."""
+    j = np.arange(spec.N)
+    u = np.zeros((spec.N, 2), dtype=complex)
+    for omega, theta, a in terms:
+        e = np.exp(1j * (omega * t + j * theta))
+        u[:, 0] += a[0] * e
+        u[:, 1] += a[1] * e
+    return 2.0 * scale * u.real
+
+
 def interpolated_sums(spec, fields, t):
     """The carrier sums of the envelope state ``fields`` at lattice time t
     as interpolated amplitudes times phase rows: every grid row taken to
-    the lattice by ``spec.interp`` (B, its tau-derivative on the grid and
-    the corrector rows), then summed by ``ansatz._carrier_sum`` on
-    ``phase_row``'s rows.  Returns the leading positions and velocities
-    and the corrector position and velocity terms, each (N, 2)."""
+    the lattice by ``spec.interp`` (B, its tau-derivative on the grid by
+    ``tau_derivative`` and the corrector rows), then summed by
+    ``per_term_carrier_sum`` on fresh phase rows.  Returns the leading
+    positions and velocities and the corrector position and velocity
+    terms, each (N, 2)."""
     b = np.asarray(fields, dtype=complex)
-    dy = amp.spectral_derivative(b, spec.L)
-    dtau = np.asarray(amp.tau_derivative(spec.macro, b, dy))
+    dy = spectral_derivative(b, spec.L)
+    dtau = np.asarray(tau_derivative(spec.macro, b, dy))
     a2 = np.empty((len(spec.carriers), 2, spec.n), dtype=complex)
     amp.second_order_amplitudes(spec.p, spec.macro, b, dy, dtau, out=a2)
     b_lat, dtau_lat, a2_lat = spec.interp(b), spec.interp(dtau), spec.interp(a2)
     waves = spec.macro.waves
 
     def first(envelopes):
-        return anz._carrier_sum(spec, [(w.omega, w.theta, w.amplitude_vector(e))
+        return per_term_carrier_sum(spec, [(w.omega, w.theta, w.amplitude_vector(e))
                                        for w, e in zip(waves, envelopes)], t, spec.eps)
 
     def second(time_derivative):
@@ -461,7 +498,7 @@ def interpolated_sums(spec, fields, t):
             c = 1j * om_v if time_derivative else 1.0
             if c != 0.0:
                 terms.append((om_v, th_v, c * a))
-        return anz._carrier_sum(spec, terms, t, spec.eps ** 2)
+        return per_term_carrier_sum(spec, terms, t, spec.eps ** 2)
 
     vel = [1j * w.omega * e + spec.eps * d for w, e, d in zip(waves, b_lat, dtau_lat)]
     return first(b_lat), first(vel), second(False), second(True)

@@ -8,13 +8,12 @@ import pytest
 from _helpers import (coupling_closed_form, coupling_prefactors, det_h, envelope_products,
                       find_acoustic_optical_resonance, hand_expanded_K, linear_apply, p0,
                       per_call_corrector, per_call_wave_corrector, per_field_lawson_step,
-                      random_valid_params, strang_states)
+                      random_valid_params, spectral_derivative, strang_states, tau_derivative)
 from dichain import amplitude as amp
 from dichain import model
 from dichain.amplitude import (NearResonance, ODEReferenceSolution, StrangSolution,
                                build_macro_system, carriers, second_order_amplitudes,
-                               sech_envelope, source_vectors, spectral_derivative,
-                               tau_derivative)
+                               sech_envelope, source_vectors)
 from dichain.model import carrier_product_force
 from dichain.resonance import family_params, solve_family_ratio, wrap_theta
 from dichain.spectrum import (ACOUSTIC, OPTICAL, dispersion_matrix, group_velocity,

@@ -11,11 +11,12 @@ from dichain import harness, microsim, model
 from dichain.ansatz import (AnsatzSpec, IncommensurateCarrier, corrector_sum,
                             first_order_velocity, initial_state, residual_norm,
                             sample_first_order)
-from dichain.resonance import wrap_theta
+from dichain.resonance import NL_KEYS
 from dichain.spectrum import ACOUSTIC, OPTICAL, polarization
 
 from _helpers import (interpolated_sums, leapfrog, p0, per_call_corrector,
-                      per_call_wave_corrector, per_row_snapshot)
+                      per_call_wave_corrector, per_row_snapshot, per_term_carrier_sum,
+                      random_valid_params, spectral_derivative, tau_derivative)
 
 L, NG = 40.0, 128
 
@@ -304,11 +305,11 @@ def _sampled_sums(spec, t):
             corrector_sum(spec, t), corrector_sum(spec, t, True))
 
 
-def _sample_at(spec, t, *sample):
-    """Make the spec's kept sample at lattice time t the ``_Sample`` of
-    ``sample`` (fields[, snap, i]), whatever the solution holds there."""
-    spec._sample = anz._Sample(spec, spec.eps * t, *sample)
-    return spec._sample
+def _serve(spec, t, stack, i=0):
+    """Make ``at_tau`` serve row i of ``stack`` at lattice time t, whatever
+    the solution holds there."""
+    spec._cache = {spec.eps * t: (stack, i)}
+    return stack
 
 
 # N = 800 lattice sites over n = 256 grid points (a zero pad), and N = 400
@@ -318,25 +319,26 @@ def _sample_at(spec, t, *sample):
 @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
 def test_snapshot_matches_per_row_reference(source, eps, n_grid):
     """A stack's grid rows are those of one FFT round trip per row, bit for
-    bit.  A state's sums are the same bits whether it is sampled alone,
-    its correctors from an m = 1 stack, or out of a stack of four sampled
-    out of order, and they are the per-row interpolants summed with fresh
-    phase rows to 1e-12."""
+    bit.  A state's sums are the same bits whether it is sampled alone, as
+    an m = 1 stack, or out of a stack of four sampled out of order, and
+    they are the per-row interpolants summed with fresh phase rows to
+    1e-12."""
     spec = _setup(source, eps, n_grid).spec
     assert (spec.N > spec.n) == (n_grid == 256)
     taus = (0.3, 0.1, 0.3, 0.0)
     states = [spec.solution.fields(tau) for tau in taus]
     refs = [per_row_snapshot(spec, fields) for fields in states]
-    snap = anz._Snapshot(spec.macro, spec.L, states)
+    snap = anz._Snapshot(spec, states)
+    _, dy, dtau = snap.grids()
     for i in (2, 0, 3, 0, 1):
         ref = refs[i]
-        for name in ("dy_grid", "dtau_grid"):
-            assert np.array_equal(getattr(snap, name)[:, i], ref[name]), name
+        for name, grid in (("dy_grid", dy), ("dtau_grid", dtau)):
+            assert np.array_equal(grid[:, i], ref[name]), name
         t = taus[i] / spec.eps + 0.7
-        _sample_at(spec, t, states[i])
+        _serve(spec, t, anz._Snapshot(spec, [states[i]]))
         alone = _sampled_sums(spec, t)
-        assert spec._sample.snap is not snap
-        _sample_at(spec, t, snap.b_grid[:, i], snap, i)
+        assert spec.at_tau(spec.eps * t)[0] is not snap
+        _serve(spec, t, snap, i)
         stacked = _sampled_sums(spec, t)
         for x, y in zip(alone, stacked):
             assert np.array_equal(x, y)
@@ -352,7 +354,7 @@ def test_positions_alone_fold_two_rows_with_the_bits_of_four(monkeypatch, source
     spec = _setup(source).spec
     t = 0.3 / spec.eps
     fields = spec.solution.fields(spec.eps * t)
-    _sample_at(spec, t, fields)
+    _serve(spec, t, anz._Snapshot(spec, [fields]))
     pos, vel = sample_first_order(spec, t), first_order_velocity(spec, t)
     shapes = []
 
@@ -360,7 +362,7 @@ def test_positions_alone_fold_two_rows_with_the_bits_of_four(monkeypatch, source
         shapes.append(np.shape(a))
         return _fn(a, *args, **kw)
     monkeypatch.setattr(np.fft, "ifft", counted)
-    _sample_at(spec, t, fields)
+    _serve(spec, t, anz._Snapshot(spec, [fields]))
     assert np.array_equal(sample_first_order(spec, t, False), pos)
     assert np.array_equal(sample_first_order(spec, t, False), pos)
     assert shapes == [(2, spec.N)]
@@ -379,13 +381,15 @@ def test_positions_alone_fold_two_rows_with_the_bits_of_four(monkeypatch, source
 
 @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
 def test_snapshot_makes_four_ffts_and_correctors_two(monkeypatch, source):
-    """Per sample: one FFT of its state (with its sources when resonant).
-    Per sample and lattice time: one inverse FFT for the leading positions
-    and velocities and one for the corrector terms, each shared by the
-    paired call.  Per stack, on first use of its correctors: its spectral
-    derivative (two FFT calls), one corrector build and one FFT of the
-    whole corrector stack; a sample alone builds an m = 1 stack, so its
-    correctors make four FFT calls at their first time."""
+    """Per stack: one FFT of its states (with their sources when resonant),
+    which gives B and dB/dtau in Fourier space.  Per state and lattice
+    time: one inverse FFT for the leading positions and velocities and one
+    for the corrector terms, each shared by the paired call.  Per stack,
+    on first use of its correctors: dB/dy and dB/dtau on the grid (one
+    inverse FFT each), one corrector build and one FFT of the whole
+    corrector stack; so a state read alone, an m = 1 stack, makes four FFT
+    calls for its correctors at their first time, and each further state
+    of a stack two for its sums."""
     spec = _setup(source).spec
     states = [spec.solution.fields(tau) for tau in (0.3, 0.1, 0.2)]
     calls = collections.Counter()
@@ -401,12 +405,12 @@ def test_snapshot_makes_four_ffts_and_correctors_two(monkeypatch, source):
     monkeypatch.setattr(anz, "second_order_amplitudes", built)
 
     t = 0.3 / spec.eps
-    _sample_at(spec, t, states[0])
+    _serve(spec, t, anz._Snapshot(spec, states[:1]))
     assert calls == {"fft": 1}
     for time_derivative in (False, True):
         calls.clear()
         anz.corrector_sum(spec, t, time_derivative)
-        assert calls == ({"fft": 2, "ifft": 2, "second_order": 1} if not time_derivative
+        assert calls == ({"fft": 1, "ifft": 3, "second_order": 1} if not time_derivative
                          else {})
     for f in (sample_first_order, first_order_velocity):
         calls.clear()
@@ -414,23 +418,25 @@ def test_snapshot_makes_four_ffts_and_correctors_two(monkeypatch, source):
         assert calls == ({"ifft": 1} if f is sample_first_order else {})
 
     calls.clear()
-    snap = anz._Snapshot(spec.macro, spec.L, states)  # the stack's derivative
-    assert calls == {"fft": 1, "ifft": 1}
-    calls.clear()
-    _sample_at(spec, t, snap.b_grid[:, 0], snap, 0)
+    snap = anz._Snapshot(spec, states)  # B and dB/dtau of the whole stack
+    assert calls == {"fft": 1}
+    _serve(spec, t, snap, 0)
     anz.corrector_sum(spec, t)
-    assert calls == {"fft": 2, "ifft": 1, "second_order": 1}
+    assert calls == {"fft": 2, "ifft": 3, "second_order": 1}
     for i in (1, 2):
         calls.clear()
-        _sample_at(spec, t, snap.b_grid[:, i], snap, i)
+        _serve(spec, t, snap, i)
         anz.corrector_sum(spec, t)
         anz.corrector_sum(spec, t, True)
-        assert calls == {"fft": 1, "ifft": 1}
+        first_order_velocity(spec, t)
+        assert calls == {"ifft": 2}
     spec.at_taus((0.3, 0.1))
     spec.at_tau(0.1)
     calls.clear()
-    spec.at_tau(0.1)  # the spec keeps the last sample read
+    spec.at_tau(0.1)  # the spec keeps the stack it read
     assert not calls
+    spec.at_tau(0.2)  # a tau outside it takes an m = 1 stack in its place
+    assert list(spec._cache) == [0.2]
 
 
 # ---------------------------------------------------------------------------
@@ -439,17 +445,6 @@ def test_snapshot_makes_four_ffts_and_correctors_two(monkeypatch, source):
 
 REGIMES = [*SOURCES, {"resonant_family": {"gamma": 5.0, "c": 0.0, "nl": NL}}]
 REGIME_IDS = ["nonresonant", "half-pi", "c1", "pi"]
-
-
-def _per_term_carrier_sum(spec, terms, t, scale):
-    """The carrier sum with its own exp(i(omega*t + theta*j)) per term."""
-    j = np.arange(spec.N)
-    u = np.zeros((spec.N, 2), dtype=complex)
-    for omega, theta, a in terms:
-        e = np.exp(1j * (omega * t + j * theta))
-        u[:, 0] += a[0] * e
-        u[:, 1] += a[1] * e
-    return 2.0 * scale * u.real
 
 
 def _per_call_correctors(spec, fields, ref):
@@ -477,7 +472,7 @@ def _reference_sums(spec, fields, t):
     cor_lat = dict(zip(cor, spec.interp(np.stack(list(cor.values())))))
 
     def first(envelopes):
-        return _per_term_carrier_sum(spec, [(w.omega, w.theta, w.amplitude_vector(b))
+        return per_term_carrier_sum(spec, [(w.omega, w.theta, w.amplitude_vector(b))
                                             for w, b in zip(waves, envelopes)], t, spec.eps)
 
     def second(time_derivative):
@@ -486,7 +481,7 @@ def _reference_sums(spec, fields, t):
             c = 1j * om_v if time_derivative else 1.0
             if c != 0.0:
                 terms.append((om_v, th_v, c * cor_lat[iota]))
-        return _per_term_carrier_sum(spec, terms, t, spec.eps ** 2)
+        return per_term_carrier_sum(spec, terms, t, spec.eps ** 2)
 
     vel = [1j * w.omega * b + spec.eps * d
            for w, b, d in zip(waves, ref["b_lat"], ref["dtau_lat"])]
@@ -504,7 +499,7 @@ def _per_carrier_positions(spec, fields, t):
         amps[iota] = amps[iota] + spec.eps * np.asarray(
             w.amplitude_vector(np.asarray(b, dtype=complex)))
     lat = spec.interp(np.stack(list(amps.values())))
-    return _per_term_carrier_sum(spec, [(om_v, th_v, a) for (_, om_v, th_v), a
+    return per_term_carrier_sum(spec, [(om_v, th_v, a) for (_, om_v, th_v), a
                                         in zip(table, lat)], t, 1.0)
 
 
@@ -571,49 +566,43 @@ def test_shared_phases_and_matrices_match_per_call_arithmetic(source):
 
 @pytest.mark.parametrize("source", REGIMES, ids=REGIME_IDS)
 def test_residual_interpolates_one_amplitude_stack_per_state(monkeypatch, source):
-    """residual_norm over m times makes 3m interpolations, one per state of
-    its (K, 2, n) amplitude rows, and samples nothing through _Sample."""
+    """residual_norm over m times makes one stack of its 3m states and 3m
+    interpolations, one per state of its (K, 2, n) amplitude rows, and
+    samples nothing: it never reads a state through at_tau."""
     spec = _setup(source, 0.1, 128).spec
-    shapes = []
+    shapes, stacks = [], []
 
     def interp(s, values, _interp=AnsatzSpec.interp):
         shapes.append(np.shape(values))
         return _interp(s, values)
 
+    def snapshot(s, states, _cls=anz._Snapshot):
+        stacks.append(len(states))
+        return _cls(s, states)
+
     def no_sample(*a, **kw):
-        raise AssertionError("residual_norm built a _Sample")
+        raise AssertionError("residual_norm read a state through at_tau")
 
     monkeypatch.setattr(AnsatzSpec, "interp", interp)
-    monkeypatch.setattr(anz, "_Sample", no_sample)
+    monkeypatch.setattr(anz, "_Snapshot", snapshot)
+    monkeypatch.setattr(AnsatzSpec, "at_tau", no_sample)
     for m in (1, 4):
         shapes.clear()
+        stacks.clear()
         residual_norm(spec.p, spec, [tau / spec.eps for tau in (0.1, 0.3, 0.2, 0.1)[:m]], h0=0.02)
         assert shapes == [(len(spec.carriers), 2, spec.n)] * (3 * m)
+        assert stacks == [3 * m]
 
 
 @pytest.mark.parametrize("source", REGIMES, ids=REGIME_IDS)
 def test_flat_phase_scalar_matches_the_row_path(monkeypatch, source):
-    """At theta = 0 (every carrier at c = 1, and the mean carrier) the
-    phase of residual_norm's carrier sums is one numpy scalar: its norms
-    equal, bit for bit, those built on the full row
-    exp(i(omega*t + theta*j))."""
+    """residual_norm's carrier sums build one exp per carrier and state
+    time, shared by the sum's two components: at theta = 0 (every carrier
+    at c = 1, and the mean carrier) one numpy scalar, else a row over the
+    sites.  Its norms equal, bit for bit, those built on the full row
+    exp(i(omega*t + theta*j)) per term."""
     spec = _setup(source, 0.1, 128).spec
     times = [tau / spec.eps for tau in (0.0, 0.3, 0.7)]
-    flat = residual_norm(spec.p, spec, times, h0=0.02)
-    assert [np.ndim(spec.phase_row(om, th, times[-1])) for _, om, th in spec.carriers] == \
-        [int(th != 0.0) for _, _, th in spec.carriers]
-    monkeypatch.setattr(AnsatzSpec, "phase_row", lambda s, omega, theta, t: np.exp(
-        1j * (omega * t + np.arange(s.N) * theta)))
-    assert residual_norm(spec.p, spec, times, h0=0.02) == flat
-
-
-@pytest.mark.parametrize("source,rows", zip(REGIMES, (7, 5, 5, 5)), ids=REGIME_IDS)
-def test_phase_rows_once_per_carrier_and_time(monkeypatch, source, rows):
-    """residual_norm, the one caller of phase_row, builds one exp row per
-    carrier and state time, shared by the carrier sum's two components:
-    7 rows non-resonant and 5 resonant, each a scalar at theta = 0 (the
-    mean carrier, and every carrier at c = 1).  The samplers build none."""
-    spec = _setup(source, 0.1, 128).spec
     built, summing = collections.Counter(), [False]
 
     def counted(x, *a, _exp=np.exp, **kw):
@@ -630,16 +619,14 @@ def test_phase_rows_once_per_carrier_and_time(monkeypatch, source, rows):
 
     monkeypatch.setattr(np, "exp", counted)
     monkeypatch.setattr(anz, "_carrier_sum", carrier_sum)
-    flat = sum(th == 0.0 for _, _, th in spec.carriers)
-    for tau in (0.3, 0.4):
-        t = tau / spec.eps
-        residual_norm(spec.p, spec, t, h0=0.02)  # the states at t - h, t and t + h
-        assert (built[0], built[1]) == (3 * flat, 3 * (rows - flat))
-        assert rows == len(spec._phases) == len(spec.carriers)
-        built.clear()
-        _sampled_sums(spec, t)
-        initial_state(spec)
-        assert not built
+    flat = residual_norm(spec.p, spec, times, h0=0.02)
+    monkeypatch.undo()
+    n_flat = sum(th == 0.0 for _, _, th in spec.carriers)
+    states = 3 * len(times)  # at t - h, t and t + h
+    assert (built[0], built[1]) == (states * n_flat, states * (len(spec.carriers) - n_flat))
+    monkeypatch.setattr(anz, "_carrier_sum", lambda spec, amps, t: per_term_carrier_sum(
+        spec, [(om, th, a) for (_, om, th), a in zip(spec.carriers, amps)], t, 1.0))
+    assert residual_norm(spec.p, spec, times, h0=0.02) == flat
 
 
 @pytest.mark.parametrize("eps,n_grid", [(0.05, 256), (0.1, 1024)], ids=["N-above-n", "N-below-n"])
@@ -667,8 +654,9 @@ def test_one_inverse_fft_per_sample_and_time(monkeypatch, source):
     """The samplers make one inverse FFT per sample and lattice time for
     the leading terms and one for the correctors, whichever of the paired
     calls comes first, out of one snapshot stack as the ansatz sweep reads
-    it and in initial_state; they call neither interp nor phase_row,
-    which only residual_norm calls."""
+    it and in initial_state, whose new stack adds its two grid derivatives;
+    they call neither interp nor _carrier_sum, which only residual_norm
+    calls."""
     spec = _setup(source, 0.1, 128).spec
     times = [tau / spec.eps for tau in (0.3, 0.1, 0.2)]
     spec.at_taus([spec.eps * t for t in times])
@@ -680,11 +668,11 @@ def test_one_inverse_fft_per_sample_and_time(monkeypatch, source):
         return _fn(*a, **kw)
 
     def refused(*a, **kw):
-        raise AssertionError("a sampler called interp or phase_row")
+        raise AssertionError("a sampler called interp or _carrier_sum")
 
     monkeypatch.setattr(np.fft, "ifft", counted)
     monkeypatch.setattr(AnsatzSpec, "interp", refused)
-    monkeypatch.setattr(AnsatzSpec, "phase_row", refused)
+    monkeypatch.setattr(anz, "_carrier_sum", refused)
     for t in (times[1], times[0], times[2], times[0]):  # each a new sample
         calls.clear()
         first_order_velocity(spec, t)
@@ -695,23 +683,93 @@ def test_one_inverse_fft_per_sample_and_time(monkeypatch, source):
         assert calls == {"ifft": 2}
     spec.at_taus([0.0])
     calls.clear()
-    initial_state(spec)
-    assert calls == {"ifft": 2}
+    initial_state(spec)  # and dB/dy and dB/dtau on the grid for its correctors
+    assert calls == {"ifft": 4}
 
 
 @pytest.mark.parametrize("source", REGIMES, ids=REGIME_IDS)
-def test_tau_derivative_takes_no_multiply_by_a_velocity_of_zero(source):
-    """The grid's dB/dtau is v*dB/dy plus the sources, bit for bit, on a
-    moving row, and the sources alone on a row at rest (both rows at
-    c = 1, the optical one at half-pi), which a non-finite dB/dy there
-    shows; the wavenumbers are built once per (L, n), read-only."""
+def test_tau_derivative_takes_no_multiply_by_a_velocity_of_zero(monkeypatch, source):
+    """A stack's dB/dtau spectrum is v*i*kappa*B-hat plus the sources'
+    FFT, bit for bit, on a moving row, and the sources' FFT alone on a row
+    at rest (both rows at c = 1, the optical one at half-pi), which
+    non-finite wavenumbers there show; the wavenumbers are built once per
+    (L, n), read-only."""
     spec = _setup(source, 0.1, 128).spec
     macro = spec.macro
     b = np.asarray(spec.solution.fields(0.3), dtype=complex)
-    dy = amp.spectral_derivative(b, spec.L)
-    sources = amp._source_rhs(macro, b) if macro.resonant else np.zeros_like(b)
-    dy[[v == 0.0 for v in macro.velocities]] = np.nan
-    for v, got, d, s in zip(macro.velocities, amp.tau_derivative(macro, b, dy), dy, sources):
-        assert np.array_equal(got, s if v == 0.0 else v * d + s)
+    sources = np.fft.fft(amp._source_rhs(macro, b) if macro.resonant else np.zeros_like(b))
     kappa = amp.wavenumbers(spec.L, spec.n)
     assert kappa is amp.wavenumbers(spec.L, spec.n) and not kappa.flags.writeable
+    ik = 1j * kappa
+    ik[spec.n // 2] = 0.0
+    got = anz._Snapshot(spec, [b]).dtau_hat[:, 0]
+    for v, row, bh, s in zip(macro.velocities, got, np.fft.fft(b), sources):
+        assert np.array_equal(row, s if v == 0.0 else v * (ik * bh) + s)
+    monkeypatch.setattr(amp, "wavenumbers", lambda L, n: np.full(n, np.nan))
+    got = anz._Snapshot(spec, [b]).dtau_hat[:, 0]
+    for v, row, s in zip(macro.velocities, got, sources):  # Nyquist's i*kappa stays 0
+        assert np.array_equal(row, s) if v == 0.0 else \
+            not np.isfinite(np.delete(row, spec.n // 2)).any()
+
+
+@pytest.mark.parametrize("eps,n_grid", [(0.05, 256), (0.1, 1024)], ids=["N-above-n", "N-below-n"])
+@pytest.mark.parametrize("source", REGIMES, ids=REGIME_IDS)
+def test_stack_dy_grid_is_the_spectral_derivative(source, eps, n_grid):
+    """A stack's dB/dy on the grid is the one-FFT-round-trip spectral
+    derivative of its states (``_helpers.spectral_derivative``), bit for
+    bit."""
+    spec = _setup(source, eps, n_grid).spec
+    b, dy, _ = anz._Snapshot(spec, [spec.solution.fields(tau) for tau in (0.3, 0.0, 0.6)]).grids()
+    assert np.array_equal(dy, spectral_derivative(b, spec.L))
+
+
+@pytest.mark.parametrize("eps,n_grid", [(0.05, 256), (0.1, 1024)], ids=["N-above-n", "N-below-n"])
+@pytest.mark.parametrize("source", REGIMES, ids=REGIME_IDS)
+def test_stack_dtau_grid_matches_the_grid_tau_derivative(source, eps, n_grid):
+    """A stack's dB/dtau on the grid, one inverse FFT of its spectrum, is
+    within 1e-14 of max|dB/dtau| of the envelope equations evaluated on
+    the grid (``_helpers.tau_derivative``): the two differ by rounding."""
+    spec = _setup(source, eps, n_grid).spec
+    b, _, dtau = anz._Snapshot(spec, [spec.solution.fields(tau) for tau in (0.3, 0.0, 0.6)]).grids()
+    want = np.asarray(tau_derivative(spec.macro, b, spectral_derivative(b, spec.L)))
+    assert np.abs(dtau - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _random_source(rng, kind):
+    """A random valid envelope source: a resonant family at random gamma,
+    c and ``nl`` (kind 0), the family at rest, c = 1 (kind 1), or two
+    non-resonant waves at random theta on a random chain (kind 2)."""
+    if kind < 2:
+        nl = {str(k): float(rng.uniform(-2.0, 2.0))
+              for k in rng.choice(NL_KEYS, rng.integers(0, 4), replace=False)}
+        nl["v22"] = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 1.0))  # k2 != 0
+        c = float(rng.uniform(0.0, 1.0)) if kind == 0 else 1.0
+        return {"resonant_family": {"gamma": float(rng.uniform(1.05, 8.0)), "c": c, "nl": nl}}
+    p = random_valid_params(rng, nonlinear=True)
+    params = {name: {"k1": v.k1, "k2": v.k2, "k3": v.k3}
+              for name, v in zip(("V1", "V2", "W1", "W2"), (p.V1, p.V2, p.W1, p.W2))}
+    return {"params": params, "waves": [{"branch": branch, "theta": float(rng.uniform(0.2, 2.8))}
+                                        for branch in ("acoustic", "optical")]}
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_leading_velocity_is_the_time_derivative_of_the_positions(seed):
+    """first_order_velocity, whose dB/dtau is the envelope equations' in
+    Fourier space, equals the fourth-order central time difference of
+    sample_first_order, whose envelopes the solution moves, to 1e-7 of its
+    largest magnitude (the difference's own error is below 1.2e-8): over
+    random valid chains, resonant families moving and at rest, and
+    non-resonant waves.  A missing source or advection term of dB/dtau
+    moves the velocity by far more."""
+    rng = np.random.default_rng(seed)
+    source = _random_source(rng, seed % 3)
+    spec = _setup(source, 0.1, 128).spec
+    assert spec.macro.resonant == (seed % 3 < 2)
+    assert any(spec.macro.velocities) == (seed % 3 != 1)
+    t, h = 0.4 / spec.eps, 3e-3
+
+    def pos(s):
+        return sample_first_order(spec, s)
+    diff = (8.0 * (pos(t + h) - pos(t - h)) - (pos(t + 2 * h) - pos(t - 2 * h))) / (12.0 * h)
+    vel = first_order_velocity(spec, t)
+    assert np.abs(diff - vel).max() <= 1e-7 * np.abs(vel).max()

@@ -658,6 +658,71 @@ def test_size_bounds_admit_their_limit_and_refuse_past_it():
         config_from_dict(dict(doc, dt=0.999 * 40.0 / harness.MAX_STEPS))
 
 
+STIFF = dict(kind="convergence", params={"V1": {"k1": 1.0, "k2": 0.3}, "V2": {"k1": 1e5, "k2": 0.2},
+                                          "W1": {"k1": 1.0}, "W2": {"k1": 1.0}},
+             waves=WAVES[:1], eps=[0.2, 0.1, 0.05], tau0=100.0, n_grid=64)
+
+
+def test_stiff_chain_exits_naming_params_before_a_lattice_step(tmp_path, capsys, monkeypatch):
+    """validate's max(T/dt, n_samples) is a lower bound on a run's steps:
+    the run steps at min(dt, default_dt).  A stiff chain (V2.k1 = 1e5,
+    default_dt = 7.4e-4) passes it with 20,000 steps at eps = 0.05, but
+    its rings at eps = 0.1 and 0.05 take 1,352,550 and 2,705,100: the CLI
+    exits 1 naming params, the first run's step count and the cap, before
+    any lattice step."""
+    def stepped(*a, **kw):
+        raise AssertionError("a lattice step was taken")
+    monkeypatch.setattr(harness, "integrate_rings", stepped)
+    monkeypatch.setattr(harness, "integrate", stepped)
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(STIFF))
+    config_from_dict(STIFF)
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: params: a lattice run to t = 1000 takes 1352550 steps of "
+                   "dt = 0.0007393, more than MAX_STEPS = 1000000\n")
+
+
+@pytest.mark.parametrize("doc,key", [
+    (dict(kind="convergence", resonant_family=FAM, eps=[0.2, 0.1, 0.05], tau0=1.0, dt=0.07),
+     "dt"),
+    (dict(kind="convergence", resonant_family=FAM, eps=[0.2, 0.1, 0.05], tau0=1.0, dt=1.0),
+     "resonant_family"),
+    (dict(kind="convergence", params=P_NL, waves=WAVES[:1], eps=[0.2, 0.1, 0.05], tau0=1.0,
+          dt=1.0), "params"),
+    (dict(kind="generation", resonant_family={**FAM, "c": 0.5}, eps=[0.1], tau0=1.0), "tau0"),
+], ids=["dt", "family-cap", "params-cap", "generation-window"])
+def test_step_bound_admits_the_steps_a_run_takes_and_refuses_one_more(monkeypatch, doc, key):
+    """With MAX_STEPS at the largest step count the runs take (counted as
+    they step) the experiment runs; one below it, it exits naming what
+    sets the step: dt, the chain's stability cap (resonant_family or
+    params), or for generation the window of one acoustic period over 96
+    that steps its whole run to tau0/eps."""
+    cfg = config_from_dict(doc)
+    steps = []
+
+    def counted(runs, *a, _fn=microsim.integrate_rings):
+        steps.extend(c.n_steps for _, _, c, _ in runs)
+        return _fn(runs, *a)
+    monkeypatch.setattr(harness, "integrate_rings", counted)
+    monkeypatch.setattr(harness, "integrate",
+                        lambda p, s0, c, obs=None: counted([(p, s0, c, obs)])[0])
+    monkeypatch.setattr(harness, "_cpus", lambda: 1)
+    harness.run_experiment(cfg)
+    n = max(steps)
+    assert n > doc["tau0"] / doc["eps"][-1] / cfg.dt  # validate's lower bound
+    monkeypatch.setattr(harness, "MAX_STEPS", n)
+    steps.clear()
+    harness.run_experiment(cfg)
+    assert max(steps) == n
+    monkeypatch.setattr(harness, "MAX_STEPS", n - 1)
+    steps.clear()
+    with pytest.raises(ConfigError, match=f"^{key}: a lattice run to t = .* takes {n} steps "):
+        harness.run_experiment(cfg)
+    assert not steps
+
+
 def test_cli_reports_memory_error_in_one_line(tmp_path, capsys, monkeypatch):
     """An allocation that fails in a run, past validation, exits 1 with
     one error line and no traceback."""
